@@ -1,21 +1,25 @@
-"""Conditional group means, the block-matrix prediction variance, and PIs.
+"""Conditional group means, the arrowhead prediction variance, and PIs.
 
 The predictor plugs each subject's conditional mode into the linear
-predictor.  Its covariance solves the symmetric system
+predictor.  Its covariance comes from Henderson's mixed-model equations
 
-    M = [[X'WX, X'WZ], [Z'WX, Z'WZ + G^{-1}]],   C_q = (X_q; Z_q)' M^{-1} (X_q; Z_q)
+    M = [[X'WX, B'], [B, D]],   C_q = (X_q; Z_q)' M^{-1} (X_q; Z_q)
 
-with W the diagonal iterative weights at the conditional modes and
-G = sigma2 I.  On an identity-link Gaussian model this is exactly the
-Henderson mixed-model-equation prediction covariance; for the binary and
-count families it is the Laplace-approximate analogue.  The naive-plus-
-correction decomposition of the same quantity lives in the tests as an
-independent oracle, not here.
+with W the diagonal iterative weights at the conditional modes,
+B = Z'WX (K x p) and D = diag(Z'WZ) + I / sigma2.  D is diagonal, so it is
+eliminated by hand: only B, D^{-1} and the Cholesky factor of the p x p
+Schur complement S = X'WX - B'D^{-1}B are kept, and every solve costs
+O(K p + p^2).  Building them costs O(N p + K p^2 + p^3) time and
+O(N + K p) memory.  At the sigma2 boundary D^{-1} is zero, the sigma2 -> 0
+limit of M^{-1}: predictions carry fixed-effect uncertainty only.  On an
+identity-link Gaussian model this is exactly the Henderson prediction
+covariance; for the binary and count families it is the Laplace-approximate
+analogue.  The dense (p+K)^2 system and the naive-plus-correction
+decomposition live in the tests as independent oracles, not here.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +29,7 @@ from .families import Family, family_ops
 from .fitter import FittedModel
 from .marginal import GroupMeanEstimate, Interval, MeanKind, ci_direct, ci_inverse_log, ci_inverse_logit
 
-_SIGMA2_FLOOR = 1e-9  # below this the random-effect block is dropped (G^{-1} -> inf)
-_JITTER = 1e-10
+_SIGMA2_FLOOR = 1e-9  # at or below this the random-effect block is dropped (D^{-1} -> 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,45 +49,53 @@ class PredictionStructure:
     def with_random_block(self) -> bool:
         return self.sigma2 > _SIGMA2_FLOOR
 
+    def border(self) -> tuple[np.ndarray, np.ndarray]:
+        """B = Z'WX (K x p) and the diagonal of D^{-1} (zero at the sigma2 boundary)."""
+        subj, K, wx = self.subject_index, self.n_subjects, self.weights[:, None] * self.X
+        b = np.stack([np.bincount(subj, weights=col, minlength=K) for col in wx.T], axis=1)
+        if not self.with_random_block():
+            return b, np.zeros(K)
+        return b, 1.0 / (np.bincount(subj, weights=self.weights, minlength=K) + 1.0 / self.sigma2)
+
 
 class _Factorization:
+    """The arrowhead system M through B, D^{-1} and the Cholesky factor of S.
+
+    A singular S (weights that vanish on a whole covariate direction) raises
+    numpy.linalg.LinAlgError from the Cholesky step; nothing is jittered.
+    """
+
     def __init__(self, struct: PredictionStructure):
-        X, w, subj, K = struct.X, struct.weights, struct.subject_index, struct.n_subjects
-        p = struct.p
         self.struct = struct
-        if struct.with_random_block():
-            m = np.zeros((p + K, p + K))
-            m[:p, :p] = X.T @ (w[:, None] * X)
-            bw = np.zeros((K, p))
-            np.add.at(bw, subj, w[:, None] * X)
-            m[:p, p:] = bw.T
-            m[p:, :p] = bw
-            dsum = np.bincount(subj, weights=w, minlength=K)
-            m[p:, p:][np.diag_indices(K)] = dsum + 1.0 / struct.sigma2
-        else:
-            m = X.T @ (w[:, None] * X)
-        try:
-            self.cho = cho_factor(m)
-        except np.linalg.LinAlgError:
-            m = m + _JITTER * np.eye(m.shape[0])
-            self.cho = cho_factor(m)
+        self.b, self.dinv = struct.border()
+        xwx = struct.X.T @ (struct.weights[:, None] * struct.X)
+        self.cho = cho_factor(xwx - self.b.T @ (self.dinv[:, None] * self.b))
 
     def design_columns(self, rows: np.ndarray) -> np.ndarray:
         """(X_q; Z_q) for the given observation rows, one column per row."""
         struct = self.struct
-        nq = rows.shape[0]
-        top = struct.X[rows].T
-        if not struct.with_random_block():
-            return top
-        bottom = np.zeros((struct.n_subjects, nq))
-        bottom[struct.subject_index[rows], np.arange(nq)] = 1.0
-        return np.vstack([top, bottom])
+        bottom = np.zeros((struct.n_subjects, rows.shape[0]))
+        bottom[struct.subject_index[rows], np.arange(rows.shape[0])] = 1.0
+        return np.vstack([struct.X[rows].T, bottom])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self.cho, rhs)
+        """M^{-1} rhs for stacked (p+K)-row right-hand sides, 1-D or 2-D."""
+        p = self.struct.p
+        r, s = rhs[:p], rhs[p:]
+        dinv = self.dinv if rhs.ndim == 1 else self.dinv[:, None]
+        x = cho_solve(self.cho, r - self.b.T @ (dinv * s))
+        return np.concatenate([x, dinv * (s - self.b @ x)])
 
+    def row_covariance(self, rows: np.ndarray) -> np.ndarray:
+        """(X_q; Z_q)' M^{-1} (X_q; Z_q) = V S^{-1} V' + [same subject] D^{-1}.
 
-_CACHE: "weakref.WeakKeyDictionary[FittedModel, _Factorization]" = weakref.WeakKeyDictionary()
+        Row i of V is x_i - D^{-1}_k B_k for the subject k of row i.
+        """
+        subj = self.struct.subject_index[rows]
+        v = self.struct.X[rows] - self.dinv[subj, None] * self.b[subj]
+        same = subj[:, None] == subj[None, :]
+        c = v @ cho_solve(self.cho, v.T) + np.where(same, self.dinv[subj], 0.0)
+        return 0.5 * (c + c.T)
 
 
 def build_prediction_structure(fitted: FittedModel) -> PredictionStructure:
@@ -102,16 +113,8 @@ def build_prediction_structure(fitted: FittedModel) -> PredictionStructure:
     )
 
 
-def _factorization(fitted: FittedModel) -> _Factorization:
-    fac = _CACHE.get(fitted)
-    if fac is None:
-        fac = _Factorization(build_prediction_structure(fitted))
-        _CACHE[fitted] = fac
-    return fac
-
-
 def factorize_structure(struct: PredictionStructure) -> _Factorization:
-    """Entry point for driving the block solve with hand-built structures."""
+    """Entry point for driving the arrowhead solve with hand-built structures."""
     return _Factorization(struct)
 
 
@@ -162,29 +165,30 @@ def predictor_at_mean_covariate(fitted: FittedModel, group_id: str) -> float:
 def prediction_covariance(fitted: FittedModel, group_id: str) -> np.ndarray:
     """Conditional covariance matrix of the predicted eta vector of one group.
 
-    Solves M S = (X_q; Z_q) rather than inverting M.  At the sigma2 = 0
-    boundary the random-effect block is dropped (predictions carry
-    fixed-effect uncertainty only).
+    Built from V S^{-1} V' plus the diagonal-block D^{-1} term, so no
+    K x N_q block is formed.  At the sigma2 boundary the random-effect
+    block is dropped (predictions carry fixed-effect uncertainty only).
     """
     idx = _group_rows_idx(fitted, group_id)
-    fac = _factorization(fitted)
-    rhs = fac.design_columns(idx)
-    c = rhs.T @ fac.solve(rhs)
-    return 0.5 * (c + c.T)
+    return factorize_structure(build_prediction_structure(fitted)).row_covariance(idx)
 
 
-def conditional_group_variance(fitted: FittedModel, group_id: str) -> float:
+def conditional_group_variance(fitted: FittedModel, group_id: str,
+                               fac: _Factorization | None = None) -> float:
     """Delta-method variance of lambda_hat_q through the prediction covariance.
 
     Equals J' D C D J / N_q^2 with D the diagonal of inverse-link
     derivatives at the predicted etas, computed via the collapsed vector
-    a = (X_q; Z_q) D J without forming C.
+    a = (X_q' d; Z_q' d) without forming C.  `fac` reuses a factorization
+    of the same fitted model.
     """
     idx = _group_rows_idx(fitted, group_id)
     ops = family_ops(fitted.spec.family)
     d = ops.dinverse_link(predicted_eta_rows(fitted)[idx])
-    fac = _factorization(fitted)
-    a = fac.design_columns(idx) @ d
+    fac = fac or factorize_structure(build_prediction_structure(fitted))
+    struct = fac.struct
+    a = np.concatenate([struct.X[idx].T @ d,
+                        np.bincount(struct.subject_index[idx], weights=d, minlength=struct.n_subjects)])
     var = float(a @ fac.solve(a)) / idx.shape[0] ** 2
     return max(var, 0.0)
 
@@ -192,17 +196,12 @@ def conditional_group_variance(fitted: FittedModel, group_id: str) -> float:
 def mode_beta_jacobian(fitted: FittedModel) -> np.ndarray:
     """Rows db_hat_i / dbeta from the implicit-function identity.
 
-    Row i is -(J'WJ + 1/sigma2)^{-1} J'WX_i with W the iterative weights at
-    the conditional modes.
+    Row i is -(J'WJ + 1/sigma2)^{-1} J'WX_i = -D^{-1}_i B_i with W the
+    iterative weights at the conditional modes (zero at the sigma2
+    boundary, where the modes are pinned at 0).
     """
-    struct = build_prediction_structure(fitted)
-    ds = fitted.dataset
-    k = ds.n_subjects
-    wx = np.zeros((k, ds.p))
-    np.add.at(wx, struct.subject_index, struct.weights[:, None] * struct.X)
-    wsum = np.bincount(struct.subject_index, weights=struct.weights, minlength=k)
-    denom = wsum + 1.0 / fitted.params.sigma2
-    return -wx / denom[:, None]
+    b, dinv = build_prediction_structure(fitted).border()
+    return -dinv[:, None] * b
 
 
 # ---- prediction intervals -------------------------------------------------------
@@ -221,10 +220,11 @@ def pi_inverse(point: float, variance: float, alpha: float, family: Family) -> I
 def conditional_estimates(fitted: FittedModel, alpha: float = 0.05) -> dict[str, GroupMeanEstimate]:
     """Predicted group means with direct and inverse prediction intervals."""
     gi = fitted.dataset.group_index
+    fac = factorize_structure(build_prediction_structure(fitted))
     out: dict[str, GroupMeanEstimate] = {}
     for gid in gi.group_ids:
         point = conditional_group_mean(fitted, gid)
-        variance = conditional_group_variance(fitted, gid)
+        variance = conditional_group_variance(fitted, gid, fac)
         intervals = {
             "direct": pi_direct(point, variance, alpha),
             "inverse": pi_inverse(point, variance, alpha, fitted.spec.family),

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .families import Family, family_ops
 from .model import Dataset, ModelSpec, ParamVector, SubjectBlock
@@ -37,6 +37,10 @@ LOG_KAPPA_BOUNDS = (math.log(1e-3), math.log(1e6))
 _MAX_STEP = 2.0
 _COND_LIMIT = 1e12
 _REFINE_ITER = 40
+# Rows x nodes of one quadrature block: 96 KB per float64 temporary.  Larger
+# temporaries cross glibc's default 128 KB mmap threshold and are mapped and
+# faulted in afresh on every call, several times slower than reused heap.
+_BLOCK_CELLS = 12288
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,17 @@ class FittedModel:
         return float(self.cond_modes[self.dataset.subject_position[subject_id]])
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of finite rows, with scipy.special.logsumexp's
+    arithmetic (maximal entries split off and counted) minus its per-call
+    overhead, which dominated the small per-block calls."""
+    amax = a.max(axis=1, keepdims=True)
+    top = a == amax
+    count = top.sum(axis=1, keepdims=True, dtype=a.dtype)
+    rest = np.exp(np.where(top, -np.inf, a) - amax).sum(axis=1, keepdims=True)
+    return (np.log1p(rest / count) + np.log(count) + amax)[:, 0]
+
+
 class _Workspace:
     """Stacked arrays and quadrature scratch for one (dataset, family) pair.
 
@@ -118,6 +133,17 @@ class _Workspace:
         self.t = rule.nodes
         self.logw_t2 = np.log(rule.weights) + rule.nodes**2
         self.dim = self.p + 1 + (1 if family is Family.NEGBIN else 0)
+        # whole subjects per block: (subjects, rows, row -> block subject, block row offsets)
+        offsets = dataset.row_offsets
+        cap = max(1, _BLOCK_CELLS // self.t.size)
+        self.blocks = []
+        k0 = 0
+        while k0 < self.K:
+            k1 = max(k0 + 1, int(np.searchsorted(offsets, offsets[k0] + cap, side="right")) - 1)
+            rows = slice(int(offsets[k0]), int(offsets[k1]))
+            self.blocks.append((slice(k0, k1), rows, self.subj[rows] - k0,
+                                self.starts[k0:k1] - offsets[k0]))
+            k0 = k1
 
     # ---- parameter packing ---------------------------------------------
 
@@ -215,58 +241,68 @@ class _Workspace:
 
     # ---- marginal likelihood and scores ---------------------------------
 
-    def _loglik_matrix(self, eta, aux):
-        """Conditional loglik as an eta-dependent (N, m) part plus an (N,) constant."""
+    def _loglik_matrix(self, eta, aux, rows):
+        """Conditional loglik as an eta-dependent (n, m) part plus an (n,) constant."""
+        y = self.y[rows]
         if self.family is Family.NEGBIN:
             logk = math.log(aux)
-            const = gammaln(self.y + aux) - gammaln(aux) - gammaln(self.y + 1.0) + aux * logk
-            mat = self.y[:, None] * eta - (self.y + aux)[:, None] * np.logaddexp(logk, eta)
+            const = gammaln(y + aux) - gammaln(aux) - gammaln(y + 1.0) + aux * logk
+            mat = y[:, None] * eta - (y + aux)[:, None] * np.logaddexp(logk, eta)
             return mat, const
-        return self.ops.loglik(self.y[:, None], eta, aux), np.zeros(self.N)
+        return self.ops.loglik(y[:, None], eta, aux), np.zeros(y.shape[0])
 
-    def integral_pieces(self, beta, sigma2, aux, modes, curv):
-        """Per-subject loglik contributions, posterior node weights, node positions."""
-        scale = 1.0 / np.sqrt(curv)
-        u = modes[:, None] + math.sqrt(2.0) * scale[:, None] * self.t[None, :]
-        eta = (self.X @ beta)[:, None] + u[self.subj]
-        mat, const = self._loglik_matrix(eta, aux)
-        g = self._subject_sums(self.w[:, None] * mat)
-        g += self._subject_sums(self.w * const)[:, None]
+    def integral_pieces(self, beta, sigma2, aux, modes, curv, block):
+        """Loglik contributions, posterior node weights, node positions and
+        etas for the subjects of one block."""
+        ks, rows, subj, starts = block
+        scale = 1.0 / np.sqrt(curv[ks])
+        u = modes[ks, None] + math.sqrt(2.0) * scale[:, None] * self.t[None, :]
+        eta = (self.X[rows] @ beta)[:, None] + u[subj]
+        mat, const = self._loglik_matrix(eta, aux, rows)
+        w = self.w[rows]
+        g = np.add.reduceat(w[:, None] * mat, starts, axis=0)
+        g += np.add.reduceat(w * const, starts)[:, None]
         g -= u**2 / (2.0 * sigma2)
-        a = g + self.logw_t2[None, :]
-        lse = logsumexp(a, axis=1)
-        ll_i = 0.5 * np.log(2.0 / curv) + lse
-        omega = np.exp(a - lse[:, None])
+        g += self.logw_t2[None, :]
+        lse = _logsumexp_rows(g)
+        ll_i = 0.5 * np.log(2.0 / curv[ks]) + lse
+        omega = np.exp(g - lse[:, None])
         return ll_i, omega, u, eta
+
+    def _total_loglik(self, ll_i, sigma2) -> float:
+        return float(np.concatenate(ll_i).sum() - 0.5 * self.K * math.log(2.0 * math.pi * sigma2))
 
     def loglik_at(self, theta, warm_modes=None, mode_tol=1e-10):
         beta, sigma2, aux = self.unpack(theta)
         modes, curv = self.solve_modes(beta, sigma2, aux, warm_modes, tol=mode_tol)
-        ll_i, _, _, _ = self.integral_pieces(beta, sigma2, aux, modes, curv)
-        ll = float(ll_i.sum() - 0.5 * self.K * math.log(2.0 * math.pi * sigma2))
-        return ll, modes, curv
+        ll_i = [self.integral_pieces(beta, sigma2, aux, modes, curv, blk)[0] for blk in self.blocks]
+        return self._total_loglik(ll_i, sigma2), modes, curv
 
     def score_matrix(self, theta, modes, curv):
         """Per-subject scores d_i on the optimizer scale; loglik as byproduct."""
         beta, sigma2, aux = self.unpack(theta)
-        ll_i, omega, u, eta = self.integral_pieces(beta, sigma2, aux, modes, curv)
-        omega_rows = omega[self.subj]
+        rows_d, ll_i = [], []
+        for blk in self.blocks:
+            _, rows, subj, starts = blk
+            ll_b, omega, u, eta = self.integral_pieces(beta, sigma2, aux, modes, curv, blk)
+            omega_rows = omega[subj]
+            y, w = self.y[rows, None], self.w[rows]
 
-        s_eta = self.ops.score_eta(self.y[:, None], eta, aux)
-        rho = np.sum(omega_rows * s_eta, axis=1) * self.w
-        d_beta = self._subject_sums(rho[:, None] * self.X)
+            s_eta = self.ops.score_eta(y, eta, aux)
+            rho = np.sum(omega_rows * s_eta, axis=1) * w
+            d_beta = np.add.reduceat(rho[:, None] * self.X[rows], starts, axis=0)
 
-        d_lsig = np.sum(omega * (u**2 - sigma2), axis=1) / (2.0 * sigma2)
+            d_lsig = np.sum(omega * (u**2 - sigma2), axis=1) / (2.0 * sigma2)
 
-        cols = [d_beta, d_lsig[:, None]]
-        if self.family is Family.NEGBIN:
-            s_kap = self.ops.score_kappa(self.y[:, None], eta, aux)
-            rho_k = np.sum(omega_rows * s_kap, axis=1) * self.w
-            d_lkap = aux * self._subject_sums(rho_k)
-            cols.append(d_lkap[:, None])
-        d = np.hstack(cols)
-        ll = float(ll_i.sum() - 0.5 * self.K * math.log(2.0 * math.pi * sigma2))
-        return d, ll
+            cols = [d_beta, d_lsig[:, None]]
+            if self.family is Family.NEGBIN:
+                s_kap = self.ops.score_kappa(y, eta, aux)
+                rho_k = np.sum(omega_rows * s_kap, axis=1) * w
+                d_lkap = aux * np.add.reduceat(rho_k, starts)
+                cols.append(d_lkap[:, None])
+            rows_d.append(np.hstack(cols))
+            ll_i.append(ll_b)
+        return np.vstack(rows_d), self._total_loglik(ll_i, sigma2)
 
 
 def _conditional_loglik_sum(ws: _Workspace, beta, aux) -> float:
@@ -632,11 +668,11 @@ def posterior_mean_effects(fitted: FittedModel) -> np.ndarray:
     ws = _Workspace(fitted.dataset, fitted.spec.family, fitted.config.gh_nodes)
     if fitted.params.sigma2 == 0.0:
         return np.zeros(ws.K)
-    _, omega, u, _ = ws.integral_pieces(
-        fitted.params.beta,
-        fitted.params.sigma2,
-        fitted.params.kappa,
-        np.array(fitted.cond_modes),
-        np.array(fitted.cond_curvatures),
-    )
-    return np.sum(omega * u, axis=1)
+    modes, curv = np.array(fitted.cond_modes), np.array(fitted.cond_curvatures)
+    means = []
+    for blk in ws.blocks:
+        _, omega, u, _ = ws.integral_pieces(
+            fitted.params.beta, fitted.params.sigma2, fitted.params.kappa, modes, curv, blk
+        )
+        means.append(np.sum(omega * u, axis=1))
+    return np.concatenate(means)

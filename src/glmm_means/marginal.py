@@ -24,6 +24,8 @@ from .families import Family, stable_expit
 from .fitter import FittedModel
 from .quadrature import ZEGER_COEF, zeger_attenuation, zeger_mean
 
+_PAIR_BLOCK = 1 << 20  # row pairs per block of the NB variance sum (8 MB of float64)
+
 
 class MeanKind(enum.Enum):
     MARGINAL = "marginal"
@@ -141,19 +143,24 @@ def marginal_group_variance(fitted: FittedModel, group_id: str) -> float:
     covariances included, which collapses to the quadratic form of the
     averaged gradient.  NB: the lognormal-sum variance with plug-in
     log-scale covariances sigma2_{i1,i2} = grad(nu_i1)' Cov grad(nu_i2),
-    normalized by N_q^2.
+    normalized by N_q^2.  Every term depends on its rows only through their
+    covariates, so the NB pair sum runs over unique rows weighted by their
+    counts, in blocks of at most _PAIR_BLOCK pairs.
     """
     rows = _group_rows(fitted, group_id)
     cov = fitted.cov_beta_sigma2
-    grads = _grad_rows_nat(fitted, rows)
     n = rows.shape[0]
     if fitted.spec.family is Family.LOGISTIC:
-        gbar = grads.mean(axis=0)
+        gbar = _grad_rows_nat(fitted, rows).mean(axis=0)
         return _clamped(float(gbar @ cov @ gbar), f"group {group_id}")
+    rows, counts = np.unique(rows, axis=0, return_counts=True)
+    grads = _grad_rows_nat(fitted, rows)
     nu = rows @ fitted.params.beta + fitted.params.sigma2 / 2.0
-    s = grads @ cov @ grads.T
-    amp = np.exp(nu + 0.5 * np.diag(s))
-    total = float(np.outer(amp, amp).ravel() @ np.expm1(s).ravel())
+    gcov = grads @ cov
+    amp = counts * np.exp(nu + 0.5 * np.einsum("ij,ij->i", gcov, grads))
+    step = max(1, _PAIR_BLOCK // rows.shape[0])
+    total = sum(float(amp[a:a + step] @ np.expm1(gcov[a:a + step] @ grads.T) @ amp)
+                for a in range(0, rows.shape[0], step))
     return _clamped(total / (n * n), f"group {group_id}")
 
 

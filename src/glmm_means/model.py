@@ -246,14 +246,14 @@ def validate(dataset: Dataset, spec: ModelSpec) -> list[Violation]:
         )
 
     ops = family_ops(spec.family)
-    if not ops.validate_response(dataset.y):
-        expected = "{0,1}" if spec.family is Family.LOGISTIC else "nonnegative integers"
+    if not (np.all(np.isfinite(dataset.y)) and ops.validate_response(dataset.y)):
+        expected = "{0,1}" if spec.family is Family.LOGISTIC else "finite nonnegative integers"
         violations.append(
             Violation("response", f"{spec.family.value} family requires responses in {expected}")
         )
 
-    if np.any(dataset.weights <= 0):
-        violations.append(Violation("weights", "observation weights must be positive"))
+    if not np.all(np.isfinite(dataset.weights) & (dataset.weights > 0)):
+        violations.append(Violation("weights", "observation weights must be finite and positive"))
 
     if not np.all(np.isfinite(dataset.X)):
         violations.append(Violation("covariates", "covariate matrix contains non-finite entries"))

@@ -196,6 +196,23 @@ def test_cli_validate_clean(small_csv, capsys):
     assert json.loads(out)["valid"] is True
 
 
+def test_cli_means_rejects_infinite_count(tmp_path, capsys):
+    p = tmp_path / "inf.csv"
+    rows = ["subject_id,y,x,u,t"]
+    for i in range(12):
+        y = "inf" if i == 3 else str(i % 4)
+        rows.append(f"s{i},{y},{i / 12},{i % 2},0")
+    p.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, _, err = run_cli(
+        ["means", "--input", str(p), "--family", "negbin", "--covariates", "x,u", "--group-by", "u"],
+        capsys,
+    )
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["code"] == "validation"
+    assert [v["code"] for v in error["detail"]] == ["response"]
+
+
 def test_cli_missing_file_exits_3(capsys):
     code, _, err = run_cli(["fit", "--input", "/nonexistent.csv", *BASE], capsys)
     assert code == 3

@@ -1,8 +1,10 @@
-"""Predicted group means, the block-matrix prediction covariance, and PIs.
+"""Predicted group means, the arrowhead prediction covariance, and PIs.
 
 On an identity-link Gaussian model the whole construction is exact and must
 reproduce Henderson's mixed-model-equation results; those oracles are built
 here from scratch (explicit matrix inverses, loops, no shared code paths).
+The dense (p+K)^2 mixed-model system is the oracle for the Schur-complement
+solve on every family.
 """
 
 import numpy as np
@@ -25,7 +27,8 @@ from glmm_means import (
     prediction_covariance,
     predictor_at_mean_covariate,
 )
-from glmm_means.families import GAUSSIAN_OPS, stable_expit
+from glmm_means.conditional import _SIGMA2_FLOOR
+from glmm_means.families import GAUSSIAN_OPS, family_ops, stable_expit
 from glmm_means.fitter import _Workspace
 
 from conftest import manual_fitted, toy_dataset
@@ -159,6 +162,97 @@ def test_prediction_covariance_equals_naive_plus_correction():
     assert ours == pytest.approx(naive + correction, rel=1e-10)
 
 
+def _dense_inverse(struct):
+    """M^{-1} of the dense (p+K)^2 mixed-model system, by explicit inversion.
+
+    At the sigma2 boundary the random block is dropped: the inverse is
+    (X'WX)^{-1} padded with zeros.
+    """
+    X, w, subj, K, p = struct.X, struct.weights, struct.subject_index, struct.n_subjects, struct.p
+    xwx = X.T @ (w[:, None] * X)
+    minv = np.zeros((p + K, p + K))
+    if struct.sigma2 <= _SIGMA2_FLOOR:
+        minv[:p, :p] = np.linalg.inv(xwx)
+        return minv
+    Z = np.zeros((X.shape[0], K))
+    Z[np.arange(X.shape[0]), subj] = 1.0
+    m = np.block([[xwx, X.T @ (w[:, None] * Z)],
+                  [Z.T @ (w[:, None] * X), Z.T @ (w[:, None] * Z) + np.eye(K) / struct.sigma2]])
+    return np.linalg.inv(m)
+
+
+def _dense_columns(struct, rows):
+    Z = np.zeros((rows.shape[0], struct.n_subjects))
+    Z[np.arange(rows.shape[0]), struct.subject_index[rows]] = 1.0
+    return np.hstack([struct.X[rows], Z]).T
+
+
+def _unequal_dataset(family, K=50, seed=3):
+    """Three covariates, 1-6 rows per subject, two groups that cut across subjects."""
+    rng = np.random.default_rng(seed)
+    subjects = []
+    for i in range(K):
+        n = int(rng.integers(1, 7))
+        X = np.column_stack([np.ones(n), rng.uniform(-1, 1, n), np.full(n, float(i % 2))])
+        y = rng.binomial(1, 0.5, n) if family is Family.LOGISTIC else rng.poisson(2.0, n)
+        groups = tuple("g0" if rng.uniform() < 0.5 else "g1" for _ in range(n))
+        subjects.append(SubjectBlock(subject_id=f"s{i}", y=y.astype(float), X=X, groups=groups))
+    return Dataset(subjects)
+
+
+@pytest.mark.parametrize("sigma2", [0.7, 0.5 * _SIGMA2_FLOOR])
+def test_arrowhead_solve_matches_dense_inverse(sigma2):
+    rng = np.random.default_rng(5)
+    ds = _unequal_dataset(Family.LOGISTIC)
+    struct = PredictionStructure(
+        X=ds.X,
+        subject_index=np.asarray(ds.subject_index),
+        weights=rng.uniform(0.05, 2.0, ds.n_obs),
+        sigma2=sigma2,
+        n_subjects=ds.n_subjects,
+    )
+    fac = factorize_structure(struct)
+    minv = _dense_inverse(struct)
+    rhs = rng.normal(size=(struct.p + ds.n_subjects, 4))
+    np.testing.assert_allclose(fac.solve(rhs[:, 0]), minv @ rhs[:, 0], rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(fac.solve(rhs), minv @ rhs, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("family, kappa", [(Family.LOGISTIC, None), (Family.NEGBIN, 4.0)])
+@pytest.mark.parametrize("sigma2", [0.6, 0.0])
+def test_group_covariance_and_variance_match_dense_oracle(family, kappa, sigma2):
+    from glmm_means.conditional import build_prediction_structure
+
+    ds = _unequal_dataset(family)
+    f = manual_fitted(ds, family, (0.2, -0.5, 0.3), sigma2, kappa=kappa)
+    struct = build_prediction_structure(f)
+    minv = _dense_inverse(struct)
+    ops = family_ops(family)
+    for gid in ds.group_index.group_ids:
+        idx = ds.group_index.indices[gid]
+        cols = _dense_columns(struct, idx)
+        oracle = cols.T @ minv @ cols
+        np.testing.assert_allclose(prediction_covariance(f, gid), oracle, rtol=1e-10, atol=1e-14)
+        d = ops.dinverse_link(predicted_eta_rows(f)[idx])
+        var = float(d @ oracle @ d) / len(idx) ** 2
+        assert conditional_group_variance(f, gid) == pytest.approx(var, rel=1e-10)
+
+
+def test_singular_prediction_system_raises():
+    # weights that vanish on every row where the covariate is nonzero leave
+    # S singular; the factorization must say so rather than jitter S
+    ds = _unequal_dataset(Family.LOGISTIC)
+    struct = PredictionStructure(
+        X=ds.X,
+        subject_index=np.asarray(ds.subject_index),
+        weights=np.where(ds.X[:, 2] == 1.0, 0.0, 1.0),
+        sigma2=0.5,
+        n_subjects=ds.n_subjects,
+    )
+    with pytest.raises(np.linalg.LinAlgError):
+        factorize_structure(struct)
+
+
 def test_prediction_covariance_is_symmetric_psd(logistic_toy_fit):
     gid = logistic_toy_fit.dataset.group_index.group_ids[0]
     c = prediction_covariance(logistic_toy_fit, gid)
@@ -202,6 +296,7 @@ def test_sigma2_boundary_drops_random_block():
     f = manual_fitted(ds, Family.LOGISTIC, (0.4, -0.1), 0.0)
     idx = ds.group_index.indices["g0"]
     c = prediction_covariance(f, "g0")
+    np.testing.assert_array_equal(mode_beta_jacobian(f), 0.0)  # modes pinned at 0
     # oracle: fixed-effects-only covariance X_q' (X'WX)^{-1} X_q
     eta = ds.X @ f.params.beta
     w = stable_expit(eta) * (1 - stable_expit(eta))

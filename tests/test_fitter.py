@@ -230,6 +230,36 @@ def test_total_score_matches_central_differences(family):
         np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-6)
 
 
+@pytest.mark.parametrize("family", [Family.LOGISTIC, Family.NEGBIN])
+def test_quadrature_blocks_do_not_change_results(family, monkeypatch):
+    # one block for all subjects versus blocks smaller than one subject
+    # (every subject then forms its own block); per-subject arithmetic is
+    # the same, so loglik and scores agree up to the last-bit differences
+    # of vectorized kernels on arrays of other lengths
+    import glmm_means.fitter as fitter
+
+    rng = np.random.default_rng(4)
+    subjects = []
+    for i in range(30):
+        n = int(rng.integers(1, 6))
+        x = np.column_stack([np.ones(n), rng.uniform(-1, 1, n)])
+        y = rng.binomial(1, 0.5, n) if family is Family.LOGISTIC else rng.poisson(2.0, n)
+        subjects.append(bernoulli_block(f"s{i}", y.astype(float), x))
+    ds = Dataset(subjects)
+    kappa = 5.0 if family is Family.NEGBIN else None
+    results = []
+    for cells in (10**9, 1):
+        monkeypatch.setattr(fitter, "_BLOCK_CELLS", cells)
+        ws = _Workspace(ds, family, 25)
+        theta = ws.pack(np.array([0.2, -0.4]), 0.7, kappa)
+        ll, modes, curv = ws.loglik_at(theta)
+        d, ll_d = ws.score_matrix(theta, modes, curv)
+        results.append((len(ws.blocks), ll, ll_d, d))
+    assert [r[0] for r in results] == [1, ds.n_subjects]
+    np.testing.assert_allclose(results[0][1:3], results[1][1:3], rtol=1e-14)
+    np.testing.assert_allclose(results[0][3], results[1][3], rtol=1e-13, atol=1e-15)
+
+
 def test_subject_scores_sum_to_near_zero_at_mle(logistic_toy_fit):
     d = subject_scores(logistic_toy_fit)
     assert np.max(np.abs(d.sum(axis=0))) <= 10 * logistic_toy_fit.config.param_tol

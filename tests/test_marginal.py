@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from glmm_means import (
+    Dataset,
     Family,
+    SubjectBlock,
     ci_direct,
     ci_inverse_log,
     ci_inverse_logit,
@@ -173,6 +175,40 @@ def test_negbin_singleton_group_is_lognormal_variance():
     s2 = float(g @ cov @ g)
     oracle = np.exp(2 * nu + s2) * (np.exp(s2) - 1.0)
     assert marginal_group_variance(f, gid) == pytest.approx(oracle, rel=1e-12)
+
+
+def _dense_negbin_variance(f, gid):
+    """The N_q x N_q lognormal-sum formula over every pair of group rows."""
+    rows = f.dataset.X[f.dataset.group_index.indices[gid]]
+    n = rows.shape[0]
+    g = np.hstack([rows, np.full((n, 1), 0.5)])
+    s = g @ f.cov_beta_sigma2 @ g.T
+    nu = rows @ f.params.beta + f.params.sigma2 / 2.0
+    amp = np.exp(nu + 0.5 * np.diag(s))
+    return float(np.sum(np.outer(amp, amp) * np.expm1(s))) / n**2
+
+
+@pytest.mark.parametrize("baseline", ["uniform", "bernoulli"])
+def test_negbin_collapsed_variance_matches_dense_pair_sum(baseline, monkeypatch):
+    # uniform baselines make every row unique; Bernoulli ones repeat the
+    # same few rows; a small block size makes the sum run over many blocks
+    import glmm_means.marginal as marginal
+
+    monkeypatch.setattr(marginal, "_PAIR_BLOCK", 500)
+    rng = np.random.default_rng(19)
+    subjects = []
+    for i in range(60):
+        n = int(rng.integers(1, 5))
+        x = rng.uniform(0.0, 1.0, n) if baseline == "uniform" else rng.binomial(1, 0.4, n)
+        X = np.column_stack([np.ones(n), x, np.full(n, float(i % 2))])
+        subjects.append(
+            SubjectBlock(subject_id=f"s{i}", y=np.ones(n), X=X, groups=tuple("q" for _ in range(n)))
+        )
+    ds = Dataset(subjects)
+    f = manual_fitted(ds, Family.NEGBIN, (0.3, -0.5, 0.4), 0.16, kappa=6.0, cov=_random_cov(rng, 4))
+    n_unique = np.unique(ds.X, axis=0).shape[0]
+    assert (n_unique == ds.n_obs) == (baseline == "uniform")
+    assert marginal_group_variance(f, "q") == pytest.approx(_dense_negbin_variance(f, "q"), rel=1e-12)
 
 
 def test_negbin_variance_against_monte_carlo_lognormal_sum():

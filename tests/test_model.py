@@ -171,6 +171,30 @@ def test_validate_flags_nonpositive_weights():
     assert "weights" in codes
 
 
+@pytest.mark.parametrize("family, bad", [
+    (Family.NEGBIN, np.inf),
+    (Family.NEGBIN, np.nan),
+    (Family.LOGISTIC, np.nan),
+])
+def test_validate_flags_nonfinite_response(family, bad):
+    ds = Dataset([block("s0", y=(bad, 1.0)), block("s1")])
+    codes = [v.code for v in validate(ds, _spec(family))]
+    assert codes == ["response"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_flags_nonfinite_weights(bad):
+    sb = SubjectBlock(
+        subject_id="s0",
+        y=np.array([1.0, 0.0]),
+        X=np.array([[1.0, 0.5], [1.0, -0.5]]),
+        groups=("a", "b"),
+        weights=np.array([1.0, bad]),
+    )
+    codes = [v.code for v in validate(Dataset([sb, block("s1")]), _spec())]
+    assert codes == ["weights"]
+
+
 def test_model_spec_link_is_canonical():
     assert _spec().link == "logit"
     assert _spec(Family.NEGBIN).link == "log"
