@@ -1,7 +1,8 @@
 """Response-family kernels shared by the fitter and the prediction machinery.
 
 Each family exposes the per-observation conditional log-density, its first
-two derivatives in the linear predictor, the inverse link, and a sampler.
+two derivatives in the linear predictor, the inverse link, and a sampler;
+the negative binomial adds the first and second derivatives in its size.
 `aux` carries the negative-binomial size parameter and is ignored elsewhere.
 All functions broadcast over numpy arrays.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaln, polygamma
 
 
 class Family(enum.Enum):
@@ -46,13 +47,12 @@ class _Logistic:
 
     @staticmethod
     def fisher_weight(eta, aux=None):
-        p = stable_expit(eta)
-        return p * (1.0 - p)
+        # p (1 - p) with 1 - p = expit(-eta), so neither tail rounds to 0
+        return stable_expit(eta) * stable_expit(-np.asarray(eta))
 
     @staticmethod
     def obs_curvature(y, eta, aux=None):
-        p = stable_expit(eta)
-        return p * (1.0 - p)
+        return _Logistic.fisher_weight(eta)
 
     @staticmethod
     def inverse_link(eta):
@@ -60,8 +60,7 @@ class _Logistic:
 
     @staticmethod
     def dinverse_link(eta):
-        p = stable_expit(eta)
-        return p * (1.0 - p)
+        return _Logistic.fisher_weight(eta)
 
     @staticmethod
     def variance(mu, aux=None):
@@ -110,6 +109,25 @@ class _NegBinomial:
             + 1.0
             - np.logaddexp(logk, eta)
             - (y + kappa) * frac / kappa
+        )
+
+    @staticmethod
+    def dscore_eta_kappa(y, eta, aux):
+        """d score_eta / d kappa = mu (y - mu) / (mu + kappa)^2."""
+        kappa = aux
+        s = stable_expit(eta - np.log(kappa))  # mu / (mu + kappa); (1 - s) mu = kappa s
+        return (s * (1.0 - s) * y - kappa * s * s) / kappa
+
+    @staticmethod
+    def dscore_kappa(y, eta, aux):
+        """d score_kappa / d kappa, with 1 / (kappa + mu) = (1 - s) / kappa."""
+        kappa = aux
+        r = stable_expit(np.log(kappa) - eta)  # 1 - s = kappa / (kappa + mu)
+        return (
+            polygamma(1, y + kappa)
+            - polygamma(1, kappa)
+            + (1.0 - 2.0 * r) / kappa
+            + (y + kappa) * r * r / (kappa * kappa)
         )
 
     @staticmethod

@@ -24,6 +24,7 @@ from glmm_means import (
 )
 from glmm_means.families import stable_expit
 from glmm_means.fitter import _Workspace
+from glmm_means.simulate import generate_dataset, logistic_design, negbin_design
 
 from conftest import toy_dataset
 
@@ -230,6 +231,46 @@ def test_total_score_matches_central_differences(family):
         np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-6)
 
 
+def _total_score(ws, theta):
+    _, modes, curv = ws.loglik_at(theta)
+    return ws.derivatives(theta, modes, curv, hessian=False)[0].sum(axis=0)
+
+
+def _fd_score_jacobian(ws, theta, h):
+    jac = np.zeros((theta.size, theta.size))
+    for j in range(theta.size):
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h
+        dn[j] -= h
+        jac[:, j] = (_total_score(ws, up) - _total_score(ws, dn)) / (2 * h)
+    return jac
+
+
+@pytest.mark.parametrize("family", [Family.LOGISTIC, Family.NEGBIN])
+def test_observed_information_matches_central_differences(family):
+    # Louis' identity against central differences of the total score, with
+    # criterion 4's relative error (floor 1e-3) and tolerance
+    ds = toy_dataset(family, K=10, n=3, seed=7)
+    ws = _Workspace(ds, family, 25)
+    rng = np.random.default_rng(14)
+    nb = family is Family.NEGBIN
+    points = []
+    for _ in range(10):
+        beta = rng.normal(0.0, 0.5, 2)
+        sigma2 = rng.uniform(0.05, 0.8)
+        kappa = rng.uniform(2.0, 30.0) if nb else None
+        points.append((ws.pack(beta, sigma2, kappa), 1e-5))
+    # small sigma2 and large kappa; the kappa score rounds at ~1e-12 there,
+    # so its differences need the larger step
+    points.append((ws.pack(np.array([0.2, -0.4]), 1e-3, 1e4 if nb else None), 1e-3))
+    for theta, h in points:
+        _, modes, curv = ws.loglik_at(theta)
+        _, _, hess = ws.derivatives(theta, modes, curv)
+        fd = _fd_score_jacobian(ws, theta, h)
+        rel = np.abs(hess - fd) / np.maximum(np.abs(fd), 1e-3)
+        assert rel.max() <= 1e-4, (np.exp(theta[2:]), rel.max())
+
+
 @pytest.mark.parametrize("family", [Family.LOGISTIC, Family.NEGBIN])
 def test_quadrature_blocks_do_not_change_results(family, monkeypatch):
     # one block for all subjects versus blocks smaller than one subject
@@ -328,6 +369,60 @@ def test_quasi_newton_reaches_the_same_optimum(logistic_toy_fit):
     assert qn.converged
     assert qn.loglik == pytest.approx(logistic_toy_fit.loglik, abs=1e-7)
     np.testing.assert_allclose(qn.params.beta, logistic_toy_fit.params.beta, atol=1e-5)
+
+
+def test_fit_leaves_a_lower_variance_bound_the_likelihood_rises_from():
+    # the log-scale score sigma2 dl/dsigma2 vanishes at sigma2 = 1e-10
+    # whatever the slope; this replication once stopped there, converged,
+    # at a loglik 1.2e-4 below its optimum near sigma2 = 5.1e-4
+    design = negbin_design(control="time", replications=1, seed=24)
+    ds = generate_dataset(design)
+    spec = ModelSpec(family=Family.NEGBIN, p=design.p)
+    fitted = fit(ds, spec)
+    assert fitted.converged
+    assert fitted.loglik >= -1214.1542948500683 + 1e-4
+
+    def loglik(sigma2):
+        params = ParamVector(beta=fitted.params.beta, sigma2=sigma2, kappa=fitted.params.kappa)
+        return marginal_loglik(ds, spec, params)
+
+    # finite-difference oracle in sigma2 with beta and kappa held: the
+    # likelihood rises away from the bound, and is flat at the fitted value
+    rise = (loglik(1e-10 + 1e-6) - loglik(1e-10)) / 1e-6
+    s2, h = fitted.params.sigma2, 1e-5
+    slope = (loglik(s2 + h) - loglik(s2 - h)) / (2 * h)
+    assert rise > 0.1
+    assert abs(slope) <= 1e-4 * rise
+
+
+# Inputs on which earlier optimizers went wrong, with the loglik of the
+# four-stage optimizer that preceded the Newton loop.  Its NB logliks at
+# kappa = 1e6 read up to ~6e-7 high (gammaln differences at 1e6); its two
+# logistic fits stopped at sigma2 = 25 below the loglik a Newton step reaches.
+HARD_INPUTS = [
+    (negbin_design, dict(control="gender", seed=28), -1145.5351397668908),
+    (negbin_design, dict(control="gender", seed=34), -1136.3208361718844),
+    (negbin_design, dict(control="time", seed=24), -1214.1542948500683),
+    (negbin_design, dict(arm_sizes=(8, 6, 8, 6), seed=35), -41.79158084244554),
+    (negbin_design, dict(arm_sizes=(8, 6, 8, 6), seed=56), -42.64361273904391),
+    (negbin_design, dict(arm_sizes=(8, 6, 8, 6), seed=57), -41.99711551562922),
+    (negbin_design, dict(arm_sizes=(8, 6, 8, 6), seed=60), -48.21254706611984),
+    (logistic_design, dict(arm_sizes=(8, 6, 8, 6), seed=60), -9.786799455830373),
+    (logistic_design, dict(arm_sizes=(8, 6, 8, 6), seed=75), -12.07209749070789),
+]
+
+
+@pytest.mark.parametrize(
+    "make,kwargs,loglik",
+    HARD_INPUTS,
+    ids=[f"{m.__name__[:-7]}-{k.get('control', 'arms8686')}-{k['seed']}" for m, k, _ in HARD_INPUTS],
+)
+def test_hard_inputs_converge_without_losing_likelihood(make, kwargs, loglik):
+    design = make(replications=1, **kwargs)
+    fitted = fit(generate_dataset(design), ModelSpec(family=design.family, p=design.p))
+    assert fitted.converged
+    assert fitted.loglik >= loglik - 1e-6
+    assert fitted.optimizer_used == "newton"
 
 
 def test_posterior_means_close_to_modes_for_logistic(logistic_toy_fit):

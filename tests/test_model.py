@@ -13,6 +13,7 @@ from glmm_means import (
     linear_predictor,
     validate,
 )
+from glmm_means.families import family_ops
 
 
 def block(sid="s0", y=(1.0, 0.0), x=((1.0, 0.5), (1.0, -0.5)), groups=("a", "b")):
@@ -58,6 +59,23 @@ def test_logistic_complement_identity():
     eta = np.linspace(-40, 40, 401)
     total = inverse_link(Family.LOGISTIC, eta) + inverse_link(Family.LOGISTIC, -eta)
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
+
+
+def test_logistic_weights_do_not_round_to_zero_on_either_tail():
+    # p (1 - p) with 1 - p formed by subtraction is exactly 0 for eta > ~37
+    # but ~e^eta for eta < -37; the weights must be positive and symmetric
+    ops = family_ops(Family.LOGISTIC)
+    kernels = (ops.fisher_weight, lambda e: ops.obs_curvature(None, e), ops.dinverse_link)
+    for kernel in kernels:
+        for eta in (40.0, 700.0):
+            up, down = kernel(np.array([eta]))[0], kernel(np.array([-eta]))[0]
+            assert up > 0.0 and down > 0.0
+            assert up == down
+    eta = np.linspace(-20.0, 20.0, 4001)
+    z = np.exp(-np.abs(eta))
+    exact = z / (1.0 + z) ** 2  # p (1 - p) without cancellation on either side
+    for kernel in kernels:
+        np.testing.assert_allclose(kernel(eta), exact, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("family", [Family.LOGISTIC, Family.NEGBIN])
