@@ -49,8 +49,6 @@ from .model import (
     ParamVector,
     SubjectBlock,
     Violation,
-    inverse_link,
-    linear_predictor,
     validate,
 )
 from .quadrature import (

@@ -251,7 +251,9 @@ def _cmd_validate(args) -> int:
         "violations": [{"code": v.code, "message": v.message} for v in violations],
     }
     write_json(payload, args.out)
-    return EXIT_OK if not violations else EXIT_VALIDATION
+    if violations:
+        raise ValidationFailure(violations)
+    return EXIT_OK
 
 
 def _error_json(code: str, message: str, detail=None) -> None:

@@ -103,7 +103,7 @@ def build_prediction_structure(fitted: FittedModel) -> PredictionStructure:
     ds = fitted.dataset
     ops = family_ops(fitted.spec.family)
     eta = ds.X @ fitted.params.beta + np.asarray(fitted.cond_modes)[ds.subject_index]
-    w = ds.weights * ops.fisher_weight(eta, fitted.params.kappa) / fitted.params.sigma0_2
+    w = ds.weights * ops.fisher_weight(eta, fitted.params.kappa)
     return PredictionStructure(
         X=ds.X,
         subject_index=np.asarray(ds.subject_index),

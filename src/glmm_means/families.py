@@ -34,7 +34,6 @@ def stable_expit(eta):
 
 class _Logistic:
     name = "logistic"
-    sigma0_2 = 1.0
 
     @staticmethod
     def loglik(y, eta, aux=None):
@@ -83,7 +82,6 @@ class _NegBinomial:
     """
 
     name = "negbin"
-    sigma0_2 = 1.0
 
     @staticmethod
     def loglik(y, eta, aux):
@@ -173,7 +171,6 @@ class _Gaussian:
     """
 
     name = "gaussian"
-    sigma0_2 = 1.0
 
     @staticmethod
     def loglik(y, eta, aux=None):

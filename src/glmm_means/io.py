@@ -3,8 +3,11 @@
 Input is RFC-4180-style CSV with a header row: a subject id column, a
 response column, numeric covariate columns, and group-by columns whose
 cartesian levels define the groups.  An intercept column is prepended to
-the covariates automatically.  Parse problems raise InputError carrying
-row/column diagnostics.
+the covariates automatically.  The reader collects one entry per data row
+(subject id, response, covariate row, group label) and leaves grouping the
+rows by subject to `Dataset.from_rows`, so a subject's rows may appear
+anywhere in the file.  Parse problems raise InputError carrying row/column
+diagnostics.
 
 Numeric output is written at full precision in JSON and with 6 significant
 digits in CSV.
@@ -15,11 +18,11 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, SubjectBlock
+from .model import Dataset
 
 
 class InputError(Exception):
@@ -37,18 +40,20 @@ class ColumnMapping:
 def _parse_cell(value: str, row: int, column: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except ValueError:
         raise InputError(
             f"row {row}, column {column!r}: cannot parse {value!r} as a number"
         ) from None
 
 
 def read_dataset(path: str, mapping: ColumnMapping) -> Dataset:
-    """Parse a CSV file into a Dataset, grouping rows by subject id.
+    """Parse a CSV file into a Dataset (see `Dataset.from_rows`).
 
-    Subjects appear in order of first occurrence; rows keep file order
-    within a subject.  Group labels are "col=value" pairs joined with
-    commas, or "all" when no group-by columns are declared.
+    A subject's rows need not be contiguous: subjects appear in order of
+    first occurrence and rows keep file order within a subject.  Group
+    labels are "col=value" pairs joined with commas, or "all" when no
+    group-by columns are declared.  Blank lines are skipped; rows are
+    numbered as data records after the header (row 1).
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -56,49 +61,47 @@ def read_dataset(path: str, mapping: ColumnMapping) -> Dataset:
         raise InputError(f"cannot open {path}: {exc.strerror or exc}") from None
 
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputError(f"{path}: file is empty (no header row)")
-        header = set(reader.fieldnames)
-        needed = [mapping.subject, mapping.response, *mapping.covariates, *mapping.group_by]
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise InputError(f"{path}: missing column(s) {', '.join(repr(c) for c in missing)}")
+        reader = csv.reader(fh)
+        try:
+            subject_ids, yx, labels = _read_rows(path, reader, mapping)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    return Dataset.from_rows(subject_ids, yx[:, 0], yx[:, 1:], labels)
 
-        order: list[str] = []
-        rows_by_subject: dict[str, list[tuple[float, list[float], str]]] = {}
-        n_rows = 0
-        for i, rec in enumerate(reader, start=2):  # header is line 1
-            n_rows += 1
-            sid = rec[mapping.subject]
-            if sid is None or sid == "":
-                raise InputError(f"row {i}, column {mapping.subject!r}: empty subject id")
-            yval = _parse_cell(rec[mapping.response], i, mapping.response)
-            xvals = [1.0] + [_parse_cell(rec[c], i, c) for c in mapping.covariates]
-            if mapping.group_by:
-                label = ",".join(f"{c}={rec[c]}" for c in mapping.group_by)
-            else:
-                label = "all"
-            if sid not in rows_by_subject:
-                rows_by_subject[sid] = []
-                order.append(sid)
-            rows_by_subject[sid].append((yval, xvals, label))
 
-        if n_rows == 0:
-            raise InputError(f"{path}: file has a header but no data rows")
+def _read_rows(path, reader, mapping: ColumnMapping):
+    """Subject ids, the (y, 1, covariates...) row matrix and group labels of the data records."""
+    header = next(reader, None)
+    if header is None:
+        raise InputError(f"{path}: file is empty (no header row)")
+    needed = [mapping.subject, mapping.response, *mapping.covariates, *mapping.group_by]
+    missing = [c for c in needed if c not in header]
+    if missing:
+        raise InputError(f"{path}: missing column(s) {', '.join(repr(c) for c in missing)}")
+    repeated = [c for c in dict.fromkeys(needed) if header.count(c) > 1]
+    if repeated:
+        names = ", ".join(repr(c) for c in repeated)
+        raise InputError(f"{path}: column(s) {names} appear more than once in the header")
+    col = {c: header.index(c) for c in needed}
+    width = max(col.values()) + 1
+    numeric = [(c, col[c]) for c in (mapping.response, *mapping.covariates)]
+    grouping = [(c, col[c]) for c in mapping.group_by]
 
-    subjects = []
-    for sid in order:
-        rows = rows_by_subject[sid]
-        subjects.append(
-            SubjectBlock(
-                subject_id=sid,
-                y=np.array([r[0] for r in rows]),
-                X=np.array([r[1] for r in rows]),
-                groups=tuple(r[2] for r in rows),
-            )
-        )
-    return Dataset(subjects)
+    subject_ids, values, labels = [], [], []
+    for i, row in enumerate(filter(None, reader), start=2):
+        if len(row) < width:
+            last = header[width - 1]
+            raise InputError(f"row {i}: {len(row)} cells, but column {last!r} is cell {width}")
+        sid = row[col[mapping.subject]]
+        if sid == "":
+            raise InputError(f"row {i}, column {mapping.subject!r}: empty subject id")
+        y, *x = (_parse_cell(row[j], i, c) for c, j in numeric)
+        values.append([y, 1.0, *x])
+        labels.append(",".join(f"{c}={row[j]}" for c, j in grouping) if grouping else "all")
+        subject_ids.append(sid)
+    if not subject_ids:
+        raise InputError(f"{path}: file has a header but no data rows")
+    return subject_ids, np.array(values), labels
 
 
 # ---- report writers ----------------------------------------------------------

@@ -1,21 +1,24 @@
-"""Core data model: subject blocks, stacked dataset views, and validation.
+"""Core data model: the stacked-row dataset, subject blocks, and validation.
 
-A Dataset is a list of per-subject blocks (responses, covariate rows, row
-weights, one group label per row).  All containers are immutable after
-construction; numpy arrays are frozen so instances can be shared across
-threads.  Statistical invariants (response domain, full column rank,
-group partition) are checked by `validate`, not by the constructors.
+A Dataset stores every row once, stacked subject by subject: responses,
+covariate rows, row weights and one group label per row, plus each row's
+subject number and the subjects' row offsets.  It is the only place that
+groups rows by subject; `Dataset.from_rows` accepts rows in any order, and
+`SubjectBlock` is the per-subject view for callers that build or read data
+one subject at a time.  All containers are immutable after construction;
+numpy arrays are frozen so instances can be shared across threads.
+Statistical invariants (response domain, full column rank, group
+partition) are checked by `validate`, not by the constructors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .families import Family, family_ops, stable_expit
+from .families import Family, family_ops
 
 RANK_TOL = 1e-10  # relative to the largest singular value
 
@@ -78,10 +81,14 @@ class GroupIndex:
 
 
 class Dataset:
-    """Immutable collection of subject blocks plus stacked row views.
+    """Immutable stacked rows of all subjects, grouped by subject.
 
-    Rows are stacked subject by subject in input order, so each subject's
-    observations occupy a contiguous slice `[row_offsets[i], row_offsets[i+1])`.
+    Rows are stored subject by subject, so each subject's observations
+    occupy a contiguous slice `[row_offsets[i], row_offsets[i+1])`: `y`,
+    `X`, `weights`, `subject_index` and `group_labels` hold one entry per
+    row, `subject_ids` one per subject.  `Dataset(subjects)` stacks
+    per-subject blocks in the given order; `Dataset.from_rows` takes rows
+    in any order.
     """
 
     def __init__(self, subjects: Sequence[SubjectBlock]):
@@ -99,78 +106,104 @@ class Dataset:
             if s.subject_id in seen:
                 raise ValueError(f"duplicate subject id {s.subject_id!r}")
             seen.add(s.subject_id)
-        self._subjects = subjects
+        self._store(
+            [s.subject_id for s in subjects],
+            np.array([s.n_obs for s in subjects], dtype=np.int64),
+            np.concatenate([s.y for s in subjects]),
+            np.vstack([s.X for s in subjects]),
+            np.concatenate([s.weights for s in subjects]),
+            [g for s in subjects for g in s.groups],
+        )
+
+    @classmethod
+    def from_rows(cls, subject_ids, y, X, groups, weights=None) -> "Dataset":
+        """Dataset from per-row arrays in any row order.
+
+        Subjects are numbered by first appearance and each subject's rows
+        keep their input order.  `weights` defaults to ones.
+        """
+        y = np.asarray(y, dtype=float)
+        X = np.asarray(X, dtype=float)
+        if y.ndim != 1:
+            raise ValueError(f"y has shape {y.shape}, expected (n,)")
+        n = y.shape[0]
+        if n == 0:
+            raise ValueError("dataset needs at least one subject")
+        if X.ndim != 2 or X.shape[0] != n:
+            raise ValueError(f"X has shape {X.shape}, expected ({n}, p)")
+        weights = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+        if weights.shape != (n,):
+            raise ValueError(f"weight vector has shape {weights.shape}, expected ({n},)")
+        groups = [str(g) for g in groups]
+        if len(subject_ids) != n or len(groups) != n:
+            raise ValueError(
+                f"{len(subject_ids)} subject ids and {len(groups)} group labels for {n} rows"
+            )
+        ids, subj = _first_appearance_codes(subject_ids)
+        order = np.argsort(subj, kind="stable")
+        ds = cls.__new__(cls)
+        ds._store(
+            ids, np.bincount(subj), y[order], X[order], weights[order], [groups[k] for k in order]
+        )
+        return ds
+
+    def _store(self, subject_ids, counts, y, X, weights, groups) -> None:
+        """Keep rows stacked subject by subject, `counts` rows per subject.
+
+        The row arrays are fresh copies owned by this dataset and are frozen in place.
+        """
+        self.subject_ids = tuple(subject_ids)
+        self.subject_position = {sid: i for i, sid in enumerate(self.subject_ids)}
+        self.row_offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.subject_index = np.repeat(np.arange(len(self.subject_ids)), counts)
+        self.y, self.X, self.weights = y, X, weights
+        for arr in (self.row_offsets, self.subject_index, y, X, weights):
+            arr.setflags(write=False)
+        self.group_labels = tuple(groups)
+        group_ids, codes = _first_appearance_codes(self.group_labels)
+        rows = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
+        self.group_index = GroupIndex(
+            group_ids=tuple(group_ids),
+            indices={g: _frozen_array(r, dtype=np.int64) for g, r in zip(group_ids, rows)},
+        )
 
     @property
     def subjects(self) -> tuple[SubjectBlock, ...]:
-        return self._subjects
+        """Per-subject views of the stacked rows, built on each access."""
+        bounds = self.row_offsets.tolist()
+        return tuple(
+            SubjectBlock(
+                subject_id=sid,
+                y=self.y[a:b],
+                X=self.X[a:b],
+                groups=self.group_labels[a:b],
+                weights=self.weights[a:b],
+            )
+            for sid, a, b in zip(self.subject_ids, bounds, bounds[1:])
+        )
 
     @property
     def n_subjects(self) -> int:
-        return len(self._subjects)
+        return len(self.subject_ids)
 
     @property
     def n_obs(self) -> int:
-        return int(self.row_offsets[-1])
+        return self.y.shape[0]
 
     @property
     def p(self) -> int:
-        return self._subjects[0].X.shape[1]
-
-    @cached_property
-    def row_offsets(self) -> np.ndarray:
-        counts = np.array([s.n_obs for s in self._subjects], dtype=np.int64)
-        return _frozen_array(np.concatenate([[0], np.cumsum(counts)]), dtype=np.int64)
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return _frozen_array(np.concatenate([s.y for s in self._subjects]))
-
-    @cached_property
-    def X(self) -> np.ndarray:
-        return _frozen_array(np.vstack([s.X for s in self._subjects]), ndim=2)
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return _frozen_array(np.concatenate([s.weights for s in self._subjects]))
-
-    @cached_property
-    def subject_index(self) -> np.ndarray:
-        idx = np.concatenate(
-            [np.full(s.n_obs, i, dtype=np.int64) for i, s in enumerate(self._subjects)]
-        )
-        return _frozen_array(idx, dtype=np.int64)
-
-    @cached_property
-    def group_labels(self) -> tuple[str, ...]:
-        labels: list[str] = []
-        for s in self._subjects:
-            labels.extend(s.groups)
-        return tuple(labels)
-
-    @cached_property
-    def group_index(self) -> GroupIndex:
-        order: list[str] = []
-        buckets: dict[str, list[int]] = {}
-        for i, g in enumerate(self.group_labels):
-            if g not in buckets:
-                buckets[g] = []
-                order.append(g)
-            buckets[g].append(i)
-        indices = {g: _frozen_array(buckets[g], dtype=np.int64) for g in order}
-        return GroupIndex(group_ids=tuple(order), indices=indices)
-
-    @cached_property
-    def subject_ids(self) -> tuple[str, ...]:
-        return tuple(s.subject_id for s in self._subjects)
-
-    @cached_property
-    def subject_position(self) -> dict[str, int]:
-        return {s.subject_id: i for i, s in enumerate(self._subjects)}
+        return self.X.shape[1]
 
     def ybar(self, group_id: str) -> float:
         idx = self.group_index.indices[group_id]
         return float(np.mean(self.y[idx]))
+
+
+def _first_appearance_codes(keys) -> tuple[list, np.ndarray]:
+    """Distinct keys in order of first appearance, and each key's position among them."""
+    first: dict = {}
+    codes = np.fromiter((first.setdefault(k, len(first)) for k in keys), dtype=np.int64)
+    return list(first), codes
 
 
 @dataclass(frozen=True)
@@ -196,7 +229,6 @@ class ParamVector:
     beta: np.ndarray
     sigma2: float
     kappa: float | None = None
-    sigma0_2: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _frozen_array(self.beta))
@@ -218,22 +250,6 @@ class ParamVector:
 class Violation:
     code: str
     message: str
-
-
-def linear_predictor(params: ParamVector, x, b: float) -> float:
-    """x'beta + b for a single covariate vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.p,):
-        raise ValueError(f"covariate vector has shape {x.shape}, expected ({params.p},)")
-    return float(x @ params.beta + b)
-
-
-def inverse_link(family: Family, eta):
-    """Canonical inverse link; logistic saturates gracefully for extreme eta."""
-    if family is Family.LOGISTIC:
-        return stable_expit(eta)
-    out = np.exp(np.asarray(eta, dtype=float))
-    return out if out.ndim else float(out)
 
 
 def validate(dataset: Dataset, spec: ModelSpec) -> list[Violation]:

@@ -19,6 +19,7 @@ reproducible bit for bit regardless of worker count.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from .families import Family, family_ops
 from .conditional import conditional_estimates, predictor_at_mean_covariate
 from .fitter import FitConfig, fit
 from .marginal import marginal_estimates, mean_at_mean_covariate
-from .model import Dataset, ModelSpec, SubjectBlock
+from .model import Dataset, ModelSpec
 from .quadrature import logistic_normal_integral
 
 LOGISTIC_BETA = (-0.3, -3.0, 2.0, 0.2)
@@ -126,8 +127,9 @@ def _baseline_values(design: SimDesign, n: int) -> np.ndarray:
 class _Frame:
     X: np.ndarray           # (N, 4) rows (1, x, u, t)
     subj: np.ndarray        # (N,) subject index
+    subject_ids: tuple      # (N,) subject id of each row
     groups: np.ndarray      # (N,) group labels
-    slices: tuple           # per-subject (start, n_rows)
+    cells: dict             # group label -> (u, t, rows), in order of first appearance
     n_subjects: int
 
 
@@ -152,20 +154,14 @@ def _build_frame(design: SimDesign) -> _Frame:
                 for i in range(n_subj):
                     subj_rows.append([(x_cell[i], u, t), (x_cell[i], u, t)])
 
-    rows_x, rows_subj, rows_group, slices = [], [], [], []
-    pos = 0
-    for i, rows in enumerate(subj_rows):
-        slices.append((pos, len(rows)))
-        for x_val, u, t in rows:
-            rows_x.append([1.0, x_val, float(u), float(t)])
-            rows_subj.append(i)
-            rows_group.append(group_label(u, t))
-        pos += len(rows)
+    rows = [(k, x, u, t) for k, visits in enumerate(subj_rows) for x, u, t in visits]
+    counts = Counter((u, t) for _, _, u, t in rows)
     return _Frame(
-        X=np.asarray(rows_x),
-        subj=np.asarray(rows_subj),
-        groups=np.asarray(rows_group),
-        slices=tuple(slices),
+        X=np.asarray([[1.0, x, float(u), float(t)] for _, x, u, t in rows]),
+        subj=np.asarray([k for k, _, _, _ in rows]),
+        subject_ids=tuple(f"s{k:05d}" for k, _, _, _ in rows),
+        groups=np.asarray([group_label(u, t) for _, _, u, t in rows]),
+        cells={group_label(u, t): (u, t, n) for (u, t), n in counts.items()},
         n_subjects=len(subj_rows),
     )
 
@@ -174,7 +170,7 @@ _FRAME_CACHE: dict[tuple, _Frame] = {}
 
 
 def _covariate_frame(design: SimDesign) -> _Frame:
-    key = (design.family, design.baseline, design.control, design.arm_sizes)
+    key = (design.baseline, design.control, design.arm_sizes)
     frame = _FRAME_CACHE.get(key)
     if frame is None:
         frame = _FRAME_CACHE[key] = _build_frame(design)
@@ -191,23 +187,8 @@ def _generate(design: SimDesign, rng):
     mu = ops.inverse_link(eta_true)
     y = ops.sample(rng, mu, design.kappa)
 
-    subjects = []
-    for i, (pos, n_i) in enumerate(frame.slices):
-        sl = slice(pos, pos + n_i)
-        subjects.append(
-            SubjectBlock(
-                subject_id=f"s{i:05d}",
-                y=y[sl],
-                X=frame.X[sl],
-                groups=tuple(frame.groups[sl]),
-            )
-        )
-    dataset = Dataset(subjects)
-
-    lam = {
-        gid: float(np.mean(mu[frame.groups == gid]))
-        for gid in dict.fromkeys(frame.groups.tolist())
-    }
+    dataset = Dataset.from_rows(frame.subject_ids, y, frame.X, frame.groups)
+    lam = {gid: float(np.mean(mu[frame.groups == gid])) for gid in frame.cells}
     return dataset, lam
 
 
@@ -240,10 +221,7 @@ def true_marginal_means(design: SimDesign) -> dict[str, float]:
         vals = np.array([logistic_normal_integral(e, s2) for e in eta0])
     else:
         vals = np.exp(eta0 + s2 / 2.0)
-    return {
-        gid: float(np.mean(vals[frame.groups == gid]))
-        for gid in dict.fromkeys(frame.groups.tolist())
-    }
+    return {gid: float(np.mean(vals[frame.groups == gid])) for gid in frame.cells}
 
 
 # ---- the study loop ---------------------------------------------------------
@@ -361,6 +339,31 @@ def _covers(bounds: tuple[float, float], target: float) -> bool:
     return bounds[0] <= target <= bounds[1]
 
 
+def _summary(gid: str, kind: str, cell: tuple, recs: list, prefix: str, target) -> SimGroupSummary:
+    """Bias and coverage of one group's `prefix` ("mu" or "lam") estimates.
+
+    `target` is what each replication is scored against: the fixed truth,
+    or one realized value per replication; the reported truth is its mean.
+    """
+    u, t, n_obs = cell
+    truth = float(np.mean(target))
+    target = np.broadcast_to(target, len(recs))
+    ybar = np.array([r["ybar"] for r in recs]) - target
+    star = np.array([r[f"{prefix}_star"] for r in recs]) - target
+    est = np.array([r[f"{prefix}_point"] for r in recs]) - target
+    intervals = [r[f"{prefix}_intervals"] for r in recs]
+    return SimGroupSummary(
+        group_id=gid, kind=kind, u=u, t=t, n_obs=n_obs, truth=truth,
+        ybar_bias_mean=float(np.mean(ybar)), ybar_bias_sd=float(np.std(ybar)),
+        star_bias_mean=float(np.mean(star)), star_bias_sd=float(np.std(star)),
+        est_bias_mean=float(np.mean(est)), est_bias_sd=float(np.std(est)),
+        coverage={
+            lab: float(np.mean([_covers(iv[lab], tg) for iv, tg in zip(intervals, target)]))
+            for lab in intervals[0]
+        },
+    )
+
+
 def run_study(design: SimDesign, max_workers: int | None = None,
               return_records: bool = False) -> SimReport:
     """Replicated generate -> fit -> estimate -> interval pipeline.
@@ -387,48 +390,14 @@ def run_study(design: SimDesign, max_workers: int | None = None,
     if not good:
         raise RuntimeError("every replication failed; study cannot be summarized")
 
-    group_ids = list(good[0]["groups"].keys())
+    frame = _covariate_frame(design)
     marginal_rows = []
     conditional_rows = []
-    for gid in group_ids:
+    for gid, cell in frame.cells.items():
         recs = [r["groups"][gid] for r in good]
-        u, t = int(gid[1]), int(gid[-1])
-        n_obs = _group_n_obs(design, u, t)
-        mu = mu_true[gid]
-
-        ybar = np.array([r["ybar"] for r in recs])
-        mu_hat = np.array([r["mu_point"] for r in recs])
-        mu_star = np.array([r["mu_star"] for r in recs])
-        cov_m = {
-            lab: float(np.mean([_covers(r["mu_intervals"][lab], mu) for r in recs]))
-            for lab in recs[0]["mu_intervals"]
-        }
-        marginal_rows.append(
-            SimGroupSummary(
-                group_id=gid, kind="marginal", u=u, t=t, n_obs=n_obs, truth=mu,
-                ybar_bias_mean=float(np.mean(ybar - mu)), ybar_bias_sd=float(np.std(ybar - mu)),
-                star_bias_mean=float(np.mean(mu_star - mu)), star_bias_sd=float(np.std(mu_star - mu)),
-                est_bias_mean=float(np.mean(mu_hat - mu)), est_bias_sd=float(np.std(mu_hat - mu)),
-                coverage=cov_m,
-            )
-        )
-
         lam = np.array([r["lam_true"] for r in recs])
-        lam_hat = np.array([r["lam_point"] for r in recs])
-        lam_star = np.array([r["lam_star"] for r in recs])
-        cov_c = {
-            lab: float(np.mean([_covers(r["lam_intervals"][lab], r["lam_true"]) for r in recs]))
-            for lab in recs[0]["lam_intervals"]
-        }
-        conditional_rows.append(
-            SimGroupSummary(
-                group_id=gid, kind="conditional", u=u, t=t, n_obs=n_obs, truth=float(np.mean(lam)),
-                ybar_bias_mean=float(np.mean(ybar - lam)), ybar_bias_sd=float(np.std(ybar - lam)),
-                star_bias_mean=float(np.mean(lam_star - lam)), star_bias_sd=float(np.std(lam_star - lam)),
-                est_bias_mean=float(np.mean(lam_hat - lam)), est_bias_sd=float(np.std(lam_hat - lam)),
-                coverage=cov_c,
-            )
-        )
+        marginal_rows.append(_summary(gid, "marginal", cell, recs, "mu", mu_true[gid]))
+        conditional_rows.append(_summary(gid, "conditional", cell, recs, "lam", lam))
 
     return SimReport(
         family=design.family.value,
@@ -444,8 +413,3 @@ def run_study(design: SimDesign, max_workers: int | None = None,
         conditional=tuple(conditional_rows),
         records=tuple(good) if return_records else (),
     )
-
-
-def _group_n_obs(design: SimDesign, u: int, t: int) -> int:
-    frame = _covariate_frame(design)
-    return int(np.sum(frame.groups == group_label(u, t)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from glmm_means import (
     Dataset,
@@ -16,6 +17,13 @@ from glmm_means import (
     fit,
 )
 from glmm_means.fitter import _Workspace
+
+# Property tests replay the same examples on every run and never time out,
+# so the suite stays deterministic and its runtime bounded.
+settings.register_profile(
+    "deterministic", derandomize=True, deadline=None, max_examples=40, database=None
+)
+settings.load_profile("deterministic")
 
 
 def toy_dataset(family, K=12, n=3, sigma=0.4, seed=5, kappa=8.0, beta=(0.2, -0.6)):

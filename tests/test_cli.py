@@ -90,6 +90,65 @@ def test_missing_file_is_an_input_error(tmp_path):
         read_dataset(str(tmp_path / "nope.csv"), MAPPING)
 
 
+def test_repeated_header_column_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "twice.csv"
+    p.write_text("subject_id,y,x,x\na,1,0.5,9\nb,0,0.1,9\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"'x' appear more than once"):
+        read_dataset(str(p), ColumnMapping(covariates=("x",)))
+    code, out, err = run_cli(
+        ["validate", "--input", str(p), "--family", "logistic", "--covariates", "x"], capsys
+    )
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["code"] == "io"
+
+
+def test_repeated_unused_header_column_is_ignored(tmp_path):
+    p = tmp_path / "extra.csv"
+    p.write_text("subject_id,y,x,note,note\na,1,0.5,p,q\n", encoding="utf-8")
+    ds = read_dataset(str(p), ColumnMapping(covariates=("x",)))
+    np.testing.assert_array_equal(ds.X, [[1.0, 0.5]])
+
+
+@pytest.mark.parametrize("row", ["b,0,0.1,0", "b,0", "b"])
+def test_short_row_is_an_input_error(tmp_path, capsys, row):
+    p = tmp_path / "short.csv"
+    p.write_text(f"subject_id,y,x,u,t\na,1,0.5,1,0\n{row}\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"row 3: \d cells, but column 't' is cell 5"):
+        read_dataset(str(p), MAPPING)
+    code, _, err = run_cli(["validate", "--input", str(p), *BASE], capsys)
+    assert code == 3
+    assert json.loads(err)["error"]["code"] == "io"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"subject_id,y\na,\xff\n", "can't decode"),
+     (b"subject_id,y\na," + b"1" * 200_000 + b"\n", "field larger than field limit")],
+)
+def test_unreadable_csv_is_an_input_error(tmp_path, capsys, content, message):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(content)
+    with pytest.raises(InputError, match=message):
+        read_dataset(str(p), ColumnMapping())
+    code, _, err = run_cli(["validate", "--input", str(p), "--family", "logistic"], capsys)
+    assert code == 3
+    assert json.loads(err)["error"]["code"] == "io"
+
+
+def test_interleaved_subjects_are_grouped_by_first_appearance(tmp_path):
+    p = tmp_path / "mixed.csv"
+    p.write_text(
+        "subject_id,y,x,u,t\nb,1,0.1,0,0\na,0,0.2,1,0\n\nb,0,0.3,0,1\na,1,0.4,1,1\nb,1,0.5,0,1\n",
+        encoding="utf-8",
+    )
+    ds = read_dataset(str(p), MAPPING)
+    assert ds.subject_ids == ("b", "a")
+    np.testing.assert_array_equal(ds.row_offsets, [0, 3, 5])
+    np.testing.assert_array_equal(ds.X[:, 1], [0.1, 0.3, 0.5, 0.2, 0.4])
+    np.testing.assert_array_equal(ds.y, [1.0, 0.0, 1.0, 0.0, 1.0])
+    assert ds.group_labels == ("u=0,t=0", "u=0,t=1", "u=0,t=1", "u=1,t=0", "u=1,t=1")
+
+
 def test_csv_roundtrip_reproduces_the_fit(small_csv):
     path, dataset = small_csv
     ds2 = read_dataset(str(path), MAPPING)
@@ -187,6 +246,9 @@ def test_cli_validate_rank_deficiency(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["valid"] is False
     assert any(v["code"] == "rank" for v in payload["violations"])
+    error = json.loads(err)["error"]
+    assert error["code"] == "validation"
+    assert [v["code"] for v in error["detail"]] == [v["code"] for v in payload["violations"]]
 
 
 def test_cli_validate_clean(small_csv, capsys):

@@ -9,8 +9,6 @@ from glmm_means import (
     ModelSpec,
     ParamVector,
     SubjectBlock,
-    inverse_link,
-    linear_predictor,
     validate,
 )
 from glmm_means.families import family_ops
@@ -20,44 +18,25 @@ def block(sid="s0", y=(1.0, 0.0), x=((1.0, 0.5), (1.0, -0.5)), groups=("a", "b")
     return SubjectBlock(subject_id=sid, y=np.array(y), X=np.array(x), groups=groups)
 
 
-# ---- linear predictor and inverse link ----------------------------------------
+# ---- inverse link ---------------------------------------------------------------
 
-
-def test_linear_predictor_by_hand():
-    params = ParamVector(beta=np.array([-0.3, -3.0, 2.0, 0.2]), sigma2=0.25)
-    assert linear_predictor(params, [1, 0, 1, 0], 0.0) == pytest.approx(1.7, abs=1e-15)
-
-
-def test_linear_predictor_second_coefficient_set():
-    params = ParamVector(beta=np.array([0.3, -0.2, 0.3, 0.4]), sigma2=0.01)
-    assert linear_predictor(params, [1, 1, 1, 1], 0.05) == pytest.approx(0.85, abs=1e-15)
-
-
-def test_linear_predictor_zero_beta():
-    params = ParamVector(beta=np.zeros(3), sigma2=0.1)
-    assert linear_predictor(params, [5.0, -2.0, 9.0], 0.0) == 0.0
-
-
-def test_linear_predictor_dimension_mismatch():
-    params = ParamVector(beta=np.zeros(3), sigma2=0.1)
-    with pytest.raises(ValueError):
-        linear_predictor(params, [1.0, 2.0], 0.0)
+LOGISTIC = family_ops(Family.LOGISTIC)
 
 
 def test_inverse_link_trivials():
-    assert inverse_link(Family.LOGISTIC, 0.0) == 0.5
-    assert inverse_link(Family.NEGBIN, 0.0) == 1.0
-    assert inverse_link(Family.LOGISTIC, 1.7) == pytest.approx(0.8455347349164652, abs=1e-12)
+    assert LOGISTIC.inverse_link(0.0) == 0.5
+    assert family_ops(Family.NEGBIN).inverse_link(0.0) == 1.0
+    assert LOGISTIC.inverse_link(1.7) == pytest.approx(0.8455347349164652, abs=1e-12)
 
 
 def test_inverse_link_saturates_without_overflow():
-    assert inverse_link(Family.LOGISTIC, 800.0) == 1.0
-    assert inverse_link(Family.LOGISTIC, -800.0) == 0.0
+    assert LOGISTIC.inverse_link(800.0) == 1.0
+    assert LOGISTIC.inverse_link(-800.0) == 0.0
 
 
 def test_logistic_complement_identity():
     eta = np.linspace(-40, 40, 401)
-    total = inverse_link(Family.LOGISTIC, eta) + inverse_link(Family.LOGISTIC, -eta)
+    total = LOGISTIC.inverse_link(eta) + LOGISTIC.inverse_link(-eta)
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
 
@@ -81,7 +60,7 @@ def test_logistic_weights_do_not_round_to_zero_on_either_tail():
 @pytest.mark.parametrize("family", [Family.LOGISTIC, Family.NEGBIN])
 def test_inverse_link_strictly_monotone(family):
     eta = np.linspace(-20, 20, 201)
-    vals = inverse_link(family, eta)
+    vals = family_ops(family).inverse_link(eta)
     assert np.all(np.diff(vals) > 0)
 
 
@@ -124,6 +103,45 @@ def test_dataset_stacking_and_offsets():
     np.testing.assert_array_equal(ds.row_offsets, [0, 2, 3])
     np.testing.assert_array_equal(ds.subject_index, [0, 0, 1])
     assert ds.subject_position["s1"] == 1
+
+
+def test_dataset_rejects_empty_input_and_mixed_covariate_counts():
+    with pytest.raises(ValueError, match="at least one subject"):
+        Dataset([])
+    with pytest.raises(ValueError, match="covariates, expected 2"):
+        Dataset([block("s0"), block("s1", x=((1.0,), (1.0,)))])
+
+
+def test_from_rows_groups_subjects_by_first_appearance():
+    ds = Dataset.from_rows(
+        ["b", "a", "b", "c", "a"],
+        y=[1, 0, 0, 1, 1],
+        X=[[1.0, 0.1], [1.0, 0.2], [1.0, 0.3], [1.0, 0.4], [1.0, 0.5]],
+        groups=["g", "h", "h", "g", "g"],
+        weights=[1.0, 2.0, 3.0, 4.0, 5.0],
+    )
+    assert ds.subject_ids == ("b", "a", "c")
+    np.testing.assert_array_equal(ds.X[:, 1], [0.1, 0.3, 0.2, 0.5, 0.4])
+    np.testing.assert_array_equal(ds.weights, [1.0, 3.0, 2.0, 5.0, 4.0])
+    np.testing.assert_array_equal(ds.row_offsets, [0, 2, 4, 5])
+    np.testing.assert_array_equal(ds.subject_index, [0, 0, 1, 1, 2])
+    assert ds.group_labels == ("g", "h", "h", "g", "g")
+    assert ds.group_index.group_ids == ("g", "h")
+    np.testing.assert_array_equal(ds.group_index.indices["g"], [0, 3, 4])
+    assert [s.n_obs for s in ds.subjects] == [2, 2, 1]
+    assert not ds.y.flags.writeable and not ds.X.flags.writeable
+
+
+def test_from_rows_shape_errors():
+    X = np.ones((2, 2))
+    with pytest.raises(ValueError, match="at least one subject"):
+        Dataset.from_rows([], np.zeros(0), np.ones((0, 2)), [])
+    with pytest.raises(ValueError, match="X has shape"):
+        Dataset.from_rows(["s", "s"], np.zeros(2), np.ones((3, 2)), ["a", "a"])
+    with pytest.raises(ValueError, match="group labels for 2 rows"):
+        Dataset.from_rows(["s", "s"], np.zeros(2), X, ["a"])
+    with pytest.raises(ValueError, match="weight vector"):
+        Dataset.from_rows(["s", "s"], np.zeros(2), X, ["a", "a"], weights=np.ones(3))
 
 
 def test_group_index_partitions_observations():
