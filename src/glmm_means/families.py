@@ -3,6 +3,9 @@
 Each family exposes the per-observation conditional log-density, its first
 two derivatives in the linear predictor, the inverse link, and a sampler;
 the negative binomial adds the first and second derivatives in its size.
+Their eta-free parts, the only ones not affine in y, are separate kernels
+(`*_offset`) whose values the caller passes in, so that the fitter can
+average them over the rows it merges.
 `aux` carries the negative-binomial size parameter and is ignored elsewhere.
 All functions broadcast over numpy arrays.
 """
@@ -96,18 +99,19 @@ class _NegBinomial:
         return y - (y + kappa) * stable_expit(eta - np.log(kappa))
 
     @staticmethod
-    def score_kappa(y, eta, aux):
+    def score_kappa_offset(y, aux):
+        """The eta-free part of score_kappa, digamma(y + k) - digamma(k) +
+        log k + 1: the only part not affine in y."""
+        kappa = aux
+        return digamma(y + kappa) - digamma(kappa) + np.log(kappa) + 1.0
+
+    @staticmethod
+    def score_kappa(y, eta, aux, offset):
+        """d loglik / d kappa, given `offset` = score_kappa_offset(y, aux)."""
         kappa = aux
         logk = np.log(kappa)
         frac = stable_expit(logk - eta)  # kappa / (kappa + mu)
-        return (
-            digamma(y + kappa)
-            - digamma(kappa)
-            + logk
-            + 1.0
-            - np.logaddexp(logk, eta)
-            - (y + kappa) * frac / kappa
-        )
+        return offset - np.logaddexp(logk, eta) - (y + kappa) * frac / kappa
 
     @staticmethod
     def dscore_eta_kappa(y, eta, aux):
@@ -117,16 +121,19 @@ class _NegBinomial:
         return (s * (1.0 - s) * y - kappa * s * s) / kappa
 
     @staticmethod
-    def dscore_kappa(y, eta, aux):
-        """d score_kappa / d kappa, with 1 / (kappa + mu) = (1 - s) / kappa."""
+    def dscore_kappa_offset(y, aux):
+        """The eta-free part of dscore_kappa, trigamma(y + k) - trigamma(k):
+        the only part not affine in y."""
+        kappa = aux
+        return polygamma(1, y + kappa) - polygamma(1, kappa)
+
+    @staticmethod
+    def dscore_kappa(y, eta, aux, offset):
+        """d score_kappa / d kappa, given `offset` = dscore_kappa_offset(y,
+        aux), with 1 / (kappa + mu) = (1 - s) / kappa."""
         kappa = aux
         r = stable_expit(np.log(kappa) - eta)  # 1 - s = kappa / (kappa + mu)
-        return (
-            polygamma(1, y + kappa)
-            - polygamma(1, kappa)
-            + (1.0 - 2.0 * r) / kappa
-            + (y + kappa) * r * r / (kappa * kappa)
-        )
+        return offset + (1.0 - 2.0 * r) / kappa + (y + kappa) * r * r / (kappa * kappa)
 
     @staticmethod
     def fisher_weight(eta, aux):
@@ -162,52 +169,8 @@ class _NegBinomial:
         return np.all((y >= 0.0) & (y == np.floor(y)))
 
 
-class _Gaussian:
-    """Identity-link Gaussian with unit dispersion.
-
-    Not part of the public model surface; used internally so the
-    prediction-variance machinery can be checked against closed-form
-    linear-mixed-model results, where the Laplace approximation is exact.
-    """
-
-    name = "gaussian"
-
-    @staticmethod
-    def loglik(y, eta, aux=None):
-        return -0.5 * (y - eta) ** 2 - 0.5 * np.log(2.0 * np.pi)
-
-    @staticmethod
-    def score_eta(y, eta, aux=None):
-        return y - eta
-
-    @staticmethod
-    def fisher_weight(eta, aux=None):
-        return np.ones_like(np.asarray(eta, dtype=float))
-
-    @staticmethod
-    def obs_curvature(y, eta, aux=None):
-        return np.ones_like(np.asarray(eta, dtype=float))
-
-    @staticmethod
-    def inverse_link(eta):
-        return np.asarray(eta, dtype=float)
-
-    @staticmethod
-    def dinverse_link(eta):
-        return np.ones_like(np.asarray(eta, dtype=float))
-
-    @staticmethod
-    def sample(rng, mu, aux=None):
-        return rng.normal(mu, 1.0)
-
-    @staticmethod
-    def validate_response(y):
-        return True
-
-
 LOGISTIC_OPS = _Logistic()
 NEGBIN_OPS = _NegBinomial()
-GAUSSIAN_OPS = _Gaussian()
 
 _OPS = {Family.LOGISTIC: LOGISTIC_OPS, Family.NEGBIN: NEGBIN_OPS}
 

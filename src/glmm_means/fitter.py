@@ -7,6 +7,17 @@ there.  Per-subject score vectors are posterior expectations of the
 complete-data score (differentiation under the integral sign), so they match
 finite differences of the quadrature loglik to quadrature accuracy.
 
+The quadrature runs over cells, not rows.  A cell is one (subject,
+covariate row) pair: the rows a subject repeats with the same covariates,
+as repeated visits with constant treatment and few time values do, enter
+once with their summed weight and weighted mean response.  That is exact
+because every kernel evaluated at the nodes is affine in y at fixed eta;
+the negative binomial's terms nonlinear in y (log Gamma(y + kappa) and its
+derivatives in kappa) are node-free, and enter each cell as averages over
+its rows.  Data without repeated covariate rows run on the rows as they
+are.  Only the quadrature workspace knows about cells; the fitted model
+keeps the raw rows, and `diagnostics` records both counts.
+
 The optimizer is one projected Newton loop on the observed information,
 which Louis' identity (Louis 1982) builds from the same posterior node
 weights: H = sum_i E_post[d2 l_c] + E_post[s s'] - d_i d_i', with l_c the
@@ -40,7 +51,7 @@ from .quadrature import DEFAULT_GH_NODES, gh_rule
 LOG_SIGMA2_BOUNDS = (math.log(1e-10), math.log(25.0))
 LOG_KAPPA_BOUNDS = (math.log(1e-3), math.log(1e6))
 _MAX_STEP = 2.0
-# Rows x nodes of one quadrature block: 96 KB per float64 temporary.  Larger
+# Cells x nodes of one quadrature block: 96 KB per float64 temporary.  Larger
 # temporaries cross glibc's default 128 KB mmap threshold and are mapped and
 # faulted in afresh on every call, several times slower than reused heap.
 _BLOCK_CELLS = 12288
@@ -124,30 +135,68 @@ def _lgamma_ratio(y, kappa: float):
             - (1.0 / x**3 - 1.0 / kappa**3) / 360.0)
 
 
+def _cells(subj: np.ndarray, X: np.ndarray):
+    """Cell number of each row and the first row of each cell, a cell being
+    one (subject, covariate row) pair, numbered by first appearance; both
+    None when every row is its own cell.  Rows stacked subject by subject
+    give cells stacked subject by subject.
+    """
+    order = np.lexsort((*X.T, subj))
+    keys = np.column_stack([subj, X])[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    if new.all():
+        return None, None
+    first = order[new]  # the sort is stable: each run's first row comes first
+    by_row = np.argsort(first)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[by_row] = np.arange(first.size)
+    cell = np.empty(order.size, dtype=np.intp)
+    cell[order] = rank[np.cumsum(new) - 1]
+    return cell, first[by_row]
+
+
 class _Workspace:
-    """Stacked arrays and quadrature scratch for one (dataset, family) pair.
+    """Quadrature arrays and scratch for one (dataset, family) pair.
+
+    `y`, `X`, `w` and `subj` hold one entry per cell (see the module
+    docstring): w_c = sum w and y_c = sum w y / w_c over the cell's rows.
+    The terms nonlinear in y (log Gamma(y + k), digamma(y + k),
+    trigamma(y + k)) are computed on the raw rows `y_rows` once per call,
+    for that call's kappa, and enter as w-weighted cell means.  Without
+    repeated rows the cell arrays are the dataset's own.
 
     `ops` overrides the family kernel (the oracle tests drive the mode
-    solver with an identity-link Gaussian this way).
+    solver with an identity-link Gaussian this way); its kernels must be
+    affine in y, or the cells change the result.
     """
 
     def __init__(self, dataset: Dataset, family: Family, gh_nodes: int, ops=None):
         self.family = family
         self.ops = ops or family_ops(family)
-        self.y = dataset.y
-        self.X = dataset.X
-        self.w = dataset.weights
-        self.subj = dataset.subject_index
-        self.starts = np.asarray(dataset.row_offsets[:-1], dtype=np.intp)
+        self.y_rows, self.w_rows = dataset.y, dataset.weights
+        self.cell, first = _cells(dataset.subject_index, dataset.X)
+        if self.cell is None:
+            self.y, self.X, self.w = dataset.y, dataset.X, dataset.weights
+            self.subj = dataset.subject_index
+        else:
+            self.X = dataset.X[first]
+            self.subj = dataset.subject_index[first]
+            self.w = np.bincount(self.cell, self.w_rows)
+            self.y = np.bincount(self.cell, self.w_rows * self.y_rows) / self.w
         self.K = dataset.n_subjects
         self.N = dataset.n_obs
+        self.C = self.y.shape[0]
         self.p = dataset.p
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(self.subj, minlength=self.K))])
+        self.starts = offsets[:-1]
+        if family is Family.NEGBIN:
+            self.lgamma_y1 = gammaln(self.y_rows + 1.0)
         rule = gh_rule(gh_nodes)
         self.t = rule.nodes
         self.logw_t2 = np.log(rule.weights) + rule.nodes**2
         self.dim = self.p + 1 + (1 if family is Family.NEGBIN else 0)
-        # whole subjects per block: (subjects, rows, row -> block subject, block row offsets)
-        offsets = dataset.row_offsets
+        # whole subjects per block: (subjects, cells, cell -> block subject, block cell offsets)
         cap = max(1, _BLOCK_CELLS // self.t.size)
         self.blocks = []
         k0 = 0
@@ -157,6 +206,13 @@ class _Workspace:
             self.blocks.append((slice(k0, k1), rows, self.subj[rows] - k0,
                                 self.starts[k0:k1] - offsets[k0]))
             k0 = k1
+
+    def cell_mean(self, values: np.ndarray) -> np.ndarray:
+        """Per-cell w-weighted mean of a per-row array (the array itself
+        when no rows merge)."""
+        if self.cell is None:
+            return values
+        return np.bincount(self.cell, self.w_rows * values) / self.w
 
     # ---- parameter packing ---------------------------------------------
 
@@ -254,8 +310,20 @@ class _Workspace:
 
     # ---- marginal likelihood and scores ---------------------------------
 
+    def loglik_constant(self, aux, split=True):
+        """Per-cell node-free part of the negative-binomial log-density,
+        log Gamma(y + k) - log Gamma(k) - log Gamma(y + 1) (+ k log k
+        without `split`, see _loglik_matrix); None for the logistic."""
+        if self.family is not Family.NEGBIN:
+            return None
+        y = self.y_rows
+        if split:
+            return self.cell_mean(_lgamma_ratio(y, aux) - self.lgamma_y1)
+        unsplit = gammaln(y + aux) - gammaln(aux) - self.lgamma_y1 + aux * math.log(aux)
+        return self.cell_mean(unsplit)
+
     def _loglik_matrix(self, eta, aux, rows, split):
-        """Conditional loglik as an eta-dependent (n, m) part plus an (n,) constant.
+        """Conditional loglik without its node-free constant, (cells, nodes).
 
         With `split`, the negative binomial's (y + k) log(k + mu) is written
         as (y + k) (log k + log1p(mu / k)): the eta-dependent part is then
@@ -267,23 +335,22 @@ class _Workspace:
         if self.family is Family.NEGBIN:
             logk = math.log(aux)
             if split:
-                const = _lgamma_ratio(y, aux) - gammaln(y + 1.0)
-                return y[:, None] * eta - (y + aux)[:, None] * np.logaddexp(0.0, eta - logk), const
-            const = gammaln(y + aux) - gammaln(aux) - gammaln(y + 1.0) + aux * logk
-            return y[:, None] * eta - (y + aux)[:, None] * np.logaddexp(logk, eta), const
-        return self.ops.loglik(y[:, None], eta, aux), np.zeros(y.shape[0])
+                return y[:, None] * eta - (y + aux)[:, None] * np.logaddexp(0.0, eta - logk)
+            return y[:, None] * eta - (y + aux)[:, None] * np.logaddexp(logk, eta)
+        return self.ops.loglik(y[:, None], eta, aux)
 
-    def integral_pieces(self, beta, sigma2, aux, modes, curv, block, split=True):
+    def integral_pieces(self, beta, sigma2, aux, modes, curv, const, block, split=True):
         """Loglik contributions, posterior node weights, node positions and
-        etas for the subjects of one block."""
+        etas for the subjects of one block; `const` is loglik_constant(aux,
+        split)."""
         ks, rows, subj, starts = block
         scale = 1.0 / np.sqrt(curv[ks])
         u = modes[ks, None] + math.sqrt(2.0) * scale[:, None] * self.t[None, :]
         eta = (self.X[rows] @ beta)[:, None] + u[subj]
-        mat, const = self._loglik_matrix(eta, aux, rows, split)
         w = self.w[rows]
-        g = np.add.reduceat(w[:, None] * mat, starts, axis=0)
-        g += np.add.reduceat(w * const, starts)[:, None]
+        g = np.add.reduceat(w[:, None] * self._loglik_matrix(eta, aux, rows, split), starts, axis=0)
+        if const is not None:
+            g += np.add.reduceat(w * const[rows], starts)[:, None]
         g -= u**2 / (2.0 * sigma2)
         g += self.logw_t2[None, :]
         lse = _logsumexp_rows(g)
@@ -297,7 +364,9 @@ class _Workspace:
     def loglik_at(self, theta):
         beta, sigma2, aux = self.unpack(theta)
         modes, curv = self.solve_modes(beta, sigma2, aux)
-        ll_i = [self.integral_pieces(beta, sigma2, aux, modes, curv, blk)[0] for blk in self.blocks]
+        const = self.loglik_constant(aux)
+        ll_i = [self.integral_pieces(beta, sigma2, aux, modes, curv, const, blk)[0]
+                for blk in self.blocks]
         return self._total_loglik(ll_i, sigma2), modes, curv
 
     def score_matrix(self, theta, modes, curv):
@@ -323,9 +392,15 @@ class _Workspace:
         p, dim = self.p, self.dim
         rows_d, ll_i = [], []
         h = np.zeros((dim, dim))
+        const = self.loglik_constant(aux, split)
+        if nb:  # the digamma and trigamma terms, nonlinear in y and node-free
+            psi = self.cell_mean(self.ops.score_kappa_offset(self.y_rows, aux))
+            if hessian:
+                psi1 = self.cell_mean(self.ops.dscore_kappa_offset(self.y_rows, aux))
         for blk in self.blocks:
             _, rows, subj, starts = blk
-            ll_b, omega, u, eta = self.integral_pieces(beta, sigma2, aux, modes, curv, blk, split)
+            ll_b, omega, u, eta = self.integral_pieces(beta, sigma2, aux, modes, curv, const, blk,
+                                                       split)
             omega_rows = omega[subj]
             y, w, X = self.y[rows, None], self.w[rows], self.X[rows]
 
@@ -336,7 +411,7 @@ class _Workspace:
                 s[:, :, c] = np.add.reduceat(a * X[:, c, None], starts, axis=0)
             s[:, :, p] = (u**2 - sigma2) / (2.0 * sigma2)
             if nb:
-                a_k = w[:, None] * self.ops.score_kappa(y, eta, aux)
+                a_k = w[:, None] * self.ops.score_kappa(y, eta, aux, psi[rows, None])
                 s[:, :, p + 1] = aux * np.add.reduceat(a_k, starts, axis=0)
             d = np.einsum("km,kmj->kj", omega, s)
             rows_d.append(d)
@@ -351,15 +426,11 @@ class _Workspace:
             if nb:  # log kappa: d/dlog k = k d/dk, d2/dlog k2 = k d/dk + k^2 d2/dk2
                 cross = np.sum(omega_rows * self.ops.dscore_eta_kappa(y, eta, aux), axis=1)
                 h[:p, p + 1] += aux * (X.T @ (w * cross))
-                curv_k = np.sum(omega_rows * self.ops.dscore_kappa(y, eta, aux), axis=1)
+                curv_k = self.ops.dscore_kappa(y, eta, aux, psi1[rows, None])
+                curv_k = np.sum(omega_rows * curv_k, axis=1)
                 h[p + 1, p + 1] += d[:, p + 1].sum() + aux * aux * np.sum(w * curv_k)
         h[p + 1:, :p] = h[:p, p + 1:].T
         return np.vstack(rows_d), self._total_loglik(ll_i, sigma2), h
-
-def _conditional_loglik_sum(ws: _Workspace, beta, aux) -> float:
-    eta = ws.X @ np.asarray(beta, float)
-    return float(np.sum(ws.w * ws.ops.loglik(ws.y, eta, aux)))
-
 
 def marginal_loglik(dataset: Dataset, spec: ModelSpec, params: ParamVector,
                     gh_nodes: int = DEFAULT_GH_NODES) -> float:
@@ -372,10 +443,11 @@ def marginal_loglik(dataset: Dataset, spec: ModelSpec, params: ParamVector,
         raise ValueError("sigma2 must be >= 0")
     if spec.family is Family.NEGBIN and (params.kappa is None or params.kappa <= 0):
         raise ValueError("negative-binomial family requires kappa > 0")
-    ws = _Workspace(dataset, spec.family, gh_nodes)
     aux = params.kappa if spec.family is Family.NEGBIN else None
-    if params.sigma2 == 0.0:
-        return _conditional_loglik_sum(ws, params.beta, aux)
+    if params.sigma2 == 0.0:  # on the raw rows: the log-density is not affine in y
+        eta = dataset.X @ np.asarray(params.beta, float)
+        return float(np.sum(dataset.weights * family_ops(spec.family).loglik(dataset.y, eta, aux)))
+    ws = _Workspace(dataset, spec.family, gh_nodes)
     theta = ws.pack(params.beta, params.sigma2, params.kappa)
     ll, _, _ = ws.loglik_at(theta)
     if not np.isfinite(ll):
@@ -404,7 +476,7 @@ def _irls_init(ws: _Workspace) -> np.ndarray:
     X, y, w = ws.X, ws.y, ws.w
     beta = np.zeros(ws.p)
     if ws.family is Family.NEGBIN:
-        beta[0] = math.log(max(float(np.mean(y)), 0.05))
+        beta[0] = math.log(max(float(np.mean(ws.y_rows)), 0.05))
     for _ in range(8):
         eta = np.clip(X @ beta, -30, 30)
         if ws.family is Family.NEGBIN:
@@ -572,7 +644,7 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     ws = _Workspace(dataset, spec.family, config.gh_nodes)
     lb, ub = ws.bounds()
 
-    kappa0 = _kappa_moment_init(ws.y) if spec.family is Family.NEGBIN else None
+    kappa0 = _kappa_moment_init(ws.y_rows) if spec.family is Family.NEGBIN else None
     theta = np.clip(ws.pack(_irls_init(ws), 0.1, kappa0), lb, ub)
     iterations, optimizer_used = 0, "newton"
     if config.optimizer == "quasi_newton":
@@ -626,7 +698,11 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
         optimizer_used=optimizer_used,
         score_norm=score_norm,
         cov_flags=tuple(cov_flags),
-        diagnostics={"random_effect_kernel": "normal(0, sigma2), exponent -b^2/(2*sigma2)"},
+        diagnostics={
+            "random_effect_kernel": "normal(0, sigma2), exponent -b^2/(2*sigma2)",
+            "rows": ws.N,
+            "quadrature_cells": ws.C,
+        },
     )
 
 
@@ -647,11 +723,11 @@ def posterior_mean_effects(fitted: FittedModel) -> np.ndarray:
     ws = _Workspace(fitted.dataset, fitted.spec.family, fitted.config.gh_nodes)
     if fitted.params.sigma2 == 0.0:
         return np.zeros(ws.K)
+    beta, sigma2, aux = fitted.params.beta, fitted.params.sigma2, fitted.params.kappa
     modes, curv = np.array(fitted.cond_modes), np.array(fitted.cond_curvatures)
+    const = ws.loglik_constant(aux)
     means = []
     for blk in ws.blocks:
-        _, omega, u, _ = ws.integral_pieces(
-            fitted.params.beta, fitted.params.sigma2, fitted.params.kappa, modes, curv, blk
-        )
+        _, omega, u, _ = ws.integral_pieces(beta, sigma2, aux, modes, curv, const, blk)
         means.append(np.sum(omega * u, axis=1))
     return np.concatenate(means)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -87,7 +88,8 @@ def _read_rows(path, reader, mapping: ColumnMapping):
     numeric = [(c, col[c]) for c in (mapping.response, *mapping.covariates)]
     grouping = [(c, col[c]) for c in mapping.group_by]
 
-    subject_ids, values, labels = [], [], []
+    subject_ids, values, keys = [], [], []
+    pick = operator.itemgetter(*(j for _, j in grouping)) if grouping else None
     for i, row in enumerate(filter(None, reader), start=2):
         if len(row) < width:
             last = header[width - 1]
@@ -97,11 +99,39 @@ def _read_rows(path, reader, mapping: ColumnMapping):
             raise InputError(f"row {i}, column {mapping.subject!r}: empty subject id")
         y, *x = (_parse_cell(row[j], i, c) for c, j in numeric)
         values.append([y, 1.0, *x])
-        labels.append(",".join(f"{c}={row[j]}" for c, j in grouping) if grouping else "all")
+        keys.append(pick(row) if pick else None)
         subject_ids.append(sid)
     if not subject_ids:
         raise InputError(f"{path}: file has a header but no data rows")
-    return subject_ids, np.array(values), labels
+    return subject_ids, np.array(values), _group_labels([c for c, _ in grouping], keys)
+
+
+def _group_labels(columns, keys) -> list[str]:
+    """One "col=value,..." label per row ("all" without group-by columns),
+    from each row's group cells (a tuple; the cell itself for one column).
+
+    A group column whose cells are equal as numbers but spelled differently
+    ("1" and "1.0") is an InputError: the two spellings would make two groups.
+    """
+    if not columns:
+        return ["all"] * len(keys)
+    cells_of = {key: key if len(columns) > 1 else (key,) for key in dict.fromkeys(keys)}
+    numbers = [{} for _ in columns]
+    for cells in cells_of.values():  # in order of first appearance
+        for k, value in enumerate(cells):
+            try:
+                first = numbers[k].setdefault(float(value), value)
+            except ValueError:
+                continue
+            if first != value:
+                row = 2 + next(i for i, key in enumerate(keys) if cells_of[key][k] == value)
+                raise InputError(
+                    f"row {row}, column {columns[k]!r}: group value {value!r} equals "
+                    f"{first!r} as a number but is spelled differently"
+                )
+    label = {key: ",".join(f"{c}={v}" for c, v in zip(columns, cells))
+             for key, cells in cells_of.items()}
+    return [label[key] for key in keys]
 
 
 # ---- report writers ----------------------------------------------------------

@@ -26,6 +26,32 @@ settings.register_profile(
 settings.load_profile("deterministic")
 
 
+class _Gaussian:
+    """Identity-link Gaussian kernels with unit dispersion, for the oracles.
+
+    `_Workspace(ops=GAUSSIAN_OPS)` drives the mode solver with them, which
+    can then be checked against closed-form linear-mixed-model results,
+    where the Laplace approximation is exact.  Only the mode solver's
+    kernels are here: they are affine in y, as the workspace's cells need,
+    while the Gaussian log-density is not (a y^2 term).
+    """
+
+    @staticmethod
+    def score_eta(y, eta, aux=None):
+        return y - eta
+
+    @staticmethod
+    def fisher_weight(eta, aux=None):
+        return np.ones_like(np.asarray(eta, dtype=float))
+
+    @staticmethod
+    def obs_curvature(y, eta, aux=None):
+        return np.ones_like(np.asarray(eta, dtype=float))
+
+
+GAUSSIAN_OPS = _Gaussian()
+
+
 def toy_dataset(family, K=12, n=3, sigma=0.4, seed=5, kappa=8.0, beta=(0.2, -0.6)):
     """Small two-covariate dataset with alternating group labels."""
     rng = np.random.default_rng(seed)

@@ -149,6 +149,35 @@ def test_interleaved_subjects_are_grouped_by_first_appearance(tmp_path):
     assert ds.group_labels == ("u=0,t=0", "u=0,t=1", "u=0,t=1", "u=1,t=0", "u=1,t=1")
 
 
+def test_group_value_spelled_two_ways_is_an_input_error(tmp_path, capsys):
+    # "1" and "1.0" are one covariate value, but as labels they made the
+    # two groups u=1 and u=1.0
+    p = tmp_path / "spelled.csv"
+    p.write_text(
+        "subject_id,y,x,u,t\na,1,0.5,1,0\na,0,0.5,0,0\nb,1,0.1,1.0,0\nb,0,0.1,0,0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(InputError, match=r"row 4, column 'u': group value '1.0' equals '1'"):
+        read_dataset(str(p), MAPPING)
+    code, out, err = run_cli(["means", "--input", str(p), *BASE], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["code"] == "io"
+
+
+def test_group_labels_keep_their_spelling(tmp_path):
+    # consistent spellings pass through verbatim, numeric or not
+    p = tmp_path / "labels.csv"
+    p.write_text(
+        "subject_id,y,x,u,t,arm\na,1,0.5,1.0,0,ctl\na,0,0.5,1.0,1,ctl\nb,1,0.1,0,0,trt\n",
+        encoding="utf-8",
+    )
+    ds = read_dataset(str(p), ColumnMapping(covariates=("x", "u", "t"), group_by=("arm", "u")))
+    assert ds.group_labels == ("arm=ctl,u=1.0", "arm=ctl,u=1.0", "arm=trt,u=0")
+    one = read_dataset(str(p), ColumnMapping(covariates=("x",), group_by=("t",)))
+    assert one.group_labels == ("t=0", "t=1", "t=0")
+    assert read_dataset(str(p), ColumnMapping(covariates=("x",))).group_labels == ("all",) * 3
+
+
 def test_csv_roundtrip_reproduces_the_fit(small_csv):
     path, dataset = small_csv
     ds2 = read_dataset(str(path), MAPPING)

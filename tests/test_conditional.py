@@ -28,10 +28,10 @@ from glmm_means import (
     predictor_at_mean_covariate,
 )
 from glmm_means.conditional import _SIGMA2_FLOOR
-from glmm_means.families import GAUSSIAN_OPS, family_ops, stable_expit
+from glmm_means.families import family_ops, stable_expit
 from glmm_means.fitter import _Workspace
 
-from conftest import manual_fitted, toy_dataset
+from conftest import GAUSSIAN_OPS, manual_fitted, toy_dataset
 
 
 # ---- predictors -----------------------------------------------------------------

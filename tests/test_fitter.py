@@ -22,8 +22,8 @@ from glmm_means import (
     posterior_mean_effects,
     subject_scores,
 )
-from glmm_means.families import stable_expit
-from glmm_means.fitter import _Workspace
+from glmm_means.families import family_ops, stable_expit
+from glmm_means.fitter import _cells, _Workspace
 from glmm_means.simulate import generate_dataset, logistic_design, negbin_design
 
 from conftest import toy_dataset
@@ -301,6 +301,100 @@ def test_quadrature_blocks_do_not_change_results(family, monkeypatch):
     np.testing.assert_allclose(results[0][3], results[1][3], rtol=1e-13, atol=1e-15)
 
 
+def _merge_oracle_pair(family, seed=3, K=12):
+    """The same rows twice: covariates (1, x) with x from three values, so a
+    subject repeats covariate rows with other responses, and (1, x, z) with
+    z distinct on every row, which no rows share; weights unequal."""
+    rng = np.random.default_rng(seed)
+    sid, y, X, w = [], [], [], []
+    for i in range(K):
+        for x in rng.choice([-0.5, 0.0, 0.7], size=int(rng.integers(2, 9))):
+            sid.append(f"s{i}")
+            X.append([1.0, x])
+            w.append(rng.uniform(0.3, 2.5))
+            if family is Family.LOGISTIC:
+                y.append(float(rng.integers(0, 2)))
+            else:
+                y.append(float(rng.poisson(3.0 if i % 2 else 25.0)))
+    X = np.array(X)
+    z = np.arange(len(y)) / len(y) + 0.1
+    groups = ["g"] * len(y)
+    merged = Dataset.from_rows(sid, y, X, groups, w)
+    return merged, Dataset.from_rows(sid, y, np.column_stack([X, z]), groups, w)
+
+
+def _assert_close(got, want, floor):
+    """Agreement to 1e-12 of each column's largest entry, or to `floor`
+    (broadcast against `want`), whichever is larger."""
+    err = np.abs(got - want) - np.maximum(1e-12 * np.abs(want).max(axis=0), floor)
+    assert err.max() <= 0.0, np.unravel_index(err.argmax(), err.shape)
+
+
+@pytest.mark.parametrize(
+    "family,kappa",
+    [(Family.LOGISTIC, None), (Family.NEGBIN, 5.0), (Family.NEGBIN, 1e4), (Family.NEGBIN, 1e6)],
+)
+def test_cells_match_the_unmerged_rows(family, kappa):
+    # z has coefficient 0, so eta is the same on both datasets, but only the
+    # first merges rows into cells.  The terms nonlinear in y (log Gamma(y+k),
+    # digamma(y+k), trigamma(y+k)) must enter as row averages; evaluated at
+    # the cell's mean response they move the loglik, the log-kappa scores and
+    # the log-kappa Hessian entries far beyond these tolerances.
+    merged, raw = _merge_oracle_pair(family)
+    ws_m, ws_r = _Workspace(merged, family, 25), _Workspace(raw, family, 25)
+    assert ws_m.N == ws_r.N == ws_r.C > ws_m.C
+    beta = np.array([0.3, -0.8])
+    theta_m = ws_m.pack(beta, 0.6, kappa)
+    theta_r = ws_r.pack(np.append(beta, 0.0), 0.6, kappa)
+    shared = [0, 1, 3] + ([4] if kappa else [])
+    # the log-kappa score k dl/dk sums terms of size k log k that cancel to
+    # O(1/k), so it rounds at ~1e-14 k
+    floor = np.array([0.0, 0.0, 0.0] + ([1e-12 * kappa] if kappa else []))
+
+    ll_m, modes_m, curv_m = ws_m.loglik_at(theta_m)
+    ll_r, modes_r, curv_r = ws_r.loglik_at(theta_r)
+    assert ll_m == pytest.approx(ll_r, rel=1e-12)
+    np.testing.assert_allclose(modes_m, modes_r, rtol=1e-12, atol=1e-14)
+    d_m, dll_m, h_m = ws_m.derivatives(theta_m, modes_m, curv_m)
+    d_r, dll_r, h_r = ws_r.derivatives(theta_r, modes_r, curv_r)
+    assert dll_m == pytest.approx(dll_r, rel=1e-12)
+    _assert_close(d_m, d_r[:, shared], floor)
+    _assert_close(h_m, h_r[np.ix_(shared, shared)], np.maximum.outer(floor, floor))
+    if kappa is None or kappa < 1e3:
+        # the unsplit NB form of the reported covariance rounds at large kappa
+        s_m, sll_m = ws_m.score_matrix(theta_m, modes_m, curv_m)
+        s_r, sll_r = ws_r.score_matrix(theta_r, modes_r, curv_r)
+        assert sll_m == pytest.approx(sll_r, rel=1e-12)
+        _assert_close(s_m, s_r[:, shared], floor)
+
+    # sigma2 = 0 is the conditional loglik, summed over the raw rows
+    spec = ModelSpec(family=family, p=2)
+    at_zero = marginal_loglik(merged, spec, ParamVector(beta=beta, sigma2=0.0, kappa=kappa))
+    rows = merged.weights * family_ops(family).loglik(merged.y, merged.X @ beta, kappa)
+    assert at_zero == pytest.approx(float(rows.sum()), rel=1e-12)
+
+
+def test_cells_are_numbered_by_first_appearance():
+    # a subject's repeated covariate row returns to its cell; another
+    # subject's equal row is another cell
+    subj = np.array([0, 0, 0, 1, 1, 1])
+    X = np.array([[1.0, 0.5], [1.0, -1.0], [1.0, 0.5], [1.0, 0.5], [1.0, 2.0], [1.0, 0.5]])
+    cell, first = _cells(subj, X)
+    np.testing.assert_array_equal(cell, [0, 1, 0, 2, 3, 2])
+    np.testing.assert_array_equal(first, [0, 1, 3, 4])
+    assert _cells(subj, np.column_stack([X, np.arange(6.0)])) == (None, None)
+
+
+def test_fit_reports_rows_and_quadrature_cells():
+    # gender design: two visits per subject with one covariate row; time
+    # design: the visits differ in t, so no rows merge
+    for control, cells in (("gender", 360), ("time", 740)):
+        design = logistic_design(control=control, replications=1, seed=3)
+        fitted = fit(generate_dataset(design), ModelSpec(family=design.family, p=design.p))
+        assert fitted.diagnostics["rows"] == fitted.dataset.n_obs
+        assert fitted.diagnostics["quadrature_cells"] == cells
+
+
 def test_subject_scores_sum_to_near_zero_at_mle(logistic_toy_fit):
     d = subject_scores(logistic_toy_fit)
     assert np.max(np.abs(d.sum(axis=0))) <= 10 * logistic_toy_fit.config.param_tol
@@ -356,7 +450,7 @@ def test_fit_satisfies_contracts(fixture, request):
     assert eig.min() >= -1e-8 * max(eig.max(), 1e-300)
     # modes satisfy the stationarity tolerance
     ws = _Workspace(fitted.dataset, fitted.spec.family, fitted.config.gh_nodes)
-    eta0 = fitted.dataset.X @ fitted.params.beta
+    eta0 = ws.X @ fitted.params.beta
     score = ws.mode_score(
         eta0, np.array(fitted.cond_modes), fitted.params.sigma2, fitted.params.kappa
     )
