@@ -76,24 +76,34 @@ def _build_parser() -> _Parser:
 
 
 def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's values enter as `--key=value` flags
+    placed right after the subcommand, so argparse checks them like typed
+    flags and any flag given explicitly, later in argv, wins.  Keys that
+    the subcommand lacks are ignored."""
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                defaults = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot open config {args.config}: {exc.strerror or exc}") from None
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config {args.config}: invalid JSON ({exc})") from None
-        if not isinstance(defaults, dict):
-            raise UsageError("config file must hold a JSON object")
-        # config supplies defaults only; explicit flags win
-        stated = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in stated:
-                setattr(args, attr, value)
-    return args
+    if not getattr(args, "config", None):
+        return args
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            defaults = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot open config {args.config}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"config {args.config}: invalid JSON ({exc})") from None
+    if not isinstance(defaults, dict):
+        raise UsageError("config file must hold a JSON object")
+    flags = []
+    for key, value in defaults.items():
+        attr = key.replace("-", "_")
+        if attr in ("command", "config"):
+            raise UsageError(f"config key {key!r} is not an option")
+        if not hasattr(args, attr):
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise UsageError(f"config value of {key!r} must be a string or a number")
+        flags.append(f"--{attr.replace('_', '-')}={value}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def _split_cols(text: str) -> tuple[str, ...]:

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .families import Family, family_ops
+from .families import family_ops
 from .fitter import FittedModel
-from .marginal import GroupMeanEstimate, Interval, MeanKind, ci_direct, ci_inverse_log, ci_inverse_logit
+from .marginal import GroupMeanEstimate, MeanKind, wald_intervals
 
 _SIGMA2_FLOOR = 1e-9  # at or below this the random-effect block is dropped (D^{-1} -> 0)
 
@@ -86,17 +86,6 @@ class _Factorization:
         x = cho_solve(self.cho, r - self.b.T @ (dinv * s))
         return np.concatenate([x, dinv * (s - self.b @ x)])
 
-    def row_covariance(self, rows: np.ndarray) -> np.ndarray:
-        """(X_q; Z_q)' M^{-1} (X_q; Z_q) = V S^{-1} V' + [same subject] D^{-1}.
-
-        Row i of V is x_i - D^{-1}_k B_k for the subject k of row i.
-        """
-        subj = self.struct.subject_index[rows]
-        v = self.struct.X[rows] - self.dinv[subj, None] * self.b[subj]
-        same = subj[:, None] == subj[None, :]
-        c = v @ cho_solve(self.cho, v.T) + np.where(same, self.dinv[subj], 0.0)
-        return 0.5 * (c + c.T)
-
 
 def build_prediction_structure(fitted: FittedModel) -> PredictionStructure:
     """Iterative weights and design pieces evaluated at the conditional modes."""
@@ -121,37 +110,22 @@ def factorize_structure(struct: PredictionStructure) -> _Factorization:
 # ---- predictors ---------------------------------------------------------------
 
 
-def predicted_eta(fitted: FittedModel, x, subject_id: str) -> float:
-    """x'beta_hat + b_hat for the given subject's conditional mode."""
-    x = np.asarray(x, float)
-    if subject_id not in fitted.dataset.subject_position:
-        raise KeyError(f"unknown subject {subject_id!r}")
-    return float(x @ fitted.params.beta + fitted.mode_for(subject_id))
-
-
 def predicted_eta_rows(fitted: FittedModel) -> np.ndarray:
     """Predicted linear predictor for every observation row."""
     ds = fitted.dataset
     return ds.X @ fitted.params.beta + np.asarray(fitted.cond_modes)[ds.subject_index]
 
 
-def _group_rows_idx(fitted: FittedModel, group_id: str) -> np.ndarray:
-    gi = fitted.dataset.group_index
-    if group_id not in gi:
-        raise KeyError(f"unknown group {group_id!r}")
-    return gi.indices[group_id]
-
-
 def conditional_group_mean(fitted: FittedModel, group_id: str) -> float:
     """lambda_hat_q: group average of the inverse link at the predicted eta."""
-    idx = _group_rows_idx(fitted, group_id)
+    idx = fitted.dataset.group_index.rows(group_id)
     ops = family_ops(fitted.spec.family)
     return float(np.mean(ops.inverse_link(predicted_eta_rows(fitted)[idx])))
 
 
 def predictor_at_mean_covariate(fitted: FittedModel, group_id: str) -> float:
     """Benchmark predictor lambda*_q using the group-average covariate row."""
-    idx = _group_rows_idx(fitted, group_id)
+    idx = fitted.dataset.group_index.rows(group_id)
     ds = fitted.dataset
     xbar = ds.X[idx].mean(axis=0)
     eta = float(xbar @ fitted.params.beta) + np.asarray(fitted.cond_modes)[ds.subject_index[idx]]
@@ -160,17 +134,6 @@ def predictor_at_mean_covariate(fitted: FittedModel, group_id: str) -> float:
 
 
 # ---- prediction variance -------------------------------------------------------
-
-
-def prediction_covariance(fitted: FittedModel, group_id: str) -> np.ndarray:
-    """Conditional covariance matrix of the predicted eta vector of one group.
-
-    Built from V S^{-1} V' plus the diagonal-block D^{-1} term, so no
-    K x N_q block is formed.  At the sigma2 boundary the random-effect
-    block is dropped (predictions carry fixed-effect uncertainty only).
-    """
-    idx = _group_rows_idx(fitted, group_id)
-    return factorize_structure(build_prediction_structure(fitted)).row_covariance(idx)
 
 
 def conditional_group_variance(fitted: FittedModel, group_id: str,
@@ -182,7 +145,7 @@ def conditional_group_variance(fitted: FittedModel, group_id: str,
     a = (X_q' d; Z_q' d) without forming C.  `fac` reuses a factorization
     of the same fitted model.
     """
-    idx = _group_rows_idx(fitted, group_id)
+    idx = fitted.dataset.group_index.rows(group_id)
     ops = family_ops(fitted.spec.family)
     d = ops.dinverse_link(predicted_eta_rows(fitted)[idx])
     fac = fac or factorize_structure(build_prediction_structure(fitted))
@@ -193,30 +156,6 @@ def conditional_group_variance(fitted: FittedModel, group_id: str,
     return max(var, 0.0)
 
 
-def mode_beta_jacobian(fitted: FittedModel) -> np.ndarray:
-    """Rows db_hat_i / dbeta from the implicit-function identity.
-
-    Row i is -(J'WJ + 1/sigma2)^{-1} J'WX_i = -D^{-1}_i B_i with W the
-    iterative weights at the conditional modes (zero at the sigma2
-    boundary, where the modes are pinned at 0).
-    """
-    b, dinv = build_prediction_structure(fitted).border()
-    return -dinv[:, None] * b
-
-
-# ---- prediction intervals -------------------------------------------------------
-
-
-pi_direct = ci_direct
-
-
-def pi_inverse(point: float, variance: float, alpha: float, family: Family) -> Interval:
-    """Link-scale Wald prediction interval, back-transformed per family."""
-    if family is Family.LOGISTIC:
-        return ci_inverse_logit(point, variance, alpha)
-    return ci_inverse_log(point, variance, alpha)
-
-
 def conditional_estimates(fitted: FittedModel, alpha: float = 0.05) -> dict[str, GroupMeanEstimate]:
     """Predicted group means with direct and inverse prediction intervals."""
     gi = fitted.dataset.group_index
@@ -225,16 +164,12 @@ def conditional_estimates(fitted: FittedModel, alpha: float = 0.05) -> dict[str,
     for gid in gi.group_ids:
         point = conditional_group_mean(fitted, gid)
         variance = conditional_group_variance(fitted, gid, fac)
-        intervals = {
-            "direct": pi_direct(point, variance, alpha),
-            "inverse": pi_inverse(point, variance, alpha, fitted.spec.family),
-        }
         out[gid] = GroupMeanEstimate(
             group_id=gid,
             kind=MeanKind.CONDITIONAL,
             point=point,
             variance=variance,
             n_obs=gi.size(gid),
-            intervals=intervals,
+            intervals=wald_intervals(fitted.spec.family, point, variance, alpha),
         )
     return out

@@ -22,10 +22,6 @@ class Family(enum.Enum):
     LOGISTIC = "logistic"
     NEGBIN = "negbin"
 
-    @property
-    def link_name(self) -> str:
-        return "logit" if self is Family.LOGISTIC else "log"
-
 
 def stable_expit(eta):
     """exp(eta)/(1+exp(eta)) without overflow on either tail."""
@@ -63,10 +59,6 @@ class _Logistic:
     @staticmethod
     def dinverse_link(eta):
         return _Logistic.fisher_weight(eta)
-
-    @staticmethod
-    def variance(mu, aux=None):
-        return mu * (1.0 - mu)
 
     @staticmethod
     def sample(rng, mu, aux=None):
@@ -154,10 +146,6 @@ class _NegBinomial:
     @staticmethod
     def dinverse_link(eta):
         return np.exp(eta)
-
-    @staticmethod
-    def variance(mu, aux):
-        return mu + mu * mu / aux
 
     @staticmethod
     def sample(rng, mu, aux):

@@ -14,9 +14,11 @@ once with their summed weight and weighted mean response.  That is exact
 because every kernel evaluated at the nodes is affine in y at fixed eta;
 the negative binomial's terms nonlinear in y (log Gamma(y + kappa) and its
 derivatives in kappa) are node-free, and enter each cell as averages over
-its rows.  Data without repeated covariate rows run on the rows as they
-are.  Only the quadrature workspace knows about cells; the fitted model
-keeps the raw rows, and `diagnostics` records both counts.
+its rows.  Data without repeated covariate rows have one cell per row,
+holding that row's weight and response.  Only the quadrature workspace
+knows about cells; the fitted model keeps the raw rows, and `diagnostics`
+records both counts.  The iteration cap and the tolerances are the module
+constants MAX_ITER, PARAM_TOL, SCORE_TOL and MODE_TOL.
 
 The optimizer is one projected Newton loop on the observed information,
 which Louis' identity (Louis 1982) builds from the same posterior node
@@ -45,7 +47,7 @@ from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from .families import Family, family_ops
-from .model import Dataset, ModelSpec, ParamVector, SubjectBlock
+from .model import Dataset, ModelSpec, ParamVector
 from .quadrature import DEFAULT_GH_NODES, gh_rule
 
 LOG_SIGMA2_BOUNDS = (math.log(1e-10), math.log(25.0))
@@ -55,28 +57,26 @@ _MAX_STEP = 2.0
 # temporaries cross glibc's default 128 KB mmap threshold and are mapped and
 # faulted in afresh on every call, several times slower than reused heap.
 _BLOCK_CELLS = 12288
+MAX_ITER = 200  # Newton iterations of one fit
+PARAM_TOL = 1e-8  # relative step below which the Newton loop stops moving
+SCORE_TOL = 10.0 * PARAM_TOL  # KKT violation at which a fit has converged
+MODE_TOL = 1e-10  # |subject score| at which a conditional mode is accepted
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    max_iter: int = 200
-    param_tol: float = 1e-8
-    mode_tol: float = 1e-10
     gh_nodes: int = DEFAULT_GH_NODES
     optimizer: str = "newton"  # or "quasi_newton": L-BFGS-B, then the Newton loop
 
     def __post_init__(self):
-        for name in ("param_tol", "mode_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.max_iter < 1 or self.gh_nodes < 1:
-            raise ValueError("max_iter and gh_nodes must be >= 1")
+        if self.gh_nodes < 1:
+            raise ValueError("gh_nodes must be >= 1")
         if self.optimizer not in ("newton", "quasi_newton"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
     @property
     def score_tol(self) -> float:
-        return 10.0 * self.param_tol
+        return SCORE_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +97,6 @@ class FittedModel:
     diagnostics: dict = field(default_factory=dict)
 
     @property
-    def n_free(self) -> int:
-        return self.cov_psi.shape[0]
-
-    @property
     def cov_beta_sigma2(self) -> np.ndarray:
         """Covariance block over (beta, sigma2); the NB size is excluded."""
         k = self.params.p + 1
@@ -108,9 +104,6 @@ class FittedModel:
 
     def standard_errors(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.cov_psi), 0.0, None))
-
-    def mode_for(self, subject_id: str) -> float:
-        return float(self.cond_modes[self.dataset.subject_position[subject_id]])
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -137,16 +130,14 @@ def _lgamma_ratio(y, kappa: float):
 
 def _cells(subj: np.ndarray, X: np.ndarray):
     """Cell number of each row and the first row of each cell, a cell being
-    one (subject, covariate row) pair, numbered by first appearance; both
-    None when every row is its own cell.  Rows stacked subject by subject
-    give cells stacked subject by subject.
+    one (subject, covariate row) pair, numbered by first appearance; the
+    identity numbering when every row is its own cell.  Rows stacked
+    subject by subject give cells stacked subject by subject.
     """
     order = np.lexsort((*X.T, subj))
     keys = np.column_stack([subj, X])[order]
     new = np.ones(order.size, dtype=bool)
     new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    if new.all():
-        return None, None
     first = order[new]  # the sort is stable: each run's first row comes first
     by_row = np.argsort(first)
     rank = np.empty(first.size, dtype=np.intp)
@@ -163,27 +154,19 @@ class _Workspace:
     docstring): w_c = sum w and y_c = sum w y / w_c over the cell's rows.
     The terms nonlinear in y (log Gamma(y + k), digamma(y + k),
     trigamma(y + k)) are computed on the raw rows `y_rows` once per call,
-    for that call's kappa, and enter as w-weighted cell means.  Without
-    repeated rows the cell arrays are the dataset's own.
-
-    `ops` overrides the family kernel (the oracle tests drive the mode
-    solver with an identity-link Gaussian this way); its kernels must be
-    affine in y, or the cells change the result.
+    for that call's kappa, and enter as w-weighted cell means.  A cell of
+    one row with unit weight holds that row's values unchanged.
     """
 
-    def __init__(self, dataset: Dataset, family: Family, gh_nodes: int, ops=None):
+    def __init__(self, dataset: Dataset, family: Family, gh_nodes: int):
         self.family = family
-        self.ops = ops or family_ops(family)
+        self.ops = family_ops(family)
         self.y_rows, self.w_rows = dataset.y, dataset.weights
         self.cell, first = _cells(dataset.subject_index, dataset.X)
-        if self.cell is None:
-            self.y, self.X, self.w = dataset.y, dataset.X, dataset.weights
-            self.subj = dataset.subject_index
-        else:
-            self.X = dataset.X[first]
-            self.subj = dataset.subject_index[first]
-            self.w = np.bincount(self.cell, self.w_rows)
-            self.y = np.bincount(self.cell, self.w_rows * self.y_rows) / self.w
+        self.X = dataset.X[first]
+        self.subj = dataset.subject_index[first]
+        self.w = np.bincount(self.cell, self.w_rows)
+        self.y = np.bincount(self.cell, self.w_rows * self.y_rows) / self.w
         self.K = dataset.n_subjects
         self.N = dataset.n_obs
         self.C = self.y.shape[0]
@@ -208,10 +191,7 @@ class _Workspace:
             k0 = k1
 
     def cell_mean(self, values: np.ndarray) -> np.ndarray:
-        """Per-cell w-weighted mean of a per-row array (the array itself
-        when no rows merge)."""
-        if self.cell is None:
-            return values
+        """Per-cell w-weighted mean of a per-row array."""
         return np.bincount(self.cell, self.w_rows * values) / self.w
 
     # ---- parameter packing ---------------------------------------------
@@ -246,13 +226,13 @@ class _Workspace:
         s = self._subject_sums(self.w * self.ops.score_eta(self.y, eta, aux))
         return s - b / sigma2
 
-    def solve_modes(self, beta, sigma2, aux, b0=None, tol=1e-10, newton_iter=50):
+    def solve_modes(self, beta, sigma2, aux, b0=None):
         """Safeguarded Newton for the per-subject conditional modes.
 
         The subject score is strictly decreasing in b, so a sign-change
         bracket always exists; Newton proposals falling outside the current
-        bracket are replaced by bisection, and subjects still unconverged
-        after `newton_iter` steps finish on bisection alone.
+        bracket are replaced by bisection, and subjects whose score is still
+        above MODE_TOL after 50 steps finish on bisection alone.
         """
         if sigma2 == 0.0:
             return np.zeros(self.K), np.full(self.K, np.inf)
@@ -278,8 +258,8 @@ class _Workspace:
             hi = np.where(need_lo & (ps <= 0), probe, hi)
             width *= 2.0
 
-        active = np.abs(score) > tol
-        for _ in range(newton_iter):
+        active = np.abs(score) > MODE_TOL
+        for _ in range(50):
             if not active.any():
                 break
             eta = eta0 + b[self.subj]
@@ -292,7 +272,7 @@ class _Workspace:
             score = self.mode_score(eta0, b, sigma2, aux)
             lo = np.where(active & (score > 0), b, lo)
             hi = np.where(active & (score <= 0), b, hi)
-            active = np.abs(score) > tol
+            active = np.abs(score) > MODE_TOL
 
         for _ in range(200):  # bisection-only fallback for stragglers
             if not active.any():
@@ -302,7 +282,7 @@ class _Workspace:
             score = self.mode_score(eta0, b, sigma2, aux)
             lo = np.where(active & (score > 0), b, lo)
             hi = np.where(active & (score <= 0), b, hi)
-            active = (np.abs(score) > tol) & ((hi - lo) > 1e-15)
+            active = (np.abs(score) > MODE_TOL) & ((hi - lo) > 1e-15)
 
         eta = eta0 + b[self.subj]
         curvature = self._subject_sums(self.w * self.ops.fisher_weight(eta, aux)) + 1.0 / sigma2
@@ -455,22 +435,6 @@ def marginal_loglik(dataset: Dataset, spec: ModelSpec, params: ParamVector,
     return ll
 
 
-def conditional_mode(subject: SubjectBlock, params: ParamVector) -> tuple[float, float]:
-    """Mode of the subject's conditional density in b, and the curvature there.
-
-    Returns (b_hat, J'WJ + 1/sigma2) with W the iterative weights at b_hat.
-    The family is inferred from the parameter vector: kappa present means
-    negative binomial, absent means logistic.
-    """
-    family = Family.NEGBIN if params.kappa is not None else Family.LOGISTIC
-    ds = Dataset([subject])
-    ws = _Workspace(ds, family, 1)
-    if params.sigma2 == 0.0:
-        return 0.0, math.inf
-    modes, curv = ws.solve_modes(np.asarray(params.beta, float), params.sigma2, params.kappa)
-    return float(modes[0]), float(curv[0])
-
-
 def _irls_init(ws: _Workspace) -> np.ndarray:
     """Fixed-effects GLM start values (logistic IRLS; Poisson IRLS for NB)."""
     X, y, w = ws.X, ws.y, ws.w
@@ -533,12 +497,12 @@ def _newton_direction(h, g) -> np.ndarray:
     return s * (vec @ ((vec.T @ (s * g)) / lam))
 
 
-def _lbfgs(ws: _Workspace, theta0, config: FitConfig, lb, ub):
+def _lbfgs(ws: _Workspace, theta0, lb, ub):
     warm = {"modes": None}
 
     def objective(th):
         beta, sigma2, aux = ws.unpack(th)
-        modes, curv = ws.solve_modes(beta, sigma2, aux, warm["modes"], tol=config.mode_tol)
+        modes, curv = ws.solve_modes(beta, sigma2, aux, warm["modes"])
         warm["modes"] = modes
         d, ll, _ = ws.derivatives(th, modes, curv, hessian=False)
         return -ll, -d.sum(axis=0)
@@ -549,12 +513,12 @@ def _lbfgs(ws: _Workspace, theta0, config: FitConfig, lb, ub):
         jac=True,
         method="L-BFGS-B",
         bounds=list(zip(lb, ub)),
-        options={"maxiter": 2000, "ftol": 1e-16, "gtol": config.score_tol / 10.0},
+        options={"maxiter": 2000, "ftol": 1e-16, "gtol": PARAM_TOL},
     )
     return np.asarray(res.x), int(res.nit)
 
 
-def _newton(ws: _Workspace, theta, lb, ub, config: FitConfig):
+def _newton(ws: _Workspace, theta, lb, ub):
     """Projected Newton ascent on the Louis observed information.
 
     Each step solves the Newton system over the coordinates not held at a
@@ -574,12 +538,12 @@ def _newton(ws: _Workspace, theta, lb, ub, config: FitConfig):
     """
     p, v = ws.p, slice(ws.p, None)
     theta = _snap(theta, lb, ub)
-    modes, curv = ws.solve_modes(*ws.unpack(theta), tol=config.mode_tol)
+    modes, curv = ws.solve_modes(*ws.unpack(theta))
     d, ll, h = ws.derivatives(theta, modes, curv)
     g = d.sum(axis=0)
     viol = _kkt_violation(g, theta, lb, ub, p)
     iterations, on_score = 0, False
-    while iterations < config.max_iter and viol > config.score_tol:
+    while iterations < MAX_ITER and viol > SCORE_TOL:
         iterations += 1
         sgn = np.where(theta[v] <= 0.0, 1.0, -1.0)
         phi, lo, hi = theta.copy(), lb.copy(), ub.copy()
@@ -610,7 +574,7 @@ def _newton(ws: _Workspace, theta, lb, ub, config: FitConfig):
             trial = np.clip(phi + lam * delta, lo, hi)
             trial[v] = sgn * np.log(trial[v])
             trial = _snap(trial, lb, ub)
-            modes_t, curv_t = ws.solve_modes(*ws.unpack(trial), modes, tol=config.mode_tol)
+            modes_t, curv_t = ws.solve_modes(*ws.unpack(trial), modes)
             d_t, ll_t, h_t = ws.derivatives(trial, modes_t, curv_t)
             g_t = d_t.sum(axis=0)
             viol_t = _kkt_violation(g_t, trial, lb, ub, p)
@@ -624,7 +588,7 @@ def _newton(ws: _Workspace, theta, lb, ub, config: FitConfig):
                 theta, ll, modes, curv, g, h, viol = trial, ll_t, modes_t, curv_t, g_t, h_t, viol_t
                 break
             lam *= 0.5
-        if step <= config.param_tol:
+        if step <= PARAM_TOL:
             if on_score:
                 break
             on_score = True
@@ -648,11 +612,11 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     theta = np.clip(ws.pack(_irls_init(ws), 0.1, kappa0), lb, ub)
     iterations, optimizer_used = 0, "newton"
     if config.optimizer == "quasi_newton":
-        theta, iterations = _lbfgs(ws, theta, config, lb, ub)
+        theta, iterations = _lbfgs(ws, theta, lb, ub)
         optimizer_used = "quasi_newton+newton"
-    theta, ll, modes, curv, score_norm, extra = _newton(ws, theta, lb, ub, config)
+    theta, ll, modes, curv, score_norm, extra = _newton(ws, theta, lb, ub)
     iterations += extra
-    converged = score_norm <= config.score_tol
+    converged = score_norm <= SCORE_TOL
 
     d, _ = ws.score_matrix(theta, modes, curv)
     h = d.T @ d
@@ -713,21 +677,3 @@ def subject_scores(fitted: FittedModel) -> np.ndarray:
     d, _ = ws.score_matrix(theta, np.array(fitted.cond_modes), np.array(fitted.cond_curvatures))
     return d
 
-
-def posterior_mean_effects(fitted: FittedModel) -> np.ndarray:
-    """Exact conditional means E(b_i | y_i) by quadrature.
-
-    The production predictor uses the conditional modes; this is the oracle
-    companion for checking the mode approximation.
-    """
-    ws = _Workspace(fitted.dataset, fitted.spec.family, fitted.config.gh_nodes)
-    if fitted.params.sigma2 == 0.0:
-        return np.zeros(ws.K)
-    beta, sigma2, aux = fitted.params.beta, fitted.params.sigma2, fitted.params.kappa
-    modes, curv = np.array(fitted.cond_modes), np.array(fitted.cond_curvatures)
-    const = ws.loglik_constant(aux)
-    means = []
-    for blk in ws.blocks:
-        _, omega, u, _ = ws.integral_pieces(beta, sigma2, aux, modes, curv, const, blk)
-        means.append(np.sum(omega * u, axis=1))
-    return np.concatenate(means)

@@ -112,16 +112,9 @@ def mu_hat_variance(fitted: FittedModel, x) -> float:
 # ---- group means and variances ---------------------------------------------
 
 
-def _group_rows(fitted: FittedModel, group_id: str) -> np.ndarray:
-    gi = fitted.dataset.group_index
-    if group_id not in gi:
-        raise KeyError(f"unknown group {group_id!r}")
-    return fitted.dataset.X[gi.indices[group_id]]
-
-
 def marginal_group_mean(fitted: FittedModel, group_id: str) -> float:
     """mu_hat_q: the average of the per-observation plug-in means in the group."""
-    rows = _group_rows(fitted, group_id)
+    rows = fitted.dataset.X[fitted.dataset.group_index.rows(group_id)]
     eta0 = rows @ fitted.params.beta
     s2 = fitted.params.sigma2
     if fitted.spec.family is Family.LOGISTIC:
@@ -147,7 +140,7 @@ def marginal_group_variance(fitted: FittedModel, group_id: str) -> float:
     covariates, so the NB pair sum runs over unique rows weighted by their
     counts, in blocks of at most _PAIR_BLOCK pairs.
     """
-    rows = _group_rows(fitted, group_id)
+    rows = fitted.dataset.X[fitted.dataset.group_index.rows(group_id)]
     cov = fitted.cov_beta_sigma2
     n = rows.shape[0]
     if fitted.spec.family is Family.LOGISTIC:
@@ -170,7 +163,7 @@ def mean_at_mean_covariate(fitted: FittedModel, group_id: str) -> float:
     Inconsistent for the true group mean whenever the inverse link is
     nonlinear; provided for comparison only.
     """
-    rows = _group_rows(fitted, group_id)
+    rows = fitted.dataset.X[fitted.dataset.group_index.rows(group_id)]
     return mu_hat_i(fitted, rows.mean(axis=0))
 
 
@@ -232,34 +225,33 @@ def ci_lognormal(point: float, variance: float, n_obs: int, alpha: float = 0.05)
 # ---- assembly -----------------------------------------------------------------
 
 
-def _interval_set(family: Family, point: float, variance: float, n_obs: int,
-                  alpha: float) -> dict[str, Interval]:
-    out = {"direct": ci_direct(point, variance, alpha)}
-    if family is Family.LOGISTIC:
-        out["inverse"] = ci_inverse_logit(point, variance, alpha)
-    else:
-        out["inverse"] = ci_inverse_log(point, variance, alpha)
-        if variance > 0:
-            out["lognormal"] = ci_lognormal(point, variance, n_obs, alpha)
-        else:
-            out["lognormal"] = Interval(point, point, 1.0 - alpha)
-    return out
+def wald_intervals(family: Family, point: float, variance: float,
+                   alpha: float) -> dict[str, Interval]:
+    """The direct interval and the family's link-scale ("inverse") interval,
+    shared by the confidence and the prediction intervals."""
+    inverse = ci_inverse_logit if family is Family.LOGISTIC else ci_inverse_log
+    return {"direct": ci_direct(point, variance, alpha), "inverse": inverse(point, variance, alpha)}
 
 
 def marginal_estimates(fitted: FittedModel, alpha: float = 0.05) -> dict[str, GroupMeanEstimate]:
-    """Point estimate, variance, and all applicable CIs for every group."""
+    """Point estimate, variance, and all applicable CIs for every group;
+    negative-binomial groups add the lognormal interval."""
     gi = fitted.dataset.group_index
     out: dict[str, GroupMeanEstimate] = {}
     for gid in gi.group_ids:
         point = marginal_group_mean(fitted, gid)
         variance = marginal_group_variance(fitted, gid)
         n = gi.size(gid)
+        intervals = wald_intervals(fitted.spec.family, point, variance, alpha)
+        if fitted.spec.family is Family.NEGBIN:
+            intervals["lognormal"] = (ci_lognormal(point, variance, n, alpha) if variance > 0
+                                      else Interval(point, point, 1.0 - alpha))
         out[gid] = GroupMeanEstimate(
             group_id=gid,
             kind=MeanKind.MARGINAL,
             point=point,
             variance=variance,
             n_obs=n,
-            intervals=_interval_set(fitted.spec.family, point, variance, n, alpha),
+            intervals=intervals,
         )
     return out

@@ -69,15 +69,18 @@ class GroupIndex:
     group_ids: tuple[str, ...]
     indices: dict[str, np.ndarray]
 
+    def rows(self, group_id: str) -> np.ndarray:
+        """Observation indices of one group; KeyError for an unknown group."""
+        if group_id not in self.indices:
+            raise KeyError(f"unknown group {group_id!r}")
+        return self.indices[group_id]
+
     def size(self, group_id: str) -> int:
         return int(self.indices[group_id].shape[0])
 
     @property
     def sizes(self) -> dict[str, int]:
         return {g: self.size(g) for g in self.group_ids}
-
-    def __contains__(self, group_id: str) -> bool:
-        return group_id in self.indices
 
 
 class Dataset:
@@ -216,10 +219,6 @@ class ModelSpec:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("covariate dimension p must be >= 1")
-
-    @property
-    def link(self) -> str:
-        return self.family.link_name
 
 
 @dataclass(frozen=True, eq=False)

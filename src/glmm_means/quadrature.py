@@ -7,7 +7,6 @@ at zero rather than a limit of the quadrature.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,10 +27,6 @@ class GHRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    @property
-    def m(self) -> int:
-        return self.nodes.shape[0]
-
 
 @lru_cache(maxsize=64)
 def gh_rule(m: int) -> GHRule:
@@ -42,22 +37,19 @@ def gh_rule(m: int) -> GHRule:
     return GHRule(nodes=nodes, weights=weights)
 
 
-def expect_over_normal(f, sigma2: float, rule: GHRule | None = None) -> float:
-    """E[f(b)] for b ~ N(0, sigma2), exact f(0) when sigma2 = 0."""
+def logistic_normal_integral(eta0: float, sigma2: float, rule: GHRule | None = None) -> float:
+    """E[expit(eta0 + b)] for b ~ N(0, sigma2); no closed form exists.
+
+    Gauss-Hermite quadrature after b = sqrt(2 sigma2) t; exactly
+    expit(eta0) when sigma2 = 0.
+    """
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
     if sigma2 == 0.0:
-        return float(f(0.0))
+        return float(stable_expit(eta0))
     rule = rule or gh_rule(DEFAULT_GH_NODES)
-    vals = np.asarray(f(np.sqrt(2.0 * sigma2) * rule.nodes), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        warnings.warn("integrand is non-finite at a quadrature node", RuntimeWarning)
+    vals = stable_expit(eta0 + np.sqrt(2.0 * sigma2) * rule.nodes)
     return float(rule.weights @ vals / np.sqrt(np.pi))
-
-
-def logistic_normal_integral(eta0: float, sigma2: float, rule: GHRule | None = None) -> float:
-    """E[expit(eta0 + b)] for b ~ N(0, sigma2); no closed form exists."""
-    return expect_over_normal(lambda b: stable_expit(eta0 + b), sigma2, rule)
 
 
 def zeger_attenuation(sigma2: float) -> float:

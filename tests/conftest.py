@@ -2,21 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from glmm_means import (
-    Dataset,
-    Family,
-    FitConfig,
-    FittedModel,
-    ModelSpec,
-    ParamVector,
-    SubjectBlock,
-    fit,
-)
-from glmm_means.fitter import _Workspace
+from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, fit
+from glmm_means.fitter import FittedModel, _Workspace
+from glmm_means.model import ParamVector
 
 # Property tests replay the same examples on every run and never time out,
 # so the suite stays deterministic and its runtime bounded.
@@ -29,11 +23,12 @@ settings.load_profile("deterministic")
 class _Gaussian:
     """Identity-link Gaussian kernels with unit dispersion, for the oracles.
 
-    `_Workspace(ops=GAUSSIAN_OPS)` drives the mode solver with them, which
-    can then be checked against closed-form linear-mixed-model results,
-    where the Laplace approximation is exact.  Only the mode solver's
-    kernels are here: they are affine in y, as the workspace's cells need,
-    while the Gaussian log-density is not (a y^2 term).
+    Setting `ws.ops = GAUSSIAN_OPS` on a `_Workspace` drives its mode
+    solver with them, which can then be checked against closed-form
+    linear-mixed-model results, where the Laplace approximation is exact.
+    Only the mode solver's kernels are here: they are affine in y, as the
+    workspace's cells need, while the Gaussian log-density is not (a y^2
+    term).
     """
 
     @staticmethod
@@ -69,6 +64,36 @@ def toy_dataset(family, K=12, n=3, sigma=0.4, seed=5, kappa=8.0, beta=(0.2, -0.6
         groups = tuple("g0" if j % 2 == 0 else "g1" for j in range(n))
         subjects.append(SubjectBlock(subject_id=f"s{i}", y=y, X=x, groups=groups))
     return Dataset(subjects)
+
+
+def conditional_mode(subject: SubjectBlock, params: ParamVector) -> tuple[float, float]:
+    """Mode of one subject's conditional density in b, and the curvature there.
+
+    Returns (b_hat, J'WJ + 1/sigma2) with W the iterative weights at b_hat.
+    kappa present in `params` means negative binomial, absent means logistic.
+    """
+    if params.sigma2 == 0.0:
+        return 0.0, math.inf
+    family = Family.NEGBIN if params.kappa is not None else Family.LOGISTIC
+    ws = _Workspace(Dataset([subject]), family, 1)
+    modes, curv = ws.solve_modes(np.asarray(params.beta, float), params.sigma2, params.kappa)
+    return float(modes[0]), float(curv[0])
+
+
+def posterior_mean_effects(fitted: FittedModel) -> np.ndarray:
+    """Exact conditional means E(b_i | y_i) by quadrature, the oracle for
+    the conditional modes the predictor uses."""
+    ws = _Workspace(fitted.dataset, fitted.spec.family, fitted.config.gh_nodes)
+    if fitted.params.sigma2 == 0.0:
+        return np.zeros(ws.K)
+    beta, sigma2, aux = fitted.params.beta, fitted.params.sigma2, fitted.params.kappa
+    modes, curv = np.array(fitted.cond_modes), np.array(fitted.cond_curvatures)
+    const = ws.loglik_constant(aux)
+    means = []
+    for blk in ws.blocks:
+        _, omega, u, _ = ws.integral_pieces(beta, sigma2, aux, modes, curv, const, blk)
+        means.append(np.sum(omega * u, axis=1))
+    return np.concatenate(means)
 
 
 def manual_fitted(dataset, family, beta, sigma2, kappa=None, cov=None, gh_nodes=25):

@@ -1,26 +1,20 @@
 """CSV ingestion, the command-line surface, and its exit-code contract."""
 
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import glmm_means.cli as cli
-from glmm_means import (
-    ColumnMapping,
-    Family,
-    FitConfig,
-    InputError,
-    ModelSpec,
-    fit,
-    generate_dataset,
-    logistic_design,
-    read_dataset,
-)
+from glmm_means import Family, FitConfig, ModelSpec, fit, generate_dataset, logistic_design
+from glmm_means.io import ColumnMapping, InputError, read_dataset
 
 MAPPING = ColumnMapping(covariates=("x", "u", "t"), group_by=("u", "t"))
+SIMULATE_ARGS = ["simulate", "--family", "logistic", "--reps", "1", "--seed", "3"]
 
 
 def write_dataset_csv(path, dataset):
@@ -363,6 +357,51 @@ def test_cli_flags_override_config(small_csv, capsys, tmp_path):
     assert out.splitlines()[0] == "name,estimate,se"
 
 
+def test_cli_abbreviated_flag_overrides_config(small_csv, capsys, tmp_path):
+    # an explicit flag wins even when argparse has to expand its prefix
+    path, _ = small_csv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.5, "reps": 3}))  # means has no --reps: ignored
+    means = ["means", "--input", str(path), *BASE]
+    code, out, err = run_cli([*means, "--config", str(cfg), "--alph", "0.05"], capsys)
+    assert code == 0, err
+    assert out == run_cli([*means, "--alpha", "0.05"], capsys)[1]
+    code, from_config, _ = run_cli([*means, "--config", str(cfg)], capsys)
+    assert code == 0
+    assert from_config == run_cli([*means, "--alpha", "0.5"], capsys)[1] != out
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [({"alpha": "abc"}, "invalid float value: 'abc'"),
+     ({"format": "xml"}, "invalid choice: 'xml'"),
+     ({"command": "simulate"}, "config key 'command' is not an option"),
+     ({"config": "other.json"}, "config key 'config' is not an option"),
+     ({"covariates": ["x", "u"]}, "config value of 'covariates' must be a string or a number")],
+)
+def test_cli_config_values_are_checked_like_flags(small_csv, capsys, tmp_path, config, message):
+    path, _ = small_csv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(["means", "--input", str(path), *BASE, "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "usage"
+    assert message in error["message"]
+
+
+def test_console_script_target_runs(capsys, monkeypatch):
+    # the [project.scripts] entry an installed `glmm-means` calls, read from pyproject.toml
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["glmm-means"]
+    module, _, attr = target.partition(":")
+    main = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["glmm-means", *SIMULATE_ARGS])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("kind,")
+
+
 def test_csv_cells_use_six_significant_digits():
     from glmm_means.io import _csv_cell
 
@@ -375,8 +414,7 @@ def test_csv_cells_use_six_significant_digits():
 
 def test_module_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "glmm_means", "simulate", "--family", "logistic",
-         "--reps", "1", "--seed", "3"],
+        [sys.executable, "-m", "glmm_means", *SIMULATE_ARGS],
         capture_output=True,
         text=True,
     )

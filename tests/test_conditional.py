@@ -16,22 +16,28 @@ from glmm_means import (
     PredictionStructure,
     SubjectBlock,
     conditional_estimates,
+    factorize_structure,
+)
+from glmm_means.conditional import (
+    _SIGMA2_FLOOR,
+    build_prediction_structure,
     conditional_group_mean,
     conditional_group_variance,
-    factorize_structure,
-    mode_beta_jacobian,
-    pi_direct,
-    pi_inverse,
-    predicted_eta,
     predicted_eta_rows,
-    prediction_covariance,
     predictor_at_mean_covariate,
 )
-from glmm_means.conditional import _SIGMA2_FLOOR
 from glmm_means.families import family_ops, stable_expit
 from glmm_means.fitter import _Workspace
+from glmm_means.marginal import ci_inverse_log, marginal_group_mean, wald_intervals
 
 from conftest import GAUSSIAN_OPS, manual_fitted, toy_dataset
+
+
+def group_covariance(fitted, group_id):
+    """(X_q; Z_q)' M^{-1} (X_q; Z_q) of one group through the arrowhead solve."""
+    fac = factorize_structure(build_prediction_structure(fitted))
+    cols = fac.design_columns(fitted.dataset.group_index.indices[group_id])
+    return cols.T @ fac.solve(cols)
 
 
 # ---- predictors -----------------------------------------------------------------
@@ -40,15 +46,16 @@ from conftest import GAUSSIAN_OPS, manual_fitted, toy_dataset
 def test_predicted_eta_without_random_effect_is_fixed_part():
     ds = toy_dataset(Family.LOGISTIC, K=5, seed=2)
     f = manual_fitted(ds, Family.LOGISTIC, (0.4, -0.7), 0.0)
-    x = np.array([1.0, 0.5])
-    assert predicted_eta(f, x, "s2") == pytest.approx(float(x @ f.params.beta), abs=1e-15)
+    np.testing.assert_array_equal(predicted_eta_rows(f), ds.X @ f.params.beta)
 
 
-def test_predicted_eta_unknown_subject():
+def test_unknown_group_is_a_key_error():
+    # the one group-row lookup behind both the marginal and the conditional means
     ds = toy_dataset(Family.LOGISTIC, K=3, seed=2)
     f = manual_fitted(ds, Family.LOGISTIC, (0.1, 0.1), 0.2)
-    with pytest.raises(KeyError):
-        predicted_eta(f, [1.0, 0.0], "nope")
+    for estimator in (conditional_group_mean, conditional_group_variance, marginal_group_mean):
+        with pytest.raises(KeyError, match="unknown group 'nope'"):
+            estimator(f, "nope")
 
 
 def test_balanced_binary_subject_has_zero_mode():
@@ -60,7 +67,7 @@ def test_balanced_binary_subject_has_zero_mode():
     )
     ds = Dataset([sb])
     f = manual_fitted(ds, Family.LOGISTIC, (0.0, 0.0), 0.25)
-    assert predicted_eta(f, [1.0, 0.0], "s0") == pytest.approx(0.0, abs=1e-10)
+    assert f.cond_modes[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def _gaussian_toy(rng, K, n):
@@ -96,7 +103,8 @@ def test_gaussian_modes_equal_blup():
     ds = _gaussian_toy(rng, K=6, n=2)
     beta = np.array([0.5, -1.0])
     sigma2 = 0.36
-    ws = _Workspace(ds, Family.LOGISTIC, 1, ops=GAUSSIAN_OPS)
+    ws = _Workspace(ds, Family.LOGISTIC, 1)
+    ws.ops = GAUSSIAN_OPS
     modes, _ = ws.solve_modes(beta, sigma2, None)
     b_blup, _, _ = _henderson_solution(ds, beta, sigma2)
     np.testing.assert_allclose(modes, b_blup, atol=1e-8)
@@ -137,8 +145,6 @@ def test_prediction_covariance_equals_naive_plus_correction():
     # information-matrix correction assembled term by term
     ds = toy_dataset(Family.LOGISTIC, K=3, n=2, seed=13)
     f = manual_fitted(ds, Family.LOGISTIC, (0.3, -0.4), 0.5)
-    from glmm_means.conditional import build_prediction_structure
-
     struct = build_prediction_structure(f)
     K, p, N = ds.n_subjects, ds.p, ds.n_obs
     Z = np.zeros((N, K))
@@ -221,8 +227,6 @@ def test_arrowhead_solve_matches_dense_inverse(sigma2):
 @pytest.mark.parametrize("family, kappa", [(Family.LOGISTIC, None), (Family.NEGBIN, 4.0)])
 @pytest.mark.parametrize("sigma2", [0.6, 0.0])
 def test_group_covariance_and_variance_match_dense_oracle(family, kappa, sigma2):
-    from glmm_means.conditional import build_prediction_structure
-
     ds = _unequal_dataset(family)
     f = manual_fitted(ds, family, (0.2, -0.5, 0.3), sigma2, kappa=kappa)
     struct = build_prediction_structure(f)
@@ -232,7 +236,7 @@ def test_group_covariance_and_variance_match_dense_oracle(family, kappa, sigma2)
         idx = ds.group_index.indices[gid]
         cols = _dense_columns(struct, idx)
         oracle = cols.T @ minv @ cols
-        np.testing.assert_allclose(prediction_covariance(f, gid), oracle, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(group_covariance(f, gid), oracle, rtol=1e-10, atol=1e-14)
         d = ops.dinverse_link(predicted_eta_rows(f)[idx])
         var = float(d @ oracle @ d) / len(idx) ** 2
         assert conditional_group_variance(f, gid) == pytest.approx(var, rel=1e-10)
@@ -255,7 +259,7 @@ def test_singular_prediction_system_raises():
 
 def test_prediction_covariance_is_symmetric_psd(logistic_toy_fit):
     gid = logistic_toy_fit.dataset.group_index.group_ids[0]
-    c = prediction_covariance(logistic_toy_fit, gid)
+    c = group_covariance(logistic_toy_fit, gid)
     np.testing.assert_allclose(c, c.T, atol=1e-12)
     eig = np.linalg.eigvalsh(c)
     assert eig.min() >= -1e-8 * eig.max()
@@ -265,7 +269,7 @@ def test_prediction_variance_composes_with_covariance(logistic_toy_fit):
     f = logistic_toy_fit
     gid = f.dataset.group_index.group_ids[1]
     idx = f.dataset.group_index.indices[gid]
-    c = prediction_covariance(f, gid)
+    c = group_covariance(f, gid)
     d = stable_expit(predicted_eta_rows(f)[idx])
     d = d * (1.0 - d)
     oracle = float(d @ c @ d) / len(idx) ** 2
@@ -286,7 +290,7 @@ def test_prediction_variance_monotone_in_sigma2():
     diags = []
     for s2 in (0.25, 1.0, 4.0, 16.0):
         f = manual_fitted(ds, Family.LOGISTIC, (0.2, -0.3), s2)
-        c = prediction_covariance(f, "g0")
+        c = group_covariance(f, "g0")
         diags.append(np.diag(c).mean())
     assert np.all(np.diff(diags) > 0)
 
@@ -295,31 +299,15 @@ def test_sigma2_boundary_drops_random_block():
     ds = toy_dataset(Family.LOGISTIC, K=6, n=2, seed=23)
     f = manual_fitted(ds, Family.LOGISTIC, (0.4, -0.1), 0.0)
     idx = ds.group_index.indices["g0"]
-    c = prediction_covariance(f, "g0")
-    np.testing.assert_array_equal(mode_beta_jacobian(f), 0.0)  # modes pinned at 0
+    c = group_covariance(f, "g0")
+    _, dinv = build_prediction_structure(f).border()
+    np.testing.assert_array_equal(dinv, 0.0)  # no random-effect block
     # oracle: fixed-effects-only covariance X_q' (X'WX)^{-1} X_q
     eta = ds.X @ f.params.beta
     w = stable_expit(eta) * (1 - stable_expit(eta))
     info = ds.X.T @ (w[:, None] * ds.X)
     oracle = ds.X[idx] @ np.linalg.inv(info) @ ds.X[idx].T
     np.testing.assert_allclose(c, oracle, atol=1e-10)
-
-
-def test_mode_jacobian_matches_finite_differences(logistic_toy_fit):
-    f = logistic_toy_fit
-    ds = f.dataset
-    ws = _Workspace(ds, Family.LOGISTIC, f.config.gh_nodes)
-    jac = mode_beta_jacobian(f)
-    h = 1e-6
-    for j in range(ds.p):
-        up = np.array(f.params.beta)
-        dn = np.array(f.params.beta)
-        up[j] += h
-        dn[j] -= h
-        m_up, _ = ws.solve_modes(up, f.params.sigma2, None, tol=1e-13)
-        m_dn, _ = ws.solve_modes(dn, f.params.sigma2, None, tol=1e-13)
-        fd = (m_up - m_dn) / (2 * h)
-        np.testing.assert_allclose(jac[:, j], fd, rtol=1e-4, atol=1e-7)
 
 
 # ---- group means and the benchmark -----------------------------------------------
@@ -340,7 +328,7 @@ def test_conditional_group_mean_singleton():
         ]
     )
     f = manual_fitted(ds, Family.LOGISTIC, (0.2, 0.5), 0.4)
-    eta = predicted_eta(f, ds.X[0], "s0")
+    eta = predicted_eta_rows(f)[0]
     assert conditional_group_mean(f, "only") == pytest.approx(stable_expit(eta), rel=1e-12)
 
 
@@ -376,36 +364,34 @@ def test_conditional_variance_invariant_under_member_permutation():
 
 
 def test_pi_direct_example():
-    iv = pi_direct(0.531, 0.000576, 0.05)
+    iv = wald_intervals(Family.LOGISTIC, 0.531, 0.000576, 0.05)["direct"]
     assert iv.lower == pytest.approx(0.4839608643710387, abs=1e-10)
     assert iv.upper == pytest.approx(0.5780391356289613, abs=1e-10)
     assert iv.upper - 0.531 == pytest.approx(0.531 - iv.lower, abs=1e-14)
 
 
 def test_pi_direct_degenerate():
-    iv = pi_direct(0.4, 0.0, 0.05)
+    iv = wald_intervals(Family.LOGISTIC, 0.4, 0.0, 0.05)["direct"]
     assert iv.lower == iv.upper == 0.4
 
 
 def test_pi_inverse_logistic_symmetric_at_half():
-    iv = pi_inverse(0.5, 0.0009, 0.05, Family.LOGISTIC)
+    iv = wald_intervals(Family.LOGISTIC, 0.5, 0.0009, 0.05)["inverse"]
     assert iv.lower == pytest.approx(1.0 - iv.upper, abs=1e-12)
 
 
 def test_pi_inverse_negbin_matches_log_transform():
-    from glmm_means import ci_inverse_log
-
-    iv = pi_inverse(1.665, 0.0069, 0.05, Family.NEGBIN)
+    iv = wald_intervals(Family.NEGBIN, 1.665, 0.0069, 0.05)["inverse"]
     oracle = ci_inverse_log(1.665, 0.0069, 0.05)
     assert iv == oracle
 
 
 def test_pi_inverse_respects_family_ranges():
     for point, var in ((0.05, 0.01), (0.5, 0.05), (0.95, 0.01)):
-        iv = pi_inverse(point, var, 0.05, Family.LOGISTIC)
+        iv = wald_intervals(Family.LOGISTIC, point, var, 0.05)["inverse"]
         assert 0.0 < iv.lower <= iv.upper < 1.0
     for point, var in ((0.2, 0.5), (3.0, 2.0)):
-        iv = pi_inverse(point, var, 0.05, Family.NEGBIN)
+        iv = wald_intervals(Family.NEGBIN, point, var, 0.05)["inverse"]
         assert iv.lower > 0.0
 
 

@@ -9,24 +9,13 @@ import numpy as np
 import pytest
 from scipy.stats import nbinom
 
-from glmm_means import (
-    Dataset,
-    Family,
-    FitConfig,
-    ModelSpec,
-    ParamVector,
-    SubjectBlock,
-    conditional_mode,
-    fit,
-    marginal_loglik,
-    posterior_mean_effects,
-    subject_scores,
-)
+from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, fit
 from glmm_means.families import family_ops, stable_expit
-from glmm_means.fitter import _cells, _Workspace
+from glmm_means.fitter import MODE_TOL, SCORE_TOL, _cells, _Workspace, marginal_loglik, subject_scores
+from glmm_means.model import ParamVector
 from glmm_means.simulate import generate_dataset, logistic_design, negbin_design
 
-from conftest import toy_dataset
+from conftest import conditional_mode, posterior_mean_effects, toy_dataset
 
 
 def bernoulli_block(sid, y, x, sigma_groups=None):
@@ -382,7 +371,9 @@ def test_cells_are_numbered_by_first_appearance():
     cell, first = _cells(subj, X)
     np.testing.assert_array_equal(cell, [0, 1, 0, 2, 3, 2])
     np.testing.assert_array_equal(first, [0, 1, 3, 4])
-    assert _cells(subj, np.column_stack([X, np.arange(6.0)])) == (None, None)
+    cell, first = _cells(subj, np.column_stack([X, np.arange(6.0)]))
+    np.testing.assert_array_equal(cell, np.arange(6))  # no rows merge: one cell per row
+    np.testing.assert_array_equal(first, np.arange(6))
 
 
 def test_fit_reports_rows_and_quadrature_cells():
@@ -397,7 +388,7 @@ def test_fit_reports_rows_and_quadrature_cells():
 
 def test_subject_scores_sum_to_near_zero_at_mle(logistic_toy_fit):
     d = subject_scores(logistic_toy_fit)
-    assert np.max(np.abs(d.sum(axis=0))) <= 10 * logistic_toy_fit.config.param_tol
+    assert np.max(np.abs(d.sum(axis=0))) <= SCORE_TOL
 
 
 # ---- fit -------------------------------------------------------------------------
@@ -443,7 +434,7 @@ def test_fit_is_deterministic(logistic_toy_fit):
 def test_fit_satisfies_contracts(fixture, request):
     fitted = request.getfixturevalue(fixture)
     assert fitted.converged
-    assert fitted.score_norm <= 10 * fitted.config.param_tol
+    assert fitted.score_norm <= SCORE_TOL
     cov = fitted.cov_psi
     np.testing.assert_allclose(cov, cov.T, atol=1e-10)
     eig = np.linalg.eigvalsh(cov)
@@ -454,7 +445,7 @@ def test_fit_satisfies_contracts(fixture, request):
     score = ws.mode_score(
         eta0, np.array(fitted.cond_modes), fitted.params.sigma2, fitted.params.kappa
     )
-    assert np.max(np.abs(score)) <= fitted.config.mode_tol * 10
+    assert np.max(np.abs(score)) <= MODE_TOL * 10
 
 
 def test_quasi_newton_reaches_the_same_optimum(logistic_toy_fit):

@@ -8,23 +8,18 @@ lognormal-sum variance, and CDF root-finding for the lognormal quantiles.
 import numpy as np
 import pytest
 
-from glmm_means import (
-    Dataset,
-    Family,
-    SubjectBlock,
+from glmm_means import Dataset, Family, SubjectBlock, grad_mu_i, marginal_estimates, mu_hat_i
+from glmm_means.families import stable_expit
+from glmm_means.marginal import (
+    _grad_rows_nat,
     ci_direct,
     ci_inverse_log,
     ci_inverse_logit,
     ci_lognormal,
-    grad_mu_i,
-    marginal_estimates,
     marginal_group_mean,
     marginal_group_variance,
     mean_at_mean_covariate,
-    mu_hat_i,
 )
-from glmm_means.families import stable_expit
-from glmm_means.marginal import _grad_rows_nat
 
 from conftest import manual_fitted, toy_dataset
 

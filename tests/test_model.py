@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from glmm_means import (
-    Dataset,
-    Family,
-    ModelSpec,
-    ParamVector,
-    SubjectBlock,
-    validate,
-)
+from glmm_means import Dataset, Family, ModelSpec, SubjectBlock, validate
+from glmm_means.model import ParamVector
 from glmm_means.families import family_ops
 
 
@@ -229,8 +223,3 @@ def test_validate_flags_nonfinite_weights(bad):
     )
     codes = [v.code for v in validate(Dataset([sb, block("s1")]), _spec())]
     assert codes == ["weights"]
-
-
-def test_model_spec_link_is_canonical():
-    assert _spec().link == "logit"
-    assert _spec(Family.NEGBIN).link == "log"

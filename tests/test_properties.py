@@ -1,23 +1,30 @@
 """Property-based checks of CSV ingestion, the stacked dataset and the CLI contract."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import glmm_means.cli as cli
 from glmm_means import (
-    ColumnMapping,
     Dataset,
+    ModelSpec,
     SubjectBlock,
+    conditional_estimates,
+    fit,
     generate_dataset,
     logistic_design,
-    read_dataset,
+    marginal_estimates,
+    negbin_design,
 )
+from glmm_means.fitter import LOG_KAPPA_BOUNDS, LOG_SIGMA2_BOUNDS
+from glmm_means.io import ColumnMapping, read_dataset
 
 COLUMNS = ("subject_id", "y", "x", "u", "t")
 NUMBERS = ("0", "1", "2", "-1", "0.5", "1e308", "-1e-300", "nan", "inf")
@@ -181,3 +188,116 @@ def test_block_and_row_constructors_agree(blocks, data):
     order = interleave(rows["subject_ids"], offsets)
     mixed = {k: [v[r] for r in order] if isinstance(v, list) else v[order] for k, v in rows.items()}
     assert_same_dataset(Dataset.from_rows(**mixed), ds)
+
+
+# ---- fit and means never escape their exit-code contract ---------------------------------
+
+
+def _tiny_csv_text():
+    """16 subjects x 2 visits with responses unrelated to the covariates, so
+    no covariate subset separates them and every fit ends quickly."""
+    rng = np.random.default_rng(20)
+    lines = ["subject_id,y,x,u,t"]
+    for i in range(16):
+        for t in (0, 1):
+            lines.append(f"s{i},{rng.integers(0, 2)},{rng.uniform(-1, 1):.3f},{i % 2},{t}")
+    return "\n".join(lines) + "\n"
+
+
+column_lists = st.lists(st.sampled_from(("x", "u", "t", "y", "nope")), max_size=4).map(",".join)
+config_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 3), st.floats(), st.text(max_size=4),
+    st.sampled_from(("json", "csv", "negbin", "0.1")), column_lists, st.lists(st.integers(), max_size=2),
+)
+configs = st.dictionaries(
+    st.sampled_from(("alpha", "format", "covariates", "group_by", "group-by", "family", "reps",
+                     "seed", "design", "command", "config")),
+    config_values,
+    max_size=3,
+)
+
+
+@settings(max_examples=25)
+@given(command=st.sampled_from(("fit", "means")), family=st.sampled_from(("logistic", "negbin")),
+       covariates=column_lists, group_by=column_lists, config=st.none() | configs)
+def test_fit_and_means_exit_by_contract(tmp_path_factory, command, family, covariates, group_by,
+                                        config):
+    folder = tmp_path_factory.mktemp("cli")
+    (folder / "data.csv").write_text(_tiny_csv_text(), encoding="utf-8")
+    args = [command, "--input", str(folder / "data.csv"), "--family", family,
+            "--covariates", covariates, "--group-by", group_by]
+    if config is not None:
+        (folder / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        args += ["--config", str(folder / "cfg.json")]
+    code, out, err = run_cli(args)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert set(json.loads(err)) == {"error"}
+        assert "Traceback" not in err
+    else:
+        assert out
+
+
+# ---- estimates do not depend on subject order or on the spelling of group labels -------
+
+
+DESIGNS = [(make, control) for make in (logistic_design, negbin_design) for control in ("gender", "time")]
+
+
+def _rows(ds, order=None, rename=None):
+    """Dataset.from_rows arguments for `ds`, subjects in `order`, labels renamed."""
+    subjects = range(ds.n_subjects) if order is None else order
+    rows = np.concatenate([np.arange(ds.row_offsets[k], ds.row_offsets[k + 1]) for k in subjects])
+    labels = [ds.group_labels[r] for r in rows]
+    return dict(subject_ids=[ds.subject_ids[ds.subject_index[r]] for r in rows], y=ds.y[rows],
+                X=ds.X[rows], groups=labels if rename is None else [rename[g] for g in labels])
+
+
+def _estimates(ds, family):
+    fitted = fit(ds, ModelSpec(family=family, p=ds.p))
+    return fitted, marginal_estimates(fitted), conditional_estimates(fitted)
+
+
+def _interior(fitted):
+    """sigma2 and kappa off their bounds.  At a bound, Cov(psi_hat) is the
+    inverse of an ill-conditioned score matrix (condition ~1e20 at the
+    sigma2 = 1e-10, kappa = 1e6 corner), so the reported variances follow
+    rounding, and reordering its sums can move them by ~1e-4 relative."""
+    held = [(fitted.params.sigma2, LOG_SIGMA2_BOUNDS)]
+    if fitted.params.kappa is not None:
+        held.append((fitted.params.kappa, LOG_KAPPA_BOUNDS))
+    return all(math.exp(lo) < v < math.exp(hi) for v, (lo, hi) in held)
+
+
+@settings(max_examples=12)
+@given(design=st.sampled_from(DESIGNS), seed=st.integers(0, 10**6), shuffle=st.integers(0, 2**32 - 1))
+def test_estimates_do_not_depend_on_subject_order(design, seed, shuffle):
+    make, control = design
+    sim = make(control=control, replications=1)
+    ds = generate_dataset(sim, seed=seed)
+    order = np.random.default_rng(shuffle).permutation(ds.n_subjects)
+    base = _estimates(ds, sim.family)
+    shuffled = _estimates(Dataset.from_rows(**_rows(ds, order)), sim.family)
+    assume(base[0].converged and shuffled[0].converged and _interior(base[0]))
+    for a, b in ((base[1], shuffled[1]), (base[2], shuffled[2])):
+        assert set(a) == set(b)
+        for gid, est in a.items():
+            assert b[gid].point == pytest.approx(est.point, rel=1e-8, abs=0)
+            assert b[gid].variance == pytest.approx(est.variance, rel=1e-8, abs=0)
+
+
+@settings(max_examples=8)
+@given(design=st.sampled_from(DESIGNS), seed=st.integers(0, 10**6),
+       names=st.lists(st.text(min_size=1, max_size=6), min_size=4, max_size=4, unique=True))
+def test_renamed_groups_get_the_same_estimates(design, seed, names):
+    make, control = design
+    sim = make(control=control, replications=1, arm_sizes=(40, 36, 40, 32))
+    ds = generate_dataset(sim, seed=seed)
+    rename = dict(zip(ds.group_index.group_ids, names))
+    base = _estimates(Dataset.from_rows(**_rows(ds)), sim.family)
+    renamed = _estimates(Dataset.from_rows(**_rows(ds, rename=rename)), sim.family)
+    for a, b in ((base[1], renamed[1]), (base[2], renamed[2])):
+        assert list(b) == [rename[g] for g in a]
+        for gid, est in a.items():
+            assert b[rename[gid]] == dataclasses.replace(est, group_id=rename[gid])

@@ -7,14 +7,9 @@ integrand against the normal density.
 import numpy as np
 import pytest
 
-from glmm_means import (
-    expect_over_normal,
-    gh_rule,
-    logistic_normal_integral,
-    zeger_attenuation,
-    zeger_mean,
-)
+from glmm_means import logistic_normal_integral, zeger_mean
 from glmm_means.families import stable_expit
+from glmm_means.quadrature import gh_rule, zeger_attenuation
 
 ETA_GRID = [-3.0, -1.0, 0.0, 1.0, 3.0]
 SIGMA2_GRID = [0.01, 0.25, 1.0]
@@ -25,6 +20,12 @@ def trapezoid_normal_expectation(f, sigma2, n=200_001):
     b = np.linspace(-8.0 * s, 8.0 * s, n)
     dens = np.exp(-(b**2) / (2.0 * sigma2)) / np.sqrt(2.0 * np.pi * sigma2)
     return float(np.trapezoid(f(b) * dens, b))
+
+
+def expect_over_normal(f, sigma2, m=25):
+    """E[f(b)] for b ~ N(0, sigma2) by the m-point rule after b = sqrt(2 sigma2) t."""
+    rule = gh_rule(m)
+    return float(rule.weights @ f(np.sqrt(2.0 * sigma2) * rule.nodes) / np.sqrt(np.pi))
 
 
 def test_rule_one_point():
@@ -68,26 +69,16 @@ def test_expectation_of_exp_matches_lognormal_mean():
 
 
 def test_sigma_zero_is_hard_branch():
-    calls = []
-
-    def f(b):
-        calls.append(b)
-        return 7.5
-
-    assert expect_over_normal(f, 0.0) == 7.5
-    assert calls == [0.0]
+    for eta0 in ETA_GRID:
+        assert logistic_normal_integral(eta0, 0.0) == stable_expit(eta0)
+    with pytest.raises(ValueError):
+        logistic_normal_integral(0.0, -1e-12)
 
 
 def test_expectation_matches_trapezoid_for_shifted_logistic():
-    val = expect_over_normal(lambda b: stable_expit(0.5 + b), 0.25)
+    val = logistic_normal_integral(0.5, 0.25)
     oracle = trapezoid_normal_expectation(lambda b: stable_expit(0.5 + b), 0.25)
     assert val == pytest.approx(oracle, abs=1e-8)
-
-
-def test_nonfinite_integrand_warns_and_propagates():
-    with pytest.warns(RuntimeWarning):
-        out = expect_over_normal(lambda b: np.where(b > 0, np.inf, 1.0), 0.25)
-    assert not np.isfinite(out)
 
 
 @pytest.mark.parametrize("sigma2", SIGMA2_GRID)
@@ -114,8 +105,8 @@ def test_logistic_normal_integral_monotone_and_in_unit_interval():
 
 def test_quadrature_node_count_converged():
     for m in (20, 25, 30):
-        a = expect_over_normal(lambda b: stable_expit(1.0 + b), 0.8, gh_rule(m))
-        b = expect_over_normal(lambda b: stable_expit(1.0 + b), 0.8, gh_rule(m + 5))
+        a = logistic_normal_integral(1.0, 0.8, gh_rule(m))
+        b = logistic_normal_integral(1.0, 0.8, gh_rule(m + 5))
         assert a == pytest.approx(b, abs=1e-9)
 
 

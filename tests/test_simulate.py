@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 import glmm_means.simulate as sim
-from glmm_means import (
-    Family,
-    generate_dataset,
-    generate_replication,
-    logistic_design,
-    negbin_design,
-    run_study,
-    true_marginal_means,
-)
+from glmm_means import Family, generate_dataset, logistic_design, negbin_design, run_study
+from glmm_means.simulate import generate_replication, true_marginal_means
 from glmm_means.families import stable_expit
 
 
