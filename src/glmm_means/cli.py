@@ -47,8 +47,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         if with_dataset:
-            p.add_argument("--input", required=True, help="CSV dataset path")
-            p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
+            p.add_argument("--input", help="CSV dataset path (required)")
+            p.add_argument("--family", choices=sorted(_FAMILIES), help="(required)")
             p.add_argument("--covariates", default="", help="comma-separated covariate columns")
             p.add_argument("--group-by", default="", help="comma-separated group columns")
             p.add_argument("--subject-col", default="subject_id")
@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo coverage study")
     add_io_opts(p_sim, with_dataset=False)
-    p_sim.add_argument("--family", choices=sorted(_FAMILIES), required=True)
+    p_sim.add_argument("--family", choices=sorted(_FAMILIES), help="(required)")
     p_sim.add_argument("--design", choices=["time", "gender"], default="gender")
     p_sim.add_argument("--baseline", choices=["bernoulli", "uniform"], default="bernoulli")
     p_sim.add_argument("--reps", type=int, default=500)
@@ -79,7 +79,8 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     """Parse argv; a --config file's values enter as `--key=value` flags
     placed right after the subcommand, so argparse checks them like typed
     flags and any flag given explicitly, later in argv, wins.  Keys that
-    the subcommand lacks are ignored."""
+    the subcommand lacks are ignored.  The caller checks the required
+    options afterwards, so the file may supply them."""
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
@@ -278,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = _apply_config(parser, argv)
+        missing = [f"--{name}" for name in ("input", "family") if getattr(args, name, "") is None]
+        if missing:
+            raise UsageError(f"the following arguments are required: {', '.join(missing)}")
         handler = {
             "fit": _cmd_fit,
             "means": _cmd_means,

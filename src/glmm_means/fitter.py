@@ -15,10 +15,18 @@ because every kernel evaluated at the nodes is affine in y at fixed eta;
 the negative binomial's terms nonlinear in y (log Gamma(y + kappa) and its
 derivatives in kappa) are node-free, and enter each cell as averages over
 its rows.  Data without repeated covariate rows have one cell per row,
-holding that row's weight and response.  Only the quadrature workspace
-knows about cells; the fitted model keeps the raw rows, and `diagnostics`
-records both counts.  The iteration cap and the tolerances are the module
-constants MAX_ITER, PARAM_TOL, SCORE_TOL and MODE_TOL.
+holding that row's weight and response.
+
+The quadrature also runs over patterns, not subjects: subjects whose
+multisets of raw rows (covariate row, weight, response) are equal share
+one.  A subject's quadrature terms depend on its rows alone, so the mode,
+the node evaluations and the score are computed once per pattern, on its
+first subject's cells, and every sum over subjects weights a pattern by
+its count; keying on raw rows keeps the NB log Gamma terms equal.  Only
+the workspace knows about cells and patterns; `diagnostics` counts the
+rows, the cells of all subjects and the patterns.  The iteration cap and
+the tolerances are the module constants MAX_ITER, PARAM_TOL, SCORE_TOL
+and MODE_TOL.
 
 The optimizer is one projected Newton loop on the observed information,
 which Louis' identity (Louis 1982) builds from the same posterior node
@@ -128,50 +136,89 @@ def _lgamma_ratio(y, kappa: float):
             - (1.0 / x**3 - 1.0 / kappa**3) / 360.0)
 
 
+def equal_runs(keys: np.ndarray):
+    """Stable lexicographic order of the rows of a 2-d array, first column
+    first, and a mask along it of the rows that start a run of equal rows."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return order, new
+
+
+def _first_appearance(order, new):
+    """Group number of each item, numbered by first appearance, and each
+    group's first item, from a stable order in which every group is one run
+    that starts where `new` is set."""
+    first = order[new]  # the order is stable: each run's first item comes first
+    by_item = np.argsort(first)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[by_item] = np.arange(first.size)
+    label = np.empty(order.size, dtype=np.intp)
+    label[order] = rank[np.cumsum(new) - 1]
+    return label, first[by_item]
+
+
 def _cells(subj: np.ndarray, X: np.ndarray):
     """Cell number of each row and the first row of each cell, a cell being
-    one (subject, covariate row) pair, numbered by first appearance; the
-    identity numbering when every row is its own cell.  Rows stacked
-    subject by subject give cells stacked subject by subject.
+    one (subject, covariate row) pair, numbered by first appearance.  Rows
+    stacked subject by subject give cells stacked subject by subject.
     """
-    order = np.lexsort((*X.T, subj))
-    keys = np.column_stack([subj, X])[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    first = order[new]  # the sort is stable: each run's first row comes first
-    by_row = np.argsort(first)
-    rank = np.empty(first.size, dtype=np.intp)
-    rank[by_row] = np.arange(first.size)
-    cell = np.empty(order.size, dtype=np.intp)
-    cell[order] = rank[np.cumsum(new) - 1]
-    return cell, first[by_row]
+    return _first_appearance(*equal_runs(np.column_stack([subj, X])))
+
+
+def _patterns(dataset: Dataset):
+    """Pattern number of each subject, numbered by first appearance, and
+    each pattern's first subject.  Subjects with n rows are compared as
+    rows of their n row kinds, ascending, one sort per distinct n."""
+    order, new = equal_runs(np.column_stack([dataset.X, dataset.weights, dataset.y]))
+    kind = np.empty(order.size, dtype=np.intp)
+    kind[order] = np.cumsum(new) - 1
+    n_kinds = int(new.sum())
+    kind = np.sort(dataset.subject_index * n_kinds + kind) % n_kinds  # ascending per subject
+    sizes = np.diff(dataset.row_offsets)
+    orders, news = [], []
+    for n in np.unique(sizes):
+        subjects = np.flatnonzero(sizes == n)
+        order, new = equal_runs(kind[dataset.row_offsets[subjects, None] + np.arange(n)])
+        orders.append(subjects[order])
+        news.append(new)
+    return _first_appearance(np.concatenate(orders), np.concatenate(news))
 
 
 class _Workspace:
     """Quadrature arrays and scratch for one (dataset, family) pair.
 
-    `y`, `X`, `w` and `subj` hold one entry per cell (see the module
-    docstring): w_c = sum w and y_c = sum w y / w_c over the cell's rows.
-    The terms nonlinear in y (log Gamma(y + k), digamma(y + k),
-    trigamma(y + k)) are computed on the raw rows `y_rows` once per call,
-    for that call's kappa, and enter as w-weighted cell means.  A cell of
-    one row with unit weight holds that row's values unchanged.
+    `pattern` numbers each subject's pattern (see the module docstring),
+    `rep` holds each pattern's first subject and `m` its count of subjects.
+    `y`, `X`, `w` and `subj` hold one entry per cell of the `rep` subjects,
+    `subj` numbering patterns: w_c = sum w and y_c = sum w y / w_c over the
+    cell's rows.  The terms nonlinear in y (log Gamma(y + k), digamma(y + k),
+    trigamma(y + k)) are computed on those subjects' raw rows `y_rows` once
+    per call, for that call's kappa, and enter as w-weighted cell means.
+    Modes, curvatures and scores enter and leave the methods per subject.
     """
 
     def __init__(self, dataset: Dataset, family: Family, gh_nodes: int):
         self.family = family
         self.ops = family_ops(family)
-        self.y_rows, self.w_rows = dataset.y, dataset.weights
-        self.cell, first = _cells(dataset.subject_index, dataset.X)
-        self.X = dataset.X[first]
-        self.subj = dataset.subject_index[first]
+        self.pattern, self.rep = _patterns(dataset)
+        self.m = np.bincount(self.pattern)
+        subj = dataset.subject_index
+        kept = self.rep[self.pattern[subj]] == subj  # the representatives' rows
+        X, subj = dataset.X[kept], self.pattern[subj[kept]]
+        self.y_rows, self.w_rows = dataset.y[kept], dataset.weights[kept]
+        self.cell, first = _cells(subj, X)
+        self.X = X[first]
+        self.subj = subj[first]
         self.w = np.bincount(self.cell, self.w_rows)
         self.y = np.bincount(self.cell, self.w_rows * self.y_rows) / self.w
         self.K = dataset.n_subjects
+        self.P = self.rep.size
         self.N = dataset.n_obs
-        self.C = self.y.shape[0]
+        self.C = int(self.m[self.subj].sum())  # (subject, covariate row) cells of all subjects
         self.p = dataset.p
-        offsets = np.concatenate([[0], np.cumsum(np.bincount(self.subj, minlength=self.K))])
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(self.subj, minlength=self.P))])
         self.starts = offsets[:-1]
         if family is Family.NEGBIN:
             self.lgamma_y1 = gammaln(self.y_rows + 1.0)
@@ -179,11 +226,11 @@ class _Workspace:
         self.t = rule.nodes
         self.logw_t2 = np.log(rule.weights) + rule.nodes**2
         self.dim = self.p + 1 + (1 if family is Family.NEGBIN else 0)
-        # whole subjects per block: (subjects, cells, cell -> block subject, block cell offsets)
+        # whole patterns per block: (patterns, cells, cell -> block pattern, block cell offsets)
         cap = max(1, _BLOCK_CELLS // self.t.size)
         self.blocks = []
         k0 = 0
-        while k0 < self.K:
+        while k0 < self.P:
             k1 = max(k0 + 1, int(np.searchsorted(offsets, offsets[k0] + cap, side="right")) - 1)
             rows = slice(int(offsets[k0]), int(offsets[k1]))
             self.blocks.append((slice(k0, k1), rows, self.subj[rows] - k0,
@@ -227,7 +274,8 @@ class _Workspace:
         return s - b / sigma2
 
     def solve_modes(self, beta, sigma2, aux, b0=None):
-        """Safeguarded Newton for the per-subject conditional modes.
+        """Safeguarded Newton for the conditional modes, solved once per
+        pattern and returned per subject with the curvatures there.
 
         The subject score is strictly decreasing in b, so a sign-change
         bracket always exists; Newton proposals falling outside the current
@@ -237,7 +285,7 @@ class _Workspace:
         if sigma2 == 0.0:
             return np.zeros(self.K), np.full(self.K, np.inf)
         eta0 = self.X @ beta
-        b = np.zeros(self.K) if b0 is None else np.array(b0, float)
+        b = np.zeros(self.P) if b0 is None else np.asarray(b0, float)[self.rep]
 
         score = self.mode_score(eta0, b, sigma2, aux)
         lo = np.where(score > 0, b, -np.inf)
@@ -286,7 +334,7 @@ class _Workspace:
 
         eta = eta0 + b[self.subj]
         curvature = self._subject_sums(self.w * self.ops.fisher_weight(eta, aux)) + 1.0 / sigma2
-        return b, curvature
+        return b[self.pattern], curvature[self.pattern]
 
     # ---- marginal likelihood and scores ---------------------------------
 
@@ -321,11 +369,12 @@ class _Workspace:
 
     def integral_pieces(self, beta, sigma2, aux, modes, curv, const, block, split=True):
         """Loglik contributions, posterior node weights, node positions and
-        etas for the subjects of one block; `const` is loglik_constant(aux,
-        split)."""
+        etas for the patterns of one block, from per-subject `modes` and
+        `curv`; `const` is loglik_constant(aux, split)."""
         ks, rows, subj, starts = block
-        scale = 1.0 / np.sqrt(curv[ks])
-        u = modes[ks, None] + math.sqrt(2.0) * scale[:, None] * self.t[None, :]
+        reps = self.rep[ks]
+        scale = 1.0 / np.sqrt(curv[reps])
+        u = modes[reps, None] + math.sqrt(2.0) * scale[:, None] * self.t[None, :]
         eta = (self.X[rows] @ beta)[:, None] + u[subj]
         w = self.w[rows]
         g = np.add.reduceat(w[:, None] * self._loglik_matrix(eta, aux, rows, split), starts, axis=0)
@@ -334,12 +383,13 @@ class _Workspace:
         g -= u**2 / (2.0 * sigma2)
         g += self.logw_t2[None, :]
         lse = _logsumexp_rows(g)
-        ll_i = 0.5 * np.log(2.0 / curv[ks]) + lse
+        ll_i = 0.5 * np.log(2.0 / curv[reps]) + lse
         omega = np.exp(g - lse[:, None])
         return ll_i, omega, u, eta
 
     def _total_loglik(self, ll_i, sigma2) -> float:
-        return float(np.concatenate(ll_i).sum() - 0.5 * self.K * math.log(2.0 * math.pi * sigma2))
+        ll = (np.concatenate(ll_i) * self.m).sum()
+        return float(ll - 0.5 * self.K * math.log(2.0 * math.pi * sigma2))
 
     def loglik_at(self, theta):
         beta, sigma2, aux = self.unpack(theta)
@@ -366,6 +416,8 @@ class _Workspace:
         sum_i E_post[d2 l_c] + E_post[s s'] - d_i d_i', from the
         complete-data scores s and second derivatives d2 l_c at the same
         posterior node weights as the scores (a zero matrix otherwise).
+        Each pattern's terms are computed once and weighted by its
+        multiplicity.
         """
         beta, sigma2, aux = self.unpack(theta)
         nb = self.family is Family.NEGBIN
@@ -378,13 +430,12 @@ class _Workspace:
             if hessian:
                 psi1 = self.cell_mean(self.ops.dscore_kappa_offset(self.y_rows, aux))
         for blk in self.blocks:
-            _, rows, subj, starts = blk
+            ks, rows, subj, starts = blk
             ll_b, omega, u, eta = self.integral_pieces(beta, sigma2, aux, modes, curv, const, blk,
                                                        split)
-            omega_rows = omega[subj]
             y, w, X = self.y[rows, None], self.w[rows], self.X[rows]
 
-            # complete-data scores at every node: (subjects, nodes, dim)
+            # complete-data scores at every node: (patterns, nodes, dim)
             s = np.empty(omega.shape + (dim,))
             a = w[:, None] * self.ops.score_eta(y, eta, aux)
             for c in range(p):
@@ -399,18 +450,22 @@ class _Workspace:
             if not hessian:
                 continue
 
-            h += (s * omega[:, :, None]).reshape(-1, dim).T @ s.reshape(-1, dim) - d.T @ d
-            r = w * np.sum(omega_rows * self.ops.obs_curvature(y, eta, aux), axis=1)
+            m = self.m[ks]
+            m_omega = m[:, None] * omega
+            m_omega_rows = m_omega[subj]
+            h += ((s * m_omega[:, :, None]).reshape(-1, dim).T @ s.reshape(-1, dim)
+                  - (m[:, None] * d).T @ d)
+            r = w * np.sum(m_omega_rows * self.ops.obs_curvature(y, eta, aux), axis=1)
             h[:p, :p] -= (X * r[:, None]).T @ X
-            h[p, p] -= np.sum(omega * u**2) / (2.0 * sigma2)
+            h[p, p] -= np.sum(m_omega * u**2) / (2.0 * sigma2)
             if nb:  # log kappa: d/dlog k = k d/dk, d2/dlog k2 = k d/dk + k^2 d2/dk2
-                cross = np.sum(omega_rows * self.ops.dscore_eta_kappa(y, eta, aux), axis=1)
+                cross = np.sum(m_omega_rows * self.ops.dscore_eta_kappa(y, eta, aux), axis=1)
                 h[:p, p + 1] += aux * (X.T @ (w * cross))
                 curv_k = self.ops.dscore_kappa(y, eta, aux, psi1[rows, None])
-                curv_k = np.sum(omega_rows * curv_k, axis=1)
-                h[p + 1, p + 1] += d[:, p + 1].sum() + aux * aux * np.sum(w * curv_k)
+                curv_k = np.sum(m_omega_rows * curv_k, axis=1)
+                h[p + 1, p + 1] += (m * d[:, p + 1]).sum() + aux * aux * np.sum(w * curv_k)
         h[p + 1:, :p] = h[:p, p + 1:].T
-        return np.vstack(rows_d), self._total_loglik(ll_i, sigma2), h
+        return np.vstack(rows_d)[self.pattern], self._total_loglik(ll_i, sigma2), h
 
 def marginal_loglik(dataset: Dataset, spec: ModelSpec, params: ParamVector,
                     gh_nodes: int = DEFAULT_GH_NODES) -> float:
@@ -435,12 +490,13 @@ def marginal_loglik(dataset: Dataset, spec: ModelSpec, params: ParamVector,
     return ll
 
 
-def _irls_init(ws: _Workspace) -> np.ndarray:
-    """Fixed-effects GLM start values (logistic IRLS; Poisson IRLS for NB)."""
-    X, y, w = ws.X, ws.y, ws.w
+def _irls_init(ws: _Workspace, y_rows: np.ndarray) -> np.ndarray:
+    """Fixed-effects GLM start values (logistic IRLS; Poisson IRLS for NB)
+    over every subject's cells; `y_rows` holds every row's response."""
+    X, y, w = ws.X, ws.y, ws.w * ws.m[ws.subj]
     beta = np.zeros(ws.p)
     if ws.family is Family.NEGBIN:
-        beta[0] = math.log(max(float(np.mean(ws.y_rows)), 0.05))
+        beta[0] = math.log(max(float(np.mean(y_rows)), 0.05))
     for _ in range(8):
         eta = np.clip(X @ beta, -30, 30)
         if ws.family is Family.NEGBIN:
@@ -608,8 +664,8 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     ws = _Workspace(dataset, spec.family, config.gh_nodes)
     lb, ub = ws.bounds()
 
-    kappa0 = _kappa_moment_init(ws.y_rows) if spec.family is Family.NEGBIN else None
-    theta = np.clip(ws.pack(_irls_init(ws), 0.1, kappa0), lb, ub)
+    kappa0 = _kappa_moment_init(dataset.y) if spec.family is Family.NEGBIN else None
+    theta = np.clip(ws.pack(_irls_init(ws, dataset.y), 0.1, kappa0), lb, ub)
     iterations, optimizer_used = 0, "newton"
     if config.optimizer == "quasi_newton":
         theta, iterations = _lbfgs(ws, theta, lb, ub)
@@ -666,6 +722,7 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
             "random_effect_kernel": "normal(0, sigma2), exponent -b^2/(2*sigma2)",
             "rows": ws.N,
             "quadrature_cells": ws.C,
+            "subject_patterns": ws.P,
         },
     )
 

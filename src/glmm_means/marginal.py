@@ -21,7 +21,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .families import Family, stable_expit
-from .fitter import FittedModel
+from .fitter import FittedModel, equal_runs
 from .quadrature import ZEGER_COEF, zeger_attenuation, zeger_mean
 
 _PAIR_BLOCK = 1 << 20  # row pairs per block of the NB variance sum (8 MB of float64)
@@ -146,7 +146,9 @@ def marginal_group_variance(fitted: FittedModel, group_id: str) -> float:
     if fitted.spec.family is Family.LOGISTIC:
         gbar = _grad_rows_nat(fitted, rows).mean(axis=0)
         return _clamped(float(gbar @ cov @ gbar), f"group {group_id}")
-    rows, counts = np.unique(rows, axis=0, return_counts=True)
+    order, new = equal_runs(rows)
+    counts = np.diff(np.append(np.flatnonzero(new), n))
+    rows = rows[order[new]]
     grads = _grad_rows_nat(fitted, rows)
     nu = rows @ fitted.params.beta + fitted.params.sigma2 / 2.0
     gcov = grads @ cov

@@ -93,7 +93,7 @@ def posterior_mean_effects(fitted: FittedModel) -> np.ndarray:
     for blk in ws.blocks:
         _, omega, u, _ = ws.integral_pieces(beta, sigma2, aux, modes, curv, const, blk)
         means.append(np.sum(omega * u, axis=1))
-    return np.concatenate(means)
+    return np.concatenate(means)[ws.pattern]  # one entry per pattern, expanded per subject
 
 
 def manual_fitted(dataset, family, beta, sigma2, kappa=None, cov=None, gh_nodes=25):

@@ -371,6 +371,24 @@ def test_cli_abbreviated_flag_overrides_config(small_csv, capsys, tmp_path):
     assert from_config == run_cli([*means, "--alpha", "0.5"], capsys)[1] != out
 
 
+def test_cli_config_supplies_required_options(small_csv, capsys, tmp_path):
+    path, _ = small_csv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(path), "family": "logistic", "format": "json",
+                               "covariates": "x,u,t", "group_by": "u,t"}))
+    code, out, err = run_cli(["fit", "--config", str(cfg)], capsys)
+    assert code == 0, err
+    assert out == run_cli(["fit", "--input", str(path), *BASE, "--format", "json"], capsys)[1]
+    # given neither in the config nor as flags, they stay a usage error
+    cfg.write_text(json.dumps({"format": "json"}))
+    for argv in (["fit", "--config", str(cfg)], ["fit"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "usage"
+        assert "the following arguments are required: --input, --family" in error["message"]
+
+
 @pytest.mark.parametrize(
     "config, message",
     [({"alpha": "abc"}, "invalid float value: 'abc'"),

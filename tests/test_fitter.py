@@ -7,11 +7,14 @@ and a plain fixed-effects GLM for the degenerate-variance limit.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import nbinom
 
 from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, fit
 from glmm_means.families import family_ops, stable_expit
-from glmm_means.fitter import MODE_TOL, SCORE_TOL, _cells, _Workspace, marginal_loglik, subject_scores
+from glmm_means.fitter import (MODE_TOL, SCORE_TOL, _cells, _patterns, _Workspace, marginal_loglik,
+                                subject_scores)
 from glmm_means.model import ParamVector
 from glmm_means.simulate import generate_dataset, logistic_design, negbin_design
 
@@ -319,26 +322,17 @@ def _assert_close(got, want, floor):
     assert err.max() <= 0.0, np.unravel_index(err.argmax(), err.shape)
 
 
-@pytest.mark.parametrize(
-    "family,kappa",
-    [(Family.LOGISTIC, None), (Family.NEGBIN, 5.0), (Family.NEGBIN, 1e4), (Family.NEGBIN, 1e6)],
-)
-def test_cells_match_the_unmerged_rows(family, kappa):
-    # z has coefficient 0, so eta is the same on both datasets, but only the
-    # first merges rows into cells.  The terms nonlinear in y (log Gamma(y+k),
-    # digamma(y+k), trigamma(y+k)) must enter as row averages; evaluated at
-    # the cell's mean response they move the loglik, the log-kappa scores and
-    # the log-kappa Hessian entries far beyond these tolerances.
-    merged, raw = _merge_oracle_pair(family)
-    ws_m, ws_r = _Workspace(merged, family, 25), _Workspace(raw, family, 25)
-    assert ws_m.N == ws_r.N == ws_r.C > ws_m.C
-    beta = np.array([0.3, -0.8])
+def _assert_merging_is_exact(ws_m, ws_r, beta, kappa):
+    """Loglik, per-subject modes, scores d_i and Louis Hessian of a workspace
+    that merges (ws_m) against one that cannot (ws_r), whose data add a last
+    covariate with coefficient 0, so eta is the same on both."""
+    p = beta.size
     theta_m = ws_m.pack(beta, 0.6, kappa)
     theta_r = ws_r.pack(np.append(beta, 0.0), 0.6, kappa)
-    shared = [0, 1, 3] + ([4] if kappa else [])
+    shared = list(range(p)) + [p + 1] + ([p + 2] if kappa else [])
     # the log-kappa score k dl/dk sums terms of size k log k that cancel to
     # O(1/k), so it rounds at ~1e-14 k
-    floor = np.array([0.0, 0.0, 0.0] + ([1e-12 * kappa] if kappa else []))
+    floor = np.array([0.0] * (p + 1) + ([1e-12 * kappa] if kappa else []))
 
     ll_m, modes_m, curv_m = ws_m.loglik_at(theta_m)
     ll_r, modes_r, curv_r = ws_r.loglik_at(theta_r)
@@ -355,6 +349,26 @@ def test_cells_match_the_unmerged_rows(family, kappa):
         s_r, sll_r = ws_r.score_matrix(theta_r, modes_r, curv_r)
         assert sll_m == pytest.approx(sll_r, rel=1e-12)
         _assert_close(s_m, s_r[:, shared], floor)
+
+
+MERGE_CASES = pytest.mark.parametrize(
+    "family,kappa",
+    [(Family.LOGISTIC, None), (Family.NEGBIN, 5.0), (Family.NEGBIN, 1e4), (Family.NEGBIN, 1e6)],
+)
+
+
+@MERGE_CASES
+def test_cells_match_the_unmerged_rows(family, kappa):
+    # z has coefficient 0, so eta is the same on both datasets, but only the
+    # first merges rows into cells.  The terms nonlinear in y (log Gamma(y+k),
+    # digamma(y+k), trigamma(y+k)) must enter as row averages; evaluated at
+    # the cell's mean response they move the loglik, the log-kappa scores and
+    # the log-kappa Hessian entries far beyond these tolerances.
+    merged, raw = _merge_oracle_pair(family)
+    ws_m, ws_r = _Workspace(merged, family, 25), _Workspace(raw, family, 25)
+    assert ws_m.N == ws_r.N == ws_r.C > ws_m.C
+    beta = np.array([0.3, -0.8])
+    _assert_merging_is_exact(ws_m, ws_r, beta, kappa)
 
     # sigma2 = 0 is the conditional loglik, summed over the raw rows
     spec = ModelSpec(family=family, p=2)
@@ -384,6 +398,102 @@ def test_fit_reports_rows_and_quadrature_cells():
         fitted = fit(generate_dataset(design), ModelSpec(family=design.family, p=design.p))
         assert fitted.diagnostics["rows"] == fitted.dataset.n_obs
         assert fitted.diagnostics["quadrature_cells"] == cells
+
+
+_ROW = st.tuples(st.integers(0, 1), st.integers(0, 2), st.sampled_from([1.0, 2.0]))
+
+
+@given(st.lists(st.lists(_ROW, min_size=1, max_size=3), min_size=1, max_size=12))
+def test_subjects_with_equal_row_multisets_share_a_pattern(subjects):
+    # each subject a list of (x, y, w) rows; patterns numbered by first appearance
+    ids = [f"s{i}" for i, rows in enumerate(subjects) for _ in rows]
+    x, y, w = (np.array([r[j] for rows in subjects for r in rows], float) for j in range(3))
+    ds = Dataset.from_rows(ids, y, np.column_stack([np.ones_like(x), x]), ["g"] * len(ids), w)
+    pattern, rep = _patterns(ds)
+    keys = [tuple(sorted(rows)) for rows in subjects]
+    number = {}
+    for key in keys:
+        number.setdefault(key, len(number))
+    assert pattern.tolist() == [number[key] for key in keys]
+    assert rep.tolist() == [keys.index(key) for key in number]
+
+
+def _pattern_oracle_pair(family, seed=5, K=80):
+    """The same subjects twice: one to three rows of covariates (1, x, t),
+    with x fixed per subject and t in {0, 1, 1}, unit or double weights and
+    responses from a few values, so subjects repeat each other's rows and
+    rows within a subject merge into cells; and (1, x, t, z) with z constant
+    within a subject and distinct between subjects, so that the cells are
+    the same but no two subjects share a pattern."""
+    rng = np.random.default_rng(seed)
+    sid, y, X, w = [], [], [], []
+    for i in range(K):
+        x = float(rng.integers(0, 2))
+        for t in (0.0, 1.0, 1.0)[: int(rng.integers(1, 4))]:
+            sid.append(f"s{i}")
+            X.append([1.0, x, t])
+            w.append(2.0 if i % 3 == 0 else 1.0)
+            if family is Family.LOGISTIC:
+                y.append(float(rng.integers(0, 2)))
+            else:
+                y.append(float(rng.choice([0.0, 0.0, 1.0, 6.0])))
+    X = np.array(X)
+    z = np.array([int(s[1:]) for s in sid]) / K + 0.1
+    groups = ["g"] * len(y)
+    pooled = Dataset.from_rows(sid, y, X, groups, w)
+    return pooled, Dataset.from_rows(sid, y, np.column_stack([X, z]), groups, w)
+
+
+@MERGE_CASES
+def test_patterns_match_the_unpooled_subjects(family, kappa):
+    # z has coefficient 0 and is constant within each subject: both
+    # datasets have the same cells, but only the first pools subjects into
+    # patterns, whose modes, scores and node sums must be each subject's own
+    pooled, apart = _pattern_oracle_pair(family)
+    ws_m, ws_r = _Workspace(pooled, family, 25), _Workspace(apart, family, 25)
+    assert ws_m.C == ws_r.C < ws_r.N
+    assert ws_r.P == ws_r.K >= 1.5 * ws_m.P
+    _assert_merging_is_exact(ws_m, ws_r, np.array([0.3, -0.8, 0.5]), kappa)
+
+
+def _doubled(ds):
+    """The dataset followed by a copy of every subject under a new id."""
+    ids = [ds.subject_ids[k] for k in ds.subject_index]
+    return Dataset.from_rows(ids + [f"{i}'" for i in ids], np.tile(ds.y, 2),
+                             np.vstack([ds.X, ds.X]), list(ds.group_labels) * 2,
+                             np.tile(ds.weights, 2))
+
+
+@pytest.mark.parametrize("maker", [logistic_design, negbin_design])
+def test_doubling_every_subject_doubles_the_information(maker):
+    # a dataset whose sigma2 is off its bound: on the bound sum d_i d_i' is
+    # ill-conditioned and the reported covariance follows rounding
+    design = maker(control="time", replications=1, seed=3)
+    spec = ModelSpec(family=design.family, p=design.p)
+    ds = generate_dataset(design, seed=1)
+    one, two = fit(ds, spec), fit(_doubled(ds), spec)
+    assert one.converged and two.converged and one.params.sigma2 > 1e-3
+    assert two.diagnostics["subject_patterns"] == one.diagnostics["subject_patterns"]
+    np.testing.assert_allclose(two.params.beta, one.params.beta, rtol=0, atol=1e-8)
+    assert two.params.sigma2 == pytest.approx(one.params.sigma2, rel=1e-8)
+    if design.family is Family.NEGBIN:
+        assert two.params.kappa == pytest.approx(one.params.kappa, rel=1e-8)
+    assert two.loglik == pytest.approx(2.0 * one.loglik, rel=1e-12)
+    np.testing.assert_allclose(two.cov_psi, 0.5 * one.cov_psi, rtol=1e-8, atol=0)
+    np.testing.assert_allclose(two.cond_modes, np.tile(one.cond_modes, 2), rtol=0, atol=1e-10)
+
+
+def test_fit_reports_subject_patterns():
+    # a pattern is the multiset of a subject's (covariate row, weight,
+    # response) rows, here counted as a set of sorted tuples
+    for control, patterns in (("gender", 22), ("time", 23)):
+        design = logistic_design(control=control, replications=1, seed=3)
+        ds = generate_dataset(design)
+        fitted = fit(ds, ModelSpec(family=design.family, p=design.p))
+        rows = np.column_stack([ds.X, ds.weights, ds.y])
+        bounds = zip(ds.row_offsets[:-1], ds.row_offsets[1:])
+        distinct = {tuple(sorted(map(tuple, rows[a:b]))) for a, b in bounds}
+        assert fitted.diagnostics["subject_patterns"] == len(distinct) == patterns
 
 
 def test_subject_scores_sum_to_near_zero_at_mle(logistic_toy_fit):
