@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from .families import Family, family_ops
@@ -140,10 +139,14 @@ def equal_runs(keys: np.ndarray):
     """Stable lexicographic order of the rows of a 2-d array, first column
     first, and a mask along it of the rows that start a run of equal rows."""
     order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    new = np.ones(order.size, dtype=bool)
+    return order, _run_starts(keys[order])
+
+
+def _run_starts(ranked: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a 2-d array that differ from the row before."""
+    new = np.ones(ranked.shape[0], dtype=bool)
     new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    return order, new
+    return new
 
 
 def _first_appearance(order, new):
@@ -159,21 +162,27 @@ def _first_appearance(order, new):
     return label, first[by_item]
 
 
-def _cells(subj: np.ndarray, X: np.ndarray):
+def _cells(subj: np.ndarray, xrow: np.ndarray):
     """Cell number of each row and the first row of each cell, a cell being
-    one (subject, covariate row) pair, numbered by first appearance.  Rows
-    stacked subject by subject give cells stacked subject by subject.
+    one (subject, covariate row) pair, numbered by first appearance; `xrow`
+    numbers each row's covariate row.  Rows stacked subject by subject give
+    cells stacked subject by subject.
     """
-    return _first_appearance(*equal_runs(np.column_stack([subj, X])))
+    key = subj * (int(xrow.max()) + 1) + xrow
+    order = np.argsort(key, kind="stable")
+    return _first_appearance(order, _run_starts(key[order, None]))
 
 
 def _patterns(dataset: Dataset):
-    """Pattern number of each subject, numbered by first appearance, and
-    each pattern's first subject.  Subjects with n rows are compared as
-    rows of their n row kinds, ascending, one sort per distinct n."""
+    """Pattern number of each subject, numbered by first appearance, each
+    pattern's first subject, and the number of each row's covariate row.
+    Subjects with n rows are compared as rows of their n row kinds,
+    ascending, one sort per distinct n.  The covariate rows are numbered
+    from the same sort of the raw rows, which puts X first."""
     order, new = equal_runs(np.column_stack([dataset.X, dataset.weights, dataset.y]))
     kind = np.empty(order.size, dtype=np.intp)
     kind[order] = np.cumsum(new) - 1
+    xrow = (np.cumsum(_run_starts(dataset.X[order[new]])) - 1)[kind]
     n_kinds = int(new.sum())
     kind = np.sort(dataset.subject_index * n_kinds + kind) % n_kinds  # ascending per subject
     sizes = np.diff(dataset.row_offsets)
@@ -183,7 +192,7 @@ def _patterns(dataset: Dataset):
         order, new = equal_runs(kind[dataset.row_offsets[subjects, None] + np.arange(n)])
         orders.append(subjects[order])
         news.append(new)
-    return _first_appearance(np.concatenate(orders), np.concatenate(news))
+    return (*_first_appearance(np.concatenate(orders), np.concatenate(news)), xrow)
 
 
 class _Workspace:
@@ -202,13 +211,13 @@ class _Workspace:
     def __init__(self, dataset: Dataset, family: Family, gh_nodes: int):
         self.family = family
         self.ops = family_ops(family)
-        self.pattern, self.rep = _patterns(dataset)
+        self.pattern, self.rep, xrow = _patterns(dataset)
         self.m = np.bincount(self.pattern)
         subj = dataset.subject_index
         kept = self.rep[self.pattern[subj]] == subj  # the representatives' rows
         X, subj = dataset.X[kept], self.pattern[subj[kept]]
         self.y_rows, self.w_rows = dataset.y[kept], dataset.weights[kept]
-        self.cell, first = _cells(subj, X)
+        self.cell, first = _cells(subj, xrow[kept])
         self.X = X[first]
         self.subj = subj[first]
         self.w = np.bincount(self.cell, self.w_rows)
@@ -554,6 +563,8 @@ def _newton_direction(h, g) -> np.ndarray:
 
 
 def _lbfgs(ws: _Workspace, theta0, lb, ub):
+    from scipy.optimize import minimize  # only this opt-in path pays for the import
+
     warm = {"modes": None}
 
     def objective(th):

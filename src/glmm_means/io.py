@@ -3,11 +3,16 @@
 Input is RFC-4180-style CSV with a header row: a subject id column, a
 response column, numeric covariate columns, and group-by columns whose
 cartesian levels define the groups.  An intercept column is prepended to
-the covariates automatically.  The reader collects one entry per data row
-(subject id, response, covariate row, group label) and leaves grouping the
-rows by subject to `Dataset.from_rows`, so a subject's rows may appear
-anywhere in the file.  Parse problems raise InputError carrying row/column
-diagnostics.
+the covariates automatically.  The reader takes every record in one pass
+of `csv.reader`, then parses a column at a time: each numeric column with
+Python's `float`, the subject ids and group keys by cell index.  It hands
+one entry per data row (subject id, response, covariate row, group label)
+to `Dataset.from_rows`, which groups the rows by subject, so a subject's
+rows may appear anywhere in the file.  Problems raise InputError with
+row/column diagnostics, and the first fault in file order is the one
+reported: when a column check fails, or the file turns out malformed or
+undecodable part way, the records read so far are walked one by one to
+name the first bad one.
 
 Numeric output is written at full precision in JSON and with 6 significant
 digits in CSV.
@@ -47,6 +52,17 @@ def _parse_cell(value: str, row: int, column: str) -> float:
         ) from None
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """Where the mapped columns sit in the records of one file."""
+
+    header: list[str]
+    width: int  # cells a record needs to reach its last mapped column
+    subject: tuple[str, int]  # (column name, cell index)
+    numeric: tuple[tuple[str, int], ...]  # the response, then the covariates
+    grouping: tuple[tuple[str, int], ...]
+
+
 def read_dataset(path: str, mapping: ColumnMapping) -> Dataset:
     """Parse a CSV file into a Dataset (see `Dataset.from_rows`).
 
@@ -61,18 +77,27 @@ def read_dataset(path: str, mapping: ColumnMapping) -> Dataset:
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc.strerror or exc}") from None
 
+    records = []
     with fh:
         reader = csv.reader(fh)
         try:
-            subject_ids, yx, labels = _read_rows(path, reader, mapping)
+            layout = _layout(path, next(reader, None), mapping)
+            records.extend(filter(None, reader))
         except (csv.Error, UnicodeDecodeError) as exc:
+            if records:
+                _raise_first_fault(records, layout)  # a bad cell before the bad line comes first
             raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
-    return Dataset.from_rows(subject_ids, yx[:, 0], yx[:, 1:], labels)
+    if not records:
+        raise InputError(f"{path}: file has a header but no data rows")
+    try:
+        subject_ids, y, X, keys = _parse_columns(records, layout)
+    except ValueError:
+        _raise_first_fault(records, layout)
+        raise
+    return Dataset.from_rows(subject_ids, y, X, _group_labels([c for c, _ in layout.grouping], keys))
 
 
-def _read_rows(path, reader, mapping: ColumnMapping):
-    """Subject ids, the (y, 1, covariates...) row matrix and group labels of the data records."""
-    header = next(reader, None)
+def _layout(path, header, mapping: ColumnMapping) -> _Layout:
     if header is None:
         raise InputError(f"{path}: file is empty (no header row)")
     needed = [mapping.subject, mapping.response, *mapping.covariates, *mapping.group_by]
@@ -84,26 +109,46 @@ def _read_rows(path, reader, mapping: ColumnMapping):
         names = ", ".join(repr(c) for c in repeated)
         raise InputError(f"{path}: column(s) {names} appear more than once in the header")
     col = {c: header.index(c) for c in needed}
-    width = max(col.values()) + 1
-    numeric = [(c, col[c]) for c in (mapping.response, *mapping.covariates)]
-    grouping = [(c, col[c]) for c in mapping.group_by]
+    return _Layout(
+        header=header,
+        width=max(col.values()) + 1,
+        subject=(mapping.subject, col[mapping.subject]),
+        numeric=tuple((c, col[c]) for c in (mapping.response, *mapping.covariates)),
+        grouping=tuple((c, col[c]) for c in mapping.group_by),
+    )
 
-    subject_ids, values, keys = [], [], []
-    pick = operator.itemgetter(*(j for _, j in grouping)) if grouping else None
-    for i, row in enumerate(filter(None, reader), start=2):
+
+def _parse_columns(records, layout: _Layout):
+    """Subject ids, responses, the (1, covariates...) matrix and group keys,
+    parsed a column at a time.  ValueError when any record is faulty."""
+    n = len(records)
+    if min(map(len, records)) < layout.width:
+        raise ValueError("short record")
+    subject_ids = list(map(operator.itemgetter(layout.subject[1]), records))
+    if "" in subject_ids:
+        raise ValueError("empty subject id")
+    y, *x = (np.fromiter(map(float, map(operator.itemgetter(j), records)), float, n)
+             for _, j in layout.numeric)
+    X = np.column_stack([np.ones(n), *x])
+    if layout.grouping:
+        keys = list(map(operator.itemgetter(*(j for _, j in layout.grouping)), records))
+    else:
+        keys = [None] * n
+    return subject_ids, y, X, keys
+
+
+def _raise_first_fault(records, layout: _Layout) -> None:
+    """Raise the InputError of the first faulty record in file order, if any."""
+    width = layout.width
+    column, js = layout.subject
+    for i, row in enumerate(records, start=2):
         if len(row) < width:
-            last = header[width - 1]
+            last = layout.header[width - 1]
             raise InputError(f"row {i}: {len(row)} cells, but column {last!r} is cell {width}")
-        sid = row[col[mapping.subject]]
-        if sid == "":
-            raise InputError(f"row {i}, column {mapping.subject!r}: empty subject id")
-        y, *x = (_parse_cell(row[j], i, c) for c, j in numeric)
-        values.append([y, 1.0, *x])
-        keys.append(pick(row) if pick else None)
-        subject_ids.append(sid)
-    if not subject_ids:
-        raise InputError(f"{path}: file has a header but no data rows")
-    return subject_ids, np.array(values), _group_labels([c for c, _ in grouping], keys)
+        if row[js] == "":
+            raise InputError(f"row {i}, column {column!r}: empty subject id")
+        for c, j in layout.numeric:
+            _parse_cell(row[j], i, c)
 
 
 def _group_labels(columns, keys) -> list[str]:
@@ -131,7 +176,7 @@ def _group_labels(columns, keys) -> list[str]:
                 )
     label = {key: ",".join(f"{c}={v}" for c, v in zip(columns, cells))
              for key, cells in cells_of.items()}
-    return [label[key] for key in keys]
+    return list(map(label.__getitem__, keys))
 
 
 # ---- report writers ----------------------------------------------------------

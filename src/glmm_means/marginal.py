@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri  # the normal quantile: norm.ppf, minus scipy.stats' import
 
 from .families import Family, stable_expit
 from .fitter import FittedModel, equal_runs
@@ -52,7 +52,7 @@ class GroupMeanEstimate:
 def _z(alpha: float) -> float:
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    return float(norm.ppf(1.0 - alpha / 2.0))
+    return float(ndtri(1.0 - alpha / 2.0))
 
 
 # ---- per-observation plug-in means and gradients ---------------------------
@@ -219,7 +219,7 @@ def ci_lognormal(point: float, variance: float, n_obs: int, alpha: float = 0.05)
     s2 = float(np.log1p(variance / point**2))
     m = float(np.log(n_obs * point) - s2 / 2.0)
     s = np.sqrt(s2)
-    zq = norm.ppf([alpha / 2.0, 1.0 - alpha / 2.0])
+    zq = ndtri(np.array([alpha / 2.0, 1.0 - alpha / 2.0]))
     lo, hi = np.exp(m + s * zq) / n_obs
     return Interval(float(lo), float(hi), 1.0 - alpha)
 

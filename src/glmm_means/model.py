@@ -137,7 +137,7 @@ class Dataset:
         weights = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError(f"weight vector has shape {weights.shape}, expected ({n},)")
-        groups = [str(g) for g in groups]
+        groups = list(map(str, groups))
         if len(subject_ids) != n or len(groups) != n:
             raise ValueError(
                 f"{len(subject_ids)} subject ids and {len(groups)} group labels for {n} rows"
@@ -146,7 +146,8 @@ class Dataset:
         order = np.argsort(subj, kind="stable")
         ds = cls.__new__(cls)
         ds._store(
-            ids, np.bincount(subj), y[order], X[order], weights[order], [groups[k] for k in order]
+            ids, np.bincount(subj), y[order], X[order], weights[order],
+            list(map(groups.__getitem__, order.tolist())),
         )
         return ds
 
@@ -156,7 +157,7 @@ class Dataset:
         The row arrays are fresh copies owned by this dataset and are frozen in place.
         """
         self.subject_ids = tuple(subject_ids)
-        self.subject_position = {sid: i for i, sid in enumerate(self.subject_ids)}
+        self.subject_position = dict(zip(self.subject_ids, range(len(self.subject_ids))))
         self.row_offsets = np.concatenate([[0], np.cumsum(counts)])
         self.subject_index = np.repeat(np.arange(len(self.subject_ids)), counts)
         self.y, self.X, self.weights = y, X, weights
@@ -204,9 +205,9 @@ class Dataset:
 
 def _first_appearance_codes(keys) -> tuple[list, np.ndarray]:
     """Distinct keys in order of first appearance, and each key's position among them."""
-    first: dict = {}
-    codes = np.fromiter((first.setdefault(k, len(first)) for k in keys), dtype=np.int64)
-    return list(first), codes
+    distinct = dict.fromkeys(keys)
+    position = dict(zip(distinct, range(len(distinct))))
+    return list(distinct), np.fromiter(map(position.__getitem__, keys), np.int64, len(keys))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import settings
 
 from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, fit
 from glmm_means.fitter import FittedModel, _Workspace
+from glmm_means.io import ColumnMapping, InputError, _group_labels, _parse_cell
 from glmm_means.model import ParamVector
 
 # Property tests replay the same examples on every run and never time out,
@@ -45,6 +48,59 @@ class _Gaussian:
 
 
 GAUSSIAN_OPS = _Gaussian()
+
+
+def read_dataset_by_rows(path: str, mapping: ColumnMapping) -> Dataset:
+    """The oracle for `glmm_means.io.read_dataset`: the same file read and
+    checked one record at a time, each fault raised as it is met."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot open {path}: {exc.strerror or exc}") from None
+
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            subject_ids, yx, labels = _read_rows(path, reader, mapping)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    return Dataset.from_rows(subject_ids, yx[:, 0], yx[:, 1:], labels)
+
+
+def _read_rows(path, reader, mapping: ColumnMapping):
+    """Subject ids, the (y, 1, covariates...) row matrix and group labels of the data records."""
+    header = next(reader, None)
+    if header is None:
+        raise InputError(f"{path}: file is empty (no header row)")
+    needed = [mapping.subject, mapping.response, *mapping.covariates, *mapping.group_by]
+    missing = [c for c in needed if c not in header]
+    if missing:
+        raise InputError(f"{path}: missing column(s) {', '.join(repr(c) for c in missing)}")
+    repeated = [c for c in dict.fromkeys(needed) if header.count(c) > 1]
+    if repeated:
+        names = ", ".join(repr(c) for c in repeated)
+        raise InputError(f"{path}: column(s) {names} appear more than once in the header")
+    col = {c: header.index(c) for c in needed}
+    width = max(col.values()) + 1
+    numeric = [(c, col[c]) for c in (mapping.response, *mapping.covariates)]
+    grouping = [(c, col[c]) for c in mapping.group_by]
+
+    subject_ids, values, keys = [], [], []
+    pick = operator.itemgetter(*(j for _, j in grouping)) if grouping else None
+    for i, row in enumerate(filter(None, reader), start=2):
+        if len(row) < width:
+            last = header[width - 1]
+            raise InputError(f"row {i}: {len(row)} cells, but column {last!r} is cell {width}")
+        sid = row[col[mapping.subject]]
+        if sid == "":
+            raise InputError(f"row {i}, column {mapping.subject!r}: empty subject id")
+        y, *x = (_parse_cell(row[j], i, c) for c, j in numeric)
+        values.append([y, 1.0, *x])
+        keys.append(pick(row) if pick else None)
+        subject_ids.append(sid)
+    if not subject_ids:
+        raise InputError(f"{path}: file has a header but no data rows")
+    return subject_ids, np.array(values), _group_labels([c for c, _ in grouping], keys)
 
 
 def toy_dataset(family, K=12, n=3, sigma=0.4, seed=5, kappa=8.0, beta=(0.2, -0.6)):

@@ -1,7 +1,13 @@
 """The package's public surface is what README documents."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import glmm_means
 
@@ -16,3 +22,32 @@ def test_exports_are_the_names_readme_documents():
     assert set(re.findall(r"\bgm\.(\w+)", README)) <= set(glmm_means.__all__)
     for name in glmm_means.__all__:
         assert getattr(glmm_means, name) is not None
+
+
+COLD_START = """
+import json, sys
+import glmm_means
+from glmm_means import cli
+
+codes = [cli.main(["means", "--input", sys.argv[1], "--family", family, "--covariates", "x,t",
+                   "--group-by", "t", "--format", "json"]) for family in ("logistic", "negbin")]
+loaded = [name for name in ("scipy.stats", "scipy.optimize") if name in sys.modules]
+print(json.dumps({"exit": codes, "loaded": loaded}))
+"""
+
+
+def test_a_means_run_loads_neither_scipy_stats_nor_scipy_optimize(tmp_path):
+    # the normal quantile comes from scipy.special and only the opt-in
+    # quasi-Newton path imports the L-BFGS-B minimizer
+    rng = np.random.default_rng(4)
+    lines = ["subject_id,y,x,t"]
+    for i in range(30):
+        lines += [f"s{i},{rng.integers(0, 2)},{rng.uniform(-1, 1):.3f},{t}" for t in (0, 1)]
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src = str(Path(glmm_means.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"exit": [0, 0], "loaded": []}

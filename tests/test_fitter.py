@@ -381,11 +381,11 @@ def test_cells_are_numbered_by_first_appearance():
     # a subject's repeated covariate row returns to its cell; another
     # subject's equal row is another cell
     subj = np.array([0, 0, 0, 1, 1, 1])
-    X = np.array([[1.0, 0.5], [1.0, -1.0], [1.0, 0.5], [1.0, 0.5], [1.0, 2.0], [1.0, 0.5]])
-    cell, first = _cells(subj, X)
+    xrow = np.array([1, 0, 1, 1, 2, 1])  # covariate rows (1, 0.5), (1, -1), ..., numbered in sorted order
+    cell, first = _cells(subj, xrow)
     np.testing.assert_array_equal(cell, [0, 1, 0, 2, 3, 2])
     np.testing.assert_array_equal(first, [0, 1, 3, 4])
-    cell, first = _cells(subj, np.column_stack([X, np.arange(6.0)]))
+    cell, first = _cells(subj, np.arange(6))
     np.testing.assert_array_equal(cell, np.arange(6))  # no rows merge: one cell per row
     np.testing.assert_array_equal(first, np.arange(6))
 
@@ -409,7 +409,9 @@ def test_subjects_with_equal_row_multisets_share_a_pattern(subjects):
     ids = [f"s{i}" for i, rows in enumerate(subjects) for _ in rows]
     x, y, w = (np.array([r[j] for rows in subjects for r in rows], float) for j in range(3))
     ds = Dataset.from_rows(ids, y, np.column_stack([np.ones_like(x), x]), ["g"] * len(ids), w)
-    pattern, rep = _patterns(ds)
+    pattern, rep, xrow = _patterns(ds)
+    same_row = np.all(ds.X[:, None] == ds.X[None], axis=2)
+    np.testing.assert_array_equal(xrow[:, None] == xrow[None], same_row)
     keys = [tuple(sorted(rows)) for rows in subjects]
     number = {}
     for key in keys:

@@ -1,6 +1,7 @@
 """Property-based checks of CSV ingestion, the stacked dataset and the CLI contract."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -8,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import glmm_means.cli as cli
@@ -24,7 +25,9 @@ from glmm_means import (
     negbin_design,
 )
 from glmm_means.fitter import LOG_KAPPA_BOUNDS, LOG_SIGMA2_BOUNDS
-from glmm_means.io import ColumnMapping, read_dataset
+from glmm_means.io import ColumnMapping, InputError, read_dataset
+
+from conftest import read_dataset_by_rows
 
 COLUMNS = ("subject_id", "y", "x", "u", "t")
 NUMBERS = ("0", "1", "2", "-1", "0.5", "1e308", "-1e-300", "nan", "inf")
@@ -54,14 +57,16 @@ def interleave(subject_of_row, offsets):
 
 
 def assert_same_dataset(a, b):
+    """Equal bit for bit, NaN payloads and signed zeros included."""
     for name in ("y", "X", "weights", "subject_index", "row_offsets"):
         got, want = getattr(a, name), getattr(b, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
     assert a.subject_ids == b.subject_ids
     assert a.group_labels == b.group_labels
     assert a.group_index.group_ids == b.group_index.group_ids
     for g in a.group_index.group_ids:
-        assert np.array_equal(a.group_index.indices[g], b.group_index.indices[g])
+        assert a.group_index.indices[g].tobytes() == b.group_index.indices[g].tobytes()
 
 
 # ---- validate never escapes its exit-code contract -----------------------------------
@@ -145,6 +150,80 @@ def test_interleaved_rows_read_as_the_grouped_file(tmp_path_factory, grouped_csv
     mixed, mixed_out = _read_and_means(path)
     assert_same_dataset(mixed, grouped)
     assert mixed_out == grouped_out
+
+
+# ---- the column-wise reader agrees with the record-by-record oracle -----------------------
+
+
+def _outcome(read, path):
+    """The Dataset a reader returns, or the message of the InputError it raises."""
+    try:
+        return read(str(path), MAPPING)
+    except InputError as exc:
+        return str(exc)
+
+
+good_rows = st.fixed_dictionaries({
+    "subject_id": st.sampled_from(("a", "b", "c", '"d,e"')),
+    "y": st.sampled_from(("0", "1")),
+    "x": st.sampled_from(("0", "0.5", "-1", "1e308", "nan", '" 2"')),
+    "u": st.sampled_from(("0", "1", '"1"')),
+    "t": st.sampled_from(("0", "1")),
+})
+BAD_CELLS = {  # " 1" and "1.0" are the number of "1" spelled other ways
+    "subject_id": ("", '""'), "y": ("NA", "é", ""), "x": ("a", '"1,5"', "\x00", " "),
+    "u": (" 1", "1.0", "a"), "t": ("1.0", "--1"),
+}
+
+
+@st.composite
+def bad_rows(draw):
+    """A good row with one cell that is no number, no id or a second spelling."""
+    row = draw(good_rows)
+    column = draw(st.sampled_from(COLUMNS))
+    return {**row, column: draw(st.sampled_from(BAD_CELLS[column]))}
+
+
+blank_rows = st.just([])
+short_rows = st.lists(st.sampled_from(NUMBERS + ODD), min_size=1, max_size=3)
+# valid rows past the decoder's first chunk, so a bad byte after them is met
+# only once the records before it have been read
+PADDING = [{"subject_id": "p", "y": "0", "x": "0", "u": "0", "t": "0"}] * 1200
+
+
+GOOD = {"subject_id": "a", "y": "1", "x": "0.5", "u": "1", "t": "0"}
+
+
+@settings(max_examples=100)
+@example(header=list(COLUMNS), rows=[GOOD, [], {**GOOD, "u": "1.0"}], tail="none")
+@example(header=list(COLUMNS), rows=[GOOD, {**GOOD, "subject_id": '""'}], tail="none")
+@example(header=list(COLUMNS), rows=[GOOD, {**GOOD, "subject_id": ""}], tail="bad utf-8")
+@example(header=list(COLUMNS), rows=[{**GOOD, "y": "NA"}, ["a"]], tail="oversized field")
+@example(header=list(COLUMNS), rows=[GOOD, ["a", "1"]], tail="bad utf-8")
+@given(
+    header=st.one_of(st.permutations(COLUMNS), headers),
+    rows=st.one_of(
+        st.lists(good_rows | blank_rows, min_size=1, max_size=8),
+        st.lists(good_rows | blank_rows | bad_rows() | short_rows, min_size=1, max_size=8),
+    ),
+    tail=st.sampled_from(("none", "none", "oversized field", "bad utf-8")),
+)
+def test_reader_matches_the_record_by_record_oracle(tmp_path_factory, header, rows, tail):
+    if tail == "oversized field":
+        rows = [*rows, {"subject_id": "z", "y": "0", "x": "1" * (csv.field_size_limit() + 1)}]
+    text = _csv(header, [*rows, *PADDING] if tail == "bad utf-8" else rows).encode("utf-8")
+    if tail == "bad utf-8":
+        text += b"z,0,\xff,0,0\n"
+    path = tmp_path_factory.mktemp("oracle") / "data.csv"
+    path.write_bytes(text)
+    got, want = _outcome(read_dataset, path), _outcome(read_dataset_by_rows, path)
+    event("Dataset" if not isinstance(want, str) else
+          next((kind for kind in ("line", "cells, but", "empty subject", "cannot parse",
+                                  "spelled", "no data", "column(s)") if kind in want), want))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_dataset(got, want)
 
 
 # ---- the two constructors agree ------------------------------------------------------------
