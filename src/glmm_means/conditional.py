@@ -7,8 +7,8 @@ predictor.  Its covariance comes from Henderson's mixed-model equations
 
 with W the diagonal iterative weights at the conditional modes,
 B = Z'WX (K x p) and D = diag(Z'WZ) + I / sigma2.  D is diagonal, so it is
-eliminated by hand: only B, D^{-1} and the Cholesky factor of the p x p
-Schur complement S = X'WX - B'D^{-1}B are kept, and every solve costs
+eliminated by hand: only B, D^{-1} and the inverse of the p x p Schur
+complement S = X'WX - B'D^{-1}B are kept, and every solve costs
 O(K p + p^2).  Building them costs O(N p + K p^2 + p^3) time and
 O(N + K p) memory.  At the sigma2 boundary D^{-1} is zero, the sigma2 -> 0
 limit of M^{-1}: predictions carry fixed-effect uncertainty only.  On an
@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .families import family_ops
-from .fitter import FittedModel
+from .fitter import FittedModel, spd_inverse
 from .marginal import GroupMeanEstimate, MeanKind, wald_intervals
 
 _SIGMA2_FLOOR = 1e-9  # at or below this the random-effect block is dropped (D^{-1} -> 0)
@@ -59,17 +58,18 @@ class PredictionStructure:
 
 
 class _Factorization:
-    """The arrowhead system M through B, D^{-1} and the Cholesky factor of S.
+    """The arrowhead system M through B, D^{-1} and S^{-1}.
 
     A singular S (weights that vanish on a whole covariate direction) raises
-    numpy.linalg.LinAlgError from the Cholesky step; nothing is jittered.
+    numpy.linalg.LinAlgError from the Cholesky test in spd_inverse; nothing
+    is jittered.
     """
 
     def __init__(self, struct: PredictionStructure):
         self.struct = struct
         self.b, self.dinv = struct.border()
         xwx = struct.X.T @ (struct.weights[:, None] * struct.X)
-        self.cho = cho_factor(xwx - self.b.T @ (self.dinv[:, None] * self.b))
+        self.s_inv = spd_inverse(xwx - self.b.T @ (self.dinv[:, None] * self.b))
 
     def design_columns(self, rows: np.ndarray) -> np.ndarray:
         """(X_q; Z_q) for the given observation rows, one column per row."""
@@ -83,7 +83,7 @@ class _Factorization:
         p = self.struct.p
         r, s = rhs[:p], rhs[p:]
         dinv = self.dinv if rhs.ndim == 1 else self.dinv[:, None]
-        x = cho_solve(self.cho, r - self.b.T @ (dinv * s))
+        x = self.s_inv @ (r - self.b.T @ (dinv * s))
         return np.concatenate([x, dinv * (s - self.b @ x)])
 
 

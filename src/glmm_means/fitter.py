@@ -13,9 +13,12 @@ as repeated visits with constant treatment and few time values do, enter
 once with their summed weight and weighted mean response.  That is exact
 because every kernel evaluated at the nodes is affine in y at fixed eta;
 the negative binomial's terms nonlinear in y (log Gamma(y + kappa) and its
-derivatives in kappa) are node-free, and enter each cell as averages over
-its rows.  Data without repeated covariate rows have one cell per row,
-holding that row's weight and response.
+derivatives in kappa, log Gamma(y + 1)) are node-free, and enter each cell
+as averages over its rows.  They are evaluated once per distinct response,
+not once per row: count data hold few distinct values, and each row takes
+its value's float, so the averages are unchanged to the bit.  Data without
+repeated covariate rows have one cell per row, holding that row's weight
+and response.
 
 The quadrature also runs over patterns, not subjects: subjects whose
 multisets of raw rows (covariate row, weight, response) are equal share
@@ -50,7 +53,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
 from .families import Family, family_ops
@@ -135,6 +137,17 @@ def _lgamma_ratio(y, kappa: float):
             - (1.0 / x**3 - 1.0 / kappa**3) / 360.0)
 
 
+def spd_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive-definite matrix.  The Cholesky
+    factorization is the definiteness test: a matrix that is not positive
+    definite raises numpy.linalg.LinAlgError, and one with an infinite or
+    NaN entry ValueError, on which LAPACK's answer is undefined."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("array must not contain infs or NaNs")
+    np.linalg.cholesky(a)
+    return np.linalg.inv(a)
+
+
 def equal_runs(keys: np.ndarray):
     """Stable lexicographic order of the rows of a 2-d array, first column
     first, and a mask along it of the rows that start a run of equal rows."""
@@ -203,8 +216,10 @@ class _Workspace:
     `y`, `X`, `w` and `subj` hold one entry per cell of the `rep` subjects,
     `subj` numbering patterns: w_c = sum w and y_c = sum w y / w_c over the
     cell's rows.  The terms nonlinear in y (log Gamma(y + k), digamma(y + k),
-    trigamma(y + k)) are computed on those subjects' raw rows `y_rows` once
-    per call, for that call's kappa, and enter as w-weighted cell means.
+    trigamma(y + k), log Gamma(y + 1)) are computed once per call, for that
+    call's kappa, on the distinct responses `levels` of those subjects' rows,
+    and enter as w-weighted cell means through `cell_mean`; `level` indexes
+    each row's response in `levels`.
     Modes, curvatures and scores enter and leave the methods per subject.
     """
 
@@ -216,12 +231,12 @@ class _Workspace:
         subj = dataset.subject_index
         kept = self.rep[self.pattern[subj]] == subj  # the representatives' rows
         X, subj = dataset.X[kept], self.pattern[subj[kept]]
-        self.y_rows, self.w_rows = dataset.y[kept], dataset.weights[kept]
+        y_rows, self.w_rows = dataset.y[kept], dataset.weights[kept]
         self.cell, first = _cells(subj, xrow[kept])
         self.X = X[first]
         self.subj = subj[first]
         self.w = np.bincount(self.cell, self.w_rows)
-        self.y = np.bincount(self.cell, self.w_rows * self.y_rows) / self.w
+        self.y = np.bincount(self.cell, self.w_rows * y_rows) / self.w
         self.K = dataset.n_subjects
         self.P = self.rep.size
         self.N = dataset.n_obs
@@ -230,7 +245,8 @@ class _Workspace:
         offsets = np.concatenate([[0], np.cumsum(np.bincount(self.subj, minlength=self.P))])
         self.starts = offsets[:-1]
         if family is Family.NEGBIN:
-            self.lgamma_y1 = gammaln(self.y_rows + 1.0)
+            self.levels, self.level = np.unique(y_rows, return_inverse=True)
+            self.lgamma_y1 = gammaln(self.levels + 1.0)  # per level, for cell_mean
         rule = gh_rule(gh_nodes)
         self.t = rule.nodes
         self.logw_t2 = np.log(rule.weights) + rule.nodes**2
@@ -246,9 +262,10 @@ class _Workspace:
                                 self.starts[k0:k1] - offsets[k0]))
             k0 = k1
 
-    def cell_mean(self, values: np.ndarray) -> np.ndarray:
-        """Per-cell w-weighted mean of a per-row array."""
-        return np.bincount(self.cell, self.w_rows * values) / self.w
+    def cell_mean(self, f) -> np.ndarray:
+        """Per-cell w-weighted mean of f(y) over the cell's rows, with f
+        elementwise and evaluated once, on the distinct responses `levels`."""
+        return np.bincount(self.cell, self.w_rows * f(self.levels)[self.level]) / self.w
 
     # ---- parameter packing ---------------------------------------------
 
@@ -353,11 +370,10 @@ class _Workspace:
         without `split`, see _loglik_matrix); None for the logistic."""
         if self.family is not Family.NEGBIN:
             return None
-        y = self.y_rows
         if split:
-            return self.cell_mean(_lgamma_ratio(y, aux) - self.lgamma_y1)
-        unsplit = gammaln(y + aux) - gammaln(aux) - self.lgamma_y1 + aux * math.log(aux)
-        return self.cell_mean(unsplit)
+            return self.cell_mean(lambda y: _lgamma_ratio(y, aux) - self.lgamma_y1)
+        return self.cell_mean(
+            lambda y: gammaln(y + aux) - gammaln(aux) - self.lgamma_y1 + aux * math.log(aux))
 
     def _loglik_matrix(self, eta, aux, rows, split):
         """Conditional loglik without its node-free constant, (cells, nodes).
@@ -435,9 +451,9 @@ class _Workspace:
         h = np.zeros((dim, dim))
         const = self.loglik_constant(aux, split)
         if nb:  # the digamma and trigamma terms, nonlinear in y and node-free
-            psi = self.cell_mean(self.ops.score_kappa_offset(self.y_rows, aux))
+            psi = self.cell_mean(lambda y: self.ops.score_kappa_offset(y, aux))
             if hessian:
-                psi1 = self.cell_mean(self.ops.dscore_kappa_offset(self.y_rows, aux))
+                psi1 = self.cell_mean(lambda y: self.ops.dscore_kappa_offset(y, aux))
         for blk in self.blocks:
             ks, rows, subj, starts = blk
             ll_b, omega, u, eta = self.integral_pieces(beta, sigma2, aux, modes, curv, const, blk,
@@ -689,8 +705,7 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     h = d.T @ d
     cov_flags: list[str] = []
     try:
-        c, low = cho_factor(h)
-        cov_theta = cho_solve((c, low), np.eye(ws.dim))
+        cov_theta = spd_inverse(h)
     except np.linalg.LinAlgError:
         cov_theta = np.linalg.pinv(h)
         cov_flags.append("singular_information_pseudo_inverse")

@@ -136,6 +136,15 @@ def conditional_mode(subject: SubjectBlock, params: ParamVector) -> tuple[float,
     return float(modes[0]), float(curv[0])
 
 
+def per_row_cell_mean(ws: _Workspace, dataset: Dataset, f) -> np.ndarray:
+    """The oracle for `_Workspace.cell_mean`: the per-cell w-weighted mean
+    of f evaluated on every row of the patterns' first subjects, not once
+    per distinct response."""
+    subj = dataset.subject_index
+    y_rows = dataset.y[ws.rep[ws.pattern[subj]] == subj]
+    return np.bincount(ws.cell, ws.w_rows * f(y_rows)) / ws.w
+
+
 def posterior_mean_effects(fitted: FittedModel) -> np.ndarray:
     """Exact conditional means E(b_i | y_i) by quadrature, the oracle for
     the conditional modes the predictor uses."""

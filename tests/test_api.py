@@ -31,14 +31,15 @@ from glmm_means import cli
 
 codes = [cli.main(["means", "--input", sys.argv[1], "--family", family, "--covariates", "x,t",
                    "--group-by", "t", "--format", "json"]) for family in ("logistic", "negbin")]
-loaded = [name for name in ("scipy.stats", "scipy.optimize") if name in sys.modules]
+loaded = [name for name in ("scipy.linalg", "scipy.stats", "scipy.optimize") if name in sys.modules]
 print(json.dumps({"exit": codes, "loaded": loaded}))
 """
 
 
 def test_a_means_run_loads_neither_scipy_stats_nor_scipy_optimize(tmp_path):
-    # the normal quantile comes from scipy.special and only the opt-in
-    # quasi-Newton path imports the L-BFGS-B minimizer
+    # the normal quantile comes from scipy.special, the Cholesky test and the
+    # inverses from numpy.linalg, and only the opt-in quasi-Newton path
+    # imports the L-BFGS-B minimizer
     rng = np.random.default_rng(4)
     lines = ["subject_id,y,x,t"]
     for i in range(30):

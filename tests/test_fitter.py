@@ -5,20 +5,24 @@ golden-section maximizer for modes, central finite differences for scores,
 and a plain fixed-effects GLM for the degenerate-variance limit.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import gammaln
 from scipy.stats import nbinom
 
 from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, fit
 from glmm_means.families import family_ops, stable_expit
-from glmm_means.fitter import (MODE_TOL, SCORE_TOL, _cells, _patterns, _Workspace, marginal_loglik,
-                                subject_scores)
+from glmm_means.fitter import (MODE_TOL, SCORE_TOL, _cells, _lgamma_ratio, _patterns, _Workspace,
+                                marginal_loglik, spd_inverse, subject_scores)
 from glmm_means.model import ParamVector
 from glmm_means.simulate import generate_dataset, logistic_design, negbin_design
 
-from conftest import conditional_mode, posterior_mean_effects, toy_dataset
+from conftest import conditional_mode, per_row_cell_mean, posterior_mean_effects, toy_dataset
 
 
 def bernoulli_block(sid, y, x, sigma_groups=None):
@@ -458,6 +462,47 @@ def test_patterns_match_the_unpooled_subjects(family, kappa):
     _assert_merging_is_exact(ws_m, ws_r, np.array([0.3, -0.8, 0.5]), kappa)
 
 
+def _level_dataset(weighted):
+    """Counts from a few values over repeated covariate rows, so that cells
+    average several rows; zero is written 0, -0 and 0.0 across the rows."""
+    rng = np.random.default_rng(8)
+    zeros = ["0", "-0", "0.0"]
+    sid, y, X = [], [], []
+    for i in range(30):
+        for j in range(int(rng.integers(1, 7))):
+            sid.append(f"s{i}")
+            X.append([1.0, float(rng.integers(0, 2))])
+            count = int(rng.choice([0, 0, 1, 2, 7, 40]))
+            y.append(float(zeros[(i + j) % 3] if count == 0 else str(count)))
+    w = rng.uniform(0.3, 2.5, len(y)) if weighted else None
+    return Dataset.from_rows(sid, y, np.array(X), ["g"] * len(y), w)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("kappa", [1e-3, 0.7, 65.0, 999.9, 1e3, 1e6])
+def test_per_level_terms_equal_the_per_row_cell_means(kappa, weighted):
+    # the NB terms nonlinear in y are evaluated once per distinct response
+    # and gathered to the rows: every row gets the same float as a per-row
+    # evaluation, summed in the same order, so the cell means agree to the
+    # bit.  kappa on both sides of 1e3 takes both _lgamma_ratio branches.
+    ds = _level_dataset(weighted)
+    ws = _Workspace(ds, Family.NEGBIN, 25)
+    assert ws.levels.size == 5 and np.any(np.signbit(ds.y) & (ds.y == 0.0))
+    assert ws.C < ws.N
+    ops = family_ops(Family.NEGBIN)
+    cases = [
+        (ws.loglik_constant(kappa), lambda y: _lgamma_ratio(y, kappa) - gammaln(y + 1.0)),
+        (ws.loglik_constant(kappa, split=False),
+         lambda y: gammaln(y + kappa) - gammaln(kappa) - gammaln(y + 1.0) + kappa * math.log(kappa)),
+        (ws.cell_mean(lambda y: ops.score_kappa_offset(y, kappa)),
+         lambda y: ops.score_kappa_offset(y, kappa)),
+        (ws.cell_mean(lambda y: ops.dscore_kappa_offset(y, kappa)),
+         lambda y: ops.dscore_kappa_offset(y, kappa)),
+    ]
+    for got, f in cases:
+        assert got.tobytes() == per_row_cell_mean(ws, ds, f).tobytes()
+
+
 def _doubled(ds):
     """The dataset followed by a copy of every subject under a new id."""
     ids = [ds.subject_ids[k] for k in ds.subject_index]
@@ -496,6 +541,37 @@ def test_fit_reports_subject_patterns():
         bounds = zip(ds.row_offsets[:-1], ds.row_offsets[1:])
         distinct = {tuple(sorted(map(tuple, rows[a:b]))) for a, b in bounds}
         assert fitted.diagnostics["subject_patterns"] == len(distinct) == patterns
+
+
+def test_spd_inverse_matches_the_cholesky_solve():
+    rng = np.random.default_rng(6)
+    for n in (1, 3, 8):
+        g = rng.normal(size=(n, n + 2))
+        a = g @ g.T
+        want = cho_solve(cho_factor(a), np.eye(n))
+        assert np.abs(spd_inverse(a) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_spd_inverse_rejects_indefinite_and_non_finite_matrices():
+    with pytest.raises(np.linalg.LinAlgError):
+        spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        spd_inverse(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            spd_inverse(np.array([[2.0, bad], [bad, 2.0]]))
+
+
+def test_singular_information_falls_back_to_the_pseudo_inverse():
+    # a covariate that is zero on every row has a zero score on every
+    # subject, so sum d_i d_i' is singular
+    ds = toy_dataset(Family.LOGISTIC, K=30, n=3, sigma=0.5, seed=2)
+    ds = Dataset.from_rows([ds.subject_ids[k] for k in ds.subject_index], ds.y,
+                           np.column_stack([ds.X, np.zeros(ds.n_obs)]), list(ds.group_labels))
+    fitted = fit(ds, ModelSpec(family=Family.LOGISTIC, p=3))
+    assert "singular_information_pseudo_inverse" in fitted.cov_flags
+    assert np.all(np.isfinite(fitted.cov_psi))
+    assert np.abs(fitted.cov_psi[2]).max() <= 1e-12 * np.abs(fitted.cov_psi).max()
 
 
 def test_subject_scores_sum_to_near_zero_at_mle(logistic_toy_fit):
