@@ -2,13 +2,15 @@
 
 Exit codes are a stable contract: 0 success, 1 validation error (dataset
 invariants or bad invocation), 2 fit non-convergence, 3 I/O error.  All
-failures write a machine-readable error JSON to stderr.
+failures write a machine-readable error JSON to stderr.  A non-finite number
+in the output of `fit` or `means` counts as non-convergence: nothing is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -146,6 +148,14 @@ def _fit_checked(dataset: Dataset, spec: ModelSpec) -> FittedModel:
     return fitted
 
 
+def _require_finite(rows: list[dict], label: str) -> None:
+    """Raises NonConvergence at the first non-finite number in `rows`, named by field `label`."""
+    for row in rows:
+        for key, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NonConvergence(f"{key} of {label} {row[label]} is {value}")
+
+
 def _param_names(args, spec: ModelSpec) -> list[str]:
     names = ["beta_intercept"] + [f"beta_{c}" for c in _split_cols(args.covariates)]
     names.append("sigma2")
@@ -167,6 +177,7 @@ def _cmd_fit(args) -> int:
         {"name": n, "estimate": float(v), "se": float(s)}
         for n, v, s in zip(names, values, ses)
     ]
+    _require_finite(rows + [{"name": "loglik", "estimate": fitted.loglik}], "name")
     if args.format == "json":
         write_json(
             {
@@ -217,6 +228,7 @@ def _cmd_means(args) -> int:
             row[f"lambda_{label}_hi"] = iv.upper
         rows.append(row)
 
+    _require_finite(rows, "group")
     fieldnames = list(rows[0].keys())
     if args.format == "json":
         write_json({"groups": rows}, args.out)

@@ -45,14 +45,11 @@ class PredictionStructure:
     def p(self) -> int:
         return self.X.shape[1]
 
-    def with_random_block(self) -> bool:
-        return self.sigma2 > _SIGMA2_FLOOR
-
     def border(self) -> tuple[np.ndarray, np.ndarray]:
         """B = Z'WX (K x p) and the diagonal of D^{-1} (zero at the sigma2 boundary)."""
         subj, K, wx = self.subject_index, self.n_subjects, self.weights[:, None] * self.X
         b = np.stack([np.bincount(subj, weights=col, minlength=K) for col in wx.T], axis=1)
-        if not self.with_random_block():
+        if self.sigma2 <= _SIGMA2_FLOOR:
             return b, np.zeros(K)
         return b, 1.0 / (np.bincount(subj, weights=self.weights, minlength=K) + 1.0 / self.sigma2)
 

@@ -32,8 +32,6 @@ def stable_expit(eta):
 
 
 class _Logistic:
-    name = "logistic"
-
     @staticmethod
     def loglik(y, eta, aux=None):
         # log pmf of Bernoulli(expit(eta)); logaddexp(0, eta) = log(1 + e^eta)
@@ -75,8 +73,6 @@ class _NegBinomial:
     Var(Y) = mu + mu^2 / kappa.  Stable forms use mu/(mu+kappa) =
     expit(eta - log kappa) so large eta never materializes exp(eta).
     """
-
-    name = "negbin"
 
     @staticmethod
     def loglik(y, eta, aux):

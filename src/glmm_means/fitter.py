@@ -31,6 +31,14 @@ rows, the cells of all subjects and the patterns.  The iteration cap and
 the tolerances are the module constants MAX_ITER, PARAM_TOL, SCORE_TOL
 and MODE_TOL.
 
+A subject's conditional mode b* is the root of g(b) = S(b) - b / sigma2,
+where S, the sum of w score_eta over its cells, falls in b because the
+observed curvature of both families is >= 0.  So any b brackets b* with
+sigma2 S(b): if g(b) > 0, then b* > b, so S(b*) <= S(b) and b* = sigma2
+S(b*) <= sigma2 S(b); g(b) < 0 is symmetric.  The mode solver starts from
+that bracket, with no search for one; its first Newton step, of length
+|g| / (curvature + 1 / sigma2) <= sigma2 |g|, lands in it.
+
 The optimizer is one projected Newton loop on the observed information,
 which Louis' identity (Louis 1982) builds from the same posterior node
 weights: H = sum_i E_post[d2 l_c] + E_post[s s'] - d_i d_i', with l_c the
@@ -294,69 +302,42 @@ class _Workspace:
     def _subject_sums(self, values) -> np.ndarray:
         return np.add.reduceat(values, self.starts, axis=0)
 
-    def mode_score(self, eta0, b, sigma2, aux):
-        eta = eta0 + b[self.subj]
-        s = self._subject_sums(self.w * self.ops.score_eta(self.y, eta, aux))
-        return s - b / sigma2
+    def loglik_score(self, eta0, b, aux):
+        """S(b): the conditional-loglik score of each pattern in its b."""
+        return self._subject_sums(self.w * self.ops.score_eta(self.y, eta0 + b[self.subj], aux))
 
     def solve_modes(self, beta, sigma2, aux, b0=None):
-        """Safeguarded Newton for the conditional modes, solved once per
-        pattern and returned per subject with the curvatures there.
+        """Safeguarded Newton for the conditional modes from b0 (zero by
+        default), once per pattern, returned per subject with the curvatures.
 
-        The subject score is strictly decreasing in b, so a sign-change
-        bracket always exists; Newton proposals falling outside the current
-        bracket are replaced by bisection, and subjects whose score is still
-        above MODE_TOL after 50 steps finish on bisection alone.
+        The mode lies between the start b and sigma2 S(b) (module
+        docstring), a bracket that b is always an end of.  A step takes the
+        Newton point if it lies in the bracket and moves b (at sigma2 ~ 1e-10
+        the first one rounds onto the far end), else the midpoint; after 50
+        steps, midpoints only, until the bracket is 1e-15 wide.
         """
-        if sigma2 == 0.0:
-            return np.zeros(self.K), np.full(self.K, np.inf)
         eta0 = self.X @ beta
         b = np.zeros(self.P) if b0 is None else np.asarray(b0, float)[self.rep]
-
-        score = self.mode_score(eta0, b, sigma2, aux)
-        lo = np.where(score > 0, b, -np.inf)
-        hi = np.where(score <= 0, b, np.inf)
-
-        # expand until every subject has a finite sign-change bracket
-        width = max(1.0, 4.0 * math.sqrt(sigma2))
-        for _ in range(80):
-            need_hi = ~np.isfinite(hi)
-            need_lo = ~np.isfinite(lo)
-            if not (need_hi.any() or need_lo.any()):
-                break
-            probe = np.where(need_hi, lo + width, np.where(need_lo, hi - width, b))
-            ps = self.mode_score(eta0, probe, sigma2, aux)
-            hi = np.where(need_hi & (ps <= 0), probe, hi)
-            lo = np.where(need_hi & (ps > 0), probe, lo)
-            lo = np.where(need_lo & (ps > 0), probe, lo)
-            hi = np.where(need_lo & (ps <= 0), probe, hi)
-            width *= 2.0
-
+        s = self.loglik_score(eta0, b, aux)
+        score, end = s - b / sigma2, sigma2 * s  # not b + sigma2 score: ulp(b) off if |b| >> |end|
+        lo, hi = np.minimum(b, end), np.maximum(b, end)
         active = np.abs(score) > MODE_TOL
-        for _ in range(50):
+        for step in range(250):
             if not active.any():
                 break
-            eta = eta0 + b[self.subj]
-            curv = self._subject_sums(self.w * self.ops.obs_curvature(self.y, eta, aux))
-            curv = curv + 1.0 / sigma2
-            prop = b + score / curv
-            outside = (prop <= lo) | (prop >= hi)
-            prop = np.where(outside, 0.5 * (lo + hi), prop)
-            b = np.where(active, prop, b)
-            score = self.mode_score(eta0, b, sigma2, aux)
+            nxt = 0.5 * (lo + hi)
+            if step < 50:
+                eta = eta0 + b[self.subj]
+                curv = self._subject_sums(self.w * self.ops.obs_curvature(self.y, eta, aux))
+                prop = b + score / (curv + 1.0 / sigma2)
+                nxt = np.where((lo <= prop) & (prop <= hi) & (prop != b), prop, nxt)
+            b = np.where(active, nxt, b)
+            score = self.loglik_score(eta0, b, aux) - b / sigma2
             lo = np.where(active & (score > 0), b, lo)
             hi = np.where(active & (score <= 0), b, hi)
-            active = np.abs(score) > MODE_TOL
-
-        for _ in range(200):  # bisection-only fallback for stragglers
-            if not active.any():
-                break
-            mid = 0.5 * (lo + hi)
-            b = np.where(active, mid, b)
-            score = self.mode_score(eta0, b, sigma2, aux)
-            lo = np.where(active & (score > 0), b, lo)
-            hi = np.where(active & (score <= 0), b, hi)
-            active = (np.abs(score) > MODE_TOL) & ((hi - lo) > 1e-15)
+            # the width test is for midpoints only: at sigma2 = 1e-10 a 1e-15
+            # bracket can leave |score| ~ 1e-5, far above what Newton reaches
+            active = (np.abs(score) > MODE_TOL) & ((step < 50) | (hi - lo > 1e-15))
 
         eta = eta0 + b[self.subj]
         curvature = self._subject_sums(self.w * self.ops.fisher_weight(eta, aux)) + 1.0 / sigma2
@@ -725,9 +706,7 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
         cov_flags.append("clipped_negative_eigenvalues")
     cov_psi.setflags(write=False)
 
-    modes = np.array(modes)
-    curv = np.array(curv)
-    modes.setflags(write=False)
+    modes.setflags(write=False)  # solve_modes returns fresh arrays
     curv.setflags(write=False)
 
     return FittedModel(

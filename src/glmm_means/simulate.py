@@ -335,10 +335,6 @@ def _resolve_workers(max_workers: int | None) -> int:
     return max(1, min(int(max_workers), 16))
 
 
-def _covers(bounds: tuple[float, float], target: float) -> bool:
-    return bounds[0] <= target <= bounds[1]
-
-
 def _summary(gid: str, kind: str, cell: tuple, recs: list, prefix: str, target) -> SimGroupSummary:
     """Bias and coverage of one group's `prefix` ("mu" or "lam") estimates.
 
@@ -358,7 +354,7 @@ def _summary(gid: str, kind: str, cell: tuple, recs: list, prefix: str, target) 
         star_bias_mean=float(np.mean(star)), star_bias_sd=float(np.std(star)),
         est_bias_mean=float(np.mean(est)), est_bias_sd=float(np.std(est)),
         coverage={
-            lab: float(np.mean([_covers(iv[lab], tg) for iv, tg in zip(intervals, target)]))
+            lab: float(np.mean([iv[lab][0] <= tg <= iv[lab][1] for iv, tg in zip(intervals, target)]))
             for lab in intervals[0]
         },
     )

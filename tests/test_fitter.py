@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
@@ -17,8 +17,9 @@ from scipy.stats import nbinom
 
 from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, fit
 from glmm_means.families import family_ops, stable_expit
-from glmm_means.fitter import (MODE_TOL, SCORE_TOL, _cells, _lgamma_ratio, _patterns, _Workspace,
-                                marginal_loglik, spd_inverse, subject_scores)
+from glmm_means.fitter import (LOG_KAPPA_BOUNDS, LOG_SIGMA2_BOUNDS, MODE_TOL, SCORE_TOL, _cells,
+                                _lgamma_ratio, _patterns, _Workspace, marginal_loglik, spd_inverse,
+                                subject_scores)
 from glmm_means.model import ParamVector
 from glmm_means.simulate import generate_dataset, logistic_design, negbin_design
 
@@ -195,6 +196,71 @@ def test_mode_curvature_is_fisher_weight_sum_plus_prior():
     eta = sb.X @ params.beta + b_hat
     p = stable_expit(eta)
     assert curv == pytest.approx(float(np.sum(p * (1 - p))) + 1.0 / 0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("b0", [-50.0, 25.0, 50.0])
+def test_a_far_warm_start_brackets_a_tiny_mode(b0):
+    # at sigma2 = 1e-10 the mode sits near -2e-13 and |g'| is 1e10; a
+    # bracket end b0 + sigma2 g(b0) would carry an error of ulp(b0) ~ 1e-14
+    # and can leave |g| ~ 1e-5 at the mode found, while sigma2 S(b0) keeps
+    # its digits
+    sigma2, kappa = math.exp(LOG_SIGMA2_BOUNDS[0]), math.exp(LOG_KAPPA_BOUNDS[0])
+    ws = _Workspace(Dataset([SubjectBlock(subject_id="s", y=np.zeros(2), X=np.ones((2, 1)),
+                                          groups=("g", "g"))]), Family.NEGBIN, 1)
+    beta = np.zeros(1)
+    modes, _ = ws.solve_modes(beta, sigma2, kappa, np.array([b0]))
+    assert abs(ws.loglik_score(ws.X @ beta, modes, kappa)[0] - modes[0] / sigma2) <= MODE_TOL
+
+
+def _log_uniform(bounds):
+    return st.one_of(st.sampled_from(bounds), st.floats(*bounds)).map(math.exp)
+
+
+@settings(max_examples=60)
+@given(family=st.sampled_from(Family), sigma2=_log_uniform(LOG_SIGMA2_BOUNDS),
+       kappa=_log_uniform(LOG_KAPPA_BOUNDS), responses=st.sampled_from(("zero", "one", "mixed")),
+       data=st.data())
+def test_modes_converge_inside_the_start_bracket_at_the_box_edges(family, sigma2, kappa,
+                                                                  responses, data):
+    # g(b) = S(b) - b / sigma2 with S falling in b: the mode lies between b
+    # and sigma2 S(b), and |g'| >= 1 / sigma2 puts it within sigma2 |g(b)|
+    # of any b
+    aux = kappa if family is Family.NEGBIN else None
+    top = 1 if family is Family.LOGISTIC else 10**4
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="rows")
+    blocks = []
+    for i, n in enumerate(sizes):
+        x = data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n), label="x")
+        if responses == "mixed":
+            y = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n), label="y")
+        else:
+            y = [float(responses == "one")] * n
+        blocks.append(SubjectBlock(subject_id=f"s{i}", y=np.array(y, float),
+                                   X=np.column_stack([np.ones(n), x]), groups=("g",) * n))
+    ws = _Workspace(Dataset(blocks), family, 1)
+    beta = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2), label="beta"))
+    b0 = np.array(data.draw(st.lists(st.floats(-50, 50), min_size=ws.K, max_size=ws.K),
+                            label="warm start"))
+    eta0 = ws.X @ beta
+
+    def g(b):
+        return ws.loglik_score(eta0, b, aux) - b / sigma2
+
+    solves = []
+    for start in (np.zeros(ws.K), b0):
+        modes, curv = ws.solve_modes(beta, sigma2, aux, start)
+        b, s = modes[ws.rep], start[ws.rep]
+        assert np.array_equal(modes, b[ws.pattern])
+        assert np.all(curv >= 1.0 / sigma2)
+        end = sigma2 * ws.loglik_score(eta0, s, aux)
+        assert np.all((np.minimum(s, end) <= b) & (b <= np.maximum(s, end)))
+        # converged, or the bisection bracket has closed on the sign change
+        converged = np.abs(g(b)) <= MODE_TOL
+        width = 1e-15 + np.spacing(b)
+        assert np.all(converged | ((g(b - width) > 0) & (g(b + width) <= 0)))
+        solves.append((b, np.where(converged, MODE_TOL * sigma2, width)))
+    (cold, r_cold), (warm, r_warm) = solves
+    assert np.all(np.abs(cold - warm) <= r_cold + r_warm)
 
 
 # ---- scores vs finite differences ----------------------------------------------
@@ -618,7 +684,15 @@ def test_fit_is_deterministic(logistic_toy_fit):
     assert again.loglik == logistic_toy_fit.loglik
 
 
-@pytest.mark.parametrize("fixture", ["logistic_toy_fit", "negbin_toy_fit"])
+@pytest.fixture(scope="module")
+def negbin_shared_pattern_fit():
+    """A categorical design with count responses: its subjects share patterns."""
+    design = negbin_design(control="gender", arm_sizes=(40, 36, 40, 32))
+    return fit(generate_dataset(design, seed=3), ModelSpec(family=Family.NEGBIN, p=design.p))
+
+
+@pytest.mark.parametrize("fixture", ["logistic_toy_fit", "negbin_toy_fit",
+                                     "negbin_shared_pattern_fit"])
 def test_fit_satisfies_contracts(fixture, request):
     fitted = request.getfixturevalue(fixture)
     assert fitted.converged
@@ -627,12 +701,13 @@ def test_fit_satisfies_contracts(fixture, request):
     np.testing.assert_allclose(cov, cov.T, atol=1e-10)
     eig = np.linalg.eigvalsh(cov)
     assert eig.min() >= -1e-8 * max(eig.max(), 1e-300)
-    # modes satisfy the stationarity tolerance
+    # modes satisfy the stationarity tolerance; the workspace scores patterns
     ws = _Workspace(fitted.dataset, fitted.spec.family, fitted.config.gh_nodes)
-    eta0 = ws.X @ fitted.params.beta
-    score = ws.mode_score(
-        eta0, np.array(fitted.cond_modes), fitted.params.sigma2, fitted.params.kappa
-    )
+    assert fixture != "negbin_shared_pattern_fit" or ws.P < ws.K
+    modes = np.array(fitted.cond_modes)
+    assert np.array_equal(modes, modes[ws.rep][ws.pattern])
+    b, params = modes[ws.rep], fitted.params
+    score = ws.loglik_score(ws.X @ params.beta, b, params.kappa) - b / params.sigma2
     assert np.max(np.abs(score)) <= MODE_TOL * 10
 
 

@@ -296,9 +296,35 @@ configs = st.dictionaries(
 )
 
 
+def _numbers(text):
+    """Every number in a JSON or CSV output; JSON's Infinity and NaN and
+    CSV's inf and nan included."""
+    try:
+        stack, found = [json.loads(text)], []
+        while stack:
+            item = stack.pop()
+            if isinstance(item, dict):
+                stack.extend(item.values())
+            elif isinstance(item, list):
+                stack.extend(item)
+            elif isinstance(item, (int, float)) and not isinstance(item, bool):
+                found.append(float(item))
+        return found
+    except ValueError:
+        found = []
+        for row in csv.reader(io.StringIO(text)):
+            for cell in row:
+                try:
+                    found.append(float(cell))
+                except ValueError:
+                    pass
+        return found
+
+
 @settings(max_examples=25)
 @given(command=st.sampled_from(("fit", "means")), family=st.sampled_from(("logistic", "negbin")),
        covariates=column_lists, group_by=column_lists, config=st.none() | configs)
+@example(command="means", family="negbin", covariates="y", group_by="", config=None)
 def test_fit_and_means_exit_by_contract(tmp_path_factory, command, family, covariates, group_by,
                                         config):
     folder = tmp_path_factory.mktemp("cli")
@@ -316,6 +342,20 @@ def test_fit_and_means_exit_by_contract(tmp_path_factory, command, family, covar
         assert "Traceback" not in err
     else:
         assert out
+        assert all(math.isfinite(v) for v in _numbers(out))
+
+
+def test_means_with_a_non_finite_estimate_exits_2_and_writes_nothing(tmp_path):
+    # the covariate equals the {0, 1} response, which separates it: the NB
+    # fit converges to a corner whose marginal variance overflows to inf
+    (tmp_path / "data.csv").write_text(_tiny_csv_text(), encoding="utf-8")
+    out = tmp_path / "means.json"
+    code, stdout, err = run_cli(["means", "--input", str(tmp_path / "data.csv"), "--family",
+                                 "negbin", "--covariates", "y", "--format", "json", "--out", str(out)])
+    assert code == 2
+    assert json.loads(err)["error"] == {"code": "non_convergence",
+                                        "message": "mu_se of group all is inf"}
+    assert stdout == "" and not out.exists()
 
 
 # ---- estimates do not depend on subject order or on the spelling of group labels -------
