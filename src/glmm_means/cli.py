@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 validation error (dataset
 invariants or bad invocation), 2 fit non-convergence, 3 I/O error.  All
-failures write a machine-readable error JSON to stderr.  A non-finite number
-in the output of `fit` or `means` counts as non-convergence: nothing is written.
+failures write one machine-readable error JSON to stderr and nothing else;
+warnings raised on the way go into it.  A non-finite number in the output
+of `fit` or `means` counts as non-convergence: nothing is written.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -279,15 +281,15 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _error_json(code: str, message: str, detail=None) -> None:
-    payload = {"error": {"code": code, "message": message}}
+def _error(code: str, message: str, detail=None) -> dict:
+    error = {"code": code, "message": message}
     if detail is not None:
-        payload["error"]["detail"] = detail
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+        error["detail"] = detail
+    return error
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _run(argv: list[str]) -> tuple[int, dict | None]:
+    """The exit code of one command and, on failure, its error object."""
     parser = _build_parser()
     try:
         args = _apply_config(parser, argv)
@@ -300,26 +302,41 @@ def main(argv: list[str] | None = None) -> int:
             "simulate": _cmd_simulate,
             "validate": _cmd_validate,
         }[args.command]
-        return handler(args)
+        return handler(args), None
     except UsageError as exc:
-        _error_json("usage", str(exc))
-        return EXIT_VALIDATION
+        return EXIT_VALIDATION, _error("usage", str(exc))
     except ValidationFailure as exc:
-        _error_json(
+        return EXIT_VALIDATION, _error(
             "validation",
             "dataset validation failed",
             [{"code": v.code, "message": v.message} for v in exc.violations],
         )
-        return EXIT_VALIDATION
     except NonConvergence as exc:
-        _error_json("non_convergence", str(exc))
-        return EXIT_NONCONVERGENCE
+        return EXIT_NONCONVERGENCE, _error("non_convergence", str(exc))
     except InputError as exc:
-        _error_json("io", str(exc))
-        return EXIT_IO
+        return EXIT_IO, _error("io", str(exc))
     except ValueError as exc:
-        _error_json("validation", str(exc))
-        return EXIT_VALIDATION
+        return EXIT_VALIDATION, _error("validation", str(exc))
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Runs one command.  Warnings raised on the way are recorded; on a
+    failure they enter the error JSON as its `warnings` list, once per
+    distinct (category, message), so stderr holds that one JSON object.  On
+    success they are re-issued as usual."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        code, error = _run(argv)
+    if error is None:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        return code
+    seen = {(w.category.__name__, str(w.message)): None for w in caught}
+    if seen:
+        error["warnings"] = [{"category": c, "message": m} for c, m in seen]
+    sys.stderr.write(json.dumps({"error": error}, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -61,9 +61,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
-from .families import Family, family_ops
+from .families import Family, family_ops, gamma_sums
 from .model import Dataset, ModelSpec, ParamVector
 from .quadrature import DEFAULT_GH_NODES, gh_rule
 
@@ -132,17 +131,6 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     count = top.sum(axis=1, keepdims=True, dtype=a.dtype)
     rest = np.exp(np.where(top, -np.inf, a) - amax).sum(axis=1, keepdims=True)
     return (np.log1p(rest / count) + np.log(count) + amax)[:, 0]
-
-
-def _lgamma_ratio(y, kappa: float):
-    """log Gamma(y + k) - log Gamma(k) - y log k.  For large k the gammaln
-    difference loses ulp(k log k) per row, so Stirling's series is
-    differenced instead, with log1p for the leading term."""
-    if kappa < 1e3:
-        return gammaln(y + kappa) - gammaln(kappa) - y * math.log(kappa)
-    x = y + kappa
-    return ((x - 0.5) * np.log1p(y / kappa) - y + (1.0 / x - 1.0 / kappa) / 12.0
-            - (1.0 / x**3 - 1.0 / kappa**3) / 360.0)
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:
@@ -254,7 +242,7 @@ class _Workspace:
         self.starts = offsets[:-1]
         if family is Family.NEGBIN:
             self.levels, self.level = np.unique(y_rows, return_inverse=True)
-            self.lgamma_y1 = gammaln(self.levels + 1.0)  # per level, for cell_mean
+            self.lgamma_y1 = gamma_sums(self.levels, 1.0, 0)  # per level, for cell_mean
         rule = gh_rule(gh_nodes)
         self.t = rule.nodes
         self.logw_t2 = np.log(rule.weights) + rule.nodes**2
@@ -312,9 +300,14 @@ class _Workspace:
 
         The mode lies between the start b and sigma2 S(b) (module
         docstring), a bracket that b is always an end of.  A step takes the
-        Newton point if it lies in the bracket and moves b (at sigma2 ~ 1e-10
-        the first one rounds onto the far end), else the midpoint; after 50
-        steps, midpoints only, until the bracket is 1e-15 wide.
+        Newton point if it lies in the bracket (at sigma2 ~ 1e-10 the first
+        one rounds onto the far end), else the midpoint; a Newton point that
+        rounds onto b is replaced by the next float toward the root.  After
+        50 steps, midpoints only.  A pattern stops once |score| <= MODE_TOL
+        or once its bracket is down to adjacent floats, where the midpoint
+        rounds onto an end: the slope of the score times an ulp of the mode
+        can exceed MODE_TOL (NB kappa = 1e6 with counts of 1e4 and a mode
+        of 14: 4e-10), so no float meets the tolerance.
         """
         eta0 = self.X @ beta
         b = np.zeros(self.P) if b0 is None else np.asarray(b0, float)[self.rep]
@@ -323,21 +316,21 @@ class _Workspace:
         lo, hi = np.minimum(b, end), np.maximum(b, end)
         active = np.abs(score) > MODE_TOL
         for step in range(250):
+            nxt = 0.5 * (lo + hi)
+            active &= (lo < nxt) & (nxt < hi)  # else the bracket is down to adjacent floats
             if not active.any():
                 break
-            nxt = 0.5 * (lo + hi)
             if step < 50:
                 eta = eta0 + b[self.subj]
                 curv = self._subject_sums(self.w * self.ops.obs_curvature(self.y, eta, aux))
                 prop = b + score / (curv + 1.0 / sigma2)
-                nxt = np.where((lo <= prop) & (prop <= hi) & (prop != b), prop, nxt)
+                prop = np.where(prop == b, np.nextafter(b, nxt), prop)  # nxt: the midpoint
+                nxt = np.where((lo <= prop) & (prop <= hi), prop, nxt)
             b = np.where(active, nxt, b)
             score = self.loglik_score(eta0, b, aux) - b / sigma2
             lo = np.where(active & (score > 0), b, lo)
             hi = np.where(active & (score <= 0), b, hi)
-            # the width test is for midpoints only: at sigma2 = 1e-10 a 1e-15
-            # bracket can leave |score| ~ 1e-5, far above what Newton reaches
-            active = (np.abs(score) > MODE_TOL) & ((step < 50) | (hi - lo > 1e-15))
+            active = np.abs(score) > MODE_TOL
 
         eta = eta0 + b[self.subj]
         curvature = self._subject_sums(self.w * self.ops.fisher_weight(eta, aux)) + 1.0 / sigma2
@@ -352,9 +345,9 @@ class _Workspace:
         if self.family is not Family.NEGBIN:
             return None
         if split:
-            return self.cell_mean(lambda y: _lgamma_ratio(y, aux) - self.lgamma_y1)
+            return self.cell_mean(lambda y: gamma_sums(y, aux, 0) - self.lgamma_y1)
         return self.cell_mean(
-            lambda y: gammaln(y + aux) - gammaln(aux) - self.lgamma_y1 + aux * math.log(aux))
+            lambda y: gamma_sums(y, aux, 0) - self.lgamma_y1 + (y + aux) * math.log(aux))
 
     def _loglik_matrix(self, eta, aux, rows, split):
         """Conditional loglik without its node-free constant, (cells, nodes).

@@ -16,15 +16,16 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri  # the normal quantile: norm.ppf, minus scipy.stats' import
 
 from .families import Family, stable_expit
 from .fitter import FittedModel, equal_runs
 from .quadrature import ZEGER_COEF, zeger_attenuation, zeger_mean
 
 _PAIR_BLOCK = 1 << 20  # row pairs per block of the NB variance sum (8 MB of float64)
+_NORMAL = NormalDist()  # its inv_cdf is the standard normal quantile (Wichura's AS241)
 
 
 class MeanKind(enum.Enum):
@@ -52,7 +53,7 @@ class GroupMeanEstimate:
 def _z(alpha: float) -> float:
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    return float(ndtri(1.0 - alpha / 2.0))
+    return _NORMAL.inv_cdf(1.0 - alpha / 2.0)
 
 
 # ---- per-observation plug-in means and gradients ---------------------------
@@ -219,7 +220,7 @@ def ci_lognormal(point: float, variance: float, n_obs: int, alpha: float = 0.05)
     s2 = float(np.log1p(variance / point**2))
     m = float(np.log(n_obs * point) - s2 / 2.0)
     s = np.sqrt(s2)
-    zq = ndtri(np.array([alpha / 2.0, 1.0 - alpha / 2.0]))
+    zq = np.array([_NORMAL.inv_cdf(alpha / 2.0), _NORMAL.inv_cdf(1.0 - alpha / 2.0)])
     lo, hi = np.exp(m + s * zq) / n_obs
     return Interval(float(lo), float(hi), 1.0 - alpha)
 

@@ -1,0 +1,107 @@
+"""Negative-binomial kernels against mpmath at 40 digits.
+
+The terms nonlinear in the count are finite sums (`gamma_sums`), not
+differences of scipy's gamma functions; at kappa = 1e6 scipy's own
+digamma(y + k) - digamma(k) is off by ~1e-9 relative, so the oracle is
+mpmath evaluated at the same float arguments.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from glmm_means.families import SUM_CAP, Family, family_ops, gamma_sums
+from glmm_means.fitter import LOG_KAPPA_BOUNDS
+
+
+@mpmath.workdps(40)
+def _gamma_oracle(y, kappa, order):
+    y, k = mpmath.mpf(y), mpmath.mpf(kappa)
+    if order == 0:
+        return mpmath.loggamma(y + k) - mpmath.loggamma(k) - y * mpmath.log(k)
+    return mpmath.psi(order - 1, y + k) - mpmath.psi(order - 1, k)
+
+
+kappas = st.one_of(st.sampled_from([1e-3, 1.0, 1e6]),
+                   st.floats(*LOG_KAPPA_BOUNDS).map(math.exp))
+
+
+@settings(max_examples=100, deadline=None)
+@given(y=st.one_of(st.integers(0, SUM_CAP), st.integers(SUM_CAP + 1, 300_000),
+                   st.integers(SUM_CAP - 3, SUM_CAP + 3)),
+       kappa=kappas, order=st.sampled_from([0, 1, 2]))
+def test_gamma_sums_match_mpmath_on_both_sides_of_the_cap(y, kappa, order):
+    # exact sums up to SUM_CAP, the differenced asymptotic series above it:
+    # measured within 7e-15 relative on both paths; atol covers y = 1 at
+    # order 0, an exact 0 that the 40-digit oracle puts at ~1e-33
+    got = gamma_sums(np.array([float(y)]), kappa, order)[0]
+    want = _gamma_oracle(y, kappa, order)
+    assert abs(mpmath.mpf(got) - want) <= 2e-14 * abs(want) + 1e-30
+
+
+@pytest.mark.parametrize("y", [0, 1, 2, 7, 170, SUM_CAP, SUM_CAP + 1, 250_000])
+def test_gamma_sums_at_unit_kappa_are_log_factorials(y):
+    got = gamma_sums(np.array([float(y)]), 1.0, 0)[0]
+    assert got == pytest.approx(math.lgamma(y + 1.0), rel=2e-14, abs=0)
+
+
+def test_gamma_sums_gather_one_table_for_every_count():
+    y = np.array([[3.0, 0.0], [-0.0, 40.0]])
+    for order in (0, 1, 2):
+        out = gamma_sums(y, 2.5, order)
+        assert out.shape == y.shape and out[0, 1] == out[1, 0] == 0.0
+        np.testing.assert_array_equal(out.ravel(), [gamma_sums(np.array([v]), 2.5, order)[0]
+                                                    for v in y.ravel()])
+
+
+@pytest.mark.parametrize("bad", [0.5, -1.0, np.nan, np.inf])
+def test_gamma_sums_reject_counts_that_are_not_non_negative_integers(bad):
+    with pytest.raises(ValueError, match="non-negative integers"):
+        gamma_sums(np.array([0.0, bad]), 2.0, 0)
+
+
+@mpmath.workdps(40)
+def _kappa_score_oracle(y, eta, kappa):
+    y, eta, k = mpmath.mpf(y), mpmath.mpf(eta), mpmath.mpf(kappa)
+    mu = mpmath.exp(eta)
+    return (mpmath.psi(0, y + k) - mpmath.psi(0, k) + mpmath.log(k) + 1
+            - mpmath.log(k + mu) - (y + k) / (k + mu))
+
+
+@pytest.mark.parametrize("kappa", [1e6, 1e4, 37.5, 1e-3])
+def test_kappa_score_matches_mpmath(kappa):
+    # the score sums terms of size y / k to a value of size 1 / k^2: written
+    # as digamma sum - log1p(mu / k) + (mu - y) / (k + mu) it keeps all but
+    # ~9 digits at k = 1e6 (measured 2.1e-9 relative), where the form with
+    # log k + 1 - log(k + mu) lost all but one (0.28 relative)
+    ops = family_ops(Family.NEGBIN)
+    y = np.array([0.0, 1.0, 3.0, 17.0, 250.0])
+    for eta in (-3.0, 0.0, 1.1, 2.9, 5.5, 12.0):
+        got = ops.score_kappa(y, eta, kappa, ops.score_kappa_offset(y, kappa))
+        for yi, gi in zip(y, got):
+            want = _kappa_score_oracle(yi, eta, kappa)
+            assert abs(mpmath.mpf(gi) - want) <= 1e-8 * abs(want), (yi, eta)
+
+
+@mpmath.workdps(40)
+def _loglik_oracle(y, eta, kappa):
+    y, eta, k = mpmath.mpf(y), mpmath.mpf(eta), mpmath.mpf(kappa)
+    mu = mpmath.exp(eta)
+    return (mpmath.loggamma(y + k) - mpmath.loggamma(k) - mpmath.loggamma(y + 1)
+            + k * mpmath.log(k / (k + mu)) + y * mpmath.log(mu / (k + mu)))
+
+
+def test_negbin_loglik_matches_mpmath():
+    # its terms, of size up to y log(y / k), cancel to the value: the
+    # tolerance scales with the larger of the two
+    ops = family_ops(Family.NEGBIN)
+    for kappa in (1e-3, 0.8, 40.0, 1e6):
+        for y in (0.0, 1.0, 9.0, 600.0):
+            for eta in (-4.0, 0.3, 6.0):
+                want = _loglik_oracle(y, eta, kappa)
+                got = ops.loglik(np.array([y]), eta, kappa)[0]
+                assert abs(mpmath.mpf(got) - want) <= 1e-13 * max(abs(want), y, 1), (kappa, y, eta)

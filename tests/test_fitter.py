@@ -12,14 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gammaln
 from scipy.stats import nbinom
 
 from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, fit
-from glmm_means.families import family_ops, stable_expit
+from glmm_means.families import family_ops, gamma_sums, stable_expit
 from glmm_means.fitter import (LOG_KAPPA_BOUNDS, LOG_SIGMA2_BOUNDS, MODE_TOL, SCORE_TOL, _cells,
-                                _lgamma_ratio, _patterns, _Workspace, marginal_loglik, spd_inverse,
-                                subject_scores)
+                                _patterns, _Workspace, marginal_loglik, spd_inverse, subject_scores)
 from glmm_means.model import ParamVector
 from glmm_means.simulate import generate_dataset, logistic_design, negbin_design
 
@@ -50,6 +48,18 @@ def test_degenerate_variance_single_negbin():
     mu = np.exp(0.3)
     oracle = nbinom.logpmf(2, 50.0, 50.0 / (50.0 + mu))
     assert marginal_loglik(ds, spec, params) == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.4])
+def test_a_non_integer_negbin_response_raises(sigma2):
+    # validate rejects such data; library calls that skip it get ValueError
+    ds = Dataset([SubjectBlock(subject_id="s", y=np.array([2.0, 1.5]), X=np.ones((2, 1)),
+                               groups=("g", "g"))])
+    spec = ModelSpec(family=Family.NEGBIN, p=1)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        marginal_loglik(ds, spec, ParamVector(beta=np.zeros(1), sigma2=sigma2, kappa=5.0))
+    with pytest.raises(ValueError, match="non-negative integers"):
+        fit(ds, spec)
 
 
 def _trapezoid_subject_loglik(y, x, beta, sigma2, family, kappa=None, n=400_001):
@@ -212,6 +222,36 @@ def test_a_far_warm_start_brackets_a_tiny_mode(b0):
     assert abs(ws.loglik_score(ws.X @ beta, modes, kappa)[0] - modes[0] / sigma2) <= MODE_TOL
 
 
+@pytest.mark.parametrize("rows,sigma2,intercept", [(20, 25.0, -5.0), (40, 1.0, 0.0)])
+def test_a_mode_whose_ulp_exceeds_the_width_stop_ends_at_the_ulp(rows, sigma2, intercept):
+    # NB kappa = 1e6 with rows of y = 1e4 puts the mode at 14.2 and 9.2,
+    # where |g| > MODE_TOL at every float near it (the slope there times an
+    # ulp is ~4e-10); these solves once ran all 250 steps, and now stop once
+    # the bracket is down to adjacent floats
+    kappa = 1e6
+    block = SubjectBlock(subject_id="s", y=np.full(rows, 1e4), X=np.ones((rows, 1)),
+                         groups=("g",) * rows)
+    ws = _Workspace(Dataset([block]), Family.NEGBIN, 1)
+    beta = np.array([intercept])
+    score, calls = ws.loglik_score, []
+
+    def counted(*args):
+        calls.append(args)
+        return score(*args)
+
+    ws.loglik_score = counted
+    modes, _ = ws.solve_modes(beta, sigma2, kappa)
+    assert len(calls) <= 30  # 27 and 17 (251 each before the stop)
+
+    def g(b):
+        return score(ws.X @ beta, np.array([b]), kappa)[0] - b / sigma2
+
+    b = modes[0]
+    assert abs(b) >= 8.0 and abs(g(b)) > MODE_TOL
+    # g changes sign between b and the next float toward the root
+    assert g(b) * g(np.nextafter(b, np.inf if g(b) > 0 else -np.inf)) <= 0
+
+
 def _log_uniform(bounds):
     return st.one_of(st.sampled_from(bounds), st.floats(*bounds)).map(math.exp)
 
@@ -321,14 +361,14 @@ def test_observed_information_matches_central_differences(family):
         beta = rng.normal(0.0, 0.5, 2)
         sigma2 = rng.uniform(0.05, 0.8)
         kappa = rng.uniform(2.0, 30.0) if nb else None
-        points.append((ws.pack(beta, sigma2, kappa), 1e-5))
-    # small sigma2 and large kappa; the kappa score rounds at ~1e-12 there,
-    # so its differences need the larger step
-    points.append((ws.pack(np.array([0.2, -0.4]), 1e-3, 1e4 if nb else None), 1e-3))
-    for theta, h in points:
+        points.append(ws.pack(beta, sigma2, kappa))
+    # small sigma2 and large kappa: the kappa score, free of cancellation,
+    # keeps its digits there, so its differences take the same step
+    points.append(ws.pack(np.array([0.2, -0.4]), 1e-3, 1e4 if nb else None))
+    for theta in points:
         _, modes, curv = ws.loglik_at(theta)
         _, _, hess = ws.derivatives(theta, modes, curv)
-        fd = _fd_score_jacobian(ws, theta, h)
+        fd = _fd_score_jacobian(ws, theta, 1e-5)
         rel = np.abs(hess - fd) / np.maximum(np.abs(fd), 1e-3)
         assert rel.max() <= 1e-4, (np.exp(theta[2:]), rel.max())
 
@@ -550,16 +590,16 @@ def test_per_level_terms_equal_the_per_row_cell_means(kappa, weighted):
     # the NB terms nonlinear in y are evaluated once per distinct response
     # and gathered to the rows: every row gets the same float as a per-row
     # evaluation, summed in the same order, so the cell means agree to the
-    # bit.  kappa on both sides of 1e3 takes both _lgamma_ratio branches.
+    # bit
     ds = _level_dataset(weighted)
     ws = _Workspace(ds, Family.NEGBIN, 25)
     assert ws.levels.size == 5 and np.any(np.signbit(ds.y) & (ds.y == 0.0))
     assert ws.C < ws.N
     ops = family_ops(Family.NEGBIN)
     cases = [
-        (ws.loglik_constant(kappa), lambda y: _lgamma_ratio(y, kappa) - gammaln(y + 1.0)),
+        (ws.loglik_constant(kappa), lambda y: gamma_sums(y, kappa, 0) - gamma_sums(y, 1.0, 0)),
         (ws.loglik_constant(kappa, split=False),
-         lambda y: gammaln(y + kappa) - gammaln(kappa) - gammaln(y + 1.0) + kappa * math.log(kappa)),
+         lambda y: gamma_sums(y, kappa, 0) - gamma_sums(y, 1.0, 0) + (y + kappa) * math.log(kappa)),
         (ws.cell_mean(lambda y: ops.score_kappa_offset(y, kappa)),
          lambda y: ops.score_kappa_offset(y, kappa)),
         (ws.cell_mean(lambda y: ops.dscore_kappa_offset(y, kappa)),

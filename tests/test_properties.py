@@ -6,6 +6,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,8 +358,30 @@ def test_means_with_a_non_finite_estimate_exits_2_and_writes_nothing(tmp_path):
                                  "negbin", "--covariates", "y", "--format", "json", "--out", str(out)])
     assert code == 2
     assert json.loads(err)["error"] == {"code": "non_convergence",
-                                        "message": "mu_se of group all is inf"}
+                                        "message": "mu_se of group all is inf",
+                                        "warnings": SEPARATED_NB_WARNINGS}
     assert stdout == "" and not out.exists()
+
+
+# what numpy warns of on the way to the inf above, in the order raised
+SEPARATED_NB_WARNINGS = [
+    {"category": "RuntimeWarning", "message": "overflow encountered in exp"},
+    {"category": "RuntimeWarning", "message": "overflow encountered in expm1"},
+    {"category": "RuntimeWarning", "message": "invalid value encountered in add"},
+]
+
+
+def test_stderr_of_a_failed_run_is_one_json_object(tmp_path):
+    # in a fresh interpreter, where no test harness captures warnings: the
+    # numpy warnings of the run above go into the error JSON, not before it
+    (tmp_path / "data.csv").write_text(_tiny_csv_text(), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "glmm_means", "means", "--input",
+                           str(tmp_path / "data.csv"), "--family", "negbin", "--covariates", "y",
+                           "--format", "json"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["warnings"] == SEPARATED_NB_WARNINGS
 
 
 # ---- estimates do not depend on subject order or on the spelling of group labels -------
