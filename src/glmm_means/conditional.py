@@ -88,8 +88,7 @@ def build_prediction_structure(fitted: FittedModel) -> PredictionStructure:
     """Iterative weights and design pieces evaluated at the conditional modes."""
     ds = fitted.dataset
     ops = family_ops(fitted.spec.family)
-    eta = ds.X @ fitted.params.beta + np.asarray(fitted.cond_modes)[ds.subject_index]
-    w = ds.weights * ops.fisher_weight(eta, fitted.params.kappa)
+    w = ds.weights * ops.fisher_weight(predicted_eta_rows(fitted), fitted.params.kappa)
     return PredictionStructure(
         X=ds.X,
         subject_index=np.asarray(ds.subject_index),

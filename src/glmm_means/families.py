@@ -176,10 +176,13 @@ class _NegBinomial:
     @staticmethod
     def dscore_kappa(y, eta, aux, offset):
         """d score_kappa / d kappa, given `offset` = dscore_kappa_offset(y,
-        aux), with 1 / (kappa + mu) = (1 - s) / kappa."""
+        aux): offset + 1/k - 2/(k + mu) + (y + k)/(k + mu)^2, written as
+        offset + s^2/k + y r^2/k^2 with s = mu/(k + mu), r = k/(k + mu), so
+        no terms of size 1/k cancel."""
         kappa = aux
-        r = stable_expit(np.log(kappa) - eta)  # 1 - s = kappa / (kappa + mu)
-        return offset + (1.0 - 2.0 * r) / kappa + (y + kappa) * r * r / (kappa * kappa)
+        s = stable_expit(eta - np.log(kappa))
+        r = stable_expit(np.log(kappa) - eta)  # not 1 - s: s can be near 1
+        return offset + s * s / kappa + y * r * r / (kappa * kappa)
 
     @staticmethod
     def fisher_weight(eta, aux):

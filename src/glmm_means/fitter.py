@@ -177,9 +177,7 @@ def _cells(subj: np.ndarray, xrow: np.ndarray):
     numbers each row's covariate row.  Rows stacked subject by subject give
     cells stacked subject by subject.
     """
-    key = subj * (int(xrow.max()) + 1) + xrow
-    order = np.argsort(key, kind="stable")
-    return _first_appearance(order, _run_starts(key[order, None]))
+    return _first_appearance(*equal_runs(np.column_stack([subj, xrow])))
 
 
 def _patterns(dataset: Dataset):

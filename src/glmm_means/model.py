@@ -13,6 +13,7 @@ partition) are checked by `validate`, not by the constructors.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -149,6 +150,16 @@ class Dataset:
             ids, np.bincount(subj), y[order], X[order], weights[order],
             list(map(groups.__getitem__, order.tolist())),
         )
+        return ds
+
+    def with_responses(self, y) -> "Dataset":
+        """The same subjects, rows, weights and group index with responses
+        `y`, given in this dataset's stacked row order."""
+        y = _frozen_array(y)
+        if y.shape != self.y.shape:
+            raise ValueError(f"y has shape {y.shape}, expected {self.y.shape}")
+        ds = copy.copy(self)
+        ds.y = y
         return ds
 
     def _store(self, subject_ids, counts, y, X, weights, groups) -> None:

@@ -37,19 +37,22 @@ def gh_rule(m: int) -> GHRule:
     return GHRule(nodes=nodes, weights=weights)
 
 
-def logistic_normal_integral(eta0: float, sigma2: float, rule: GHRule | None = None) -> float:
+def logistic_normal_integral(eta0, sigma2: float, rule: GHRule | None = None):
     """E[expit(eta0 + b)] for b ~ N(0, sigma2); no closed form exists.
 
     Gauss-Hermite quadrature after b = sqrt(2 sigma2) t; exactly
-    expit(eta0) when sigma2 = 0.
+    expit(eta0) when sigma2 = 0.  Broadcasts over eta0; a scalar eta0
+    gives a float.
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
+    eta0 = np.asarray(eta0, dtype=float)
     if sigma2 == 0.0:
-        return float(stable_expit(eta0))
+        return stable_expit(eta0)
     rule = rule or gh_rule(DEFAULT_GH_NODES)
-    vals = stable_expit(eta0 + np.sqrt(2.0 * sigma2) * rule.nodes)
-    return float(rule.weights @ vals / np.sqrt(np.pi))
+    vals = stable_expit(eta0[..., None] + np.sqrt(2.0 * sigma2) * rule.nodes)
+    out = vals @ rule.weights / np.sqrt(np.pi)
+    return out if out.ndim else float(out)
 
 
 def zeger_attenuation(sigma2: float) -> float:

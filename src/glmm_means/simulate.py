@@ -19,9 +19,9 @@ reproducible bit for bit regardless of worker count.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,7 +102,9 @@ def group_label(u: int, t: int) -> str:
 # prefixes stay uniform under dropout).  Only the random intercepts and the
 # responses are drawn.  This makes the fixed group mean of each design an
 # exact population target, so confidence-interval coverage is measured
-# against a constant.
+# against a constant.  The frame is one Dataset with zero responses, built
+# and cached once per (baseline, control, arm_sizes); each replication draws
+# only the responses and takes `frame.with_responses(y)`.
 
 
 def _van_der_corput(n: int) -> np.ndarray:
@@ -117,79 +119,50 @@ def _van_der_corput(n: int) -> np.ndarray:
     return out
 
 
-def _baseline_values(design: SimDesign, n: int) -> np.ndarray:
-    if design.baseline == "bernoulli":
+def _baseline_values(baseline: str, n: int) -> np.ndarray:
+    if baseline == "bernoulli":
         return (np.arange(n) % 2).astype(float)
     return _van_der_corput(n)
 
 
-@dataclass(frozen=True, eq=False)
-class _Frame:
-    X: np.ndarray           # (N, 4) rows (1, x, u, t)
-    subj: np.ndarray        # (N,) subject index
-    subject_ids: tuple      # (N,) subject id of each row
-    groups: np.ndarray      # (N,) group labels
-    cells: dict             # group label -> (u, t, rows), in order of first appearance
-    n_subjects: int
-
-
-def _build_frame(design: SimDesign) -> _Frame:
-    subj_rows: list[list[tuple[float, int, int]]] = []  # per subject: [(x, u, t), ...]
-    if design.control == "time":
-        plan = [(1, design.arm_sizes[0], design.arm_sizes[1]),
-                (0, design.arm_sizes[2], design.arm_sizes[3])]
+@lru_cache(maxsize=32)
+def _layout(baseline: str, control: str, arm_sizes: tuple[int, int, int, int]) -> Dataset:
+    """The design's covariate rows (1, x, u, t), subject by subject, with zero responses."""
+    subjects: list[list[tuple]] = []  # per subject: [(x, u, t), ...]
+    if control == "time":
+        plan = [(1, arm_sizes[0], arm_sizes[1]), (0, arm_sizes[2], arm_sizes[3])]
         for u, n_total, n_second in plan:
-            x_arm = _baseline_values(design, n_total)
-            for i in range(n_total):
-                rows = [(x_arm[i], u, 0)]
-                if i < n_second:
-                    rows.append((x_arm[i], u, 1))
-                subj_rows.append(rows)
+            for i, x in enumerate(_baseline_values(baseline, n_total)):
+                subjects.append([(x, u, 0), (x, u, 1)] if i < n_second else [(x, u, 0)])
     else:
-        n_female = design.arm_sizes[0] // 2
-        n_male = design.arm_sizes[3] // 2
         for u in (1, 0):
-            for t, n_subj in ((0, n_female), (1, n_male)):
-                x_cell = _baseline_values(design, n_subj)
-                for i in range(n_subj):
-                    subj_rows.append([(x_cell[i], u, t), (x_cell[i], u, t)])
-
-    rows = [(k, x, u, t) for k, visits in enumerate(subj_rows) for x, u, t in visits]
-    counts = Counter((u, t) for _, _, u, t in rows)
-    return _Frame(
-        X=np.asarray([[1.0, x, float(u), float(t)] for _, x, u, t in rows]),
-        subj=np.asarray([k for k, _, _, _ in rows]),
-        subject_ids=tuple(f"s{k:05d}" for k, _, _, _ in rows),
-        groups=np.asarray([group_label(u, t) for _, _, u, t in rows]),
-        cells={group_label(u, t): (u, t, n) for (u, t), n in counts.items()},
-        n_subjects=len(subj_rows),
+            for t, n_subj in ((0, arm_sizes[0] // 2), (1, arm_sizes[3] // 2)):
+                subjects.extend([(x, u, t)] * 2 for x in _baseline_values(baseline, n_subj))
+    rows = [(f"s{k:05d}", x, u, t) for k, visits in enumerate(subjects) for x, u, t in visits]
+    return Dataset.from_rows(
+        [sid for sid, _, _, _ in rows],
+        np.zeros(len(rows)),
+        [[1.0, x, u, t] for _, x, u, t in rows],
+        [group_label(u, t) for _, _, u, t in rows],
     )
 
 
-_FRAME_CACHE: dict[tuple, _Frame] = {}
-
-
-def _covariate_frame(design: SimDesign) -> _Frame:
-    key = (design.baseline, design.control, design.arm_sizes)
-    frame = _FRAME_CACHE.get(key)
-    if frame is None:
-        frame = _FRAME_CACHE[key] = _build_frame(design)
-    return frame
+def _covariate_frame(design: SimDesign) -> Dataset:
+    return _layout(design.baseline, design.control, design.arm_sizes)
 
 
 def _generate(design: SimDesign, rng):
     """One replication: the dataset, plus realized conditional group means."""
     frame = _covariate_frame(design)
     xi = rng.normal(0.0, design.sigma, size=frame.n_subjects)
-    eta_true = frame.X @ np.asarray(design.beta) + xi[frame.subj]
+    eta_true = frame.X @ np.asarray(design.beta) + xi[frame.subject_index]
 
     ops = family_ops(design.family)
     mu = ops.inverse_link(eta_true)
     y = ops.sample(rng, mu, design.kappa)
 
-    dataset = Dataset.from_rows(frame.subject_ids, y, frame.X, frame.groups)
-    lam = {gid: float(np.mean(mu[frame.groups == gid])) for gid in frame.cells}
-    return dataset, lam
+    lam = {gid: float(np.mean(mu[idx])) for gid, idx in frame.group_index.indices.items()}
+    return frame.with_responses(y), lam
 
 
 def generate_dataset(design: SimDesign, seed: int | None = None) -> Dataset:
@@ -218,10 +191,10 @@ def true_marginal_means(design: SimDesign) -> dict[str, float]:
     s2 = design.sigma**2
     eta0 = frame.X @ np.asarray(design.beta)
     if design.family is Family.LOGISTIC:
-        vals = np.array([logistic_normal_integral(e, s2) for e in eta0])
+        vals = logistic_normal_integral(eta0, s2)
     else:
         vals = np.exp(eta0 + s2 / 2.0)
-    return {gid: float(np.mean(vals[frame.groups == gid])) for gid in frame.cells}
+    return {gid: float(np.mean(vals[idx])) for gid, idx in frame.group_index.indices.items()}
 
 
 # ---- the study loop ---------------------------------------------------------
@@ -389,7 +362,9 @@ def run_study(design: SimDesign, max_workers: int | None = None,
     frame = _covariate_frame(design)
     marginal_rows = []
     conditional_rows = []
-    for gid, cell in frame.cells.items():
+    for gid, idx in frame.group_index.indices.items():
+        _, _, u, t = frame.X[idx[0]]
+        cell = (int(u), int(t), idx.size)
         recs = [r["groups"][gid] for r in good]
         lam = np.array([r["lam_true"] for r in recs])
         marginal_rows.append(_summary(gid, "marginal", cell, recs, "mu", mu_true[gid]))

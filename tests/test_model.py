@@ -138,6 +138,23 @@ def test_from_rows_shape_errors():
         Dataset.from_rows(["s", "s"], np.zeros(2), X, ["a", "a"], weights=np.ones(3))
 
 
+def test_with_responses_replaces_only_the_responses():
+    ds = Dataset.from_rows(["b", "a", "b"], [0, 1, 0], [[1.0, 0.1], [1.0, 0.2], [1.0, 0.3]],
+                           ["g", "h", "g"])
+    y = np.array([1.0, 1.0, 0.0])
+    new = ds.with_responses(y)
+    y[:] = 5.0  # the new dataset keeps its own frozen copy
+    np.testing.assert_array_equal(new.y, [1.0, 1.0, 0.0])
+    assert not new.y.flags.writeable
+    np.testing.assert_array_equal(ds.y, [0.0, 0.0, 1.0])
+    assert new.X is ds.X and new.group_index is ds.group_index
+    assert new.subject_ids == ds.subject_ids and new.group_labels == ds.group_labels
+    with pytest.raises(ValueError, match="y has shape"):
+        ds.with_responses(np.zeros(2))
+    with pytest.raises(ValueError, match="y has shape"):
+        ds.with_responses(np.zeros(4))
+
+
 def test_group_index_partitions_observations():
     ds = Dataset([block("s0"), block("s1"), block("s2", groups=("b", "b"))])
     gi = ds.group_index

@@ -75,6 +75,17 @@ def test_sigma_zero_is_hard_branch():
         logistic_normal_integral(0.0, -1e-12)
 
 
+def test_logistic_normal_integral_broadcasts_over_eta0():
+    eta0 = np.linspace(-6.0, 6.0, 37).reshape(37, 1) + np.array([0.0, 0.125])
+    for sigma2 in SIGMA2_GRID:
+        got = logistic_normal_integral(eta0, sigma2)
+        assert got.shape == eta0.shape
+        want = np.vectorize(lambda e: logistic_normal_integral(float(e), sigma2))(eta0)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(logistic_normal_integral(eta0, 0.0), stable_expit(eta0))
+    assert type(logistic_normal_integral(0.3, 0.5)) is float
+
+
 def test_expectation_matches_trapezoid_for_shifted_logistic():
     val = logistic_normal_integral(0.5, 0.25)
     oracle = trapezoid_normal_expectation(lambda b: stable_expit(0.5 + b), 0.25)

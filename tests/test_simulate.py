@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import glmm_means.simulate as sim
-from glmm_means import Family, generate_dataset, logistic_design, negbin_design, run_study
+from glmm_means import Dataset, Family, generate_dataset, logistic_design, negbin_design, run_study
 from glmm_means.simulate import generate_replication, true_marginal_means
 from glmm_means.families import stable_expit
 
@@ -65,6 +65,50 @@ def test_replication_returns_realized_conditional_means():
     mus = true_marginal_means(design)
     for gid in lam:
         assert abs(lam[gid] - mus[gid]) < 0.6
+
+
+@pytest.mark.parametrize("baseline", ["bernoulli", "uniform"])
+@pytest.mark.parametrize("control", ["gender", "time"])
+def test_replication_equals_the_dataset_built_from_its_rows(baseline, control):
+    # the cached frame with drawn responses is the Dataset that from_rows
+    # builds from the same per-row ids, covariates, responses and labels
+    design = logistic_design(baseline=baseline, control=control)
+    ds, _ = generate_replication(design, seed=7)
+    ids = [f"s{k:05d}" for k in ds.subject_index]
+    oracle = Dataset.from_rows(ids, ds.y, ds.X, ds.group_labels)
+    assert ds.subject_ids == oracle.subject_ids
+    assert ds.group_labels == oracle.group_labels
+    for name in ("y", "X", "weights", "subject_index", "row_offsets"):
+        np.testing.assert_array_equal(getattr(ds, name), getattr(oracle, name), strict=True)
+    assert ds.group_index.group_ids == oracle.group_index.group_ids
+    for gid in oracle.group_index.group_ids:
+        np.testing.assert_array_equal(ds.group_index.rows(gid), oracle.group_index.rows(gid),
+                                      strict=True)
+
+
+def test_replications_leave_the_cached_frame_unchanged():
+    design = negbin_design(**SMALL)
+    frame = sim._covariate_frame(design)
+    ds, _ = generate_replication(design, seed=5)
+    assert ds.y.any()
+    assert sim._covariate_frame(design) is frame
+    np.testing.assert_array_equal(frame.y, np.zeros(frame.n_obs))
+
+
+def test_a_study_builds_each_frame_once(monkeypatch):
+    calls = []
+    real = Dataset.from_rows.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "from_rows", classmethod(counting))
+    sim._layout.cache_clear()
+    for control in ("gender", "time"):
+        run_study(logistic_design(control=control, arm_sizes=(20, 18, 20, 16),
+                                  replications=4, seed=3), max_workers=1)
+    assert len(calls) <= 2
 
 
 def test_design_validation():
@@ -129,7 +173,7 @@ def test_true_means_with_degenerate_variance_average_the_inverse_link():
     frame = sim._covariate_frame(design)
     eta = frame.X @ np.asarray(design.beta)
     for gid, mu in mus.items():
-        oracle = float(np.mean(stable_expit(eta[frame.groups == gid])))
+        oracle = float(np.mean(stable_expit(eta[frame.group_index.rows(gid)])))
         assert mu == pytest.approx(oracle, rel=1e-12)
 
 
