@@ -177,7 +177,11 @@ def _cells(subj: np.ndarray, xrow: np.ndarray):
     numbers each row's covariate row.  Rows stacked subject by subject give
     cells stacked subject by subject.
     """
-    return _first_appearance(*equal_runs(np.column_stack([subj, xrow])))
+    key = subj * (int(xrow.max()) + 1) + xrow  # one int64 key sorts as (subj, xrow)
+    order = np.argsort(key, kind="stable")
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[order[1:]] != key[order[:-1]]
+    return _first_appearance(order, new)
 
 
 def _patterns(dataset: Dataset):

@@ -3,16 +3,19 @@
 Input is RFC-4180-style CSV with a header row: a subject id column, a
 response column, numeric covariate columns, and group-by columns whose
 cartesian levels define the groups.  An intercept column is prepended to
-the covariates automatically.  The reader takes every record in one pass
-of `csv.reader`, then parses a column at a time: each numeric column with
-Python's `float`, the subject ids and group keys by cell index.  It hands
-one entry per data row (subject id, response, covariate row, group label)
-to `Dataset.from_rows`, which groups the rows by subject, so a subject's
-rows may appear anywhere in the file.  Problems raise InputError with
-row/column diagnostics, and the first fault in file order is the one
-reported: when a column check fails, or the file turns out malformed or
-undecodable part way, the records read so far are walked one by one to
-name the first bad one.
+the covariates automatically.  The reader pulls records from `csv.reader`
+in chunks of `_CHUNK` and parses each chunk a column at a time: each
+numeric column with Python's `float`, the subject ids and group keys into
+integer codes through first-appearance dicts that persist across chunks.
+A chunk's records are dropped once parsed, so the reader holds one chunk of
+records, never the file's.  `Dataset.from_codes` then groups the rows by
+subject, so a subject's rows may appear anywhere in the file.  Problems
+raise InputError with row/column diagnostics, and the first fault in file
+order is the one reported: when a column check fails, or the file turns out
+malformed or undecodable part way, the records of the current chunk read so
+far are walked one by one to name the first bad one (earlier chunks parsed
+cleanly).  A group value spelled two ways is reported once every chunk has
+parsed, at the first data row of its second spelling.
 
 Numeric output is written at full precision in JSON and with 6 significant
 digits in CSV.
@@ -21,6 +24,7 @@ digits in CSV.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import operator
 import sys
@@ -29,6 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset
+
+
+_CHUNK = 4096  # records parsed at a time: the reader never holds more of them
 
 
 class InputError(Exception):
@@ -64,7 +71,7 @@ class _Layout:
 
 
 def read_dataset(path: str, mapping: ColumnMapping) -> Dataset:
-    """Parse a CSV file into a Dataset (see `Dataset.from_rows`).
+    """Parse a CSV file into a Dataset (see `Dataset.from_codes`).
 
     A subject's rows need not be contiguous: subjects appear in order of
     first occurrence and rows keep file order within a subject.  Group
@@ -77,24 +84,25 @@ def read_dataset(path: str, mapping: ColumnMapping) -> Dataset:
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc.strerror or exc}") from None
 
-    records = []
     with fh:
         reader = csv.reader(fh)
+        chunk = []
         try:
-            layout = _layout(path, next(reader, None), mapping)
-            records.extend(filter(None, reader))
+            columns = _Columns(_layout(path, next(reader, None), mapping))
+            records = filter(None, reader)
+            while True:
+                chunk.extend(itertools.islice(records, _CHUNK))
+                if not chunk:
+                    break
+                columns.add(chunk)
+                chunk = []
         except (csv.Error, UnicodeDecodeError) as exc:
-            if records:
-                _raise_first_fault(records, layout)  # a bad cell before the bad line comes first
+            if chunk:
+                columns.raise_first_fault(chunk)  # a bad cell before the bad line comes first
             raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not records:
+    if not columns.rows:
         raise InputError(f"{path}: file has a header but no data rows")
-    try:
-        subject_ids, y, X, keys = _parse_columns(records, layout)
-    except ValueError:
-        _raise_first_fault(records, layout)
-        raise
-    return Dataset.from_rows(subject_ids, y, X, _group_labels([c for c, _ in layout.grouping], keys))
+    return columns.dataset()
 
 
 def _layout(path, header, mapping: ColumnMapping) -> _Layout:
@@ -118,6 +126,65 @@ def _layout(path, header, mapping: ColumnMapping) -> _Layout:
     )
 
 
+class _Columns:
+    """What the chunks parsed so far leave: per chunk, each row's subject
+    code, response, covariate row and group code; the subject ids and the
+    group keys, each numbered by first appearance; and the data-row number
+    of each group key's first record."""
+
+    def __init__(self, layout: _Layout):
+        self.layout = layout
+        self.rows = 0  # records parsed
+        self.subjects: dict[str, int] = {}
+        self.keys: dict = {}
+        self.key_rows: list[int] = []
+        self.parts: list[tuple[np.ndarray, ...]] = []
+
+    def add(self, records) -> None:
+        """Parse one chunk of records, or raise the InputError of its first faulty one."""
+        try:
+            subject_ids, y, X, keys = _parse_columns(records, self.layout)
+        except ValueError:
+            self.raise_first_fault(records)
+            raise
+        known = len(self.keys)
+        groups = _codes(self.keys, keys)
+        fresh = np.flatnonzero(groups >= known)
+        _, first = np.unique(groups[fresh], return_index=True)  # in code order
+        self.key_rows.extend((self.rows + 2 + fresh[first]).tolist())
+        self.parts.append((_codes(self.subjects, subject_ids), y, X, groups))
+        self.rows += len(records)
+
+    def raise_first_fault(self, records) -> None:
+        """Raise the InputError of the first faulty record of a chunk, if any."""
+        layout = self.layout
+        width = layout.width
+        column, js = layout.subject
+        for i, row in enumerate(records, start=self.rows + 2):
+            if len(row) < width:
+                last = layout.header[width - 1]
+                raise InputError(f"row {i}: {len(row)} cells, but column {last!r} is cell {width}")
+            if row[js] == "":
+                raise InputError(f"row {i}, column {column!r}: empty subject id")
+            for c, j in layout.numeric:
+                _parse_cell(row[j], i, c)
+
+    def dataset(self) -> Dataset:
+        columns = [c for c, _ in self.layout.grouping]
+        labels = _group_labels(columns, list(self.keys), self.key_rows)
+        subjects, y, X, groups = map(np.concatenate, zip(*self.parts))
+        self.parts.clear()  # the chunks' arrays go before the rows are stacked by subject
+        return Dataset.from_codes(list(self.subjects), subjects, y, X, None, labels, groups)
+
+
+def _codes(codes: dict, keys) -> np.ndarray:
+    """The code of each key, numbering the keys `codes` does not hold yet
+    in order of first appearance after those it does."""
+    for key in dict.fromkeys(keys):
+        codes.setdefault(key, len(codes))
+    return np.fromiter(map(codes.__getitem__, keys), np.int64, len(keys))
+
+
 def _parse_columns(records, layout: _Layout):
     """Subject ids, responses, the (1, covariates...) matrix and group keys,
     parsed a column at a time.  ValueError when any record is faulty."""
@@ -137,29 +204,18 @@ def _parse_columns(records, layout: _Layout):
     return subject_ids, y, X, keys
 
 
-def _raise_first_fault(records, layout: _Layout) -> None:
-    """Raise the InputError of the first faulty record in file order, if any."""
-    width = layout.width
-    column, js = layout.subject
-    for i, row in enumerate(records, start=2):
-        if len(row) < width:
-            last = layout.header[width - 1]
-            raise InputError(f"row {i}: {len(row)} cells, but column {last!r} is cell {width}")
-        if row[js] == "":
-            raise InputError(f"row {i}, column {column!r}: empty subject id")
-        for c, j in layout.numeric:
-            _parse_cell(row[j], i, c)
-
-
-def _group_labels(columns, keys) -> list[str]:
-    """One "col=value,..." label per row ("all" without group-by columns),
-    from each row's group cells (a tuple; the cell itself for one column).
+def _group_labels(columns, keys, rows=None) -> list[str]:
+    """One "col=value,..." label per key ("all" without group-by columns),
+    from each key's group cells (a tuple; the cell itself for one column).
 
     A group column whose cells are equal as numbers but spelled differently
-    ("1" and "1.0") is an InputError: the two spellings would make two groups.
+    ("1" and "1.0") is an InputError: the two spellings would make two
+    groups.  It names the data row of the first key with the second
+    spelling, `rows[i]` being key i's row (by default the keys are rows 2, 3, ...).
     """
     if not columns:
         return ["all"] * len(keys)
+    rows = range(2, 2 + len(keys)) if rows is None else rows
     cells_of = {key: key if len(columns) > 1 else (key,) for key in dict.fromkeys(keys)}
     numbers = [{} for _ in columns]
     for cells in cells_of.values():  # in order of first appearance
@@ -169,7 +225,7 @@ def _group_labels(columns, keys) -> list[str]:
             except ValueError:
                 continue
             if first != value:
-                row = 2 + next(i for i, key in enumerate(keys) if cells_of[key][k] == value)
+                row = rows[next(i for i, key in enumerate(keys) if cells_of[key][k] == value)]
                 raise InputError(
                     f"row {row}, column {columns[k]!r}: group value {value!r} equals "
                     f"{first!r} as a number but is spelled differently"

@@ -3,9 +3,10 @@
 A Dataset stores every row once, stacked subject by subject: responses,
 covariate rows, row weights and one group label per row, plus each row's
 subject number and the subjects' row offsets.  It is the only place that
-groups rows by subject; `Dataset.from_rows` accepts rows in any order, and
-`SubjectBlock` is the per-subject view for callers that build or read data
-one subject at a time.  All containers are immutable after construction;
+groups rows by subject: every constructor hands per-row arrays with integer
+subject and group codes to one builder, `Dataset.from_codes`, which accepts
+rows in any order.  `SubjectBlock` is the per-subject view for callers
+that build or read data one subject at a time.  All containers are immutable after construction;
 numpy arrays are frozen so instances can be shared across threads.
 Statistical invariants (response domain, full column rank, group
 partition) are checked by `validate`, not by the constructors.
@@ -92,7 +93,8 @@ class Dataset:
     `X`, `weights`, `subject_index` and `group_labels` hold one entry per
     row, `subject_ids` one per subject.  `Dataset(subjects)` stacks
     per-subject blocks in the given order; `Dataset.from_rows` takes rows
-    in any order.
+    in any order, and `Dataset.from_codes` rows whose subjects and groups
+    are already numbered.
     """
 
     def __init__(self, subjects: Sequence[SubjectBlock]):
@@ -110,13 +112,15 @@ class Dataset:
             if s.subject_id in seen:
                 raise ValueError(f"duplicate subject id {s.subject_id!r}")
             seen.add(s.subject_id)
+        labels, groups = _first_appearance_codes([g for s in subjects for g in s.groups])
         self._store(
             [s.subject_id for s in subjects],
-            np.array([s.n_obs for s in subjects], dtype=np.int64),
+            np.repeat(np.arange(len(subjects)), [s.n_obs for s in subjects]),
             np.concatenate([s.y for s in subjects]),
             np.vstack([s.X for s in subjects]),
             np.concatenate([s.weights for s in subjects]),
-            [g for s in subjects for g in s.groups],
+            labels,
+            groups,
         )
 
     @classmethod
@@ -125,6 +129,40 @@ class Dataset:
 
         Subjects are numbered by first appearance and each subject's rows
         keep their input order.  `weights` defaults to ones.
+        """
+        ids, subjects = _first_appearance_codes(subject_ids)
+        labels, codes = _first_appearance_codes(list(map(str, groups)))
+        return cls.from_codes(ids, subjects, y, X, weights, labels, codes)
+
+    @classmethod
+    def from_codes(cls, subject_ids, subjects, y, X, weights, group_labels, groups) -> "Dataset":
+        """Dataset from per-row arrays in any row order, with each row's
+        subject and group given as an integer code.
+
+        Row r belongs to subject `subject_ids[subjects[r]]` and to group
+        `group_labels[groups[r]]`; every one of the distinct `subject_ids`
+        needs a row.  Subjects are stacked in code order, each keeping its
+        rows' input order.  Rows whose labels are equal form one group.
+        `weights` of None means ones.
+        """
+        ds = cls.__new__(cls)
+        ds._store(subject_ids, subjects, y, X, weights, group_labels, groups)
+        return ds
+
+    def with_responses(self, y) -> "Dataset":
+        """The same subjects, rows, weights and group index with responses
+        `y`, given in this dataset's stacked row order."""
+        y = _frozen_array(y)
+        if y.shape != self.y.shape:
+            raise ValueError(f"y has shape {y.shape}, expected {self.y.shape}")
+        ds = copy.copy(self)
+        ds.y = y
+        return ds
+
+    def _store(self, subject_ids, subjects, y, X, weights, group_labels, groups) -> None:
+        """Stack the rows subject by subject (see `from_codes`).
+
+        The row arrays are fresh copies owned by this dataset and are frozen in place.
         """
         y = np.asarray(y, dtype=float)
         X = np.asarray(X, dtype=float)
@@ -138,48 +176,31 @@ class Dataset:
         weights = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError(f"weight vector has shape {weights.shape}, expected ({n},)")
-        groups = list(map(str, groups))
-        if len(subject_ids) != n or len(groups) != n:
+        subjects, groups = np.asarray(subjects, np.int64), np.asarray(groups, np.int64)
+        if subjects.shape != (n,) or groups.shape != (n,):
             raise ValueError(
-                f"{len(subject_ids)} subject ids and {len(groups)} group labels for {n} rows"
+                f"{subjects.size} subject ids and {groups.size} group labels for {n} rows"
             )
-        ids, subj = _first_appearance_codes(subject_ids)
-        order = np.argsort(subj, kind="stable")
-        ds = cls.__new__(cls)
-        ds._store(
-            ids, np.bincount(subj), y[order], X[order], weights[order],
-            list(map(groups.__getitem__, order.tolist())),
-        )
-        return ds
-
-    def with_responses(self, y) -> "Dataset":
-        """The same subjects, rows, weights and group index with responses
-        `y`, given in this dataset's stacked row order."""
-        y = _frozen_array(y)
-        if y.shape != self.y.shape:
-            raise ValueError(f"y has shape {y.shape}, expected {self.y.shape}")
-        ds = copy.copy(self)
-        ds.y = y
-        return ds
-
-    def _store(self, subject_ids, counts, y, X, weights, groups) -> None:
-        """Keep rows stacked subject by subject, `counts` rows per subject.
-
-        The row arrays are fresh copies owned by this dataset and are frozen in place.
-        """
+        counts = np.bincount(subjects, minlength=len(subject_ids))
+        if counts.size != len(subject_ids) or not counts.all():
+            raise ValueError(f"subject codes must number each of the {len(subject_ids)} subjects")
+        order = np.argsort(subjects, kind="stable")
         self.subject_ids = tuple(subject_ids)
         self.subject_position = dict(zip(self.subject_ids, range(len(self.subject_ids))))
         self.row_offsets = np.concatenate([[0], np.cumsum(counts)])
         self.subject_index = np.repeat(np.arange(len(self.subject_ids)), counts)
-        self.y, self.X, self.weights = y, X, weights
-        for arr in (self.row_offsets, self.subject_index, y, X, weights):
+        self.y, self.X, self.weights = y[order], X[order], weights[order]
+        for arr in (self.row_offsets, self.subject_index, self.y, self.X, self.weights):
             arr.setflags(write=False)
-        self.group_labels = tuple(groups)
-        group_ids, codes = _first_appearance_codes(self.group_labels)
-        rows = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
+        labels, merged = _first_appearance_codes(group_labels)
+        codes = merged[groups[order]]
+        self.group_labels = tuple(map(labels.__getitem__, codes.tolist()))
+        sizes = np.bincount(codes, minlength=len(labels))
+        rows = np.split(np.argsort(codes, kind="stable"), np.cumsum(sizes)[:-1])
+        seen = sorted(np.flatnonzero(sizes).tolist(), key=lambda g: rows[g][0])  # by first row
         self.group_index = GroupIndex(
-            group_ids=tuple(group_ids),
-            indices={g: _frozen_array(r, dtype=np.int64) for g, r in zip(group_ids, rows)},
+            group_ids=tuple(labels[g] for g in seen),
+            indices={labels[g]: _frozen_array(rows[g], dtype=np.int64) for g in seen},
         )
 
     @property

@@ -19,7 +19,6 @@ reproducible bit for bit regardless of worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -348,6 +347,9 @@ def run_study(design: SimDesign, max_workers: int | None = None,
 
     workers = _resolve_workers(max_workers)
     if workers > 1 and design.replications >= 4:
+        # imported here: it loads multiprocessing, which no serial run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, design.replications // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate, args, chunksize=chunk))

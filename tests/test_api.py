@@ -38,6 +38,7 @@ for family in ("logistic", "negbin"):
                                "--group-by", "t", "--format", "json", "--out", sys.argv[2]]))
     codes.append(cli.main(["simulate", "--family", family, "--reps", "1", "--seed", "3",
                            "--out", sys.argv[2]]))
+assert "multiprocessing" not in sys.modules  # the process pool loads only when a study starts one
 print(json.dumps(codes))
 """
 

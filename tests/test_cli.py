@@ -4,6 +4,7 @@ import importlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,25 @@ def test_csv_roundtrip_reproduces_the_fit(small_csv):
     assert f1.params.sigma2 == f2.params.sigma2
     assert f1.loglik == f2.loglik
 
+
+
+def test_reader_holds_one_chunk_of_records_not_the_file(tmp_path):
+    # the parsed records of a chunk are dropped before the next is read, so
+    # what the reader needs beyond the Dataset it returns stays bounded
+    rng = np.random.default_rng(7)
+    y, x = rng.integers(0, 2, size=40000), rng.uniform(-1.0, 1.0, size=40000)
+    lines = [f"s{r // 2},{y[r]},{x[r]:.4f},{r // 2 % 2},{r % 2}" for r in range(40000)]
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(["subject_id,y,x,u,t", *lines]) + "\n", encoding="utf-8")
+    del lines
+    tracemalloc.start()
+    try:
+        ds = read_dataset(str(path), MAPPING)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n_obs == 40000 and ds.n_subjects == 20000
+    assert peak - kept < 10e6
 
 # ---- CLI commands -------------------------------------------------------------
 

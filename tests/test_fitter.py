@@ -17,7 +17,8 @@ from scipy.stats import nbinom
 from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, fit
 from glmm_means.families import family_ops, gamma_sums, stable_expit
 from glmm_means.fitter import (LOG_KAPPA_BOUNDS, LOG_SIGMA2_BOUNDS, MODE_TOL, SCORE_TOL, _cells,
-                                _patterns, _Workspace, marginal_loglik, spd_inverse, subject_scores)
+                                _first_appearance, _patterns, _Workspace, equal_runs, marginal_loglik,
+                                spd_inverse, subject_scores)
 from glmm_means.model import ParamVector
 from glmm_means.simulate import generate_dataset, logistic_design, negbin_design
 
@@ -498,6 +499,11 @@ def test_cells_are_numbered_by_first_appearance():
     cell, first = _cells(subj, np.arange(6))
     np.testing.assert_array_equal(cell, np.arange(6))  # no rows merge: one cell per row
     np.testing.assert_array_equal(first, np.arange(6))
+    rng = np.random.default_rng(3)  # the lexicographic sort of (subject, row) pairs is the reference
+    subj, xrow = rng.integers(0, 40, size=500), rng.integers(0, 9, size=500)
+    want = _first_appearance(*equal_runs(np.column_stack([subj, xrow])))
+    for got, expected in zip(_cells(subj, xrow), want):
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_fit_reports_rows_and_quadrature_cells():

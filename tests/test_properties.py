@@ -17,6 +17,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import glmm_means.cli as cli
+import glmm_means.io as glmm_io
 from glmm_means import (
     Dataset,
     ModelSpec,
@@ -200,6 +201,13 @@ GOOD = {"subject_id": "a", "y": "1", "x": "0.5", "u": "1", "t": "0"}
 
 @settings(max_examples=100)
 @example(header=list(COLUMNS), rows=[GOOD, [], {**GOOD, "u": "1.0"}], tail="none")
+# faults past row 4, so a reader of three records at a time meets them in a later chunk
+@example(header=list(COLUMNS), rows=[GOOD, GOOD, GOOD, [], GOOD, {**GOOD, "x": "a"}],
+         tail="oversized field")
+@example(header=list(COLUMNS), rows=[GOOD, GOOD, GOOD, GOOD, ["a", "1"]], tail="bad utf-8")
+@example(header=list(COLUMNS), rows=[GOOD, GOOD, GOOD, {**GOOD, "subject_id": ""}], tail="none")
+@example(header=list(COLUMNS), rows=[GOOD, {**GOOD, "u": "0"}, GOOD, GOOD,
+                                     {**GOOD, "subject_id": "b", "u": "0.0"}], tail="none")
 @example(header=list(COLUMNS), rows=[GOOD, {**GOOD, "subject_id": '""'}], tail="none")
 @example(header=list(COLUMNS), rows=[GOOD, {**GOOD, "subject_id": ""}], tail="bad utf-8")
 @example(header=list(COLUMNS), rows=[{**GOOD, "y": "NA"}, ["a"]], tail="oversized field")
@@ -229,6 +237,15 @@ def test_reader_matches_the_record_by_record_oracle(tmp_path_factory, header, ro
     else:
         assert_same_dataset(got, want)
 
+
+
+def test_the_reader_tests_hold_at_a_chunk_of_three_records(monkeypatch, tmp_path_factory,
+                                                           grouped_csv):
+    # faults, second spellings of a group value and a subject's later rows
+    # then land in later chunks than the records before them
+    monkeypatch.setattr(glmm_io, "_CHUNK", 3)
+    test_reader_matches_the_record_by_record_oracle(tmp_path_factory)
+    test_interleaved_rows_read_as_the_grouped_file(tmp_path_factory, grouped_csv)
 
 # ---- the two constructors agree ------------------------------------------------------------
 
