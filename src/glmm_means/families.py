@@ -1,19 +1,25 @@
 """Response-family kernels shared by the fitter and the prediction machinery.
 
-Each family exposes the per-observation conditional log-density, its first
-two derivatives in the linear predictor, the inverse link, and a sampler;
-the negative binomial adds the first and second derivatives in its size.
-Their eta-free parts, the only ones not affine in y, are separate kernels
-(`*_offset`) whose values the caller passes in, so that the fitter can
-average them over the rows it merges.  Those parts are gamma-function
-differences at an integer count, which `gamma_sums` computes as finite sums.
-`aux` carries the negative-binomial size parameter and is ignored elsewhere.
-All functions broadcast over numpy arrays.
+Each family exposes its conditional log-density, the Fisher weight, the
+inverse link, a sampler and one node kernel, `kernel(y, eta, aux)`, which
+gives every term the fitter evaluates at the quadrature nodes.  Up to
+eta-free terms both log-densities are l = y eta - n softplus(z), with z =
+eta and n = 1 for the logistic and z = eta - log k and n = y + k for the
+negative binomial of size k.  `Nodes` takes one exponential, e =
+exp(-|z|), for s = expit(z), r = expit(-z) and softplus(z) = max(z, 0) +
+log1p(e), and forms l, its eta-derivatives and the kappa terms from them;
+r is a quotient of its own, not 1 - s, which rounds to 0 where s rounds to
+1.  The eta-free parts, the only ones not affine in y, are gamma-function
+differences at an integer count, which `gamma_sums` computes as finite
+sums; the caller passes them in, so that the fitter can average them over
+the rows it merges.  `aux` carries the negative-binomial size parameter
+and is ignored elsewhere.  All functions broadcast over numpy arrays.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -64,47 +70,90 @@ def gamma_sums(y, kappa: float, order: int) -> np.ndarray:
     top = y.max(initial=0.0)  # NaN if any y is
     if not (top < np.inf and np.all(np.floor(y) == np.abs(y))):  # -0.0 passes, -1.0 does not
         raise ValueError("negative-binomial responses must be non-negative integers")
+    return gamma_table(y, kappa)[order]
+
+
+def gamma_table(y: np.ndarray, kappa: float) -> np.ndarray:
+    """gamma_sums(y, kappa, order) for orders 0, 1 and 2 along a first axis,
+    from one grid of k + j, at counts that gamma_sums accepts (unchecked)."""
+    top = y.max(initial=0.0)
     n = int(min(top, SUM_CAP))
     j = np.arange(n, dtype=float)
-    if order == 0:
-        terms = np.log1p(j / kappa)
-    elif order == 1:
-        terms = 1.0 / (kappa + j)
-    else:
-        terms = -1.0 / (kappa + j) ** 2
-    out = np.append(0.0, _prefix_sums(terms))[np.minimum(y, n).astype(np.intp)]
+    kj = kappa + j
+    sums = np.array([_prefix_sums(t) for t in (np.log1p(j / kappa), 1.0 / kj, -1.0 / kj**2)])
+    out = np.append(np.zeros((3, 1)), sums, axis=1)[:, np.minimum(y, n).astype(np.intp)]
     if top > SUM_CAP:  # the series terms below are exactly 0 where y <= SUM_CAP
         yc = np.maximum(y, SUM_CAP)
         u, v = 1.0 / (yc + kappa), 1.0 / (SUM_CAP + kappa)
         du = -(yc - SUM_CAP) * u * v  # 1/x - 1/a, x = y + k, a = SUM_CAP + k
-        if order == 0:  # Stirling: (x - 1/2) log x - x + 1/(12 x)
-            out = out + ((yc + kappa - 0.5) * np.log1p(yc / kappa) - (yc - SUM_CAP)
-                         - (SUM_CAP + kappa - 0.5) * np.log1p(SUM_CAP / kappa) + du / 12.0)
-        elif order == 1:  # log x - 1/(2 x) - 1/(12 x^2)
-            out = out + np.log1p((yc - SUM_CAP) * v) - du / 2.0 - du * (u + v) / 12.0
-        else:  # 1/x + 1/(2 x^2) + 1/(6 x^3)
-            out = out + du * (1.0 + (u + v) / 2.0 + (u * u + u * v + v * v) / 6.0)
+        # Stirling's (x - 1/2) log x - x + 1/(12 x), its derivative log x -
+        # 1/(2 x) - 1/(12 x^2) and the second, 1/x + 1/(2 x^2) + 1/(6 x^3)
+        out[0] += ((yc + kappa - 0.5) * np.log1p(yc / kappa) - (yc - SUM_CAP)
+                   - (SUM_CAP + kappa - 0.5) * np.log1p(SUM_CAP / kappa) + du / 12.0)
+        out[1] = out[1] + np.log1p((yc - SUM_CAP) * v) - du / 2.0 - du * (u + v) / 12.0
+        out[2] += du * (1.0 + (u + v) / 2.0 + (u * u + u * v + v * v) / 6.0)
     return out
+
+
+class Nodes:
+    """The kernels of l = y eta - n softplus(z) at every (y, z), y and n
+    broadcasting against z; `kappa` is the negative binomial's size.  The
+    arrays are reused in place: a fitter block holds few at once."""
+
+    def __init__(self, y, z, n, kappa=None):
+        self.y, self.n, self.kappa = y, n, kappa
+        e = np.exp(-np.abs(z), out=np.empty(np.shape(z)))
+        q = np.add(e, 1.0, out=np.empty_like(e))
+        up = z >= 0.0
+        self.s = np.where(up, 1.0, e)
+        self.s /= q  # expit(z)
+        self.r = np.where(up, e, 1.0)
+        self.r /= q  # expit(-z), not 1 - s: s can round to 1
+        np.maximum(z, 0.0, out=q)
+        q += np.log1p(e, out=e)
+        self.softplus = q  # max(z, 0) + log1p(exp(-|z|))
+
+    def loglik(self, eta):
+        return self.y * eta - self.n * self.softplus
+
+    def score_eta(self):
+        return self.y - self.n * self.s
+
+    def curvature(self):
+        """-d2 l / d eta2 = n s r."""
+        return self.n * self.s * self.r
+
+    def score_kappa(self, offset):
+        """d l / d kappa = offset - log1p(mu / k) + (mu - y) / (k + mu), with
+        `offset` = gamma_sums(y, k, 1): terms of O(y / k) whose O(1 / k^2)
+        sum keeps its digits at large k."""
+        return offset - self.softplus + self.s - self.y * self.r / self.kappa
+
+    def dscore_eta_kappa(self):
+        """d score_eta / d kappa = mu (y - mu) / (mu + k)^2 = (s r y - k s^2) / k."""
+        return (self.s * self.r * self.y - self.kappa * self.s * self.s) / self.kappa
+
+    def dscore_kappa(self, offset):
+        """d score_kappa / d kappa = offset + 1/k - 2/(k + mu) + (y + k)/(k + mu)^2,
+        `offset` = gamma_sums(y, k, 2), as offset + s^2/k + y r^2/k^2."""
+        k = self.kappa
+        return offset + self.s * self.s / k + self.y * self.r * self.r / (k * k)
 
 
 class _Logistic:
     @staticmethod
-    def loglik(y, eta, aux=None):
-        # log pmf of Bernoulli(expit(eta)); logaddexp(0, eta) = log(1 + e^eta)
-        return y * eta - np.logaddexp(0.0, eta)
+    def kernel(y, eta, aux=None):
+        return Nodes(y, eta, 1.0)
 
     @staticmethod
-    def score_eta(y, eta, aux=None):
-        return y - stable_expit(eta)
+    def loglik(y, eta, aux=None):
+        # log pmf of Bernoulli(expit(eta))
+        return _Logistic.kernel(y, eta).loglik(eta)
 
     @staticmethod
     def fisher_weight(eta, aux=None):
         # p (1 - p) with 1 - p = expit(-eta), so neither tail rounds to 0
         return stable_expit(eta) * stable_expit(-np.asarray(eta))
-
-    @staticmethod
-    def obs_curvature(y, eta, aux=None):
-        return _Logistic.fisher_weight(eta)
 
     @staticmethod
     def inverse_link(eta):
@@ -131,70 +180,19 @@ class _NegBinomial:
     """
 
     @staticmethod
+    def kernel(y, eta, aux):
+        return Nodes(y, eta - math.log(aux), y + aux, aux)
+
+    @staticmethod
     def loglik(y, eta, aux):
-        kappa = aux
-        const = gamma_sums(y, kappa, 0) - gamma_sums(y, 1.0, 0)
-        return const + y * eta - (y + kappa) * np.logaddexp(0.0, eta - np.log(kappa))
-
-    @staticmethod
-    def score_eta(y, eta, aux):
-        kappa = aux
-        return y - (y + kappa) * stable_expit(eta - np.log(kappa))
-
-    @staticmethod
-    def score_kappa_offset(y, aux):
-        """The eta-free part of score_kappa, digamma(y + k) - digamma(k):
-        the only part not affine in y."""
-        return gamma_sums(y, aux, 1)
-
-    @staticmethod
-    def score_kappa(y, eta, aux, offset):
-        """d loglik / d kappa = offset - log1p(mu / k) + (mu - y) / (k + mu),
-        given `offset` = score_kappa_offset(y, aux).  Each term is O(y / k),
-        so their O(1 / k^2) sum keeps its digits at large k."""
-        kappa = aux
-        z = eta - np.log(kappa)  # log(mu / kappa)
-        e = np.exp(-np.abs(z))
-        up = z >= 0.0
-        s = np.where(up, 1.0, e) / (1.0 + e)  # mu / (mu + kappa)
-        r = np.where(up, e, 1.0) / (1.0 + e)  # kappa / (mu + kappa), not 1 - s: s can be near 1
-        return offset - (np.maximum(z, 0.0) + np.log1p(e)) + s - y * r / kappa
-
-    @staticmethod
-    def dscore_eta_kappa(y, eta, aux):
-        """d score_eta / d kappa = mu (y - mu) / (mu + kappa)^2."""
-        kappa = aux
-        s = stable_expit(eta - np.log(kappa))  # mu / (mu + kappa); (1 - s) mu = kappa s
-        return (s * (1.0 - s) * y - kappa * s * s) / kappa
-
-    @staticmethod
-    def dscore_kappa_offset(y, aux):
-        """The eta-free part of dscore_kappa, trigamma(y + k) - trigamma(k):
-        the only part not affine in y."""
-        return gamma_sums(y, aux, 2)
-
-    @staticmethod
-    def dscore_kappa(y, eta, aux, offset):
-        """d score_kappa / d kappa, given `offset` = dscore_kappa_offset(y,
-        aux): offset + 1/k - 2/(k + mu) + (y + k)/(k + mu)^2, written as
-        offset + s^2/k + y r^2/k^2 with s = mu/(k + mu), r = k/(k + mu), so
-        no terms of size 1/k cancel."""
-        kappa = aux
-        s = stable_expit(eta - np.log(kappa))
-        r = stable_expit(np.log(kappa) - eta)  # not 1 - s: s can be near 1
-        return offset + s * s / kappa + y * r * r / (kappa * kappa)
+        const = gamma_sums(y, aux, 0) - gamma_sums(y, 1.0, 0)
+        return const + _NegBinomial.kernel(y, eta, aux).loglik(eta)
 
     @staticmethod
     def fisher_weight(eta, aux):
         kappa = aux
         # mu * kappa / (mu + kappa)
         return kappa * stable_expit(eta - np.log(kappa))
-
-    @staticmethod
-    def obs_curvature(y, eta, aux):
-        kappa = aux
-        s = stable_expit(eta - np.log(kappa))  # mu / (mu + kappa)
-        return (y + kappa) * s * (1.0 - s)
 
     @staticmethod
     def inverse_link(eta):

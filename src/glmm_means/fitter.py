@@ -31,6 +31,17 @@ rows, the cells of all subjects and the patterns.  The iteration cap and
 the tolerances are the module constants MAX_ITER, PARAM_TOL, SCORE_TOL
 and MODE_TOL.
 
+Every node kernel comes from one `families.Nodes` per block, one
+exponential per (cell, node).  numpy's `logaddexp` has no vectorized loop
+(it takes some 25 times an `exp`), so only the unsplit loglik of
+`score_matrix` keeps it.  Patterns are numbered by descending cell count,
+and a block stores its cells position-major: the first cell of every
+pattern, then the second of every pattern that has one, and so on.  A
+per-pattern sum is one reduction over the positions that every pattern
+has and one slice add per further position, where `reduceat`'s overhead
+per segment costs many slice adds on two-cell patterns.  The mode
+solver's sums are `np.bincount`s.
+
 A subject's conditional mode b* is the root of g(b) = S(b) - b / sigma2,
 where S, the sum of w score_eta over its cells, falls in b because the
 observed curvature of both families is >= 0.  So any b brackets b* with
@@ -59,10 +70,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .families import Family, family_ops, gamma_sums
+from .families import Family, family_ops, gamma_sums, gamma_table
 from .model import Dataset, ModelSpec, ParamVector
 from .quadrature import DEFAULT_GH_NODES, gh_rule
 
@@ -206,64 +218,90 @@ def _patterns(dataset: Dataset):
     return (*_first_appearance(np.concatenate(orders), np.concatenate(news)), xrow)
 
 
+class _Block(NamedTuple):
+    """Whole patterns and their cells, position-major: the first `head`
+    positions hold every pattern, `tail` the pattern count of each after."""
+    patterns: slice
+    cells: slice
+    subj: np.ndarray  # each cell's pattern, counted from the block's first
+    head: int
+    tail: tuple
+
+
+def _block_sums(values: np.ndarray, block: _Block) -> np.ndarray:
+    """Per-pattern sums of a block's cell values, added in position order."""
+    n = block.patterns.stop - block.patterns.start
+    at = block.head * n
+    out = values[:at].reshape((block.head, n) + values.shape[1:]).sum(axis=0)
+    for count in block.tail:
+        out[:count] += values[at : at + count]
+        at += count
+    return out
+
+
 class _Workspace:
     """Quadrature arrays and scratch for one (dataset, family) pair.
 
     `pattern` numbers each subject's pattern (see the module docstring),
     `rep` holds each pattern's first subject and `m` its count of subjects.
     `y`, `X`, `w` and `subj` hold one entry per cell of the `rep` subjects,
-    `subj` numbering patterns: w_c = sum w and y_c = sum w y / w_c over the
-    cell's rows.  The terms nonlinear in y (log Gamma(y + k), digamma(y + k),
-    trigamma(y + k), log Gamma(y + 1)) are computed once per call, for that
-    call's kappa, on the distinct responses `levels` of those subjects' rows,
-    and enter as w-weighted cell means through `cell_mean`; `level` indexes
-    each row's response in `levels`.
+    laid out as `blocks` describe, `subj` numbering patterns: w_c = sum w
+    and y_c = sum w y / w_c over the cell's rows.  The terms nonlinear in y
+    (log Gamma(y + k) and its kappa derivatives, log Gamma(y + 1)) are
+    computed once per call, for that call's kappa, on the distinct
+    responses `levels` of those subjects' rows, checked here to be counts,
+    and enter as w-weighted cell means through `cell_mean`; `level`
+    indexes each row's response in `levels`.
     Modes, curvatures and scores enter and leave the methods per subject.
     """
 
     def __init__(self, dataset: Dataset, family: Family, gh_nodes: int):
         self.family = family
         self.ops = family_ops(family)
-        self.pattern, self.rep, xrow = _patterns(dataset)
-        self.m = np.bincount(self.pattern)
+        pattern, rep, xrow = _patterns(dataset)
         subj = dataset.subject_index
-        kept = self.rep[self.pattern[subj]] == subj  # the representatives' rows
-        X, subj = dataset.X[kept], self.pattern[subj[kept]]
+        kept = rep[pattern[subj]] == subj  # the representatives' rows
+        X, subj = dataset.X[kept], pattern[subj[kept]]
         y_rows, self.w_rows = dataset.y[kept], dataset.weights[kept]
-        self.cell, first = _cells(subj, xrow[kept])
-        self.X = X[first]
-        self.subj = subj[first]
+        cell, first = _cells(subj, xrow[kept])  # stacked pattern by pattern
+        size = np.bincount(subj[first])
+        position = np.arange(first.size) - (np.cumsum(size) - size)[subj[first]]
+        by_size = np.argsort(-size, kind="stable")  # the new pattern numbers
+        rank = np.argsort(by_size)
+        self.pattern, self.rep, size = rank[pattern], rep[by_size], size[by_size]
+        subj = rank[subj[first]]
+        self.m = np.bincount(self.pattern)
+        self.K, self.P, self.N, self.p = dataset.n_subjects, self.rep.size, dataset.n_obs, dataset.p
+        self.C = int(self.m[subj].sum())  # (subject, covariate row) cells of all subjects
+        rule = gh_rule(gh_nodes)
+        self.t, self.logw_t2 = rule.nodes, np.log(rule.weights) + rule.nodes**2
+        self.dim = self.p + 1 + (1 if family is Family.NEGBIN else 0)
+        # whole patterns per block, at most cap cells unless one pattern has more
+        cap = max(1, _BLOCK_CELLS // self.t.size)
+        offsets = np.concatenate([[0], np.cumsum(size)])
+        ends = [0]
+        while ends[-1] < self.P:
+            k0 = ends[-1]
+            ends.append(max(k0 + 1, int(np.searchsorted(offsets, offsets[k0] + cap, "right")) - 1))
+        order = np.lexsort((subj, position, np.searchsorted(ends, subj, "right")))
+        self.subj, self.X, self.cell = subj[order], X[first[order]], np.argsort(order)[cell]
         self.w = np.bincount(self.cell, self.w_rows)
         self.y = np.bincount(self.cell, self.w_rows * y_rows) / self.w
-        self.K = dataset.n_subjects
-        self.P = self.rep.size
-        self.N = dataset.n_obs
-        self.C = int(self.m[self.subj].sum())  # (subject, covariate row) cells of all subjects
-        self.p = dataset.p
-        offsets = np.concatenate([[0], np.cumsum(np.bincount(self.subj, minlength=self.P))])
-        self.starts = offsets[:-1]
+        self.blocks = []
+        for k0, k1 in zip(ends[:-1], ends[1:]):
+            count = (k1 - k0) - np.cumsum(np.bincount(size[k0:k1])[:-1])  # patterns with > j cells
+            head = int(np.sum(count == k1 - k0))
+            cells = slice(int(offsets[k0]), int(offsets[k1]))
+            self.blocks.append(_Block(slice(k0, k1), cells, self.subj[cells] - k0, head,
+                                      tuple(count[head:].tolist())))
         if family is Family.NEGBIN:
             self.levels, self.level = np.unique(y_rows, return_inverse=True)
-            self.lgamma_y1 = gamma_sums(self.levels, 1.0, 0)  # per level, for cell_mean
-        rule = gh_rule(gh_nodes)
-        self.t = rule.nodes
-        self.logw_t2 = np.log(rule.weights) + rule.nodes**2
-        self.dim = self.p + 1 + (1 if family is Family.NEGBIN else 0)
-        # whole patterns per block: (patterns, cells, cell -> block pattern, block cell offsets)
-        cap = max(1, _BLOCK_CELLS // self.t.size)
-        self.blocks = []
-        k0 = 0
-        while k0 < self.P:
-            k1 = max(k0 + 1, int(np.searchsorted(offsets, offsets[k0] + cap, side="right")) - 1)
-            rows = slice(int(offsets[k0]), int(offsets[k1]))
-            self.blocks.append((slice(k0, k1), rows, self.subj[rows] - k0,
-                                self.starts[k0:k1] - offsets[k0]))
-            k0 = k1
+            self.lgamma_y1 = gamma_sums(self.levels, 1.0, 0)  # raises unless counts
 
-    def cell_mean(self, f) -> np.ndarray:
-        """Per-cell w-weighted mean of f(y) over the cell's rows, with f
-        elementwise and evaluated once, on the distinct responses `levels`."""
-        return np.bincount(self.cell, self.w_rows * f(self.levels)[self.level]) / self.w
+    def cell_mean(self, values) -> np.ndarray:
+        """Per-cell w-weighted mean over the cell's rows of the per-level
+        `values`, one value per distinct response in `levels`."""
+        return np.bincount(self.cell, self.w_rows * values[self.level]) / self.w
 
     # ---- parameter packing ---------------------------------------------
 
@@ -290,11 +328,14 @@ class _Workspace:
     # ---- conditional modes ------------------------------------------------
 
     def _subject_sums(self, values) -> np.ndarray:
-        return np.add.reduceat(values, self.starts, axis=0)
+        return np.bincount(self.subj, values, minlength=self.P)
 
-    def loglik_score(self, eta0, b, aux):
-        """S(b): the conditional-loglik score of each pattern in its b."""
-        return self._subject_sums(self.w * self.ops.score_eta(self.y, eta0 + b[self.subj], aux))
+    def loglik_score(self, eta0, b, aux, curvature=False):
+        """S(b): the conditional-loglik score of each pattern in its b, and
+        with `curvature` -S'(b), the sum of w n s r, from the same kernel."""
+        nodes = self.ops.kernel(self.y, eta0 + b[self.subj], aux)
+        score = self._subject_sums(self.w * nodes.score_eta())
+        return (score, self._subject_sums(self.w * nodes.curvature())) if curvature else score
 
     def solve_modes(self, beta, sigma2, aux, b0=None):
         """Safeguarded Newton for the conditional modes from b0 (zero by
@@ -313,7 +354,7 @@ class _Workspace:
         """
         eta0 = self.X @ beta
         b = np.zeros(self.P) if b0 is None else np.asarray(b0, float)[self.rep]
-        s = self.loglik_score(eta0, b, aux)
+        s, curv = self.loglik_score(eta0, b, aux, True)
         score, end = s - b / sigma2, sigma2 * s  # not b + sigma2 score: ulp(b) off if |b| >> |end|
         lo, hi = np.minimum(b, end), np.maximum(b, end)
         active = np.abs(score) > MODE_TOL
@@ -323,13 +364,12 @@ class _Workspace:
             if not active.any():
                 break
             if step < 50:
-                eta = eta0 + b[self.subj]
-                curv = self._subject_sums(self.w * self.ops.obs_curvature(self.y, eta, aux))
                 prop = b + score / (curv + 1.0 / sigma2)
                 prop = np.where(prop == b, np.nextafter(b, nxt), prop)  # nxt: the midpoint
                 nxt = np.where((lo <= prop) & (prop <= hi), prop, nxt)
             b = np.where(active, nxt, b)
-            score = self.loglik_score(eta0, b, aux) - b / sigma2
+            s, curv = self.loglik_score(eta0, b, aux, True)
+            score = s - b / sigma2
             lo = np.where(active & (score > 0), b, lo)
             hi = np.where(active & (score <= 0), b, hi)
             active = np.abs(score) > MODE_TOL
@@ -340,19 +380,23 @@ class _Workspace:
 
     # ---- marginal likelihood and scores ---------------------------------
 
-    def loglik_constant(self, aux, split=True):
-        """Per-cell node-free part of the negative-binomial log-density,
-        log Gamma(y + k) - log Gamma(k) - log Gamma(y + 1) (+ k log k
-        without `split`, see _loglik_matrix); None for the logistic."""
+    def gamma_terms(self, aux, split=True):
+        """Per-cell node-free NB terms at size aux, from one gamma_table: the
+        log-density's log Gamma(y + k) - log Gamma(k) - log Gamma(y + 1) - y
+        log k (+ (y + k) log k without `split`, see integral_pieces) and the
+        kappa-score offsets; None for the logistic."""
         if self.family is not Family.NEGBIN:
             return None
-        if split:
-            return self.cell_mean(lambda y: gamma_sums(y, aux, 0) - self.lgamma_y1)
-        return self.cell_mean(
-            lambda y: gamma_sums(y, aux, 0) - self.lgamma_y1 + (y + aux) * math.log(aux))
+        lg, dg, tg = gamma_table(self.levels, aux)
+        lg = lg - self.lgamma_y1
+        if not split:
+            lg = lg + (self.levels + aux) * math.log(aux)
+        return self.cell_mean(lg), self.cell_mean(dg), self.cell_mean(tg)
 
-    def _loglik_matrix(self, eta, aux, rows, split):
-        """Conditional loglik without its node-free constant, (cells, nodes).
+    def integral_pieces(self, beta, sigma2, aux, modes, curv, terms, block, split=True):
+        """Loglik contributions, posterior node weights, node positions and
+        the node kernel (cells, nodes) for the patterns of one block, from
+        per-subject `modes` and `curv`; `terms` is gamma_terms(aux, split).
 
         With `split`, the negative binomial's (y + k) log(k + mu) is written
         as (y + k) (log k + log1p(mu / k)): the eta-dependent part is then
@@ -360,33 +404,25 @@ class _Workspace:
         node weights keep their digits as k nears its upper bound 1e6,
         where the unsplit form rounds at ~1e-9 per cell.
         """
-        y = self.y[rows]
-        if self.family is Family.NEGBIN:
-            logk = math.log(aux)
-            if split:
-                return y[:, None] * eta - (y + aux)[:, None] * np.logaddexp(0.0, eta - logk)
-            return y[:, None] * eta - (y + aux)[:, None] * np.logaddexp(logk, eta)
-        return self.ops.loglik(y[:, None], eta, aux)
-
-    def integral_pieces(self, beta, sigma2, aux, modes, curv, const, block, split=True):
-        """Loglik contributions, posterior node weights, node positions and
-        etas for the patterns of one block, from per-subject `modes` and
-        `curv`; `const` is loglik_constant(aux, split)."""
-        ks, rows, subj, starts = block
+        ks, rows = block.patterns, block.cells
         reps = self.rep[ks]
         scale = 1.0 / np.sqrt(curv[reps])
         u = modes[reps, None] + math.sqrt(2.0) * scale[:, None] * self.t[None, :]
-        eta = (self.X[rows] @ beta)[:, None] + u[subj]
+        eta = (self.X[rows] @ beta)[:, None] + u[block.subj]
+        nodes = self.ops.kernel(self.y[rows, None], eta, aux)
         w = self.w[rows]
-        g = np.add.reduceat(w[:, None] * self._loglik_matrix(eta, aux, rows, split), starts, axis=0)
-        if const is not None:
-            g += np.add.reduceat(w * const[rows], starts)[:, None]
+        ll = (nodes.loglik(eta) if split or terms is None
+              else nodes.y * eta - nodes.n * np.logaddexp(math.log(aux), eta))
+        ll *= w[:, None]
+        g = _block_sums(ll, block)
+        if terms is not None:
+            g += _block_sums(w * terms[0][rows], block)[:, None]
         g -= u**2 / (2.0 * sigma2)
         g += self.logw_t2[None, :]
         lse = _logsumexp_rows(g)
         ll_i = 0.5 * np.log(2.0 / curv[reps]) + lse
         omega = np.exp(g - lse[:, None])
-        return ll_i, omega, u, eta
+        return ll_i, omega, u, nodes
 
     def _total_loglik(self, ll_i, sigma2) -> float:
         ll = (np.concatenate(ll_i) * self.m).sum()
@@ -395,8 +431,8 @@ class _Workspace:
     def loglik_at(self, theta):
         beta, sigma2, aux = self.unpack(theta)
         modes, curv = self.solve_modes(beta, sigma2, aux)
-        const = self.loglik_constant(aux)
-        ll_i = [self.integral_pieces(beta, sigma2, aux, modes, curv, const, blk)[0]
+        terms = self.gamma_terms(aux)
+        ll_i = [self.integral_pieces(beta, sigma2, aux, modes, curv, terms, blk)[0]
                 for blk in self.blocks]
         return self._total_loglik(ll_i, sigma2), modes, curv
 
@@ -404,7 +440,7 @@ class _Workspace:
         """Per-subject scores d_i on the optimizer scale; loglik as byproduct.
 
         These are the scores of the reported covariance, built with the
-        unsplit negative-binomial form (see _loglik_matrix): at the
+        unsplit negative-binomial loglik (see integral_pieces): at the
         (sigma2, kappa) = (1e-10, 1e6) corner sum_i d_i d_i' is
         ill-conditioned and its inverse follows that form's rounding, which
         the stored benchmark references record.
@@ -425,48 +461,44 @@ class _Workspace:
         p, dim = self.p, self.dim
         rows_d, ll_i = [], []
         h = np.zeros((dim, dim))
-        const = self.loglik_constant(aux, split)
-        if nb:  # the digamma and trigamma terms, nonlinear in y and node-free
-            psi = self.cell_mean(lambda y: self.ops.score_kappa_offset(y, aux))
-            if hessian:
-                psi1 = self.cell_mean(lambda y: self.ops.dscore_kappa_offset(y, aux))
+        terms = self.gamma_terms(aux, split)
         for blk in self.blocks:
-            ks, rows, subj, starts = blk
-            ll_b, omega, u, eta = self.integral_pieces(beta, sigma2, aux, modes, curv, const, blk,
-                                                       split)
-            y, w, X = self.y[rows, None], self.w[rows], self.X[rows]
+            ks, rows = blk.patterns, blk.cells
+            ll_b, omega, u, nodes = self.integral_pieces(beta, sigma2, aux, modes, curv, terms, blk,
+                                                         split)
+            w, X = self.w[rows], self.X[rows]
 
             # complete-data scores at every node: (patterns, nodes, dim)
             s = np.empty(omega.shape + (dim,))
-            a = w[:, None] * self.ops.score_eta(y, eta, aux)
+            a = w[:, None] * nodes.score_eta()
             for c in range(p):
-                s[:, :, c] = np.add.reduceat(a * X[:, c, None], starts, axis=0)
+                s[:, :, c] = _block_sums(a * X[:, c, None], blk)
             s[:, :, p] = (u**2 - sigma2) / (2.0 * sigma2)
             if nb:
-                a_k = w[:, None] * self.ops.score_kappa(y, eta, aux, psi[rows, None])
-                s[:, :, p + 1] = aux * np.add.reduceat(a_k, starts, axis=0)
+                a = w[:, None] * nodes.score_kappa(terms[1][rows, None])
+                s[:, :, p + 1] = aux * _block_sums(a, blk)
             d = np.einsum("km,kmj->kj", omega, s)
             rows_d.append(d)
             ll_i.append(ll_b)
-            if not hessian:
-                continue
-
-            m = self.m[ks]
-            m_omega = m[:, None] * omega
-            m_omega_rows = m_omega[subj]
-            h += ((s * m_omega[:, :, None]).reshape(-1, dim).T @ s.reshape(-1, dim)
-                  - (m[:, None] * d).T @ d)
-            r = w * np.sum(m_omega_rows * self.ops.obs_curvature(y, eta, aux), axis=1)
-            h[:p, :p] -= (X * r[:, None]).T @ X
-            h[p, p] -= np.sum(m_omega * u**2) / (2.0 * sigma2)
-            if nb:  # log kappa: d/dlog k = k d/dk, d2/dlog k2 = k d/dk + k^2 d2/dk2
-                cross = np.sum(m_omega_rows * self.ops.dscore_eta_kappa(y, eta, aux), axis=1)
-                h[:p, p + 1] += aux * (X.T @ (w * cross))
-                curv_k = self.ops.dscore_kappa(y, eta, aux, psi1[rows, None])
-                curv_k = np.sum(m_omega_rows * curv_k, axis=1)
-                h[p + 1, p + 1] += (m * d[:, p + 1]).sum() + aux * aux * np.sum(w * curv_k)
+            del a  # no (cells, nodes) array outlives its block
+            if hessian:
+                m = self.m[ks]
+                m_omega = m[:, None] * omega
+                m_omega_rows = m_omega[blk.subj]
+                h += ((s * m_omega[:, :, None]).reshape(-1, dim).T @ s.reshape(-1, dim)
+                      - (m[:, None] * d).T @ d)
+                r = w * np.sum(m_omega_rows * nodes.curvature(), axis=1)
+                h[:p, :p] -= (X * r[:, None]).T @ X
+                h[p, p] -= np.sum(m_omega * u**2) / (2.0 * sigma2)
+                if nb:  # log kappa: d/dlog k = k d/dk, d2/dlog k2 = k d/dk + k^2 d2/dk2
+                    cross = np.sum(m_omega_rows * nodes.dscore_eta_kappa(), axis=1)
+                    h[:p, p + 1] += aux * (X.T @ (w * cross))
+                    curv_k = np.sum(m_omega_rows * nodes.dscore_kappa(terms[2][rows, None]), axis=1)
+                    h[p + 1, p + 1] += (m * d[:, p + 1]).sum() + aux * aux * np.sum(w * curv_k)
+            del nodes
         h[p + 1:, :p] = h[:p, p + 1:].T
         return np.vstack(rows_d)[self.pattern], self._total_loglik(ll_i, sigma2), h
+
 
 def marginal_loglik(dataset: Dataset, spec: ModelSpec, params: ParamVector,
                     gh_nodes: int = DEFAULT_GH_NODES) -> float:

@@ -34,16 +34,22 @@ class _Gaussian:
     term).
     """
 
+    class _Nodes:
+        def __init__(self, y, eta):
+            self.y, self.eta = y, eta
+
+        def score_eta(self):
+            return self.y - self.eta
+
+        def curvature(self):
+            return np.ones_like(self.eta)
+
     @staticmethod
-    def score_eta(y, eta, aux=None):
-        return y - eta
+    def kernel(y, eta, aux=None):
+        return _Gaussian._Nodes(y, np.asarray(eta, dtype=float))
 
     @staticmethod
     def fisher_weight(eta, aux=None):
-        return np.ones_like(np.asarray(eta, dtype=float))
-
-    @staticmethod
-    def obs_curvature(y, eta, aux=None):
         return np.ones_like(np.asarray(eta, dtype=float))
 
 
@@ -153,10 +159,10 @@ def posterior_mean_effects(fitted: FittedModel) -> np.ndarray:
         return np.zeros(ws.K)
     beta, sigma2, aux = fitted.params.beta, fitted.params.sigma2, fitted.params.kappa
     modes, curv = np.array(fitted.cond_modes), np.array(fitted.cond_curvatures)
-    const = ws.loglik_constant(aux)
+    terms = ws.gamma_terms(aux)
     means = []
     for blk in ws.blocks:
-        _, omega, u, _ = ws.integral_pieces(beta, sigma2, aux, modes, curv, const, blk)
+        _, omega, u, _ = ws.integral_pieces(beta, sigma2, aux, modes, curv, terms, blk)
         means.append(np.sum(omega * u, axis=1))
     return np.concatenate(means)[ws.pattern]  # one entry per pattern, expanded per subject
 

@@ -1,9 +1,10 @@
-"""Negative-binomial kernels against mpmath at 40 digits.
+"""Family kernels against mpmath at 40 digits or more.
 
 The terms nonlinear in the count are finite sums (`gamma_sums`), not
 differences of scipy's gamma functions; at kappa = 1e6 scipy's own
 digamma(y + k) - digamma(k) is off by ~1e-9 relative, so the oracle is
-mpmath evaluated at the same float arguments.
+mpmath evaluated at the same float arguments.  The node kernel (`Nodes`)
+is checked term by term on both tails of z.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmm_means.families import SUM_CAP, Family, family_ops, gamma_sums
+from glmm_means.families import SUM_CAP, Family, Nodes, family_ops, gamma_sums
 from glmm_means.fitter import LOG_KAPPA_BOUNDS
 
 
@@ -81,7 +82,7 @@ def test_kappa_score_matches_mpmath(kappa):
     ops = family_ops(Family.NEGBIN)
     y = np.array([0.0, 1.0, 3.0, 17.0, 250.0])
     for eta in (-3.0, 0.0, 1.1, 2.9, 5.5, 12.0):
-        got = ops.score_kappa(y, eta, kappa, ops.score_kappa_offset(y, kappa))
+        got = ops.kernel(y, eta, kappa).score_kappa(gamma_sums(y, kappa, 1))
         for yi, gi in zip(y, got):
             want = _kappa_score_oracle(yi, eta, kappa)
             assert abs(mpmath.mpf(gi) - want) <= 1e-8 * abs(want), (yi, eta)
@@ -104,7 +105,7 @@ def test_kappa_score_derivative_matches_mpmath(kappa):
     ops = family_ops(Family.NEGBIN)
     y = np.array([0.0, 1.0, 3.0, 17.0, 250.0])
     for eta in np.linspace(-3.0, 5.5, 18):
-        got = ops.dscore_kappa(y, eta, kappa, ops.dscore_kappa_offset(y, kappa))
+        got = ops.kernel(y, eta, kappa).dscore_kappa(gamma_sums(y, kappa, 2))
         for yi, gi in zip(y, got):
             want = _dkappa_score_oracle(yi, eta, kappa)
             assert abs(mpmath.mpf(gi) - want) <= 1e-8 * abs(want), (yi, eta)
@@ -126,5 +127,69 @@ def test_negbin_loglik_matches_mpmath():
         for y in (0.0, 1.0, 9.0, 600.0):
             for eta in (-4.0, 0.3, 6.0):
                 want = _loglik_oracle(y, eta, kappa)
-                got = ops.loglik(np.array([y]), eta, kappa)[0]
+                const = gamma_sums(np.array([y]), kappa, 0) - gamma_sums(np.array([y]), 1.0, 0)
+                got = (const + ops.kernel(np.array([y]), eta, kappa).loglik(eta))[0]
                 assert abs(mpmath.mpf(got) - want) <= 1e-13 * max(abs(want), y, 1), (kappa, y, eta)
+
+
+@mpmath.workdps(700)
+def _node_oracle(y, z, eta, kappa):
+    """Every term of the node kernel at (y, z), with n = y + k and mu = k e^z
+    (the logistic: kappa None, n = 1), from mpmath at the same floats, each
+    with the size of the summands it is formed from, which bounds the
+    rounding of a term that cancels.  At 700 digits the direct forms keep
+    their digits: at z = -700 they cancel terms of size 1/k to ~e^(2 z)/k.
+    The gamma-function differences need no more than 50."""
+    y, z, eta = mpmath.mpf(y), mpmath.mpf(z), mpmath.mpf(eta)
+    n = 1 if kappa is None else y + mpmath.mpf(kappa)
+    s, r, sp = 1 / (1 + mpmath.exp(-z)), 1 / (1 + mpmath.exp(z)), mpmath.log1p(mpmath.exp(z))
+    out = {"s": (s, s), "r": (r, r), "softplus": (sp, sp),
+           "loglik": (y * eta - n * sp, abs(y * eta) + n * sp),
+           "score_eta": (y - n * s, y + n * s), "curvature": (n * s * r, n * s * r)}
+    if kappa is not None:
+        k = mpmath.mpf(kappa)
+        mu = k * mpmath.exp(z)
+        with mpmath.workdps(50):
+            psi = mpmath.psi(0, y + k) - mpmath.psi(0, k)
+            psi1 = mpmath.psi(1, y + k) - mpmath.psi(1, k)
+        out["score_kappa"] = (psi - mpmath.log1p(mu / k) + (mu - y) / (k + mu),
+                              psi + sp + s + y * r / k)
+        out["dscore_eta_kappa"] = (mu * (y - mu) / (mu + k) ** 2, (s * r * y + k * s * s) / k)
+        out["dscore_kappa"] = (psi1 + 1 / k - 2 / (k + mu) + (y + k) / (k + mu) ** 2,
+                               abs(psi1) + s * s / k + y * r * r / k**2)
+    return out
+
+
+@pytest.mark.parametrize("kappa", [None, 1e-3, 50.0, 1e6])
+def test_node_kernel_matches_mpmath_on_both_tails(kappa):
+    # one exp(-|z|) per node gives s, r and softplus and every kernel; r is
+    # its own quotient, so it stays positive where s rounds to 1 (z >= 37),
+    # and nothing overflows or divides by zero at |z| = 700.  Each term is
+    # within 2e-15 of the size of its summands (measured 4e-16), the two
+    # with a gamma_sums offset within that offset's 2e-14; below 1e-300 a
+    # value may round to 0 (e^(2 z) at z = -700)
+    ys = np.array([0.0, 1.0]) if kappa is None else np.array([0.0, 1.0, 17.0, 250.0])
+    rounded_s = 0
+    for size in (0.0, 1e-8, 5.0, 40.0, 700.0):
+        for z in (size, -size):
+            eta = z if kappa is None else z + math.log(kappa)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                if kappa is None:
+                    nodes = family_ops(Family.LOGISTIC).kernel(ys, np.full(ys.size, z))
+                else:
+                    nodes = Nodes(ys, np.full(ys.size, z), ys + kappa, kappa)
+                got = {"s": nodes.s, "r": nodes.r, "softplus": nodes.softplus,
+                       "loglik": nodes.loglik(np.full(ys.size, eta)),
+                       "score_eta": nodes.score_eta(), "curvature": nodes.curvature()}
+                if kappa is not None:
+                    got["score_kappa"] = nodes.score_kappa(gamma_sums(ys, kappa, 1))
+                    got["dscore_eta_kappa"] = nodes.dscore_eta_kappa()
+                    got["dscore_kappa"] = nodes.dscore_kappa(gamma_sums(ys, kappa, 2))
+            assert np.all(nodes.r > 0.0) and np.all(nodes.s > 0.0)
+            rounded_s += int(np.sum(nodes.s == 1.0))
+            for i, y in enumerate(ys):
+                for name, (want, scale) in _node_oracle(y, z, eta, kappa).items():
+                    err = abs(mpmath.mpf(got[name][i]) - want)
+                    rtol = 2e-14 if name in ("score_kappa", "dscore_kappa") else 2e-15
+                    assert err <= rtol * scale + 1e-300, (name, y, z, float(err / scale))
+    assert rounded_s > 0

@@ -404,6 +404,49 @@ def test_quadrature_blocks_do_not_change_results(family, monkeypatch):
     np.testing.assert_allclose(results[0][3], results[1][3], rtol=1e-13, atol=1e-15)
 
 
+_SIZE_MIXES = st.one_of(
+    st.lists(st.just(1), min_size=1, max_size=40),
+    st.integers(1, 30).flatmap(lambda n: st.lists(st.just(n), min_size=1, max_size=12)),
+    st.lists(st.integers(1, 30), min_size=1, max_size=30),
+)
+
+
+@given(sizes=_SIZE_MIXES, block_cells=st.sampled_from([3, 30, 90, 10**9]),
+       seed=st.integers(0, 2**16))
+def test_pattern_sums_equal_a_loop_over_each_patterns_cells(sizes, block_cells, seed):
+    # every row its own cell and every subject its own pattern; with 3
+    # nodes a block holds block_cells // 3 cells, so the smaller sizes
+    # spread the patterns over several blocks
+    import glmm_means.fitter as fitter
+
+    subjects, x0 = [], 0.5
+    for i, n in enumerate(sizes):
+        subjects.append(bernoulli_block(f"s{i}", np.zeros(n), np.column_stack(
+            [np.ones(n), x0 + np.arange(n)])))
+        x0 += n
+    ds = Dataset(subjects)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitter, "_BLOCK_CELLS", block_cells)
+        ws = _Workspace(ds, Family.LOGISTIC, 3)
+    assert ws.P == ws.K and ws.C == ws.N
+    assert np.all(np.diff(np.bincount(ws.subj)) <= 0)  # numbered by descending cell count
+    assert [b.patterns.start for b in ws.blocks] + [ws.P] == [0] + [b.patterns.stop
+                                                                  for b in ws.blocks]
+    values = np.random.default_rng(seed).normal(size=(ws.C, 3))
+    want = []
+    for k in range(ws.P):
+        cells = np.flatnonzero(ws.subj == k)
+        # the pattern's cells in storage order are its subject's rows in order
+        np.testing.assert_array_equal(ws.X[cells], subjects[ws.rep[k]].X)
+        total = values[cells[0]]
+        for c in cells[1:]:
+            total = total + values[c]
+        want.append(total)
+    got = np.vstack([fitter._block_sums(values[b.cells], b) for b in ws.blocks])
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(ws._subject_sums(values[:, 0]), np.array(want)[:, 0])
+
+
 def _merge_oracle_pair(family, seed=3, K=12):
     """The same rows twice: covariates (1, x) with x from three values, so a
     subject repeats covariate rows with other responses, and (1, x, z) with
@@ -601,15 +644,13 @@ def test_per_level_terms_equal_the_per_row_cell_means(kappa, weighted):
     ws = _Workspace(ds, Family.NEGBIN, 25)
     assert ws.levels.size == 5 and np.any(np.signbit(ds.y) & (ds.y == 0.0))
     assert ws.C < ws.N
-    ops = family_ops(Family.NEGBIN)
+    const, psi, psi1 = ws.gamma_terms(kappa)
     cases = [
-        (ws.loglik_constant(kappa), lambda y: gamma_sums(y, kappa, 0) - gamma_sums(y, 1.0, 0)),
-        (ws.loglik_constant(kappa, split=False),
+        (const, lambda y: gamma_sums(y, kappa, 0) - gamma_sums(y, 1.0, 0)),
+        (ws.gamma_terms(kappa, split=False)[0],
          lambda y: gamma_sums(y, kappa, 0) - gamma_sums(y, 1.0, 0) + (y + kappa) * math.log(kappa)),
-        (ws.cell_mean(lambda y: ops.score_kappa_offset(y, kappa)),
-         lambda y: ops.score_kappa_offset(y, kappa)),
-        (ws.cell_mean(lambda y: ops.dscore_kappa_offset(y, kappa)),
-         lambda y: ops.dscore_kappa_offset(y, kappa)),
+        (psi, lambda y: gamma_sums(y, kappa, 1)),
+        (psi1, lambda y: gamma_sums(y, kappa, 2)),
     ]
     for got, f in cases:
         assert got.tobytes() == per_row_cell_mean(ws, ds, f).tobytes()

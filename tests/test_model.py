@@ -38,7 +38,7 @@ def test_logistic_weights_do_not_round_to_zero_on_either_tail():
     # p (1 - p) with 1 - p formed by subtraction is exactly 0 for eta > ~37
     # but ~e^eta for eta < -37; the weights must be positive and symmetric
     ops = family_ops(Family.LOGISTIC)
-    kernels = (ops.fisher_weight, lambda e: ops.obs_curvature(None, e), ops.dinverse_link)
+    kernels = (ops.fisher_weight, lambda e: ops.kernel(None, e).curvature(), ops.dinverse_link)
     for kernel in kernels:
         for eta in (40.0, 700.0):
             up, down = kernel(np.array([eta]))[0], kernel(np.array([-eta]))[0]
