@@ -7,15 +7,18 @@ predictor.  Its covariance comes from Henderson's mixed-model equations
 
 with W the diagonal iterative weights at the conditional modes,
 B = Z'WX (K x p) and D = diag(Z'WZ) + I / sigma2.  D is diagonal, so it is
-eliminated by hand: only B, D^{-1} and the inverse of the p x p Schur
-complement S = X'WX - B'D^{-1}B are kept, and every solve costs
-O(K p + p^2).  Building them costs O(N p + K p^2 + p^3) time and
-O(N + K p) memory.  At the sigma2 boundary D^{-1} is zero, the sigma2 -> 0
-limit of M^{-1}: predictions carry fixed-effect uncertainty only.  On an
-identity-link Gaussian model this is exactly the Henderson prediction
-covariance; for the binary and count families it is the Laplace-approximate
-analogue.  The dense (p+K)^2 system and the naive-plus-correction
-decomposition live in the tests as independent oracles, not here.
+eliminated by hand: only B, D^{-1} = sigma2 / (1 + sigma2 diag(Z'WZ)) and
+one Cholesky factor L of the p x p Schur complement S = X'WX - B'D^{-1}B
+are kept, and every solve costs O(K p + p^2).  Building them costs
+O(N p + K p^2 + p^3) time and O(N + K p) memory.  At sigma2 = 0 this D^{-1}
+is exactly zero, the sigma2 -> 0 limit of M^{-1}: predictions carry
+fixed-effect uncertainty only.  A group mean's delta-method variance is
+a'M^{-1}a / N_q^2, with a = (X_q'd; Z_q'd) and d the inverse-link
+derivatives at the group's predicted etas; with s = Z_q'd it is the sum of
+squares |L^{-1} (X_q'd - B'D^{-1}s)|^2 + s'D^{-1}s, with no threshold and
+no clamp.  This is exact on an identity-link Gaussian model and
+Laplace-approximate for the binary and count families.  The dense (p+K)^2
+system and the naive-plus-correction decomposition are test oracles.
 """
 
 from __future__ import annotations
@@ -25,10 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import family_ops
-from .fitter import FittedModel, spd_inverse
+from .fitter import FittedModel, cholesky
 from .marginal import GroupMeanEstimate, MeanKind, wald_intervals
-
-_SIGMA2_FLOOR = 1e-9  # at or below this the random-effect block is dropped (D^{-1} -> 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,27 +47,25 @@ class PredictionStructure:
         return self.X.shape[1]
 
     def border(self) -> tuple[np.ndarray, np.ndarray]:
-        """B = Z'WX (K x p) and the diagonal of D^{-1} (zero at the sigma2 boundary)."""
+        """B = Z'WX (K x p) and the diagonal of D^{-1}, exactly zero at sigma2 = 0."""
         subj, K, wx = self.subject_index, self.n_subjects, self.weights[:, None] * self.X
         b = np.stack([np.bincount(subj, weights=col, minlength=K) for col in wx.T], axis=1)
-        if self.sigma2 <= _SIGMA2_FLOOR:
-            return b, np.zeros(K)
-        return b, 1.0 / (np.bincount(subj, weights=self.weights, minlength=K) + 1.0 / self.sigma2)
+        ztwz = np.bincount(subj, weights=self.weights, minlength=K)
+        return b, self.sigma2 / (1.0 + self.sigma2 * ztwz)
 
 
 class _Factorization:
-    """The arrowhead system M through B, D^{-1} and S^{-1}.
+    """The arrowhead system M through B, D^{-1} and the Cholesky factor of S.
 
     A singular S (weights that vanish on a whole covariate direction) raises
-    numpy.linalg.LinAlgError from the Cholesky test in spd_inverse; nothing
-    is jittered.
+    numpy.linalg.LinAlgError, and a non-finite one ValueError; no jitter.
     """
 
     def __init__(self, struct: PredictionStructure):
         self.struct = struct
         self.b, self.dinv = struct.border()
         xwx = struct.X.T @ (struct.weights[:, None] * struct.X)
-        self.s_inv = spd_inverse(xwx - self.b.T @ (self.dinv[:, None] * self.b))
+        self.chol = cholesky(xwx - self.b.T @ (self.dinv[:, None] * self.b))
 
     def design_columns(self, rows: np.ndarray) -> np.ndarray:
         """(X_q; Z_q) for the given observation rows, one column per row."""
@@ -80,8 +79,17 @@ class _Factorization:
         p = self.struct.p
         r, s = rhs[:p], rhs[p:]
         dinv = self.dinv if rhs.ndim == 1 else self.dinv[:, None]
-        x = self.s_inv @ (r - self.b.T @ (dinv * s))
+        x = np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, r - self.b.T @ (dinv * s)))
         return np.concatenate([x, dinv * (s - self.b @ x)])
+
+    def variance(self, rows: np.ndarray, d: np.ndarray) -> float:
+        """a'M^{-1}a for a = (X_q'd; Z_q'd), X_q and Z_q the given rows' and
+        d one weight per row, without forming a."""
+        struct = self.struct
+        s = np.bincount(struct.subject_index[rows], weights=d, minlength=struct.n_subjects)
+        dinv_s = self.dinv * s
+        r = struct.X[rows].T @ d - self.b.T @ dinv_s
+        return float(np.sum(np.linalg.solve(self.chol, r) ** 2) + s @ dinv_s)
 
 
 def build_prediction_structure(fitted: FittedModel) -> PredictionStructure:
@@ -108,64 +116,45 @@ def factorize_structure(struct: PredictionStructure) -> _Factorization:
 
 def predicted_eta_rows(fitted: FittedModel) -> np.ndarray:
     """Predicted linear predictor for every observation row."""
-    ds = fitted.dataset
-    return ds.X @ fitted.params.beta + np.asarray(fitted.cond_modes)[ds.subject_index]
+    return _eta(fitted, slice(None), fitted.dataset.X)
+
+
+def _eta(fitted: FittedModel, rows, x: np.ndarray) -> np.ndarray:
+    """x beta plus the conditional mode of each given row's subject."""
+    return x @ fitted.params.beta + fitted.cond_modes[fitted.dataset.subject_index[rows]]
 
 
 def conditional_group_mean(fitted: FittedModel, group_id: str) -> float:
     """lambda_hat_q: group average of the inverse link at the predicted eta."""
-    idx = fitted.dataset.group_index.rows(group_id)
-    ops = family_ops(fitted.spec.family)
-    return float(np.mean(ops.inverse_link(predicted_eta_rows(fitted)[idx])))
+    rows = fitted.dataset.group_index.rows(group_id)
+    eta = _eta(fitted, rows, fitted.dataset.X[rows])
+    return float(np.mean(family_ops(fitted.spec.family).inverse_link(eta)))
 
 
 def predictor_at_mean_covariate(fitted: FittedModel, group_id: str) -> float:
     """Benchmark predictor lambda*_q using the group-average covariate row."""
-    idx = fitted.dataset.group_index.rows(group_id)
-    ds = fitted.dataset
-    xbar = ds.X[idx].mean(axis=0)
-    eta = float(xbar @ fitted.params.beta) + np.asarray(fitted.cond_modes)[ds.subject_index[idx]]
-    ops = family_ops(fitted.spec.family)
-    return float(np.mean(ops.inverse_link(eta)))
-
-
-# ---- prediction variance -------------------------------------------------------
-
-
-def conditional_group_variance(fitted: FittedModel, group_id: str,
-                               fac: _Factorization | None = None) -> float:
-    """Delta-method variance of lambda_hat_q through the prediction covariance.
-
-    Equals J' D C D J / N_q^2 with D the diagonal of inverse-link
-    derivatives at the predicted etas, computed via the collapsed vector
-    a = (X_q' d; Z_q' d) without forming C.  `fac` reuses a factorization
-    of the same fitted model.
-    """
-    idx = fitted.dataset.group_index.rows(group_id)
-    ops = family_ops(fitted.spec.family)
-    d = ops.dinverse_link(predicted_eta_rows(fitted)[idx])
-    fac = fac or factorize_structure(build_prediction_structure(fitted))
-    struct = fac.struct
-    a = np.concatenate([struct.X[idx].T @ d,
-                        np.bincount(struct.subject_index[idx], weights=d, minlength=struct.n_subjects)])
-    var = float(a @ fac.solve(a)) / idx.shape[0] ** 2
-    return max(var, 0.0)
+    rows = fitted.dataset.group_index.rows(group_id)
+    eta = _eta(fitted, rows, fitted.dataset.X[rows].mean(axis=0))
+    return float(np.mean(family_ops(fitted.spec.family).inverse_link(eta)))
 
 
 def conditional_estimates(fitted: FittedModel, alpha: float = 0.05) -> dict[str, GroupMeanEstimate]:
     """Predicted group means with direct and inverse prediction intervals."""
-    gi = fitted.dataset.group_index
+    ds = fitted.dataset
+    ops = family_ops(fitted.spec.family)
     fac = factorize_structure(build_prediction_structure(fitted))
     out: dict[str, GroupMeanEstimate] = {}
-    for gid in gi.group_ids:
+    for gid in ds.group_index.group_ids:
+        rows = ds.group_index.rows(gid)
         point = conditional_group_mean(fitted, gid)
-        variance = conditional_group_variance(fitted, gid, fac)
+        d = ops.dinverse_link(_eta(fitted, rows, ds.X[rows]))
+        variance = fac.variance(rows, d) / rows.shape[0] ** 2
         out[gid] = GroupMeanEstimate(
             group_id=gid,
             kind=MeanKind.CONDITIONAL,
             point=point,
             variance=variance,
-            n_obs=gi.size(gid),
+            n_obs=rows.shape[0],
             intervals=wald_intervals(fitted.spec.family, point, variance, alpha),
         )
     return out

@@ -14,11 +14,10 @@ once with their summed weight and weighted mean response.  That is exact
 because every kernel evaluated at the nodes is affine in y at fixed eta;
 the negative binomial's terms nonlinear in y (log Gamma(y + kappa) and its
 derivatives in kappa, log Gamma(y + 1)) are node-free, and enter each cell
-as averages over its rows.  They are evaluated once per distinct response,
-not once per row: count data hold few distinct values, and each row takes
-its value's float, so the averages are unchanged to the bit.  Data without
-repeated covariate rows have one cell per row, holding that row's weight
-and response.
+as averages over its rows.  One prefix sum up to the largest count
+(`families.gamma_table`) serves every row, which indexes it by its count.
+Data without repeated covariate rows have one cell per row, holding that
+row's weight and response.
 
 The quadrature also runs over patterns, not subjects: subjects whose
 multisets of raw rows (covariate row, weight, response) are equal share
@@ -145,14 +144,18 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return (np.log1p(rest / count) + np.log(count) + amax)[:, 0]
 
 
-def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix.  The Cholesky
-    factorization is the definiteness test: a matrix that is not positive
-    definite raises numpy.linalg.LinAlgError, and one with an infinite or
-    NaN entry ValueError, on which LAPACK's answer is undefined."""
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive-definite matrix.  It
+    raises numpy.linalg.LinAlgError if the matrix is not positive definite,
+    and ValueError on an infinite or NaN entry (LAPACK's answer is undefined)."""
     if not np.all(np.isfinite(a)):
         raise ValueError("array must not contain infs or NaNs")
-    np.linalg.cholesky(a)
+    return np.linalg.cholesky(a)
+
+
+def spd_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive-definite matrix; `cholesky` tests it."""
+    cholesky(a)
     return np.linalg.inv(a)
 
 
@@ -248,10 +251,9 @@ class _Workspace:
     laid out as `blocks` describe, `subj` numbering patterns: w_c = sum w
     and y_c = sum w y / w_c over the cell's rows.  The terms nonlinear in y
     (log Gamma(y + k) and its kappa derivatives, log Gamma(y + 1)) are
-    computed once per call, for that call's kappa, on the distinct
-    responses `levels` of those subjects' rows, checked here to be counts,
-    and enter as w-weighted cell means through `cell_mean`; `level`
-    indexes each row's response in `levels`.
+    computed once per call, for that call's kappa, on the responses `y_rows`
+    of those subjects' rows, checked here to be counts, and enter as
+    w-weighted cell means through `cell_mean`.
     Modes, curvatures and scores enter and leave the methods per subject.
     """
 
@@ -295,13 +297,12 @@ class _Workspace:
             self.blocks.append(_Block(slice(k0, k1), cells, self.subj[cells] - k0, head,
                                       tuple(count[head:].tolist())))
         if family is Family.NEGBIN:
-            self.levels, self.level = np.unique(y_rows, return_inverse=True)
-            self.lgamma_y1 = gamma_sums(self.levels, 1.0, 0)  # raises unless counts
+            self.y_rows = y_rows
+            self.lgamma_y1 = gamma_sums(y_rows, 1.0, 0)  # raises unless counts
 
     def cell_mean(self, values) -> np.ndarray:
-        """Per-cell w-weighted mean over the cell's rows of the per-level
-        `values`, one value per distinct response in `levels`."""
-        return np.bincount(self.cell, self.w_rows * values[self.level]) / self.w
+        """Per-cell w-weighted mean over the cell's rows of per-row `values`."""
+        return np.bincount(self.cell, self.w_rows * values) / self.w
 
     # ---- parameter packing ---------------------------------------------
 
@@ -330,12 +331,12 @@ class _Workspace:
     def _subject_sums(self, values) -> np.ndarray:
         return np.bincount(self.subj, values, minlength=self.P)
 
-    def loglik_score(self, eta0, b, aux, curvature=False):
-        """S(b): the conditional-loglik score of each pattern in its b, and
-        with `curvature` -S'(b), the sum of w n s r, from the same kernel."""
+    def loglik_score(self, eta0, b, aux):
+        """S(b), the conditional-loglik score of each pattern in its b, and
+        -S'(b), the sum of w n s r, from the same kernel."""
         nodes = self.ops.kernel(self.y, eta0 + b[self.subj], aux)
-        score = self._subject_sums(self.w * nodes.score_eta())
-        return (score, self._subject_sums(self.w * nodes.curvature())) if curvature else score
+        w = self.w
+        return self._subject_sums(w * nodes.score_eta()), self._subject_sums(w * nodes.curvature())
 
     def solve_modes(self, beta, sigma2, aux, b0=None):
         """Safeguarded Newton for the conditional modes from b0 (zero by
@@ -354,7 +355,7 @@ class _Workspace:
         """
         eta0 = self.X @ beta
         b = np.zeros(self.P) if b0 is None else np.asarray(b0, float)[self.rep]
-        s, curv = self.loglik_score(eta0, b, aux, True)
+        s, curv = self.loglik_score(eta0, b, aux)
         score, end = s - b / sigma2, sigma2 * s  # not b + sigma2 score: ulp(b) off if |b| >> |end|
         lo, hi = np.minimum(b, end), np.maximum(b, end)
         active = np.abs(score) > MODE_TOL
@@ -368,7 +369,7 @@ class _Workspace:
                 prop = np.where(prop == b, np.nextafter(b, nxt), prop)  # nxt: the midpoint
                 nxt = np.where((lo <= prop) & (prop <= hi), prop, nxt)
             b = np.where(active, nxt, b)
-            s, curv = self.loglik_score(eta0, b, aux, True)
+            s, curv = self.loglik_score(eta0, b, aux)
             score = s - b / sigma2
             lo = np.where(active & (score > 0), b, lo)
             hi = np.where(active & (score <= 0), b, hi)
@@ -387,10 +388,10 @@ class _Workspace:
         kappa-score offsets; None for the logistic."""
         if self.family is not Family.NEGBIN:
             return None
-        lg, dg, tg = gamma_table(self.levels, aux)
+        lg, dg, tg = gamma_table(self.y_rows, aux)
         lg = lg - self.lgamma_y1
         if not split:
-            lg = lg + (self.levels + aux) * math.log(aux)
+            lg = lg + (self.y_rows + aux) * math.log(aux)
         return self.cell_mean(lg), self.cell_mean(dg), self.cell_mean(tg)
 
     def integral_pieces(self, beta, sigma2, aux, modes, curv, terms, block, split=True):

@@ -186,7 +186,6 @@ class Dataset:
             raise ValueError(f"subject codes must number each of the {len(subject_ids)} subjects")
         order = np.argsort(subjects, kind="stable")
         self.subject_ids = tuple(subject_ids)
-        self.subject_position = dict(zip(self.subject_ids, range(len(self.subject_ids))))
         self.row_offsets = np.concatenate([[0], np.cumsum(counts)])
         self.subject_index = np.repeat(np.arange(len(self.subject_ids)), counts)
         self.y, self.X, self.weights = y[order], X[order], weights[order]

@@ -144,8 +144,8 @@ def conditional_mode(subject: SubjectBlock, params: ParamVector) -> tuple[float,
 
 def per_row_cell_mean(ws: _Workspace, dataset: Dataset, f) -> np.ndarray:
     """The oracle for `_Workspace.cell_mean`: the per-cell w-weighted mean
-    of f evaluated on every row of the patterns' first subjects, not once
-    per distinct response."""
+    of f evaluated on every row of the patterns' first subjects, the rows
+    taken from the dataset, not from the workspace."""
     subj = dataset.subject_index
     y_rows = dataset.y[ws.rep[ws.pattern[subj]] == subj]
     return np.bincount(ws.cell, ws.w_rows * f(y_rows)) / ws.w

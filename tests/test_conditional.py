@@ -7,6 +7,8 @@ The dense (p+K)^2 mixed-model system is the oracle for the Schur-complement
 solve on every family.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,8 @@ from glmm_means import (
     factorize_structure,
 )
 from glmm_means.conditional import (
-    _SIGMA2_FLOOR,
     build_prediction_structure,
     conditional_group_mean,
-    conditional_group_variance,
     predicted_eta_rows,
     predictor_at_mean_covariate,
 )
@@ -53,7 +53,7 @@ def test_unknown_group_is_a_key_error():
     # the one group-row lookup behind both the marginal and the conditional means
     ds = toy_dataset(Family.LOGISTIC, K=3, seed=2)
     f = manual_fitted(ds, Family.LOGISTIC, (0.1, 0.1), 0.2)
-    for estimator in (conditional_group_mean, conditional_group_variance, marginal_group_mean):
+    for estimator in (conditional_group_mean, marginal_group_mean):
         with pytest.raises(KeyError, match="unknown group 'nope'"):
             estimator(f, "nope")
 
@@ -171,13 +171,13 @@ def test_prediction_covariance_equals_naive_plus_correction():
 def _dense_inverse(struct):
     """M^{-1} of the dense (p+K)^2 mixed-model system, by explicit inversion.
 
-    At the sigma2 boundary the random block is dropped: the inverse is
-    (X'WX)^{-1} padded with zeros.
+    At sigma2 = 0 the random block is dropped: the inverse is (X'WX)^{-1}
+    padded with zeros.
     """
     X, w, subj, K, p = struct.X, struct.weights, struct.subject_index, struct.n_subjects, struct.p
     xwx = X.T @ (w[:, None] * X)
     minv = np.zeros((p + K, p + K))
-    if struct.sigma2 <= _SIGMA2_FLOOR:
+    if struct.sigma2 == 0.0:
         minv[:p, :p] = np.linalg.inv(xwx)
         return minv
     Z = np.zeros((X.shape[0], K))
@@ -206,7 +206,7 @@ def _unequal_dataset(family, K=50, seed=3):
     return Dataset(subjects)
 
 
-@pytest.mark.parametrize("sigma2", [0.7, 0.5 * _SIGMA2_FLOOR])
+@pytest.mark.parametrize("sigma2", [0.7, 5e-10])
 def test_arrowhead_solve_matches_dense_inverse(sigma2):
     rng = np.random.default_rng(5)
     ds = _unequal_dataset(Family.LOGISTIC)
@@ -225,7 +225,7 @@ def test_arrowhead_solve_matches_dense_inverse(sigma2):
 
 
 @pytest.mark.parametrize("family, kappa", [(Family.LOGISTIC, None), (Family.NEGBIN, 4.0)])
-@pytest.mark.parametrize("sigma2", [0.6, 0.0])
+@pytest.mark.parametrize("sigma2", [0.6, 1e-10, 0.0])
 def test_group_covariance_and_variance_match_dense_oracle(family, kappa, sigma2):
     ds = _unequal_dataset(family)
     f = manual_fitted(ds, family, (0.2, -0.5, 0.3), sigma2, kappa=kappa)
@@ -239,7 +239,27 @@ def test_group_covariance_and_variance_match_dense_oracle(family, kappa, sigma2)
         np.testing.assert_allclose(group_covariance(f, gid), oracle, rtol=1e-10, atol=1e-14)
         d = ops.dinverse_link(predicted_eta_rows(f)[idx])
         var = float(d @ oracle @ d) / len(idx) ** 2
-        assert conditional_group_variance(f, gid) == pytest.approx(var, rel=1e-10)
+        assert conditional_estimates(f)[gid].variance == pytest.approx(var, rel=1e-10)
+
+
+@pytest.mark.parametrize("sigma2", [1e-12, 1e-10, 1e-9, 2e-9, 0.5, 25.0])
+def test_border_inverse_diagonal_is_exact_down_to_the_sigma2_bound(sigma2):
+    # D^{-1} = sigma2 / (1 + sigma2 z'Wz) needs no cutoff below some sigma2:
+    # it equals 1 / (z'Wz + 1 / sigma2) however small sigma2 is
+    rng = np.random.default_rng(11)
+    ds = _unequal_dataset(Family.LOGISTIC)
+    struct = PredictionStructure(
+        X=ds.X,
+        subject_index=np.asarray(ds.subject_index),
+        weights=rng.uniform(0.05, 2.0, ds.n_obs),
+        sigma2=sigma2,
+        n_subjects=ds.n_subjects,
+    )
+    ztwz = np.bincount(struct.subject_index, weights=struct.weights, minlength=ds.n_subjects)
+    _, dinv = struct.border()
+    np.testing.assert_allclose(dinv, 1.0 / (ztwz + 1.0 / sigma2), rtol=1e-14, atol=0.0)
+    _, dinv = dataclasses.replace(struct, sigma2=0.0).border()
+    np.testing.assert_array_equal(dinv, 0.0)
 
 
 def test_singular_prediction_system_raises():
@@ -273,7 +293,7 @@ def test_prediction_variance_composes_with_covariance(logistic_toy_fit):
     d = stable_expit(predicted_eta_rows(f)[idx])
     d = d * (1.0 - d)
     oracle = float(d @ c @ d) / len(idx) ** 2
-    assert conditional_group_variance(f, gid) == pytest.approx(oracle, rel=1e-10)
+    assert conditional_estimates(f)[gid].variance == pytest.approx(oracle, rel=1e-10)
 
 
 def test_logistic_link_derivative_at_zero_is_quarter():
@@ -355,8 +375,8 @@ def test_conditional_variance_invariant_under_member_permutation():
     f1 = manual_fitted(ds, Family.LOGISTIC, (0.2, -0.5), 0.25)
     flipped = Dataset(ds.subjects[::-1])
     f2 = manual_fitted(flipped, Family.LOGISTIC, (0.2, -0.5), 0.25)
-    assert conditional_group_variance(f1, "g0") == pytest.approx(
-        conditional_group_variance(f2, "g0"), rel=1e-10
+    assert conditional_estimates(f1)["g0"].variance == pytest.approx(
+        conditional_estimates(f2)["g0"].variance, rel=1e-10
     )
 
 

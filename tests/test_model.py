@@ -96,7 +96,6 @@ def test_dataset_stacking_and_offsets():
     assert ds.n_obs == 3
     np.testing.assert_array_equal(ds.row_offsets, [0, 2, 3])
     np.testing.assert_array_equal(ds.subject_index, [0, 0, 1])
-    assert ds.subject_position["s1"] == 1
 
 
 def test_dataset_rejects_empty_input_and_mixed_covariate_counts():
