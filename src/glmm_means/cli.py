@@ -89,7 +89,7 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     if not getattr(args, "config", None):
         return args
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             defaults = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot open config {args.config}: {exc.strerror or exc}") from None

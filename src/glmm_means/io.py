@@ -3,19 +3,29 @@
 Input is RFC-4180-style CSV with a header row: a subject id column, a
 response column, numeric covariate columns, and group-by columns whose
 cartesian levels define the groups.  An intercept column is prepended to
-the covariates automatically.  The reader pulls records from `csv.reader`
-in chunks of `_CHUNK` and parses each chunk a column at a time: each
-numeric column with Python's `float`, the subject ids and group keys into
-integer codes through first-appearance dicts that persist across chunks.
-A chunk's records are dropped once parsed, so the reader holds one chunk of
-records, never the file's.  `Dataset.from_codes` then groups the rows by
-subject, so a subject's rows may appear anywhere in the file.  Problems
-raise InputError with row/column diagnostics, and the first fault in file
-order is the one reported: when a column check fails, or the file turns out
-malformed or undecodable part way, the records of the current chunk read so
-far are walked one by one to name the first bad one (earlier chunks parsed
-cleanly).  A group value spelled two ways is reported once every chunk has
-parsed, at the first data row of its second spelling.
+the covariates automatically.  A leading UTF-8 byte-order mark is skipped.
+
+The csv path defines what a file means and names every fault: it pulls
+records from `csv.reader` in chunks of `_CHUNK` and parses each chunk a
+column at a time: each numeric column with Python's `float`, the subject
+ids and group keys into integer codes through first-appearance dicts that
+persist across chunks.  Problems raise InputError with row/column
+diagnostics, and the first fault in file order is the one reported: when a
+column check fails, or the file turns out malformed or undecodable part
+way, the records of the current chunk read so far are walked one by one to
+name the first bad one (earlier chunks parsed cleanly).  A group value
+spelled two ways is reported once every chunk has parsed, at the first
+data row of its second spelling.
+
+The reader first tries the numpy path, which parses each chunk of
+`_CHUNK` lines that is plain (see `_read_plain`) with `np.loadtxt`, numpy's
+C tokenizer, into the same columns.  It gives up at the first chunk that
+is not plain or does not parse, and the csv path reads the file again from
+the top; so it returns the csv path's Dataset or none.  A pipe, which
+cannot be read twice, goes to the csv path alone.  Either way a chunk is
+dropped once parsed, so the reader holds one chunk, never the file.
+`Dataset.from_codes` then groups the rows by subject, so a subject's rows
+may appear anywhere in the file.
 
 Numeric output is written at full precision in JSON and with 6 significant
 digits in CSV.
@@ -35,7 +45,7 @@ import numpy as np
 from .model import Dataset
 
 
-_CHUNK = 4096  # records parsed at a time: the reader never holds more of them
+_CHUNK = 4096  # lines, or csv records, parsed at a time: the reader never holds more of them
 
 
 class InputError(Exception):
@@ -77,32 +87,99 @@ def read_dataset(path: str, mapping: ColumnMapping) -> Dataset:
     first occurrence and rows keep file order within a subject.  Group
     labels are "col=value" pairs joined with commas, or "all" when no
     group-by columns are declared.  Blank lines are skipped; rows are
-    numbered as data records after the header (row 1).
+    numbered as data records after the header (row 1).  A leading UTF-8
+    byte-order mark is skipped.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc.strerror or exc}") from None
 
     with fh:
-        reader = csv.reader(fh)
-        chunk = []
-        try:
-            columns = _Columns(_layout(path, next(reader, None), mapping))
-            records = filter(None, reader)
-            while True:
-                chunk.extend(itertools.islice(records, _CHUNK))
-                if not chunk:
-                    break
-                columns.add(chunk)
-                chunk = []
-        except (csv.Error, UnicodeDecodeError) as exc:
-            if chunk:
-                columns.raise_first_fault(chunk)  # a bad cell before the bad line comes first
-            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+        if not fh.seekable():  # a pipe: the numpy path could not start over
+            columns = _read_records(path, fh, mapping)
+        elif (columns := _read_plain(path, fh, mapping)) is None:
+            fh.seek(0)
+            columns = _read_records(path, fh, mapping)
     if not columns.rows:
         raise InputError(f"{path}: file has a header but no data rows")
     return columns.dataset()
+
+
+def _read_records(path, fh, mapping: ColumnMapping) -> _Columns:
+    """The file's columns, from `csv.reader` records: what a file means, and
+    the InputError of its first fault."""
+    reader = csv.reader(fh)
+    chunk = []
+    try:
+        columns = _Columns(_layout(path, next(reader, None), mapping))
+        records = filter(None, reader)
+        while True:
+            chunk.extend(itertools.islice(records, _CHUNK))
+            if not chunk:
+                break
+            columns.add(chunk)
+            chunk = []
+    except (csv.Error, UnicodeDecodeError) as exc:
+        if chunk:
+            columns.raise_first_fault(chunk)  # a bad cell before the bad line comes first
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    return columns
+
+
+def _read_plain(path, fh, mapping: ColumnMapping) -> _Columns | None:
+    """The columns `_read_records` returns, parsed by `np.loadtxt` `_CHUNK`
+    lines at a time, or None: it gives up at the first chunk that is not
+    plain, that `loadtxt` cannot parse or that has an empty subject id, and
+    on a csv or decoding error.  The header is read and checked as the csv
+    path reads and checks it.
+
+    A chunk is plain when no line is longer than `csv.field_size_limit()`
+    and none holds a quote, a NUL (which csv rejects before Python 3.11) or
+    one of the separators \\x1c-\\x1f (`loadtxt` strips them from a number
+    as white space, `float` does not).  In a plain chunk csv splits each
+    line at every comma, as `loadtxt` does; both skip blank lines and keep
+    the other cells as spelled; a row short of the last mapped column is a
+    fault to csv and makes `loadtxt` raise; and `loadtxt` reads a number as
+    `float` does or raises.
+    """
+    try:
+        columns = _Columns(_layout(path, next(csv.reader(fh), None), mapping))
+        layout = columns.layout
+        numeric, grouped = ([j for _, j in cells] for cells in (layout.numeric, layout.grouping))
+        parsed = [j for j in numeric if j not in grouped]  # a group column is read once, as text
+        dtype = np.dtype([("s", object), *((f"n{j}", float) for j in parsed),
+                          *((f"g{j}", object) for j in grouped)])
+        usecols = [layout.subject[1], *parsed, *grouped]
+        limit = csv.field_size_limit()
+        while lines := list(itertools.islice(fh, _CHUNK)):
+            text = "".join(lines)
+            if (any(c in text for c in '"\x00\x1c\x1d\x1e\x1f')
+                    or len(text) > limit and max(map(len, lines)) > limit):
+                return None
+            if not text.strip("\r\n"):
+                continue  # blank lines only, of which `loadtxt` warns
+            table = np.loadtxt(lines, dtype, delimiter=",", quotechar=None, comments=None,
+                               usecols=usecols, ndmin=1)
+            del lines, text
+            subject_ids = table["s"].tolist()
+            if "" in subject_ids:
+                return None
+            levels, codes = [], []  # per group column: its distinct cells, each row's among them
+            for j in grouped:
+                level = {}
+                codes.append(_codes(level, table[f"g{j}"].tolist()))
+                levels.append(list(level))
+            # a group column's numbers by `float`, as the csv path reads them, once per cell
+            number = {j: np.array(list(map(float, level)))[code]
+                      for j, level, code in zip(grouped, levels, codes) if j in numeric}
+            y, *x = (number[j] if j in number else table[f"n{j}"] for _, j in layout.numeric)
+            groups = (_key_codes(columns.keys, levels, codes) if grouped
+                      else _codes(columns.keys, [None] * len(y)))
+            columns.append(subject_ids, np.array(y), np.column_stack([np.ones(len(y)), *x]), groups)
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        return None
+    return columns
 
 
 def _layout(path, header, mapping: ColumnMapping) -> _Layout:
@@ -147,13 +224,16 @@ class _Columns:
         except ValueError:
             self.raise_first_fault(records)
             raise
-        known = len(self.keys)
-        groups = _codes(self.keys, keys)
+        self.append(subject_ids, y, X, _codes(self.keys, keys))
+
+    def append(self, subject_ids, y, X, groups) -> None:
+        """Keep one chunk's columns (see `_parse_columns`), with its rows' group codes."""
+        known = len(self.key_rows)  # keys of earlier chunks
         fresh = np.flatnonzero(groups >= known)
         _, first = np.unique(groups[fresh], return_index=True)  # in code order
         self.key_rows.extend((self.rows + 2 + fresh[first]).tolist())
         self.parts.append((_codes(self.subjects, subject_ids), y, X, groups))
-        self.rows += len(records)
+        self.rows += len(subject_ids)
 
     def raise_first_fault(self, records) -> None:
         """Raise the InputError of the first faulty record of a chunk, if any."""
@@ -183,6 +263,22 @@ def _codes(codes: dict, keys) -> np.ndarray:
     for key in dict.fromkeys(keys):
         codes.setdefault(key, len(codes))
     return np.fromiter(map(codes.__getitem__, keys), np.int64, len(keys))
+
+
+def _key_codes(codes: dict, levels, index) -> np.ndarray:
+    """`_codes(codes, keys)` of the group keys of rows whose cell in group
+    column k is `levels[k][index[k][row]]`, hashing each distinct key once."""
+    dims = [len(level) for level in levels]
+    found, first, inverse = np.unique(np.ravel_multi_index(index, dims), return_index=True,
+                                      return_inverse=True)
+    order = np.argsort(first)  # the distinct keys in order of first appearance
+    keys = [tuple(level[i] for level, i in zip(levels, key))
+            for key in zip(*np.unravel_index(found[order], dims))]
+    if len(levels) == 1:
+        keys = [cell for cell, in keys]  # a one-column key is its cell (see `_parse_columns`)
+    lut = np.empty(len(found), np.int64)
+    lut[order] = _codes(codes, keys)
+    return lut[inverse]
 
 
 def _parse_columns(records, layout: _Layout):

@@ -60,7 +60,7 @@ def read_dataset_by_rows(path: str, mapping: ColumnMapping) -> Dataset:
     """The oracle for `glmm_means.io.read_dataset`: the same file read and
     checked one record at a time, each fault raised as it is met."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc.strerror or exc}") from None
 

@@ -366,6 +366,17 @@ def test_cli_config_file_defaults(small_csv, capsys, tmp_path):
     assert json.loads(out)["converged"] is True
 
 
+def test_cli_config_file_may_start_with_a_byte_order_mark(small_csv, capsys, tmp_path):
+    path, _ = small_csv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "json", "covariates": "x,u,t"}), encoding="utf-8-sig")
+    code, out, err = run_cli(
+        ["fit", "--input", str(path), "--family", "logistic", "--config", str(cfg)], capsys
+    )
+    assert code == 0, err
+    assert json.loads(out)["converged"] is True
+
+
 def test_cli_flags_override_config(small_csv, capsys, tmp_path):
     path, _ = small_csv
     cfg = tmp_path / "cfg.json"

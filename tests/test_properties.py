@@ -1,5 +1,6 @@
 """Property-based checks of CSV ingestion, the stacked dataset and the CLI contract."""
 
+import codecs
 import contextlib
 import csv
 import dataclasses
@@ -9,7 +10,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -246,6 +250,160 @@ def test_the_reader_tests_hold_at_a_chunk_of_three_records(monkeypatch, tmp_path
     monkeypatch.setattr(glmm_io, "_CHUNK", 3)
     test_reader_matches_the_record_by_record_oracle(tmp_path_factory)
     test_interleaved_rows_read_as_the_grouped_file(tmp_path_factory, grouped_csv)
+
+
+# ---- numpy reads plain chunks, and only as the csv path reads them ----------------------------
+
+
+# spellings of a number that `np.loadtxt` and `float` could read differently
+SPELLINGS = (" 1", "1 ", "\t1", "1_0", "\u0661", "\xa01", "+nan", "-0", "1e400", "", " ", "\x00",
+             "\x0c1", "\x1c1", "\ufeff1")
+
+
+@st.composite
+def plain_files(draw):
+    """CSV text with no quote, whose number cells come from a few spellings."""
+    header = draw(st.permutations(COLUMNS))
+    numbers = st.sampled_from(draw(st.lists(st.sampled_from(("0", "1", "-0.5", *SPELLINGS)),
+                                            min_size=1, max_size=3)))
+    cells = {c: numbers for c in COLUMNS}
+    cells["subject_id"] = st.sampled_from(("a", "b", "c", " a", "\x0cb", "\u2028", "a", "b", ""))
+    rows = st.tuples(st.fixed_dictionaries(cells), st.lists(numbers, max_size=2)).map(
+        lambda r: [*(r[0][c] for c in header), *r[1]])  # a full row, or a longer one
+    lines = st.builds(
+        lambda kind, row, cut, blank: row if kind < 8 else row[:cut] if kind == 8 else blank,
+        st.integers(0, 9), rows, st.integers(1, 4),  # mostly full rows, some short ones
+        st.sampled_from(([], [" "], ["\t"])),  # a blank line, or white space only
+    ).map(",".join)
+    ends = st.sampled_from(("\n", "\r\n", "\r"))
+    body = draw(st.lists(st.tuples(lines, ends).map("".join), min_size=1, max_size=10))
+    return "".join([",".join(header), "\n", *body])
+
+
+@settings(max_examples=100)
+@given(text=plain_files())
+def _plain_files_read_as_by_the_csv_path(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("plain") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(glmm_io, "_read_records", wraps=glmm_io._read_records) as csv_path:
+        got = _outcome(read_dataset, path)
+    want = _outcome(read_dataset_by_rows, path)
+    event(("csv path, " if csv_path.called else "numpy path, ")
+          + ("InputError" if isinstance(want, str) else "Dataset"))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_dataset(got, want)
+
+
+@pytest.mark.parametrize("chunk, field_limit", [(3, None), (4096, None), (3, 12), (4096, 12)])
+def test_numpy_path_matches_the_csv_path_on_plain_files(monkeypatch, tmp_path_factory, chunk,
+                                                        field_limit):
+    # a field limit of 12 puts some lines of a plain-looking file beyond it
+    monkeypatch.setattr(glmm_io, "_CHUNK", chunk)
+    old = csv.field_size_limit(field_limit or csv.field_size_limit())
+    try:
+        _plain_files_read_as_by_the_csv_path(tmp_path_factory)
+    finally:
+        csv.field_size_limit(old)
+
+
+def test_only_a_file_that_is_not_plain_reaches_the_csv_path(monkeypatch, tmp_path, grouped_csv):
+    lines, grouped, _ = grouped_csv
+
+    def refuse(*args):
+        raise AssertionError("the csv path was taken")
+
+    monkeypatch.setattr(glmm_io, "_read_records", refuse)
+    monkeypatch.setattr(glmm_io, "_CHUNK", 3)
+    path = tmp_path / "data.csv"
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes(end.join(["subject_id,y,x,u,t", *lines, ""]).encode("utf-8"))
+        assert_same_dataset(read_dataset(str(path), MAPPING), grouped)
+    # one quoted cell, in the last chunk
+    quoted = '"{}",{}'.format(*lines[-1].split(",", 1))
+    path.write_text("\n".join(["subject_id,y,x,u,t", *lines[:-1], quoted, ""]), encoding="utf-8")
+    with pytest.raises(AssertionError, match="the csv path was taken"):
+        read_dataset(str(path), MAPPING)
+    # a group column that holds no number
+    arms = ColumnMapping(covariates=("x", "u", "t"), group_by=("arm", "t"))
+    armed = tmp_path / "arms.csv"
+    armed.write_text("\n".join(["subject_id,y,x,u,t,arm",
+                                *(f"{line},arm {line.split(',')[3]}" for line in lines), ""]),
+                     encoding="utf-8")
+    ds = read_dataset(str(armed), arms)
+    monkeypatch.undo()
+    assert_same_dataset(read_dataset(str(path), MAPPING), grouped)
+    assert_same_dataset(ds, read_dataset_by_rows(str(armed), arms))
+    levels = ("0.0", "1.0")
+    assert set(ds.group_labels) == {f"arm=arm {u},t={t}" for u in levels for t in levels}
+
+
+def test_a_pipe_is_read_by_the_csv_path(tmp_path):
+    # the numpy path may give up part way, and a pipe cannot be read again
+    text = 'subject_id,y,x,u,t\na,1,0.5,1,0\n"b",0,0.1,0,1\n'
+    plain, fifo = tmp_path / "data.csv", tmp_path / "pipe.csv"
+    plain.write_text(text, encoding="utf-8")
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"},
+                              daemon=True)
+    writer.start()
+    ds = read_dataset(str(fifo), MAPPING)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert_same_dataset(ds, read_dataset(str(plain), MAPPING))
+
+
+@pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_a_separator_before_a_number_is_a_fault(tmp_path, separator):
+    # `loadtxt` strips these from a number as white space; `float` does not
+    path = tmp_path / "data.csv"
+    path.write_text(f"subject_id,y,x,u,t\na,1,{separator}0.5,1,0\n", encoding="utf-8")
+    with pytest.raises(InputError, match="row 2, column 'x': cannot parse"):
+        read_dataset(str(path), MAPPING)
+    assert _outcome(read_dataset_by_rows, path) == _outcome(read_dataset, path)
+
+
+@given(s=st.one_of(
+    st.text(),
+    st.sampled_from(SPELLINGS),
+    st.lists(st.sampled_from((*SPELLINGS, "1", "5", ".", "e", "-", "+", "_", "n", "a", "i", "f",
+                              "\x0b", "\x85", "\u2028", "\u3000")), max_size=5).map("".join),
+))
+def test_loadtxt_reads_a_number_as_float_does_or_not_at_all(s):
+    # what the numpy path rests on: a cell of a plain chunk
+    assume(not set(s) & set(',"\r\n\x00\x1c\x1d\x1e\x1f'))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a blank cell is no data
+            got = np.loadtxt([s], dtype=float, delimiter=",", quotechar=None, comments=None,
+                             ndmin=1)
+    except ValueError:
+        event("loadtxt raises")
+        return
+    event("no row" if got.size == 0 else "a number")
+    if got.size:
+        assert got.tobytes() == np.array([float(s)]).tobytes()
+
+
+@pytest.mark.parametrize("cell", ["1", '"1"'])  # every chunk plain, or a quoted cell
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, cell):
+    text = f"subject_id,y,x,u,t\na,1,0.5,{cell},0\n\ufeffb,0,0.1,0,1\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+    ds = read_dataset(str(marked), MAPPING)
+    assert_same_dataset(ds, read_dataset(str(plain), MAPPING))
+    assert_same_dataset(ds, read_dataset_by_rows(str(marked), MAPPING))
+    assert ds.subject_ids == ("a", "\ufeffb")  # a mark past the first stays part of its cell
+    code, out, err = run_cli(["validate", "--input", str(marked), "--family", "logistic",
+                              "--covariates", "x"])
+    assert code == 0, err
+    marked.write_text("\ufeff" + text, encoding="utf-8-sig")
+    with pytest.raises(InputError, match="missing column"):
+        read_dataset(str(marked), MAPPING)
+
 
 # ---- the two constructors agree ------------------------------------------------------------
 
