@@ -11,14 +11,16 @@ log1p(e), and forms l, its eta-derivatives and the kappa terms from them;
 r is a quotient of its own, not 1 - s, which rounds to 0 where s rounds to
 1.  The eta-free parts, the only ones not affine in y, are gamma-function
 differences at an integer count, which `gamma_sums` computes as finite
-sums; the caller passes them in, so that the fitter can average them over
-the rows it merges.  `aux` carries the negative-binomial size parameter
-and is ignored elsewhere.  All functions broadcast over numpy arrays.
+sums; the kappa terms take them as an offset, and the fitter, which sums
+every term over the rows of a pattern, adds them once per pattern.  `aux`
+carries the negative-binomial size parameter and is ignored elsewhere.
+All functions broadcast over numpy arrays.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -98,7 +100,9 @@ def gamma_table(y: np.ndarray, kappa: float) -> np.ndarray:
 class Nodes:
     """The kernels of l = y eta - n softplus(z) at every (y, z), y and n
     broadcasting against z; `kappa` is the negative binomial's size.  The
-    arrays are reused in place: a fitter block holds few at once."""
+    arrays are reused in place: a fitter block holds few at once.  softplus
+    is formed on first use, so the mode solver, which needs only s and r,
+    takes no logarithm."""
 
     def __init__(self, y, z, n, kappa=None):
         self.y, self.n, self.kappa = y, n, kappa
@@ -109,9 +113,16 @@ class Nodes:
         self.s /= q  # expit(z)
         self.r = np.where(up, e, 1.0)
         self.r /= q  # expit(-z), not 1 - s: s can round to 1
-        np.maximum(z, 0.0, out=q)
-        q += np.log1p(e, out=e)
-        self.softplus = q  # max(z, 0) + log1p(exp(-|z|))
+        self._z_e = z, e
+
+    @functools.cached_property
+    def softplus(self):
+        """max(z, 0) + log1p(exp(-|z|)); z and e are let go once it is formed."""
+        z, e = self._z_e
+        del self._z_e
+        out = np.maximum(z, 0.0)
+        out += np.log1p(e, out=e)
+        return out
 
     def loglik(self, eta):
         return self.y * eta - self.n * self.softplus

@@ -13,11 +13,14 @@ as repeated visits with constant treatment and few time values do, enter
 once with their summed weight and weighted mean response.  That is exact
 because every kernel evaluated at the nodes is affine in y at fixed eta;
 the negative binomial's terms nonlinear in y (log Gamma(y + kappa) and its
-derivatives in kappa, log Gamma(y + 1)) are node-free, and enter each cell
-as averages over its rows.  One prefix sum up to the largest count
-(`families.gamma_table`) serves every row, which indexes it by its count.
-Data without repeated covariate rows have one cell per row, holding that
-row's weight and response.
+derivatives in kappa, log Gamma(y + 1)) are node-free, so they enter the
+loglik, the kappa score and the kappa curvature only as per-pattern sums of
+w times the term over the pattern's rows.  A call evaluates them once per
+distinct count, from one prefix sum up to the largest count
+(`families.gamma_table`), and adds them into the pattern sums with one
+`np.bincount` per term over (pattern, count, summed weight) triples.  Data
+without repeated covariate rows have one cell per row, holding that row's
+weight and response.
 
 The quadrature also runs over patterns, not subjects: subjects whose
 multisets of raw rows (covariate row, weight, response) are equal share
@@ -31,9 +34,10 @@ the tolerances are the module constants MAX_ITER, PARAM_TOL, SCORE_TOL
 and MODE_TOL.
 
 Every node kernel comes from one `families.Nodes` per block, one
-exponential per (cell, node).  numpy's `logaddexp` has no vectorized loop
-(it takes some 25 times an `exp`), so only the unsplit loglik of
-`score_matrix` keeps it.  Patterns are numbered by descending cell count,
+exponential per (cell, node), with the cell weights folded into its y and
+n.  numpy's `logaddexp` has no vectorized loop (it takes some 25 times an
+`exp`), so only the unsplit loglik of `score_matrix` keeps it.  Patterns
+are numbered by descending cell count,
 and a block stores its cells position-major: the first cell of every
 pattern, then the second of every pattern that has one, and so on.  A
 per-pattern sum is one reduction over the positions that every pattern
@@ -73,7 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .families import Family, family_ops, gamma_sums, gamma_table
+from .families import Family, Nodes, family_ops, gamma_sums, gamma_table
 from .model import Dataset, ModelSpec, ParamVector
 from .quadrature import DEFAULT_GH_NODES, gh_rule
 
@@ -82,7 +86,9 @@ LOG_KAPPA_BOUNDS = (math.log(1e-3), math.log(1e6))
 _MAX_STEP = 2.0
 # Cells x nodes of one quadrature block: 96 KB per float64 temporary.  Larger
 # temporaries cross glibc's default 128 KB mmap threshold and are mapped and
-# faulted in afresh on every call, several times slower than reused heap.
+# faulted in afresh on every call, several times slower than reused heap; the
+# (dim, patterns, nodes) scores of a block, up to dim times larger, live in
+# scratch that the workspace allocates once.
 _BLOCK_CELLS = 12288
 MAX_ITER = 200  # Newton iterations of one fit
 PARAM_TOL = 1e-8  # relative step below which the Newton loop stops moving
@@ -131,17 +137,6 @@ class FittedModel:
 
     def standard_errors(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.cov_psi), 0.0, None))
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of finite rows, with scipy.special.logsumexp's
-    arithmetic (maximal entries split off and counted) minus its per-call
-    overhead, which dominated the small per-block calls."""
-    amax = a.max(axis=1, keepdims=True)
-    top = a == amax
-    count = top.sum(axis=1, keepdims=True, dtype=a.dtype)
-    rest = np.exp(np.where(top, -np.inf, a) - amax).sum(axis=1, keepdims=True)
-    return (np.log1p(rest / count) + np.log(count) + amax)[:, 0]
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
@@ -231,13 +226,20 @@ class _Block(NamedTuple):
     tail: tuple
 
 
-def _block_sums(values: np.ndarray, block: _Block) -> np.ndarray:
-    """Per-pattern sums of a block's cell values, added in position order."""
+def _block_sums(values: np.ndarray, block: _Block, out=None) -> np.ndarray:
+    """Per-pattern sums of a block's (..., cells, nodes) values, added in
+    position order, into `out` if given."""
     n = block.patterns.stop - block.patterns.start
     at = block.head * n
-    out = values[:at].reshape((block.head, n) + values.shape[1:]).sum(axis=0)
+    *lead, cells, nodes = values.shape
+    if block.head > 1:
+        out = values[..., :at, :].reshape((*lead, block.head, n, nodes)).sum(axis=-3, out=out)
+    elif out is None:  # one position: a copy, which costs less than a reduction
+        out = values[..., :n, :].copy()
+    else:
+        out[...] = values[..., :n, :]
     for count in block.tail:
-        out[:count] += values[at : at + count]
+        out[..., :count, :] += values[..., at : at + count, :]
         at += count
     return out
 
@@ -250,10 +252,11 @@ class _Workspace:
     `y`, `X`, `w` and `subj` hold one entry per cell of the `rep` subjects,
     laid out as `blocks` describe, `subj` numbering patterns: w_c = sum w
     and y_c = sum w y / w_c over the cell's rows.  The terms nonlinear in y
-    (log Gamma(y + k) and its kappa derivatives, log Gamma(y + 1)) are
-    computed once per call, for that call's kappa, on the responses `y_rows`
-    of those subjects' rows, checked here to be counts, and enter as
-    w-weighted cell means through `cell_mean`.
+    (log Gamma(y + k) and its kappa derivatives, log Gamma(y + 1)) enter per
+    pattern: for the NB, `levels` holds the distinct counts of those
+    subjects' rows, checked here to be counts, and `triples` the (pattern,
+    count level, summed weight) of their rows, from which `gamma_terms`
+    forms each call's per-pattern sums for that call's kappa.
     Modes, curvatures and scores enter and leave the methods per subject.
     """
 
@@ -264,7 +267,7 @@ class _Workspace:
         subj = dataset.subject_index
         kept = rep[pattern[subj]] == subj  # the representatives' rows
         X, subj = dataset.X[kept], pattern[subj[kept]]
-        y_rows, self.w_rows = dataset.y[kept], dataset.weights[kept]
+        y_rows, w_rows = dataset.y[kept], dataset.weights[kept]
         cell, first = _cells(subj, xrow[kept])  # stacked pattern by pattern
         size = np.bincount(subj[first])
         position = np.arange(first.size) - (np.cumsum(size) - size)[subj[first]]
@@ -286,9 +289,9 @@ class _Workspace:
             k0 = ends[-1]
             ends.append(max(k0 + 1, int(np.searchsorted(offsets, offsets[k0] + cap, "right")) - 1))
         order = np.lexsort((subj, position, np.searchsorted(ends, subj, "right")))
-        self.subj, self.X, self.cell = subj[order], X[first[order]], np.argsort(order)[cell]
-        self.w = np.bincount(self.cell, self.w_rows)
-        self.y = np.bincount(self.cell, self.w_rows * y_rows) / self.w
+        self.subj, self.X, cell = subj[order], X[first[order]], np.argsort(order)[cell]
+        self.w = np.bincount(cell, w_rows)
+        self.y = np.bincount(cell, w_rows * y_rows) / self.w
         self.blocks = []
         for k0, k1 in zip(ends[:-1], ends[1:]):
             count = (k1 - k0) - np.cumsum(np.bincount(size[k0:k1])[:-1])  # patterns with > j cells
@@ -296,13 +299,16 @@ class _Workspace:
             cells = slice(int(offsets[k0]), int(offsets[k1]))
             self.blocks.append(_Block(slice(k0, k1), cells, self.subj[cells] - k0, head,
                                       tuple(count[head:].tolist())))
+        # a block's complete-data scores and their posterior-weighted copy
+        self.scratch = np.empty((2, self.dim, int(np.diff(ends).max()) * self.t.size))
         if family is Family.NEGBIN:
-            self.y_rows = y_rows
-            self.lgamma_y1 = gamma_sums(y_rows, 1.0, 0)  # raises unless counts
-
-    def cell_mean(self, values) -> np.ndarray:
-        """Per-cell w-weighted mean over the cell's rows of per-row `values`."""
-        return np.bincount(self.cell, self.w_rows * values) / self.w
+            # (pattern, count, summed weight) of the representatives' rows,
+            # the count as an index into the distinct counts `levels`
+            self.levels, level = np.unique(y_rows, return_inverse=True)
+            self.lgamma_y1 = gamma_sums(self.levels, 1.0, 0)  # raises unless counts
+            key, triple = np.unique(self.subj[cell] * self.levels.size + level, return_inverse=True)
+            self.triples = (key // self.levels.size, key % self.levels.size,
+                            np.bincount(triple, w_rows))
 
     # ---- parameter packing ---------------------------------------------
 
@@ -333,10 +339,11 @@ class _Workspace:
 
     def loglik_score(self, eta0, b, aux):
         """S(b), the conditional-loglik score of each pattern in its b, and
-        -S'(b), the sum of w n s r, from the same kernel."""
+        -S'(b), the sum of w n s r, from the same kernel, which comes third."""
         nodes = self.ops.kernel(self.y, eta0 + b[self.subj], aux)
         w = self.w
-        return self._subject_sums(w * nodes.score_eta()), self._subject_sums(w * nodes.curvature())
+        return (self._subject_sums(w * nodes.score_eta()), self._subject_sums(w * nodes.curvature()),
+                nodes)
 
     def solve_modes(self, beta, sigma2, aux, b0=None):
         """Safeguarded Newton for the conditional modes from b0 (zero by
@@ -352,10 +359,14 @@ class _Workspace:
         rounds onto an end: the slope of the score times an ulp of the mode
         can exceed MODE_TOL (NB kappa = 1e6 with counts of 1e4 and a mode
         of 14: 4e-10), so no float meets the tolerance.
+
+        The curvature returned is the Fisher information sum w mu' at the
+        final b, where the last kernel was evaluated: the summed s r the
+        solver already has for the logistic, sum w kappa s for the NB.
         """
         eta0 = self.X @ beta
         b = np.zeros(self.P) if b0 is None else np.asarray(b0, float)[self.rep]
-        s, curv = self.loglik_score(eta0, b, aux)
+        s, curv, nodes = self.loglik_score(eta0, b, aux)
         score, end = s - b / sigma2, sigma2 * s  # not b + sigma2 score: ulp(b) off if |b| >> |end|
         lo, hi = np.minimum(b, end), np.maximum(b, end)
         active = np.abs(score) > MODE_TOL
@@ -369,35 +380,49 @@ class _Workspace:
                 prop = np.where(prop == b, np.nextafter(b, nxt), prop)  # nxt: the midpoint
                 nxt = np.where((lo <= prop) & (prop <= hi), prop, nxt)
             b = np.where(active, nxt, b)
-            s, curv = self.loglik_score(eta0, b, aux)
+            del nodes  # hold one kernel at a time
+            s, curv, nodes = self.loglik_score(eta0, b, aux)
             score = s - b / sigma2
             lo = np.where(active & (score > 0), b, lo)
             hi = np.where(active & (score <= 0), b, hi)
             active = np.abs(score) > MODE_TOL
 
-        eta = eta0 + b[self.subj]
-        curvature = self._subject_sums(self.w * self.ops.fisher_weight(eta, aux)) + 1.0 / sigma2
-        return b[self.pattern], curvature[self.pattern]
+        if self.family is Family.NEGBIN:
+            curv = self._subject_sums(self.w * (aux * nodes.s))
+        curv += 1.0 / sigma2
+        return b[self.pattern], curv[self.pattern]
 
     # ---- marginal likelihood and scores ---------------------------------
 
     def gamma_terms(self, aux, split=True):
-        """Per-cell node-free NB terms at size aux, from one gamma_table: the
-        log-density's log Gamma(y + k) - log Gamma(k) - log Gamma(y + 1) - y
-        log k (+ (y + k) log k without `split`, see integral_pieces) and the
-        kappa-score offsets; None for the logistic."""
+        """Per-pattern sums of w times the node-free NB terms at size aux, from
+        one gamma_table on the distinct counts: the log-density's log Gamma(y +
+        k) - log Gamma(k) - log Gamma(y + 1) - y log k (+ (y + k) log k without
+        `split`, see integral_pieces) and the two kappa-score offsets; None for
+        the logistic."""
         if self.family is not Family.NEGBIN:
             return None
-        lg, dg, tg = gamma_table(self.y_rows, aux)
+        pattern, level, w = self.triples
+        lg, dg, tg = gamma_table(self.levels, aux)
         lg = lg - self.lgamma_y1
         if not split:
-            lg = lg + (self.y_rows + aux) * math.log(aux)
-        return self.cell_mean(lg), self.cell_mean(dg), self.cell_mean(tg)
+            lg = lg + (self.levels + aux) * math.log(aux)
+        return tuple(np.bincount(pattern, w * t[level], minlength=self.P) for t in (lg, dg, tg))
 
-    def integral_pieces(self, beta, sigma2, aux, modes, curv, terms, block, split=True):
+    def operands(self, beta, aux, split=True):
+        """What integral_pieces takes per call: beta, w y and w n of every
+        cell (n = y + kappa for the NB, 1 for the logistic) and
+        gamma_terms(aux, split)."""
+        w = self.w
+        wn = w if aux is None else w * (self.y + aux)
+        return beta, w * self.y, wn, self.gamma_terms(aux, split)
+
+    def integral_pieces(self, sigma2, aux, modes, curv, operands, block, split=True):
         """Loglik contributions, posterior node weights, node positions and
         the node kernel (cells, nodes) for the patterns of one block, from
-        per-subject `modes` and `curv`; `terms` is gamma_terms(aux, split).
+        per-subject `modes` and `curv`; `operands` are operands(beta, aux,
+        split).  The kernel's y and n are w y and w n, so its loglik and
+        eta-score carry the cell weights.
 
         With `split`, the negative binomial's (y + k) log(k + mu) is written
         as (y + k) (log k + log1p(mu / k)): the eta-dependent part is then
@@ -405,24 +430,28 @@ class _Workspace:
         node weights keep their digits as k nears its upper bound 1e6,
         where the unsplit form rounds at ~1e-9 per cell.
         """
+        beta, wy, wn, terms = operands
         ks, rows = block.patterns, block.cells
         reps = self.rep[ks]
         scale = 1.0 / np.sqrt(curv[reps])
         u = modes[reps, None] + math.sqrt(2.0) * scale[:, None] * self.t[None, :]
-        eta = (self.X[rows] @ beta)[:, None] + u[block.subj]
-        nodes = self.ops.kernel(self.y[rows, None], eta, aux)
-        w = self.w[rows]
+        eta = u[block.subj]
+        eta += (self.X[rows] @ beta)[:, None]
+        z = eta if terms is None else eta - math.log(aux)
+        nodes = Nodes(wy[rows, None], z, wn[rows, None], aux)
         ll = (nodes.loglik(eta) if split or terms is None
               else nodes.y * eta - nodes.n * np.logaddexp(math.log(aux), eta))
-        ll *= w[:, None]
         g = _block_sums(ll, block)
         if terms is not None:
-            g += _block_sums(w * terms[0][rows], block)[:, None]
+            g += terms[0][ks, None]
         g -= u**2 / (2.0 * sigma2)
         g += self.logw_t2[None, :]
-        lse = _logsumexp_rows(g)
-        ll_i = 0.5 * np.log(2.0 / curv[reps]) + lse
-        omega = np.exp(g - lse[:, None])
+        top = g.max(axis=1)
+        g -= top[:, None]
+        omega = np.exp(g, out=g)
+        total = omega.sum(axis=1)  # >= 1: the largest term is exp(0)
+        omega /= total[:, None]
+        ll_i = 0.5 * np.log(2.0 / curv[reps]) + top + np.log(total)
         return ll_i, omega, u, nodes
 
     def _total_loglik(self, ll_i, sigma2) -> float:
@@ -432,8 +461,8 @@ class _Workspace:
     def loglik_at(self, theta):
         beta, sigma2, aux = self.unpack(theta)
         modes, curv = self.solve_modes(beta, sigma2, aux)
-        terms = self.gamma_terms(aux)
-        ll_i = [self.integral_pieces(beta, sigma2, aux, modes, curv, terms, blk)[0]
+        operands = self.operands(beta, aux)
+        ll_i = [self.integral_pieces(sigma2, aux, modes, curv, operands, blk)[0]
                 for blk in self.blocks]
         return self._total_loglik(ll_i, sigma2), modes, curv
 
@@ -456,48 +485,70 @@ class _Workspace:
         posterior node weights as the scores (a zero matrix otherwise).
         Each pattern's terms are computed once and weighted by its
         multiplicity.
+
+        One pass per block.  The complete-data scores are stored (dim,
+        patterns, nodes), so d is one contraction and E_post[s s'] one
+        matrix product; the beta score is the cell difference w y - w n s
+        times each covariate row of X', summed per pattern.  The node sums
+        of the second derivatives are row dots of the posterior weights
+        with s r, s^2 and r^2, weighted per cell: -d2 l / d eta2 = n s r,
+        and the NB's log-kappa terms (d/dlog k = k d/dk, d2/dlog k2 = k d/dk
+        + k^2 d2/dk2) take k d2 l / d eta dk = y s r - k s^2 and k^2 d2 l /
+        dk2 = k^2 T2 + k s^2 + y r^2, T2 the trigamma offset.  The node-free
+        offsets enter per pattern, as a pattern's posterior weights sum to
+        one.
         """
         beta, sigma2, aux = self.unpack(theta)
         nb = self.family is Family.NEGBIN
         p, dim = self.p, self.dim
+        operands = self.operands(beta, aux, split)
+        _, wy, wn, terms = operands
+        w = self.w
         rows_d, ll_i = [], []
         h = np.zeros((dim, dim))
-        terms = self.gamma_terms(aux, split)
         for blk in self.blocks:
             ks, rows = blk.patterns, blk.cells
-            ll_b, omega, u, nodes = self.integral_pieces(beta, sigma2, aux, modes, curv, terms, blk,
+            ll_b, omega, u, nodes = self.integral_pieces(sigma2, aux, modes, curv, operands, blk,
                                                          split)
-            w, X = self.w[rows], self.X[rows]
+            XT = np.ascontiguousarray(self.X[rows].T)  # a covariate per row
 
-            # complete-data scores at every node: (patterns, nodes, dim)
-            s = np.empty(omega.shape + (dim,))
-            a = w[:, None] * nodes.score_eta()
+            # complete-data scores at every node: (dim, patterns, nodes)
+            sc = self.scratch[0, :, : omega.size].reshape((dim,) + omega.shape)
+            a = nodes.score_eta()
             for c in range(p):
-                s[:, :, c] = _block_sums(a * X[:, c, None], blk)
-            s[:, :, p] = (u**2 - sigma2) / (2.0 * sigma2)
-            if nb:
-                a = w[:, None] * nodes.score_kappa(terms[1][rows, None])
-                s[:, :, p + 1] = aux * _block_sums(a, blk)
-            d = np.einsum("km,kmj->kj", omega, s)
+                _block_sums(a * XT[c, :, None], blk, out=sc[c])
+            sc[p] = (u**2 - sigma2) / (2.0 * sigma2)
+            if nb:  # w (s - softplus) - w y r / k, the kappa score less its offset
+                np.subtract(nodes.s, nodes.softplus, out=a)
+                a *= w[rows, None]
+                a -= (wy[rows] / aux)[:, None] * nodes.r
+                _block_sums(a, blk, out=sc[p + 1])
+                sc[p + 1] += terms[1][ks, None]
+                sc[p + 1] *= aux
+            del a  # no (cells, nodes) array outlives its block
+            d = np.einsum("jkm,km->kj", sc, omega)
             rows_d.append(d)
             ll_i.append(ll_b)
-            del a  # no (cells, nodes) array outlives its block
             if hessian:
                 m = self.m[ks]
                 m_omega = m[:, None] * omega
                 m_omega_rows = m_omega[blk.subj]
-                h += ((s * m_omega[:, :, None]).reshape(-1, dim).T @ s.reshape(-1, dim)
-                      - (m[:, None] * d).T @ d)
-                r = w * np.sum(m_omega_rows * nodes.curvature(), axis=1)
-                h[:p, :p] -= (X * r[:, None]).T @ X
+                flat = sc.reshape(dim, -1)
+                weighted = np.multiply(flat, m_omega.reshape(-1), out=self.scratch[1, :, : omega.size])
+                h += weighted @ flat.T - (m[:, None] * d).T @ d
+                sr = np.einsum("cm,cm->c", m_omega_rows, nodes.s * nodes.r)
+                h[:p, :p] -= (XT * (wn[rows] * sr)) @ XT.T
                 h[p, p] -= np.sum(m_omega * u**2) / (2.0 * sigma2)
-                if nb:  # log kappa: d/dlog k = k d/dk, d2/dlog k2 = k d/dk + k^2 d2/dk2
-                    cross = np.sum(m_omega_rows * nodes.dscore_eta_kappa(), axis=1)
-                    h[:p, p + 1] += aux * (X.T @ (w * cross))
-                    curv_k = np.sum(m_omega_rows * nodes.dscore_kappa(terms[2][rows, None]), axis=1)
-                    h[p + 1, p + 1] += (m * d[:, p + 1]).sum() + aux * aux * np.sum(w * curv_k)
+                if nb:
+                    s2 = np.einsum("cm,cm->c", m_omega_rows, nodes.s * nodes.s)
+                    r2 = np.einsum("cm,cm->c", m_omega_rows, nodes.r * nodes.r)
+                    h[:p, p + 1] += XT @ (wy[rows] * sr - aux * (w[rows] * s2))
+                    h[p + 1, p + 1] += ((m * d[:, p + 1]).sum() + aux * (w[rows] @ s2)
+                                        + wy[rows] @ r2)
             del nodes
-        h[p + 1:, :p] = h[:p, p + 1:].T
+        if hessian and nb:
+            h[p + 1, p + 1] += aux * aux * (self.m @ terms[2])
+            h[p + 1:, :p] = h[:p, p + 1:].T
         return np.vstack(rows_d)[self.pattern], self._total_loglik(ll_i, sigma2), h
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, fit
+from glmm_means.families import gamma_sums
 from glmm_means.fitter import FittedModel, _Workspace
 from glmm_means.io import ColumnMapping, InputError, _group_labels, _parse_cell
 from glmm_means.model import ParamVector
@@ -26,12 +27,13 @@ settings.load_profile("deterministic")
 class _Gaussian:
     """Identity-link Gaussian kernels with unit dispersion, for the oracles.
 
-    Setting `ws.ops = GAUSSIAN_OPS` on a `_Workspace` drives its mode
-    solver with them, which can then be checked against closed-form
-    linear-mixed-model results, where the Laplace approximation is exact.
-    Only the mode solver's kernels are here: they are affine in y, as the
-    workspace's cells need, while the Gaussian log-density is not (a y^2
-    term).
+    Setting `ws.ops = GAUSSIAN_OPS` on a logistic `_Workspace` drives its
+    mode solver with them, which can then be checked against closed-form
+    linear-mixed-model results, where the Laplace approximation is exact;
+    the solver takes the Fisher curvature from `curvature`, as for the
+    logistic.  Only the mode solver's kernels are here: they are affine in
+    y, as the workspace's cells need, while the Gaussian log-density is not
+    (a y^2 term).
     """
 
     class _Nodes:
@@ -47,10 +49,6 @@ class _Gaussian:
     @staticmethod
     def kernel(y, eta, aux=None):
         return _Gaussian._Nodes(y, np.asarray(eta, dtype=float))
-
-    @staticmethod
-    def fisher_weight(eta, aux=None):
-        return np.ones_like(np.asarray(eta, dtype=float))
 
 
 GAUSSIAN_OPS = _Gaussian()
@@ -142,13 +140,105 @@ def conditional_mode(subject: SubjectBlock, params: ParamVector) -> tuple[float,
     return float(modes[0]), float(curv[0])
 
 
-def per_row_cell_mean(ws: _Workspace, dataset: Dataset, f) -> np.ndarray:
-    """The oracle for `_Workspace.cell_mean`: the per-cell w-weighted mean
-    of f evaluated on every row of the patterns' first subjects, the rows
-    taken from the dataset, not from the workspace."""
+def representative_rows(ws: _Workspace, dataset: Dataset):
+    """Every row of the patterns' first subjects, taken from the dataset, not
+    from the workspace: its response, its weight, its pattern and its cell,
+    the stored cell of that pattern with that covariate row."""
     subj = dataset.subject_index
-    y_rows = dataset.y[ws.rep[ws.pattern[subj]] == subj]
-    return np.bincount(ws.cell, ws.w_rows * f(y_rows)) / ws.w
+    kept = ws.rep[ws.pattern[subj]] == subj
+    pattern = ws.pattern[subj[kept]]
+    stored = {(int(k), x.tobytes()): c for c, (k, x) in enumerate(zip(ws.subj, ws.X))}
+    cell = np.array([stored[int(k), x.tobytes()] for k, x in zip(pattern, dataset.X[kept])])
+    return dataset.y[kept], dataset.weights[kept], pattern, cell
+
+
+def per_row_cell_mean(ws: _Workspace, dataset: Dataset, f) -> np.ndarray:
+    """The per-cell w-weighted mean of f evaluated on every row of the
+    patterns' first subjects: how the workspace once averaged the NB terms
+    nonlinear in y."""
+    y, w, _, cell = representative_rows(ws, dataset)
+    return np.bincount(cell, w * f(y)) / ws.w
+
+
+def per_row_pattern_sums(ws: _Workspace, dataset: Dataset, f) -> np.ndarray:
+    """The oracle for `_Workspace.gamma_terms`: per pattern, the correctly
+    rounded sum of w f(y) over its first subject's rows, f evaluated row by
+    row."""
+    y, w, pattern, _ = representative_rows(ws, dataset)
+    terms = w * f(y)
+    return np.array([math.fsum(terms[pattern == k]) for k in range(ws.P)])
+
+
+def per_cell_derivatives(ws: _Workspace, dataset: Dataset, theta, modes, curv, hessian=True,
+                         split=True):
+    """The oracle for `_Workspace.derivatives`: the per-cell pass it
+    replaced.  Each cell's kernel takes the cell's mean response, its weight
+    multiplies every term, the NB terms nonlinear in y enter each cell as
+    w-weighted means over its rows (per_row_cell_mean), the kappa terms come
+    from `families.Nodes`, and every per-pattern sum is an `np.add.at` in
+    cell order.  Returns d_i per subject, the loglik and the Hessian."""
+    from scipy.special import logsumexp
+
+    beta, sigma2, aux = ws.unpack(theta)
+    nb = ws.family is Family.NEGBIN
+    p, dim = ws.p, ws.dim
+    terms = None
+    if nb:
+        unsplit = 0.0 if split else math.log(aux)
+        terms = [per_row_cell_mean(ws, dataset, f) for f in (
+            lambda y: gamma_sums(y, aux, 0) - gamma_sums(y, 1.0, 0) + (y + aux) * unsplit,
+            lambda y: gamma_sums(y, aux, 1), lambda y: gamma_sums(y, aux, 2))]
+    rows_d, ll_i = [], []
+    h = np.zeros((dim, dim))
+    for blk in ws.blocks:
+        ks, rows = blk.patterns, blk.cells
+
+        def sums(values):
+            out = np.zeros((ks.stop - ks.start,) + values.shape[1:])
+            np.add.at(out, blk.subj, values)
+            return out
+
+        reps = ws.rep[ks]
+        u = modes[reps, None] + math.sqrt(2.0) / np.sqrt(curv[reps])[:, None] * ws.t[None, :]
+        eta = (ws.X[rows] @ beta)[:, None] + u[blk.subj]
+        nodes = ws.ops.kernel(ws.y[rows, None], eta, aux)
+        w, X = ws.w[rows], ws.X[rows]
+        ll = (nodes.loglik(eta) if split or not nb
+              else nodes.y * eta - nodes.n * np.logaddexp(math.log(aux), eta))
+        g = sums(ll * w[:, None])
+        if nb:
+            g += sums(w * terms[0][rows])[:, None]
+        g += ws.logw_t2[None, :] - u**2 / (2.0 * sigma2)
+        lse = logsumexp(g, axis=1)
+        ll_i.append(0.5 * np.log(2.0 / curv[reps]) + lse)
+        omega = np.exp(g - lse[:, None])
+
+        s = np.empty(omega.shape + (dim,))  # (patterns, nodes, dim)
+        a = w[:, None] * nodes.score_eta()
+        for c in range(p):
+            s[:, :, c] = sums(a * X[:, c, None])
+        s[:, :, p] = (u**2 - sigma2) / (2.0 * sigma2)
+        if nb:
+            s[:, :, p + 1] = aux * sums(w[:, None] * nodes.score_kappa(terms[1][rows, None]))
+        d = np.einsum("km,kmj->kj", omega, s)
+        rows_d.append(d)
+        if hessian:
+            m = ws.m[ks]
+            m_omega = m[:, None] * omega
+            m_omega_rows = m_omega[blk.subj]
+            h += ((s * m_omega[:, :, None]).reshape(-1, dim).T @ s.reshape(-1, dim)
+                  - (m[:, None] * d).T @ d)
+            r = w * np.sum(m_omega_rows * nodes.curvature(), axis=1)
+            h[:p, :p] -= (X * r[:, None]).T @ X
+            h[p, p] -= np.sum(m_omega * u**2) / (2.0 * sigma2)
+            if nb:  # log kappa: d/dlog k = k d/dk, d2/dlog k2 = k d/dk + k^2 d2/dk2
+                cross = np.sum(m_omega_rows * nodes.dscore_eta_kappa(), axis=1)
+                h[:p, p + 1] += aux * (X.T @ (w * cross))
+                curv_k = np.sum(m_omega_rows * nodes.dscore_kappa(terms[2][rows, None]), axis=1)
+                h[p + 1, p + 1] += (m * d[:, p + 1]).sum() + aux * aux * np.sum(w * curv_k)
+    h[p + 1:, :p] = h[:p, p + 1:].T
+    ll = (np.concatenate(ll_i) * ws.m).sum() - 0.5 * ws.K * math.log(2.0 * math.pi * sigma2)
+    return np.vstack(rows_d)[ws.pattern], float(ll), h
 
 
 def posterior_mean_effects(fitted: FittedModel) -> np.ndarray:
@@ -159,10 +249,10 @@ def posterior_mean_effects(fitted: FittedModel) -> np.ndarray:
         return np.zeros(ws.K)
     beta, sigma2, aux = fitted.params.beta, fitted.params.sigma2, fitted.params.kappa
     modes, curv = np.array(fitted.cond_modes), np.array(fitted.cond_curvatures)
-    terms = ws.gamma_terms(aux)
+    operands = ws.operands(np.asarray(beta, float), aux)
     means = []
     for blk in ws.blocks:
-        _, omega, u, _ = ws.integral_pieces(beta, sigma2, aux, modes, curv, terms, blk)
+        _, omega, u, _ = ws.integral_pieces(sigma2, aux, modes, curv, operands, blk)
         means.append(np.sum(omega * u, axis=1))
     return np.concatenate(means)[ws.pattern]  # one entry per pattern, expanded per subject
 

@@ -15,14 +15,15 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import nbinom
 
 from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, fit
-from glmm_means.families import family_ops, gamma_sums, stable_expit
+from glmm_means.families import SUM_CAP, family_ops, gamma_sums, stable_expit
 from glmm_means.fitter import (LOG_KAPPA_BOUNDS, LOG_SIGMA2_BOUNDS, MODE_TOL, SCORE_TOL, _cells,
                                 _first_appearance, _patterns, _Workspace, equal_runs, marginal_loglik,
                                 spd_inverse, subject_scores)
 from glmm_means.model import ParamVector
 from glmm_means.simulate import generate_dataset, logistic_design, negbin_design
 
-from conftest import conditional_mode, per_row_cell_mean, posterior_mean_effects, toy_dataset
+from conftest import (conditional_mode, per_cell_derivatives, per_row_pattern_sums,
+                      posterior_mean_effects, representative_rows, toy_dataset)
 
 
 def bernoulli_block(sid, y, x, sigma_groups=None):
@@ -207,6 +208,19 @@ def test_mode_curvature_is_fisher_weight_sum_plus_prior():
     eta = sb.X @ params.beta + b_hat
     p = stable_expit(eta)
     assert curv == pytest.approx(float(np.sum(p * (1 - p))) + 1.0 / 0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 4.0, 1e6])
+def test_negbin_mode_curvature_is_fisher_weight_sum_plus_prior(kappa):
+    # taken from the solver's last kernel, kappa s at z = eta - log kappa
+    sb = SubjectBlock(subject_id="s", y=np.array([0.0, 3.0, 3.0, 12.0]),
+                      X=np.array([[1.0, 0.4], [1.0, -0.2], [1.0, -0.2], [1.0, 0.9]]),
+                      groups=("g",) * 4)
+    params = ParamVector(beta=np.array([0.3, 0.7]), sigma2=0.5, kappa=kappa)
+    b_hat, curv = conditional_mode(sb, params)
+    eta = sb.X @ params.beta + b_hat
+    fisher = family_ops(Family.NEGBIN).fisher_weight(eta, kappa)
+    assert curv == pytest.approx(float(np.sum(fisher)) + 1.0 / 0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("b0", [-50.0, 25.0, 50.0])
@@ -617,9 +631,51 @@ def test_patterns_match_the_unpooled_subjects(family, kappa):
     _assert_merging_is_exact(ws_m, ws_r, np.array([0.3, -0.8, 0.5]), kappa)
 
 
+@pytest.mark.parametrize("family", [Family.LOGISTIC, Family.NEGBIN])
+def test_the_fused_pass_matches_the_per_cell_pass(family, monkeypatch):
+    # derivatives folds the weights into w y and w n, sums the NB node-free
+    # terms per pattern and reads the node sums of the Hessian as row dots;
+    # the per-cell pass it replaced (conftest) is the oracle.  Both round
+    # differently.  Measured worst cases over these data, points and block
+    # sizes: d 2.6e-14 of max |d|, the loglik 6.6e-16 relative, H 5.3e-15
+    # of the larger of max |H| and max |sum d_i d_i'| (on the sigma2 bound
+    # E_post[s s'] and d_i d_i' cancel to a far smaller H); the unsplit NB
+    # form at kappa = 1e6, whose terms of size k log k round at ~1e-9 per
+    # cell (integral_pieces), 8.2e-10, 1.2e-10 and 1.3e-10.
+    import glmm_means.fitter as fitter
+
+    nb = family is Family.NEGBIN
+    pooled, merged = _pattern_oracle_pair(family)[0], _merge_oracle_pair(family)[0]
+    for block_cells in (10**9, 8 * 25):  # one block; blocks of at most 8 cells
+        monkeypatch.setattr(fitter, "_BLOCK_CELLS", block_cells)
+        for ds in (pooled, merged):
+            ws = _Workspace(ds, family, 25)
+            assert ws.C < ws.N and np.any(ds.weights != 1.0) and (ds is merged or ws.P < ws.K)
+            if block_cells < 10**9:
+                assert len(ws.blocks) > 1 and any(b.tail for b in ws.blocks)
+            beta = np.array([0.3, -0.8, 0.5])[: ds.p]
+            for sigma2, kappa in ((0.6, 4.0), (1e-10, 4.0), (0.6, 1e6), (1e-10, 1e6), (2.0, 0.05)):
+                theta = ws.pack(beta, sigma2, kappa if nb else None)
+                modes, curv = ws.solve_modes(*ws.unpack(theta))
+                for split in (True, False):
+                    d, ll, h = ws.derivatives(theta, modes, curv, split=split)
+                    d0, ll0, h0 = per_cell_derivatives(ws, ds, theta, modes, curv, split=split)
+                    tol = (5e-9,) * 3 if nb and kappa == 1e6 and not split else (1e-13, 3e-15, 2e-14)
+                    assert np.abs(d - d0).max() <= tol[0] * np.abs(d0).max()
+                    assert abs(ll - ll0) <= tol[1] * abs(ll0)
+                    scale = max(np.abs(h0).max(), np.abs(d0.T @ d0).max())
+                    assert np.abs(h - h0).max() <= tol[2] * scale
+
+
+# counts above SUM_CAP take the asymptotic branch of gamma_sums; two of them
+# in one cell must stay two counts, not one clipped to the cap
+_BIG = [SUM_CAP + 1, SUM_CAP + 250, 2 * SUM_CAP + 17]
+
+
 def _level_dataset(weighted):
     """Counts from a few values over repeated covariate rows, so that cells
-    average several rows; zero is written 0, -0 and 0.0 across the rows."""
+    hold several rows and subjects repeat each other's rows; zero is
+    written 0, -0 and 0.0 across the rows, and some counts exceed SUM_CAP."""
     rng = np.random.default_rng(8)
     zeros = ["0", "-0", "0.0"]
     sid, y, X = [], [], []
@@ -627,22 +683,31 @@ def _level_dataset(weighted):
         for j in range(int(rng.integers(1, 7))):
             sid.append(f"s{i}")
             X.append([1.0, float(rng.integers(0, 2))])
-            count = int(rng.choice([0, 0, 1, 2, 7, 40]))
+            count = int(rng.choice([0, 0, 1, 2, 7, 40] + _BIG * (i % 5 == 0)))
             y.append(float(zeros[(i + j) % 3] if count == 0 else str(count)))
-    w = rng.uniform(0.3, 2.5, len(y)) if weighted else None
-    return Dataset.from_rows(sid, y, np.array(X), ["g"] * len(y), w)
+    w = rng.uniform(0.3, 2.5, len(y))
+    copied = [r for r, s in enumerate(sid) if s in ("s0", "s1", "s5")]  # shared patterns
+    sid += [f"copy of {sid[r]}" for r in copied]
+    y, X, w = y + [y[r] for r in copied], X + [X[r] for r in copied], np.append(w, w[copied])
+    return Dataset.from_rows(sid, y, np.array(X), ["g"] * len(y), w if weighted else None)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("kappa", [1e-3, 0.7, 65.0, 999.9, 1e3, 1e6])
 def test_per_level_terms_equal_the_per_row_cell_means(kappa, weighted):
-    # the NB terms nonlinear in y index one prefix sum by each row's count:
-    # every row gets the same float as a per-row evaluation, summed in the
-    # same order, so the cell means agree to the bit
+    # the NB terms nonlinear in y enter as per-pattern sums of w f(y), from
+    # (pattern, count, summed weight) triples and one prefix sum over the
+    # distinct counts; against per-row evaluations summed exactly (fsum),
+    # they differ only by the rounding of summing weights first and terms
+    # per count, measured at 2.2e-16 of the sum of |w f(y)| (1e-15 allowed)
     ds = _level_dataset(weighted)
     ws = _Workspace(ds, Family.NEGBIN, 25)
     assert np.any(np.signbit(ds.y) & (ds.y == 0.0))
-    assert ws.C < ws.N
+    assert ws.C < ws.N and ws.P < ws.K
+    y, w, pattern, cell = representative_rows(ws, ds)
+    # some cell holds two different counts above the cap
+    big = y > SUM_CAP
+    assert any(np.unique(y[big & (cell == c)]).size > 1 for c in np.unique(cell[big]))
     const, psi, psi1 = ws.gamma_terms(kappa)
     cases = [
         (const, lambda y: gamma_sums(y, kappa, 0) - gamma_sums(y, 1.0, 0)),
@@ -652,7 +717,15 @@ def test_per_level_terms_equal_the_per_row_cell_means(kappa, weighted):
         (psi1, lambda y: gamma_sums(y, kappa, 2)),
     ]
     for got, f in cases:
-        assert got.tobytes() == per_row_cell_mean(ws, ds, f).tobytes()
+        size = np.bincount(pattern, np.abs(w * f(y)), minlength=ws.P)
+        assert np.all(np.abs(got - per_row_pattern_sums(ws, ds, f)) <= 1e-15 * size)
+
+
+@pytest.mark.parametrize("bad", [1.5, SUM_CAP + 0.5, -1.0, np.nan, np.inf])
+def test_the_workspace_rejects_a_response_that_is_not_a_count(bad):
+    ds = Dataset.from_rows(["a", "a", "b"], [2.0, bad, 0.0], np.ones((3, 1)), ["g"] * 3)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        _Workspace(ds, Family.NEGBIN, 25)
 
 
 def _doubled(ds):
