@@ -15,13 +15,11 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 from .conditional import conditional_estimates
 from .families import Family
 from .fitter import FitConfig, FittedModel, fit
 from .io import ColumnMapping, InputError, read_dataset, write_json, write_rows_csv
-from .marginal import marginal_estimates, mean_at_mean_covariate, mu_hat_variance
+from .marginal import marginal_estimates
 from .model import Dataset, ModelSpec, validate
 from .simulate import logistic_design, negbin_design, run_study
 
@@ -210,17 +208,16 @@ def _cmd_means(args) -> int:
     rows = []
     for gid in dataset.group_index.group_ids:
         m, c = marg[gid], cond[gid]
-        xbar = dataset.X[dataset.group_index.indices[gid]].mean(axis=0)
         row = {
             "group": gid,
             "n": m.n_obs,
             "Ybar": dataset.ybar(gid),
-            "mu_star": mean_at_mean_covariate(fitted, gid),
-            "mu_star_se": float(np.sqrt(mu_hat_variance(fitted, xbar))),
+            "mu_star": m.star,
+            "mu_star_se": math.sqrt(m.star_variance),
             "lambda_hat": c.point,
-            "lambda_se": float(np.sqrt(c.variance)),
+            "lambda_se": math.sqrt(c.variance),
             "mu_hat": m.point,
-            "mu_se": float(np.sqrt(m.variance)),
+            "mu_se": math.sqrt(m.variance),
         }
         for label, iv in m.intervals.items():
             row[f"mu_{label}_lo"] = iv.lower

@@ -19,6 +19,11 @@ squares |L^{-1} (X_q'd - B'D^{-1}s)|^2 + s'D^{-1}s, with no threshold and
 no clamp.  This is exact on an identity-link Gaussian model and
 Laplace-approximate for the binary and count families.  The dense (p+K)^2
 system and the naive-plus-correction decomposition are test oracles.
+
+`conditional_estimates` serves every group from one pass: the predicted
+eta, its inverse link and derivative once per row, summed by group over
+`Dataset.group_codes`, and every group's a'M^{-1}a from one batched
+triangular solve (`_Factorization.variances`) in O(N + K p) memory.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import family_ops
+from .families import Family, family_ops
 from .fitter import FittedModel, cholesky
-from .marginal import GroupMeanEstimate, MeanKind, wald_intervals
+from .marginal import GroupMeanEstimate, MeanKind, group_intervals
+from .model import code_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,8 +54,8 @@ class PredictionStructure:
 
     def border(self) -> tuple[np.ndarray, np.ndarray]:
         """B = Z'WX (K x p) and the diagonal of D^{-1}, exactly zero at sigma2 = 0."""
-        subj, K, wx = self.subject_index, self.n_subjects, self.weights[:, None] * self.X
-        b = np.stack([np.bincount(subj, weights=col, minlength=K) for col in wx.T], axis=1)
+        subj, K = self.subject_index, self.n_subjects
+        b = code_sums(subj, self.X, K, self.weights)
         ztwz = np.bincount(subj, weights=self.weights, minlength=K)
         return b, self.sigma2 / (1.0 + self.sigma2 * ztwz)
 
@@ -82,25 +88,43 @@ class _Factorization:
         x = np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, r - self.b.T @ (dinv * s)))
         return np.concatenate([x, dinv * (s - self.b @ x)])
 
-    def variance(self, rows: np.ndarray, d: np.ndarray) -> float:
-        """a'M^{-1}a for a = (X_q'd; Z_q'd), X_q and Z_q the given rows' and
-        d one weight per row, without forming a."""
+    def variances(self, d: np.ndarray, codes: np.ndarray, n_groups: int,
+                  rows=slice(None)) -> np.ndarray:
+        """a_q'M^{-1}a_q, a_q = (X_q'd; Z_q'd), of every group q < n_groups:
+        the r-th of `rows` (all by default) lies in group codes[r], weight d[r].
+        s_q = Z_q'd, r_q = X_q'd - B'D^{-1}s_q and s_q'D^{-1}s_q are sums over
+        the (group, subject) pairs that occur, so no G x K array is formed;
+        one solve serves every r_q."""
         struct = self.struct
-        s = np.bincount(struct.subject_index[rows], weights=d, minlength=struct.n_subjects)
-        dinv_s = self.dinv * s
-        r = struct.X[rows].T @ d - self.b.T @ dinv_s
-        return float(np.sum(np.linalg.solve(self.chol, r) ** 2) + s @ dinv_s)
+        subj = struct.subject_index[rows]
+        key = subj * n_groups + codes
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))  # each (subject, group) pair's first row
+        s = np.add.reduceat(d[order], first)  # Z_q'd at the pairs
+        pair_subj, pair_group = np.divmod(key[first], n_groups)
+        dinv_s = self.dinv[pair_subj] * s
+        r = (code_sums(codes, struct.X[rows], n_groups, d)
+             - code_sums(pair_group, self.b[pair_subj], n_groups, dinv_s))
+        return (np.sum(np.linalg.solve(self.chol, r.T) ** 2, axis=0)
+                + code_sums(pair_group, s, n_groups, dinv_s))
+
+    def variance(self, rows: np.ndarray, d: np.ndarray) -> float:
+        """`variances` of one group: a'M^{-1}a, a = (X_q'd; Z_q'd) on the given rows."""
+        return float(self.variances(d, np.zeros(len(rows), np.int64), 1, rows)[0])
 
 
-def build_prediction_structure(fitted: FittedModel) -> PredictionStructure:
-    """Iterative weights and design pieces evaluated at the conditional modes."""
+def build_prediction_structure(fitted: FittedModel, fisher_weight=None) -> PredictionStructure:
+    """Iterative weights and design pieces evaluated at the conditional modes;
+    `fisher_weight` is the family's at the predicted etas, formed if None."""
     ds = fitted.dataset
-    ops = family_ops(fitted.spec.family)
-    w = ds.weights * ops.fisher_weight(predicted_eta_rows(fitted), fitted.params.kappa)
+    if fisher_weight is None:
+        eta = predicted_eta_rows(fitted)
+        fisher_weight = family_ops(fitted.spec.family).fisher_weight(eta, fitted.params.kappa)
     return PredictionStructure(
         X=ds.X,
         subject_index=np.asarray(ds.subject_index),
-        weights=np.asarray(w, float),
+        weights=np.asarray(ds.weights * fisher_weight, float),
         sigma2=fitted.params.sigma2,
         n_subjects=ds.n_subjects,
     )
@@ -115,46 +139,28 @@ def factorize_structure(struct: PredictionStructure) -> _Factorization:
 
 
 def predicted_eta_rows(fitted: FittedModel) -> np.ndarray:
-    """Predicted linear predictor for every observation row."""
-    return _eta(fitted, slice(None), fitted.dataset.X)
-
-
-def _eta(fitted: FittedModel, rows, x: np.ndarray) -> np.ndarray:
-    """x beta plus the conditional mode of each given row's subject."""
-    return x @ fitted.params.beta + fitted.cond_modes[fitted.dataset.subject_index[rows]]
-
-
-def conditional_group_mean(fitted: FittedModel, group_id: str) -> float:
-    """lambda_hat_q: group average of the inverse link at the predicted eta."""
-    rows = fitted.dataset.group_index.rows(group_id)
-    eta = _eta(fitted, rows, fitted.dataset.X[rows])
-    return float(np.mean(family_ops(fitted.spec.family).inverse_link(eta)))
-
-
-def predictor_at_mean_covariate(fitted: FittedModel, group_id: str) -> float:
-    """Benchmark predictor lambda*_q using the group-average covariate row."""
-    rows = fitted.dataset.group_index.rows(group_id)
-    eta = _eta(fitted, rows, fitted.dataset.X[rows].mean(axis=0))
-    return float(np.mean(family_ops(fitted.spec.family).inverse_link(eta)))
+    """x beta plus the subject's conditional mode, for every observation row."""
+    ds = fitted.dataset
+    return ds.X @ fitted.params.beta + fitted.cond_modes[ds.subject_index]
 
 
 def conditional_estimates(fitted: FittedModel, alpha: float = 0.05) -> dict[str, GroupMeanEstimate]:
-    """Predicted group means with direct and inverse prediction intervals."""
-    ds = fitted.dataset
-    ops = family_ops(fitted.spec.family)
-    fac = factorize_structure(build_prediction_structure(fitted))
-    out: dict[str, GroupMeanEstimate] = {}
-    for gid in ds.group_index.group_ids:
-        rows = ds.group_index.rows(gid)
-        point = conditional_group_mean(fitted, gid)
-        d = ops.dinverse_link(_eta(fitted, rows, ds.X[rows]))
-        variance = fac.variance(rows, d) / rows.shape[0] ** 2
-        out[gid] = GroupMeanEstimate(
-            group_id=gid,
-            kind=MeanKind.CONDITIONAL,
-            point=point,
-            variance=variance,
-            n_obs=rows.shape[0],
-            intervals=wald_intervals(fitted.spec.family, point, variance, alpha),
-        )
-    return out
+    """Predicted group means lambda_hat_q with direct and inverse prediction
+    intervals, and the benchmark lambda*_q: the group average of the inverse
+    link at the rows' predicted etas, the covariate rows replaced by the
+    group-average row in lambda*_q."""
+    ds, family = fitted.dataset, fitted.spec.family
+    ops = family_ops(family)
+    gids, codes, n = ds.group_index.group_ids, ds.group_codes, ds.group_sizes
+    eta = predicted_eta_rows(fitted)
+    d = ops.dinverse_link(eta)
+    # the logistic's Fisher weight is its inverse-link derivative
+    w = d if family is Family.LOGISTIC else ops.fisher_weight(eta, fitted.params.kappa)
+    fac = factorize_structure(build_prediction_structure(fitted, w))
+    point = code_sums(codes, ops.inverse_link(eta), n.size) / n
+    variance = fac.variances(d, codes, n.size) / (n * n)
+    star_eta = (ds.group_X @ fitted.params.beta)[codes] + fitted.cond_modes[ds.subject_index]
+    star = code_sums(codes, ops.inverse_link(star_eta), n.size) / n
+    rows = zip(gids, point.tolist(), variance.tolist(), n.tolist(),
+               group_intervals(family, point, variance, alpha), star.tolist())
+    return {row[0]: GroupMeanEstimate(row[0], MeanKind.CONDITIONAL, *row[1:]) for row in rows}

@@ -7,12 +7,12 @@ eta-free terms both log-densities are l = y eta - n softplus(z), with z =
 eta and n = 1 for the logistic and z = eta - log k and n = y + k for the
 negative binomial of size k.  `Nodes` takes one exponential, e =
 exp(-|z|), for s = expit(z), r = expit(-z) and softplus(z) = max(z, 0) +
-log1p(e), and forms l, its eta-derivatives and the kappa terms from them;
-r is a quotient of its own, not 1 - s, which rounds to 0 where s rounds to
-1.  The eta-free parts, the only ones not affine in y, are gamma-function
-differences at an integer count, which `gamma_sums` computes as finite
-sums; the kappa terms take them as an offset, and the fitter, which sums
-every term over the rows of a pattern, adds them once per pattern.  `aux`
+log1p(e), and forms l and its eta-derivatives from them (the fitter forms
+the kappa terms from the same s, r and softplus); r is a quotient of its
+own, not 1 - s, which rounds to 0 where s rounds to 1.  The eta-free parts,
+the only ones not affine in y, are gamma-function differences at an
+integer count, which `gamma_sums` computes as finite sums; the fitter, which
+sums every term over the rows of a pattern, adds them once per pattern.  `aux`
 carries the negative-binomial size parameter and is ignored elsewhere.
 All functions broadcast over numpy arrays.
 """
@@ -38,19 +38,24 @@ def stable_expit(eta):
     """exp(eta)/(1+exp(eta)) without overflow on either tail."""
     eta = np.asarray(eta, dtype=float)
     z = np.exp(-np.abs(eta))
-    out = np.where(eta >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    out = np.where(eta >= 0, 1.0, z)
+    out /= 1.0 + z
     return out if out.ndim else float(out)
 
 
 def _prefix_sums(terms: np.ndarray) -> np.ndarray:
-    """Cumulative sum in blocks of _BLOCK terms, each block then offset by
-    the totals before it: the rounding grows with _BLOCK + n / _BLOCK
-    additions, not n.  Up to _BLOCK terms it is np.cumsum."""
-    if terms.size <= _BLOCK:
-        return np.cumsum(terms)
-    blocks = np.append(terms, np.zeros(-terms.size % _BLOCK)).reshape(-1, _BLOCK).cumsum(axis=1)
-    blocks[1:] += np.cumsum(blocks[:-1, -1])[:, None]
-    return blocks.ravel()[: terms.size]
+    """Cumulative sums along the last axis in blocks of _BLOCK terms, each
+    block then offset by the totals before it: the rounding grows with
+    _BLOCK + n / _BLOCK additions, not n.  Up to _BLOCK terms it is
+    np.cumsum; each row of a 2-d array is summed as it would be alone."""
+    n = terms.shape[-1]
+    if n <= _BLOCK:
+        return np.cumsum(terms, axis=-1)
+    lead = terms.shape[:-1]
+    padded = np.concatenate([terms, np.zeros((*lead, -n % _BLOCK))], axis=-1)
+    blocks = padded.reshape(*lead, -1, _BLOCK).cumsum(axis=-1)
+    blocks[..., 1:, :] += np.cumsum(blocks[..., :-1, -1], axis=-1)[..., None]
+    return blocks.reshape(*lead, -1)[..., :n]
 
 
 def gamma_sums(y, kappa: float, order: int) -> np.ndarray:
@@ -82,8 +87,10 @@ def gamma_table(y: np.ndarray, kappa: float) -> np.ndarray:
     n = int(min(top, SUM_CAP))
     j = np.arange(n, dtype=float)
     kj = kappa + j
-    sums = np.array([_prefix_sums(t) for t in (np.log1p(j / kappa), 1.0 / kj, -1.0 / kj**2)])
-    out = np.append(np.zeros((3, 1)), sums, axis=1)[:, np.minimum(y, n).astype(np.intp)]
+    table = np.zeros((3, n + 1))  # column y: the sums of the terms j < y
+    table[:, 1:] = np.log1p(j / kappa), 1.0 / kj, -1.0 / kj**2
+    table[:, 1:] = _prefix_sums(table[:, 1:])
+    out = table[:, np.minimum(y, n).astype(np.intp)]
     if top > SUM_CAP:  # the series terms below are exactly 0 where y <= SUM_CAP
         yc = np.maximum(y, SUM_CAP)
         u, v = 1.0 / (yc + kappa), 1.0 / (SUM_CAP + kappa)
@@ -134,22 +141,6 @@ class Nodes:
         """-d2 l / d eta2 = n s r."""
         return self.n * self.s * self.r
 
-    def score_kappa(self, offset):
-        """d l / d kappa = offset - log1p(mu / k) + (mu - y) / (k + mu), with
-        `offset` = gamma_sums(y, k, 1): terms of O(y / k) whose O(1 / k^2)
-        sum keeps its digits at large k."""
-        return offset - self.softplus + self.s - self.y * self.r / self.kappa
-
-    def dscore_eta_kappa(self):
-        """d score_eta / d kappa = mu (y - mu) / (mu + k)^2 = (s r y - k s^2) / k."""
-        return (self.s * self.r * self.y - self.kappa * self.s * self.s) / self.kappa
-
-    def dscore_kappa(self, offset):
-        """d score_kappa / d kappa = offset + 1/k - 2/(k + mu) + (y + k)/(k + mu)^2,
-        `offset` = gamma_sums(y, k, 2), as offset + s^2/k + y r^2/k^2."""
-        k = self.kappa
-        return offset + self.s * self.s / k + self.y * self.r * self.r / (k * k)
-
 
 class _Logistic:
     @staticmethod
@@ -163,8 +154,11 @@ class _Logistic:
 
     @staticmethod
     def fisher_weight(eta, aux=None):
-        # p (1 - p) with 1 - p = expit(-eta), so neither tail rounds to 0
-        return stable_expit(eta) * stable_expit(-np.asarray(eta))
+        # p (1 - p) = expit(eta) expit(-eta): 1 / q times e / q, e = exp(-|eta|)
+        # and q = 1 + e, so neither tail rounds to 0
+        e = np.exp(-np.abs(eta))
+        q = 1.0 + e
+        return (1.0 / q) * (e / q)
 
     @staticmethod
     def inverse_link(eta):

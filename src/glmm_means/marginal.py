@@ -6,6 +6,11 @@ exp(x'beta + sigma2/2).  Group-mean variances come from the multivariate
 delta method through Cov(psi_hat); the NB variance is the lognormal-sum
 (Fenton-Wilkinson style) moment formula applied to the estimated log-means.
 
+`marginal_estimates` serves every group from one pass: each row's plug-in
+mean and gradient once, summed by group over `Dataset.group_codes`, and
+mu*_q with its variance from the group-average rows `Dataset.group_X`.
+Only the NB pair sum runs group by group, over each group's distinct rows.
+
 Internally all gradients are taken over (beta, sigma2), which stays finite
 as sigma_hat -> 0; `grad_mu_i` exposes the equivalent (beta, sigma)
 parameterization.  Both give identical delta-method variances.
@@ -22,7 +27,8 @@ import numpy as np
 
 from .families import Family, stable_expit
 from .fitter import FittedModel, equal_runs
-from .quadrature import ZEGER_COEF, zeger_attenuation, zeger_mean
+from .model import code_sums
+from .quadrature import ZEGER_COEF, zeger_attenuation
 
 _PAIR_BLOCK = 1 << 20  # row pairs per block of the NB variance sum (8 MB of float64)
 _NORMAL = NormalDist()  # its inv_cdf is the standard normal quantile (Wichura's AS241)
@@ -48,6 +54,8 @@ class GroupMeanEstimate:
     variance: float
     n_obs: int
     intervals: dict[str, Interval]
+    star: float  # the benchmark estimator at the group-average covariate row: mu*_q or lambda*_q
+    star_variance: float | None = None  # delta-method variance of mu*_q; None for lambda*_q
 
 
 def _z(alpha: float) -> float:
@@ -56,34 +64,27 @@ def _z(alpha: float) -> float:
     return _NORMAL.inv_cdf(1.0 - alpha / 2.0)
 
 
-# ---- per-observation plug-in means and gradients ---------------------------
+# ---- per-row plug-in means and gradients ------------------------------------
+
+
+def _plugin_rows(fitted: FittedModel, rows):
+    """Plug-in means mu_hat of covariate rows x, and the a and g that make
+    (a x, g) each row's gradient over (beta, sigma2): of mu_hat itself
+    (logistic), or of nu_hat = log mu_hat (NB, a = 1 and g = 1/2)."""
+    rows = np.atleast_2d(np.asarray(rows, float))
+    s2 = fitted.params.sigma2
+    eta0 = rows @ fitted.params.beta
+    if fitted.spec.family is Family.LOGISTIC:
+        c = zeger_attenuation(s2)
+        mu = stable_expit(c * eta0)
+        q = mu * (1.0 - mu)
+        return mu, q * c, -0.5 * ZEGER_COEF * c**3 * eta0 * q
+    return np.exp(eta0 + s2 / 2.0), np.ones_like(eta0), np.full_like(eta0, 0.5)
 
 
 def mu_hat_i(fitted: FittedModel, x) -> float:
     """Plug-in estimate of E g^{-1}(x'beta + b) at the fitted parameters."""
-    x = np.asarray(x, float)
-    eta0 = float(x @ fitted.params.beta)
-    s2 = fitted.params.sigma2
-    if fitted.spec.family is Family.LOGISTIC:
-        return float(zeger_mean(eta0, s2))
-    return float(np.exp(eta0 + s2 / 2.0))
-
-
-def _grad_rows_nat(fitted: FittedModel, rows: np.ndarray) -> np.ndarray:
-    """Gradients of mu_hat (logistic) or nu_hat = log mu_hat (NB) over (beta, sigma2)."""
-    rows = np.atleast_2d(np.asarray(rows, float))
-    beta = fitted.params.beta
-    s2 = fitted.params.sigma2
-    eta0 = rows @ beta
-    if fitted.spec.family is Family.LOGISTIC:
-        c = zeger_attenuation(s2)
-        q = stable_expit(c * eta0)
-        q = q * (1.0 - q)
-        d_beta = (q * c)[:, None] * rows
-        d_s2 = -0.5 * ZEGER_COEF * c**3 * eta0 * q
-        return np.hstack([d_beta, d_s2[:, None]])
-    # NB: nu = x'beta + sigma2/2
-    return np.hstack([rows, np.full((rows.shape[0], 1), 0.5)])
+    return float(_plugin_rows(fitted, x)[0][0])
 
 
 def grad_mu_i(fitted: FittedModel, x) -> np.ndarray:
@@ -92,118 +93,81 @@ def grad_mu_i(fitted: FittedModel, x) -> np.ndarray:
     Logistic: the attenuated-expit derivatives; NB: mu_hat * (x, sigma),
     the scaled gradient of nu_hat = log mu_hat.
     """
-    x = np.asarray(x, float)
-    g = _grad_rows_nat(fitted, x[None, :])[0]
-    g[-1] *= 2.0 * fitted.params.sigma  # d sigma2 / d sigma
-    if fitted.spec.family is Family.NEGBIN:
-        g *= mu_hat_i(fitted, x)
-    return g
+    mu, a, g = _plugin_rows(fitted, x)
+    grad = np.append(a * np.asarray(x, float), g)
+    grad[-1] *= 2.0 * fitted.params.sigma  # d sigma2 / d sigma
+    return grad * mu[0] if fitted.spec.family is Family.NEGBIN else grad
 
 
-def mu_hat_variance(fitted: FittedModel, x) -> float:
-    """Delta-method variance of the single-row plug-in mean mu_hat_i."""
-    x = np.asarray(x, float)
-    g = _grad_rows_nat(fitted, x[None, :])[0]
-    var = float(g @ fitted.cov_beta_sigma2 @ g)
-    if fitted.spec.family is Family.NEGBIN:
-        var *= mu_hat_i(fitted, x) ** 2  # gradient above is of nu = log mu
-    return max(var, 0.0)
+# ---- every group at once -------------------------------------------------------
 
 
-# ---- group means and variances ---------------------------------------------
+def distinct_rows(codes: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row number of each distinct (code, covariate row) pair, ordered
+    by code and then by covariate row, and each pair's count of rows."""
+    order, new = equal_runs(np.column_stack([codes, X]))
+    first = np.flatnonzero(new)
+    return order[first], np.diff(np.append(first, codes.size))
 
 
-def marginal_group_mean(fitted: FittedModel, group_id: str) -> float:
-    """mu_hat_q: the average of the per-observation plug-in means in the group."""
-    rows = fitted.dataset.X[fitted.dataset.group_index.rows(group_id)]
-    eta0 = rows @ fitted.params.beta
-    s2 = fitted.params.sigma2
-    if fitted.spec.family is Family.LOGISTIC:
-        return float(np.mean(zeger_mean(eta0, s2)))
-    return float(np.mean(np.exp(eta0 + s2 / 2.0)))
-
-
-def _clamped(variance: float, what: str) -> float:
-    if variance < 0:
-        warnings.warn(f"negative delta-method variance for {what} clamped to 0", RuntimeWarning)
-        return 0.0
-    return float(variance)
-
-
-def marginal_group_variance(fitted: FittedModel, group_id: str) -> float:
-    """Delta-method variance of the estimated marginal group mean.
-
-    Logistic: the variance of the average of the mu_hat_i, all pairwise
-    covariances included, which collapses to the quadratic form of the
-    averaged gradient.  NB: the lognormal-sum variance with plug-in
-    log-scale covariances sigma2_{i1,i2} = grad(nu_i1)' Cov grad(nu_i2),
-    normalized by N_q^2.  Every term depends on its rows only through their
-    covariates, so the NB pair sum runs over unique rows weighted by their
-    counts, in blocks of at most _PAIR_BLOCK pairs.
-    """
-    rows = fitted.dataset.X[fitted.dataset.group_index.rows(group_id)]
-    cov = fitted.cov_beta_sigma2
-    n = rows.shape[0]
-    if fitted.spec.family is Family.LOGISTIC:
-        gbar = _grad_rows_nat(fitted, rows).mean(axis=0)
-        return _clamped(float(gbar @ cov @ gbar), f"group {group_id}")
-    order, new = equal_runs(rows)
-    counts = np.diff(np.append(np.flatnonzero(new), n))
-    rows = rows[order[new]]
-    grads = _grad_rows_nat(fitted, rows)
-    nu = rows @ fitted.params.beta + fitted.params.sigma2 / 2.0
-    gcov = grads @ cov
-    amp = counts * np.exp(nu + 0.5 * np.einsum("ij,ij->i", gcov, grads))
-    step = max(1, _PAIR_BLOCK // rows.shape[0])
-    total = sum(float(amp[a:a + step] @ np.expm1(gcov[a:a + step] @ grads.T) @ amp)
-                for a in range(0, rows.shape[0], step))
-    return _clamped(total / (n * n), f"group {group_id}")
-
-
-def mean_at_mean_covariate(fitted: FittedModel, group_id: str) -> float:
-    """Benchmark estimator mu*_q evaluated at the group-average covariate row.
-
-    Inconsistent for the true group mean whenever the inverse link is
-    nonlinear; provided for comparison only.
-    """
-    rows = fitted.dataset.X[fitted.dataset.group_index.rows(group_id)]
-    return mu_hat_i(fitted, rows.mean(axis=0))
+def _negbin_variances(fitted: FittedModel, n: np.ndarray) -> np.ndarray:
+    """The lognormal-sum variance of every group's mean, with plug-in log-scale
+    covariances s_ij = grad(nu_i)' Cov grad(nu_j): the sum over pairs of the
+    group's rows of mu_i mu_j exp((s_ii + s_jj) / 2) expm1(s_ij), over N_q^2.
+    It runs over each group's distinct rows weighted by their counts, in
+    blocks of at most _PAIR_BLOCK pairs."""
+    ds = fitted.dataset
+    first, counts = distinct_rows(ds.group_codes, ds.X)
+    rows = ds.X[first]
+    mu, a, g = _plugin_rows(fitted, rows)
+    grads = np.column_stack([a[:, None] * rows, g])
+    gcov = grads @ fitted.cov_beta_sigma2
+    amp = counts * mu * np.exp(0.5 * np.einsum("ij,ij->i", gcov, grads))
+    bounds = np.searchsorted(ds.group_codes[first], np.arange(n.size + 1)).tolist()
+    totals = np.zeros(n.size)
+    for q, (lo, hi) in enumerate(zip(bounds, bounds[1:])):  # one group's distinct rows
+        gq, gc, am = grads[lo:hi], gcov[lo:hi], amp[lo:hi]
+        step = max(1, _PAIR_BLOCK // (hi - lo))
+        totals[q] = sum(float(am[i:i + step] @ np.expm1(gc[i:i + step] @ gq.T) @ am)
+                        for i in range(0, hi - lo, step))
+    return totals / (n * n)
 
 
 # ---- confidence intervals ----------------------------------------------------
+# Each broadcasts over arrays of groups; its ends are floats for one group.
+
+
+def _refuse(bad, message: str) -> None:
+    if np.asarray(bad).any():
+        raise ValueError(message)
+
+
+def _interval(lower, upper, alpha: float) -> Interval:
+    return Interval(*(v if np.ndim(v) else float(v) for v in (lower, upper)), 1.0 - alpha)
 
 
 def ci_direct(point: float, variance: float, alpha: float = 0.05) -> Interval:
     """Wald interval on the mean scale."""
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
+    _refuse(variance < 0, "variance must be >= 0")
     half = _z(alpha) * np.sqrt(variance)
-    return Interval(float(point - half), float(point + half), 1.0 - alpha)
+    return _interval(point - half, point + half, alpha)
 
 
 def ci_inverse_logit(point: float, variance: float, alpha: float = 0.05) -> Interval:
     """Wald interval on the logit scale, back-transformed."""
-    if not 0.0 < point < 1.0:
-        raise ValueError("point must be strictly inside (0, 1)")
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
+    _refuse(not np.all((0.0 < point) & (point < 1.0)), "point must be strictly inside (0, 1)")
+    _refuse(variance < 0, "variance must be >= 0")
     w = _z(alpha) * np.sqrt(variance) / (point * (1.0 - point))
     logit = np.log(point / (1.0 - point))
-    return Interval(
-        float(stable_expit(logit - w)),
-        float(stable_expit(logit + w)),
-        1.0 - alpha,
-    )
+    return _interval(stable_expit(logit - w), stable_expit(logit + w), alpha)
 
 
 def ci_inverse_log(point: float, variance: float, alpha: float = 0.05) -> Interval:
     """Wald interval on the log scale, back-transformed."""
-    if point <= 0:
-        raise ValueError("point must be > 0")
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
+    _refuse(point <= 0, "point must be > 0")
+    _refuse(variance < 0, "variance must be >= 0")
     w = _z(alpha) * np.sqrt(variance) / point
-    return Interval(float(point * np.exp(-w)), float(point * np.exp(w)), 1.0 - alpha)
+    return _interval(point * np.exp(-w), point * np.exp(w), alpha)
 
 
 def ci_lognormal(point: float, variance: float, n_obs: int, alpha: float = 0.05) -> Interval:
@@ -213,16 +177,13 @@ def ci_lognormal(point: float, variance: float, n_obs: int, alpha: float = 0.05)
     variance N_q^2 * variance; the interval is the pair of alpha/2 and
     1 - alpha/2 quantiles divided back by N_q.
     """
-    if point <= 0 or variance <= 0:
-        raise ValueError("point and variance must be > 0")
-    if n_obs < 1:
-        raise ValueError("n_obs must be >= 1")
-    s2 = float(np.log1p(variance / point**2))
-    m = float(np.log(n_obs * point) - s2 / 2.0)
+    _refuse((point <= 0) | (variance <= 0), "point and variance must be > 0")
+    _refuse(n_obs < 1, "n_obs must be >= 1")
+    s2 = np.log1p(variance / point**2)
+    m = np.log(n_obs * point) - s2 / 2.0
     s = np.sqrt(s2)
-    zq = np.array([_NORMAL.inv_cdf(alpha / 2.0), _NORMAL.inv_cdf(1.0 - alpha / 2.0)])
-    lo, hi = np.exp(m + s * zq) / n_obs
-    return Interval(float(lo), float(hi), 1.0 - alpha)
+    return _interval(np.exp(m + s * _NORMAL.inv_cdf(alpha / 2.0)) / n_obs,
+                     np.exp(m + s * _NORMAL.inv_cdf(1.0 - alpha / 2.0)) / n_obs, alpha)
 
 
 # ---- assembly -----------------------------------------------------------------
@@ -236,25 +197,48 @@ def wald_intervals(family: Family, point: float, variance: float,
     return {"direct": ci_direct(point, variance, alpha), "inverse": inverse(point, variance, alpha)}
 
 
+def group_intervals(family: Family, point: np.ndarray, variance: np.ndarray, alpha: float,
+                    n_obs: np.ndarray | None = None) -> list[dict[str, Interval]]:
+    """`wald_intervals` of every group, one dict per group; given the group
+    sizes, negative-binomial groups add the lognormal interval, which is the
+    point itself at zero variance."""
+    intervals = wald_intervals(family, point, variance, alpha)
+    if family is Family.NEGBIN and n_obs is not None:
+        pos = variance > 0
+        iv = ci_lognormal(point, np.where(pos, variance, 1.0), n_obs, alpha)
+        intervals["lognormal"] = _interval(np.where(pos, iv.lower, point),
+                                           np.where(pos, iv.upper, point), alpha)
+    ends = [(label, iv.lower.tolist(), iv.upper.tolist()) for label, iv in intervals.items()]
+    return [{label: Interval(lo[q], hi[q], 1.0 - alpha) for label, lo, hi in ends}
+            for q in range(point.size)]
+
+
 def marginal_estimates(fitted: FittedModel, alpha: float = 0.05) -> dict[str, GroupMeanEstimate]:
-    """Point estimate, variance, and all applicable CIs for every group;
-    negative-binomial groups add the lognormal interval."""
-    gi = fitted.dataset.group_index
-    out: dict[str, GroupMeanEstimate] = {}
-    for gid in gi.group_ids:
-        point = marginal_group_mean(fitted, gid)
-        variance = marginal_group_variance(fitted, gid)
-        n = gi.size(gid)
-        intervals = wald_intervals(fitted.spec.family, point, variance, alpha)
-        if fitted.spec.family is Family.NEGBIN:
-            intervals["lognormal"] = (ci_lognormal(point, variance, n, alpha) if variance > 0
-                                      else Interval(point, point, 1.0 - alpha))
-        out[gid] = GroupMeanEstimate(
-            group_id=gid,
-            kind=MeanKind.MARGINAL,
-            point=point,
-            variance=variance,
-            n_obs=n,
-            intervals=intervals,
-        )
-    return out
+    """Point estimate, variance, all applicable CIs (NB adds the lognormal
+    one) and the benchmark mu*_q of every group.  mu_hat_q averages the rows'
+    plug-in means; its logistic variance is gbar' Cov gbar, gbar the group's
+    average gradient.  mu*_q, the plug-in mean at the group-average covariate
+    row, is inconsistent whenever the inverse link is nonlinear."""
+    ds, family = fitted.dataset, fitted.spec.family
+    gids, codes, n = ds.group_index.group_ids, ds.group_codes, ds.group_sizes
+    cov = fitted.cov_beta_sigma2
+    mu, a, g = _plugin_rows(fitted, ds.X)
+    point = code_sums(codes, mu, n.size) / n
+    if family is Family.LOGISTIC:
+        gbar = np.column_stack([code_sums(codes, ds.X, n.size, a), code_sums(codes, g, n.size)])
+        gbar /= n[:, None]
+        variance = np.einsum("ij,ij->i", gbar @ cov, gbar)
+    else:
+        variance = _negbin_variances(fitted, n)
+    star, a, g = _plugin_rows(fitted, ds.group_X)
+    star_grads = np.column_stack([a[:, None] * ds.group_X, g])
+    star_variance = np.einsum("ij,ij->i", star_grads @ cov, star_grads)
+    if family is Family.NEGBIN:
+        star_variance *= star**2  # the gradients are of nu = log mu
+    for gid in np.array(gids, object)[variance < 0]:
+        warnings.warn(f"negative delta-method variance for group {gid} clamped to 0", RuntimeWarning)
+    variance = np.maximum(variance, 0.0)
+    rows = zip(gids, point.tolist(), variance.tolist(), n.tolist(),
+               group_intervals(family, point, variance, alpha, n), star.tolist(),
+               np.maximum(star_variance, 0.0).tolist())
+    return {row[0]: GroupMeanEstimate(row[0], MeanKind.MARGINAL, *row[1:]) for row in rows}

@@ -77,12 +77,9 @@ class GroupIndex:
             raise KeyError(f"unknown group {group_id!r}")
         return self.indices[group_id]
 
-    def size(self, group_id: str) -> int:
-        return int(self.indices[group_id].shape[0])
-
     @property
     def sizes(self) -> dict[str, int]:
-        return {g: self.size(g) for g in self.group_ids}
+        return {g: int(self.indices[g].shape[0]) for g in self.group_ids}
 
 
 class Dataset:
@@ -90,8 +87,10 @@ class Dataset:
 
     Rows are stored subject by subject, so each subject's observations
     occupy a contiguous slice `[row_offsets[i], row_offsets[i+1])`: `y`,
-    `X`, `weights`, `subject_index` and `group_labels` hold one entry per
-    row, `subject_ids` one per subject.  `Dataset(subjects)` stacks
+    `X`, `weights`, `subject_index`, `group_labels` and `group_codes` (the
+    position of the row's group in `group_index.group_ids`) hold one entry
+    per row, `subject_ids` one per subject, and `group_sizes` and `group_X`
+    (the average covariate row) one per group.  `Dataset(subjects)` stacks
     per-subject blocks in the given order; `Dataset.from_rows` takes rows
     in any order, and `Dataset.from_codes` rows whose subjects and groups
     are already numbered.
@@ -201,6 +200,12 @@ class Dataset:
             group_ids=tuple(labels[g] for g in seen),
             indices={labels[g]: _frozen_array(rows[g], dtype=np.int64) for g in seen},
         )
+        rank = np.empty(len(labels), dtype=np.int64)
+        rank[seen] = np.arange(len(seen))
+        self.group_codes, self.group_sizes = rank[codes], sizes[seen]
+        self.group_X = code_sums(self.group_codes, self.X, len(seen)) / self.group_sizes[:, None]
+        for arr in (self.group_codes, self.group_sizes, self.group_X):
+            arr.setflags(write=False)
 
     @property
     def subjects(self) -> tuple[SubjectBlock, ...]:
@@ -232,6 +237,14 @@ class Dataset:
     def ybar(self, group_id: str) -> float:
         idx = self.group_index.indices[group_id]
         return float(np.mean(self.y[idx]))
+
+
+def code_sums(codes: np.ndarray, values: np.ndarray, length: int, scale=None) -> np.ndarray:
+    """Sums of `values`, (n,) or (n, m) a column at a time, each entry times
+    scale[i] if given, over the entries i of each code 0..length-1."""
+    if values.ndim == 2:
+        return np.stack([code_sums(codes, col, length, scale) for col in values.T], axis=1)
+    return np.bincount(codes, weights=values if scale is None else values * scale, minlength=length)
 
 
 def _first_appearance_codes(keys) -> tuple[list, np.ndarray]:
@@ -316,9 +329,11 @@ def validate(dataset: Dataset, spec: ModelSpec) -> list[Violation]:
                 )
             )
 
-    gi = dataset.group_index
+    gi, n = dataset.group_index, dataset.n_obs
     covered = np.concatenate([gi.indices[g] for g in gi.group_ids]) if gi.group_ids else np.array([])
-    if covered.size != dataset.n_obs or np.unique(covered).size != dataset.n_obs:
+    # n indices in 0..n-1 partition the rows exactly when each row is hit
+    if (covered.size != n or covered.min() < 0 or covered.max() >= n
+            or not np.bincount(covered, minlength=n).all()):
         violations.append(Violation("groups", "group index sets do not partition the observations"))
 
     return violations

@@ -25,9 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from .families import Family, family_ops
-from .conditional import conditional_estimates, predictor_at_mean_covariate
+from .conditional import conditional_estimates
 from .fitter import FitConfig, fit
-from .marginal import marginal_estimates, mean_at_mean_covariate
+from .marginal import distinct_rows, marginal_estimates
 from .model import Dataset, ModelSpec
 from .quadrature import logistic_normal_integral
 
@@ -181,19 +181,23 @@ def generate_replication(design: SimDesign, seed: int | None = None):
 def true_marginal_means(design: SimDesign) -> dict[str, float]:
     """Fixed marginal mean of each group: the group average of E g^{-1}(x'beta + b).
 
-    Computed once per design over the design's covariate rows, with the
-    random intercept integrated out by quadrature (logistic) or in closed
-    form (NB).  The balanced covariate allocation makes these match the
-    population values of the generating model.
+    Computed once per design over the distinct covariate rows of each
+    group, weighted by their counts, with the random intercept integrated
+    out by quadrature (logistic) or in closed form (NB).  The balanced
+    covariate allocation makes these match the population values of the
+    generating model.
     """
     frame = _covariate_frame(design)
+    first, counts = distinct_rows(frame.group_codes, frame.X)
     s2 = design.sigma**2
-    eta0 = frame.X @ np.asarray(design.beta)
+    eta0 = frame.X[first] @ np.asarray(design.beta)
     if design.family is Family.LOGISTIC:
         vals = logistic_normal_integral(eta0, s2)
     else:
         vals = np.exp(eta0 + s2 / 2.0)
-    return {gid: float(np.mean(vals[idx])) for gid, idx in frame.group_index.indices.items()}
+    codes = frame.group_codes[first]
+    means = np.bincount(codes, counts * vals) / np.bincount(codes, counts)
+    return dict(zip(frame.group_index.group_ids, means.tolist()))
 
 
 # ---- the study loop ---------------------------------------------------------
@@ -222,11 +226,11 @@ def _replicate(args):
                 "ybar": dataset.ybar(gid),
                 "mu_point": m.point,
                 "mu_var": m.variance,
-                "mu_star": mean_at_mean_covariate(fitted, gid),
+                "mu_star": m.star,
                 "mu_intervals": {k: (iv.lower, iv.upper) for k, iv in m.intervals.items()},
                 "lam_point": c.point,
                 "lam_var": c.variance,
-                "lam_star": predictor_at_mean_covariate(fitted, gid),
+                "lam_star": c.star,
                 "lam_true": lam_true[gid],
                 "lam_intervals": {k: (iv.lower, iv.upper) for k, iv in c.intervals.items()},
             }

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, fit
-from glmm_means.families import gamma_sums
+from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, factorize_structure, fit
+from glmm_means.conditional import build_prediction_structure
+from glmm_means.families import family_ops, gamma_sums
 from glmm_means.fitter import FittedModel, _Workspace
 from glmm_means.io import ColumnMapping, InputError, _group_labels, _parse_cell
 from glmm_means.model import ParamVector
+from glmm_means.quadrature import ZEGER_COEF, zeger_attenuation, zeger_mean
 
 # Property tests replay the same examples on every run and never time out,
 # so the suite stays deterministic and its runtime bounded.
@@ -52,6 +54,25 @@ class _Gaussian:
 
 
 GAUSSIAN_OPS = _Gaussian()
+
+
+def score_kappa(nodes, offset):
+    """d l / d kappa = offset - log1p(mu / k) + (mu - y) / (k + mu), with
+    `offset` = gamma_sums(y, k, 1): terms of O(y / k) whose O(1 / k^2)
+    sum keeps its digits at large k; from a negative-binomial `Nodes`."""
+    return offset - nodes.softplus + nodes.s - nodes.y * nodes.r / nodes.kappa
+
+
+def dscore_eta_kappa(nodes):
+    """d score_eta / d kappa = mu (y - mu) / (mu + k)^2 = (s r y - k s^2) / k."""
+    return (nodes.s * nodes.r * nodes.y - nodes.kappa * nodes.s * nodes.s) / nodes.kappa
+
+
+def dscore_kappa(nodes, offset):
+    """d score_kappa / d kappa = offset + 1/k - 2/(k + mu) + (y + k)/(k + mu)^2,
+    `offset` = gamma_sums(y, k, 2), as offset + s^2/k + y r^2/k^2."""
+    k = nodes.kappa
+    return offset + nodes.s * nodes.s / k + nodes.y * nodes.r * nodes.r / (k * k)
 
 
 def read_dataset_by_rows(path: str, mapping: ColumnMapping) -> Dataset:
@@ -219,7 +240,7 @@ def per_cell_derivatives(ws: _Workspace, dataset: Dataset, theta, modes, curv, h
             s[:, :, c] = sums(a * X[:, c, None])
         s[:, :, p] = (u**2 - sigma2) / (2.0 * sigma2)
         if nb:
-            s[:, :, p + 1] = aux * sums(w[:, None] * nodes.score_kappa(terms[1][rows, None]))
+            s[:, :, p + 1] = aux * sums(w[:, None] * score_kappa(nodes, terms[1][rows, None]))
         d = np.einsum("km,kmj->kj", omega, s)
         rows_d.append(d)
         if hessian:
@@ -232,9 +253,9 @@ def per_cell_derivatives(ws: _Workspace, dataset: Dataset, theta, modes, curv, h
             h[:p, :p] -= (X * r[:, None]).T @ X
             h[p, p] -= np.sum(m_omega * u**2) / (2.0 * sigma2)
             if nb:  # log kappa: d/dlog k = k d/dk, d2/dlog k2 = k d/dk + k^2 d2/dk2
-                cross = np.sum(m_omega_rows * nodes.dscore_eta_kappa(), axis=1)
+                cross = np.sum(m_omega_rows * dscore_eta_kappa(nodes), axis=1)
                 h[:p, p + 1] += aux * (X.T @ (w * cross))
-                curv_k = np.sum(m_omega_rows * nodes.dscore_kappa(terms[2][rows, None]), axis=1)
+                curv_k = np.sum(m_omega_rows * dscore_kappa(nodes, terms[2][rows, None]), axis=1)
                 h[p + 1, p + 1] += (m * d[:, p + 1]).sum() + aux * aux * np.sum(w * curv_k)
     h[p + 1:, :p] = h[:p, p + 1:].T
     ll = (np.concatenate(ll_i) * ws.m).sum() - 0.5 * ws.K * math.log(2.0 * math.pi * sigma2)
@@ -283,6 +304,105 @@ def manual_fitted(dataset, family, beta, sigma2, kappa=None, cov=None, gh_nodes=
         optimizer_used="manual",
         score_norm=0.0,
     )
+
+
+# ---- per-group oracles ---------------------------------------------------------
+#
+# The estimators one group at a time, each from its own rows: how
+# `marginal_estimates` and `conditional_estimates` computed them before they
+# served every group from one pass over the rows.
+
+
+def plugin_gradients(fitted: FittedModel, rows: np.ndarray) -> np.ndarray:
+    """Gradients of mu_hat (logistic) or nu_hat = log mu_hat (NB) over (beta, sigma2)."""
+    rows = np.atleast_2d(np.asarray(rows, float))
+    eta0 = rows @ fitted.params.beta
+    if fitted.spec.family is Family.LOGISTIC:
+        c = zeger_attenuation(fitted.params.sigma2)
+        q = zeger_mean(eta0, fitted.params.sigma2)
+        q = q * (1.0 - q)
+        return np.hstack([(q * c)[:, None] * rows, (-0.5 * ZEGER_COEF * c**3 * eta0 * q)[:, None]])
+    return np.hstack([rows, np.full((rows.shape[0], 1), 0.5)])
+
+
+def _plugin_mean(fitted: FittedModel, eta0):
+    if fitted.spec.family is Family.LOGISTIC:
+        return zeger_mean(eta0, fitted.params.sigma2)
+    return np.exp(eta0 + fitted.params.sigma2 / 2.0)
+
+
+def marginal_group_mean(fitted: FittedModel, group_id: str) -> float:
+    """mu_hat_q: the average of the per-observation plug-in means in the group."""
+    rows = fitted.dataset.X[fitted.dataset.group_index.rows(group_id)]
+    return float(np.mean(_plugin_mean(fitted, rows @ fitted.params.beta)))
+
+
+def marginal_group_variance(fitted: FittedModel, group_id: str) -> float:
+    """Delta-method variance of mu_hat_q, unclamped: the logistic quadratic
+    form of the averaged gradient, or the NB lognormal-sum pair sum over the
+    group's distinct rows weighted by their counts."""
+    rows = fitted.dataset.X[fitted.dataset.group_index.rows(group_id)]
+    cov = fitted.cov_beta_sigma2
+    n = rows.shape[0]
+    if fitted.spec.family is Family.LOGISTIC:
+        gbar = plugin_gradients(fitted, rows).mean(axis=0)
+        return float(gbar @ cov @ gbar)
+    rows, counts = np.unique(rows, axis=0, return_counts=True)
+    grads = plugin_gradients(fitted, rows)
+    nu = rows @ fitted.params.beta + fitted.params.sigma2 / 2.0
+    gcov = grads @ cov
+    amp = counts * np.exp(nu + 0.5 * np.einsum("ij,ij->i", gcov, grads))
+    return float(amp @ np.expm1(gcov @ grads.T) @ amp) / (n * n)
+
+
+def mean_at_mean_covariate(fitted: FittedModel, group_id: str) -> float:
+    """mu*_q: the plug-in mean at the group-average covariate row."""
+    rows = fitted.dataset.X[fitted.dataset.group_index.rows(group_id)]
+    return float(_plugin_mean(fitted, rows.mean(axis=0) @ fitted.params.beta))
+
+
+def mu_hat_variance(fitted: FittedModel, x) -> float:
+    """Delta-method variance of the single-row plug-in mean mu_hat_i."""
+    x = np.asarray(x, float)
+    g = plugin_gradients(fitted, x)[0]
+    var = float(g @ fitted.cov_beta_sigma2 @ g)
+    if fitted.spec.family is Family.NEGBIN:
+        var *= float(_plugin_mean(fitted, x @ fitted.params.beta)) ** 2  # g is of nu = log mu
+    return max(var, 0.0)
+
+
+def _group_eta(fitted: FittedModel, group_id: str, x=None):
+    """The group's rows and their predicted etas, at covariate rows x (theirs by default)."""
+    ds = fitted.dataset
+    rows = ds.group_index.rows(group_id)
+    x = ds.X[rows] if x is None else x
+    return rows, x @ fitted.params.beta + fitted.cond_modes[ds.subject_index[rows]]
+
+
+def conditional_group_mean(fitted: FittedModel, group_id: str) -> float:
+    """lambda_hat_q: group average of the inverse link at the predicted eta."""
+    _, eta = _group_eta(fitted, group_id)
+    return float(np.mean(family_ops(fitted.spec.family).inverse_link(eta)))
+
+
+def predictor_at_mean_covariate(fitted: FittedModel, group_id: str) -> float:
+    """lambda*_q: the same average with the group-average covariate row."""
+    xbar = fitted.dataset.X[fitted.dataset.group_index.rows(group_id)].mean(axis=0)
+    _, eta = _group_eta(fitted, group_id, xbar)
+    return float(np.mean(family_ops(fitted.spec.family).inverse_link(eta)))
+
+
+def conditional_group_variance(fitted: FittedModel, group_id: str) -> float:
+    """a'M^{-1}a / N_q^2 of one group, with s = Z_q'd a length-K bincount and
+    r = X_q'd - B'D^{-1}s, through the fit's arrowhead factorization."""
+    ds = fitted.dataset
+    fac = factorize_structure(build_prediction_structure(fitted))
+    rows, eta = _group_eta(fitted, group_id)
+    d = family_ops(fitted.spec.family).dinverse_link(eta)
+    s = np.bincount(ds.subject_index[rows], weights=d, minlength=ds.n_subjects)
+    dinv_s = fac.dinv * s
+    r = ds.X[rows].T @ d - fac.b.T @ dinv_s
+    return float(np.sum(np.linalg.solve(fac.chol, r) ** 2) + s @ dinv_s) / rows.size**2
 
 
 @pytest.fixture(scope="session")

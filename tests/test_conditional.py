@@ -20,17 +20,13 @@ from glmm_means import (
     conditional_estimates,
     factorize_structure,
 )
-from glmm_means.conditional import (
-    build_prediction_structure,
-    conditional_group_mean,
-    predicted_eta_rows,
-    predictor_at_mean_covariate,
-)
+from glmm_means.conditional import build_prediction_structure, predicted_eta_rows
 from glmm_means.families import family_ops, stable_expit
 from glmm_means.fitter import _Workspace
-from glmm_means.marginal import ci_inverse_log, marginal_group_mean, wald_intervals
+from glmm_means.marginal import ci_inverse_log, wald_intervals
 
-from conftest import GAUSSIAN_OPS, manual_fitted, toy_dataset
+from conftest import (GAUSSIAN_OPS, conditional_group_mean, manual_fitted, marginal_group_mean,
+                      toy_dataset)
 
 
 def group_covariance(fitted, group_id):
@@ -50,9 +46,11 @@ def test_predicted_eta_without_random_effect_is_fixed_part():
 
 
 def test_unknown_group_is_a_key_error():
-    # the one group-row lookup behind both the marginal and the conditional means
+    # GroupIndex.rows names the group; the per-group oracles look rows up through it
     ds = toy_dataset(Family.LOGISTIC, K=3, seed=2)
     f = manual_fitted(ds, Family.LOGISTIC, (0.1, 0.1), 0.2)
+    with pytest.raises(KeyError, match="unknown group 'nope'"):
+        ds.group_index.rows("nope")
     for estimator in (conditional_group_mean, marginal_group_mean):
         with pytest.raises(KeyError, match="unknown group 'nope'"):
             estimator(f, "nope")
@@ -240,6 +238,9 @@ def test_group_covariance_and_variance_match_dense_oracle(family, kappa, sigma2)
         d = ops.dinverse_link(predicted_eta_rows(f)[idx])
         var = float(d @ oracle @ d) / len(idx) ** 2
         assert conditional_estimates(f)[gid].variance == pytest.approx(var, rel=1e-10)
+        # the one-group case of the batched solve, on the group's rows
+        assert factorize_structure(struct).variance(idx, d) / len(idx) ** 2 == pytest.approx(
+            var, rel=1e-10)
 
 
 @pytest.mark.parametrize("sigma2", [1e-12, 1e-10, 1e-9, 2e-9, 0.5, 25.0])
@@ -336,28 +337,24 @@ def test_sigma2_boundary_drops_random_block():
 def test_conditional_group_mean_of_constant_eta():
     ds = toy_dataset(Family.LOGISTIC, K=4, n=2, seed=3)
     f = manual_fitted(ds, Family.LOGISTIC, (0.9, 0.0), 0.0)
-    assert conditional_group_mean(f, "g0") == pytest.approx(stable_expit(0.9), abs=1e-12)
+    assert conditional_estimates(f)["g0"].point == pytest.approx(stable_expit(0.9), abs=1e-12)
 
 
 def test_conditional_group_mean_singleton():
-    ds = Dataset(
-        [
-            SubjectBlock(
-                subject_id="s0", y=np.array([1.0]), X=np.array([[1.0, 0.3]]), groups=("only",)
-            )
-        ]
-    )
+    # a one-row group beside the rows of another, which make S nonsingular
+    only = SubjectBlock(subject_id="solo", y=np.array([1.0]), X=np.array([[1.0, 0.3]]),
+                        groups=("only",))
+    ds = Dataset([only, *toy_dataset(Family.LOGISTIC, K=4, n=2, seed=3).subjects])
     f = manual_fitted(ds, Family.LOGISTIC, (0.2, 0.5), 0.4)
     eta = predicted_eta_rows(f)[0]
-    assert conditional_group_mean(f, "only") == pytest.approx(stable_expit(eta), rel=1e-12)
+    assert conditional_estimates(f)["only"].point == pytest.approx(stable_expit(eta), rel=1e-12)
 
 
 def test_predictor_at_mean_covariate_collapses_for_identical_rows():
     ds = toy_dataset(Family.LOGISTIC, K=6, n=2, seed=10)
     f = manual_fitted(ds, Family.LOGISTIC, (0.5, 0.0), 0.3)
-    assert predictor_at_mean_covariate(f, "g0") == pytest.approx(
-        conditional_group_mean(f, "g0"), rel=1e-12
-    )
+    est = conditional_estimates(f)["g0"]
+    assert est.star == pytest.approx(est.point, rel=1e-12)
 
 
 def test_predictor_at_mean_covariate_degenerate_variance():
@@ -365,7 +362,7 @@ def test_predictor_at_mean_covariate_degenerate_variance():
     f = manual_fitted(ds, Family.LOGISTIC, (0.5, 0.0), 0.0)
     idx = ds.group_index.indices["g0"]
     xbar = ds.X[idx].mean(axis=0)
-    assert predictor_at_mean_covariate(f, "g0") == pytest.approx(
+    assert conditional_estimates(f)["g0"].star == pytest.approx(
         stable_expit(float(xbar @ f.params.beta)), rel=1e-12
     )
 

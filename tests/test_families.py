@@ -4,7 +4,8 @@ The terms nonlinear in the count are finite sums (`gamma_sums`), not
 differences of scipy's gamma functions; at kappa = 1e6 scipy's own
 digamma(y + k) - digamma(k) is off by ~1e-9 relative, so the oracle is
 mpmath evaluated at the same float arguments.  The node kernel (`Nodes`)
-is checked term by term on both tails of z.
+is checked term by term on both tails of z, with the kappa terms the
+fitter's oracle forms from it (conftest.py).
 """
 
 import math
@@ -15,8 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmm_means.families import SUM_CAP, Family, Nodes, family_ops, gamma_sums
+from glmm_means.families import (SUM_CAP, Family, Nodes, _prefix_sums, family_ops, gamma_sums,
+                                 gamma_table)
 from glmm_means.fitter import LOG_KAPPA_BOUNDS
+
+from conftest import dscore_eta_kappa, dscore_kappa, score_kappa
 
 
 @mpmath.workdps(40)
@@ -59,6 +63,20 @@ def test_gamma_sums_gather_one_table_for_every_count():
                                                     for v in y.ravel()])
 
 
+@pytest.mark.parametrize("top", [9, 255, 256, 257, 700, 5000])
+def test_gamma_table_sums_all_orders_as_one_order_alone(top):
+    # the three orders share one 2-d prefix sum with the zero column put in
+    # front afterwards; each row must equal that order's own 1-d prefix sum,
+    # on both sides of the _BLOCK-term block
+    rng = np.random.default_rng(top)
+    y = np.append(rng.integers(0, top + 1, 40), [0.0, top]).astype(float)
+    for kappa in (0.3, 7.0, 4e5):
+        j = np.arange(top, dtype=float)
+        for order, terms in enumerate((np.log1p(j / kappa), 1.0 / (kappa + j), -1.0 / (kappa + j) ** 2)):
+            alone = np.append(0.0, _prefix_sums(terms))[y.astype(np.intp)]
+            np.testing.assert_array_equal(gamma_table(y, kappa)[order], alone)
+
+
 @pytest.mark.parametrize("bad", [0.5, -1.0, np.nan, np.inf])
 def test_gamma_sums_reject_counts_that_are_not_non_negative_integers(bad):
     with pytest.raises(ValueError, match="non-negative integers"):
@@ -82,7 +100,7 @@ def test_kappa_score_matches_mpmath(kappa):
     ops = family_ops(Family.NEGBIN)
     y = np.array([0.0, 1.0, 3.0, 17.0, 250.0])
     for eta in (-3.0, 0.0, 1.1, 2.9, 5.5, 12.0):
-        got = ops.kernel(y, eta, kappa).score_kappa(gamma_sums(y, kappa, 1))
+        got = score_kappa(ops.kernel(y, eta, kappa), gamma_sums(y, kappa, 1))
         for yi, gi in zip(y, got):
             want = _kappa_score_oracle(yi, eta, kappa)
             assert abs(mpmath.mpf(gi) - want) <= 1e-8 * abs(want), (yi, eta)
@@ -105,7 +123,7 @@ def test_kappa_score_derivative_matches_mpmath(kappa):
     ops = family_ops(Family.NEGBIN)
     y = np.array([0.0, 1.0, 3.0, 17.0, 250.0])
     for eta in np.linspace(-3.0, 5.5, 18):
-        got = ops.kernel(y, eta, kappa).dscore_kappa(gamma_sums(y, kappa, 2))
+        got = dscore_kappa(ops.kernel(y, eta, kappa), gamma_sums(y, kappa, 2))
         for yi, gi in zip(y, got):
             want = _dkappa_score_oracle(yi, eta, kappa)
             assert abs(mpmath.mpf(gi) - want) <= 1e-8 * abs(want), (yi, eta)
@@ -182,9 +200,9 @@ def test_node_kernel_matches_mpmath_on_both_tails(kappa):
                        "loglik": nodes.loglik(np.full(ys.size, eta)),
                        "score_eta": nodes.score_eta(), "curvature": nodes.curvature()}
                 if kappa is not None:
-                    got["score_kappa"] = nodes.score_kappa(gamma_sums(ys, kappa, 1))
-                    got["dscore_eta_kappa"] = nodes.dscore_eta_kappa()
-                    got["dscore_kappa"] = nodes.dscore_kappa(gamma_sums(ys, kappa, 2))
+                    got["score_kappa"] = score_kappa(nodes, gamma_sums(ys, kappa, 1))
+                    got["dscore_eta_kappa"] = dscore_eta_kappa(nodes)
+                    got["dscore_kappa"] = dscore_kappa(nodes, gamma_sums(ys, kappa, 2))
             assert np.all(nodes.r > 0.0) and np.all(nodes.s > 0.0)
             rounded_s += int(np.sum(nodes.s == 1.0))
             for i, y in enumerate(ys):

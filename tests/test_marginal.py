@@ -13,17 +13,13 @@ from glmm_means import Dataset, Family, SubjectBlock, grad_mu_i, marginal_estima
 from glmm_means.families import stable_expit
 from glmm_means.marginal import (
     _NORMAL,
-    _grad_rows_nat,
     ci_direct,
     ci_inverse_log,
     ci_inverse_logit,
     ci_lognormal,
-    marginal_group_mean,
-    marginal_group_variance,
-    mean_at_mean_covariate,
 )
 
-from conftest import manual_fitted, toy_dataset
+from conftest import manual_fitted, plugin_gradients, toy_dataset
 
 
 def fitted_at(family, beta, sigma2, kappa=None, cov=None, **toy_kwargs):
@@ -106,7 +102,7 @@ def test_group_mean_of_identical_rows_equals_pointwise_mean():
     ds = toy_dataset(Family.LOGISTIC, K=4, n=2, seed=3)
     f = manual_fitted(ds, Family.LOGISTIC, (0.5, 0.0), 0.3)
     # beta has no slope, so every row gives the same plug-in value
-    assert marginal_group_mean(f, "g0") == pytest.approx(mu_hat_i(f, ds.X[0]), rel=1e-14)
+    assert marginal_estimates(f)["g0"].point == pytest.approx(mu_hat_i(f, ds.X[0]), rel=1e-14)
 
 
 def test_group_mean_hand_average():
@@ -114,7 +110,7 @@ def test_group_mean_hand_average():
     ds = f.dataset
     idx = ds.group_index.indices["g0"]
     expected = float(np.mean(stable_expit(ds.X[idx] @ f.params.beta)))
-    assert marginal_group_mean(f, "g0") == pytest.approx(expected, rel=1e-14)
+    assert marginal_estimates(f)["g0"].point == pytest.approx(expected, rel=1e-14)
 
 
 def test_group_mean_invariant_under_member_permutation():
@@ -122,14 +118,15 @@ def test_group_mean_invariant_under_member_permutation():
     f1 = manual_fitted(ds, Family.LOGISTIC, (0.2, -0.5), 0.25)
     flipped = type(ds)(ds.subjects[::-1])
     f2 = manual_fitted(flipped, Family.LOGISTIC, (0.2, -0.5), 0.25)
-    assert marginal_group_mean(f1, "g0") == pytest.approx(marginal_group_mean(f2, "g0"), rel=1e-12)
+    assert marginal_estimates(f1)["g0"].point == pytest.approx(marginal_estimates(f2)["g0"].point,
+                                                               rel=1e-12)
 
 
 def test_zeger_group_mean_converges_to_quadrature_as_sigma_vanishes():
     ds = toy_dataset(Family.LOGISTIC, K=6, seed=4)
     f = manual_fitted(ds, Family.LOGISTIC, (0.3, -0.8), 1e-10)
     exact = float(np.mean(stable_expit(ds.X[ds.group_index.indices["g0"]] @ f.params.beta)))
-    assert marginal_group_mean(f, "g0") == pytest.approx(exact, abs=1e-9)
+    assert marginal_estimates(f)["g0"].point == pytest.approx(exact, abs=1e-9)
 
 
 # ---- group variance ---------------------------------------------------------------
@@ -137,7 +134,7 @@ def test_zeger_group_mean_converges_to_quadrature_as_sigma_vanishes():
 
 def test_zero_covariance_gives_zero_variance():
     f = fitted_at(Family.LOGISTIC, beta=(0.2, 0.1), sigma2=0.2)
-    assert marginal_group_variance(f, "g0") == 0.0
+    assert marginal_estimates(f)["g0"].variance == 0.0
 
 
 def _random_cov(rng, dim, scale=0.02):
@@ -151,13 +148,13 @@ def test_logistic_variance_equals_explicit_pairwise_sum():
     f = fitted_at(Family.LOGISTIC, beta=(0.3, -0.6), sigma2=0.2, cov=cov)
     ds = f.dataset
     idx = ds.group_index.indices["g1"]
-    grads = _grad_rows_nat(f, ds.X[idx])
+    grads = plugin_gradients(f, ds.X[idx])
     n = len(idx)
     total = 0.0
     for i in range(n):
         for j in range(n):
             total += float(grads[i] @ cov @ grads[j])
-    assert marginal_group_variance(f, "g1") == pytest.approx(total / n**2, rel=1e-12)
+    assert marginal_estimates(f)["g1"].variance == pytest.approx(total / n**2, rel=1e-12)
 
 
 def test_negbin_singleton_group_is_lognormal_variance():
@@ -171,7 +168,7 @@ def test_negbin_singleton_group_is_lognormal_variance():
     g = np.append(x, 0.5)
     s2 = float(g @ cov @ g)
     oracle = np.exp(2 * nu + s2) * (np.exp(s2) - 1.0)
-    assert marginal_group_variance(f, gid) == pytest.approx(oracle, rel=1e-12)
+    assert marginal_estimates(f)[gid].variance == pytest.approx(oracle, rel=1e-12)
 
 
 def _dense_negbin_variance(f, gid):
@@ -205,7 +202,8 @@ def test_negbin_collapsed_variance_matches_dense_pair_sum(baseline, monkeypatch)
     f = manual_fitted(ds, Family.NEGBIN, (0.3, -0.5, 0.4), 0.16, kappa=6.0, cov=_random_cov(rng, 4))
     n_unique = np.unique(ds.X, axis=0).shape[0]
     assert (n_unique == ds.n_obs) == (baseline == "uniform")
-    assert marginal_group_variance(f, "q") == pytest.approx(_dense_negbin_variance(f, "q"), rel=1e-12)
+    assert marginal_estimates(f)["q"].variance == pytest.approx(_dense_negbin_variance(f, "q"),
+                                                                rel=1e-12)
 
 
 def test_negbin_variance_against_monte_carlo_lognormal_sum():
@@ -231,8 +229,8 @@ def test_negbin_variance_against_monte_carlo_lognormal_sum():
 def test_negative_variance_clamps_with_warning():
     cov = -0.01 * np.eye(3)  # deliberately invalid covariance
     f = fitted_at(Family.LOGISTIC, beta=(0.3, 0.2), sigma2=0.2, cov=cov)
-    with pytest.warns(RuntimeWarning):
-        assert marginal_group_variance(f, "g0") == 0.0
+    with pytest.warns(RuntimeWarning, match="clamped to 0"):
+        assert marginal_estimates(f)["g0"].variance == 0.0
 
 
 # ---- benchmark estimator ------------------------------------------------------------
@@ -241,17 +239,15 @@ def test_negative_variance_clamps_with_warning():
 def test_mean_at_mean_covariate_equals_group_mean_for_identical_rows():
     ds = toy_dataset(Family.LOGISTIC, K=5, n=2, seed=9)
     f = manual_fitted(ds, Family.LOGISTIC, (0.4, 0.0), 0.3)
-    assert mean_at_mean_covariate(f, "g0") == pytest.approx(
-        marginal_group_mean(f, "g0"), rel=1e-14
-    )
+    est = marginal_estimates(f)["g0"]
+    assert est.star == pytest.approx(est.point, rel=1e-14)
 
 
 def test_mean_at_mean_covariate_jensen_gap():
     # with a slope, averaging before the nonlinearity shifts the estimate
     f = fitted_at(Family.LOGISTIC, beta=(0.1, 2.5), sigma2=0.25)
-    assert mean_at_mean_covariate(f, "g0") != pytest.approx(
-        marginal_group_mean(f, "g0"), abs=1e-4
-    )
+    est = marginal_estimates(f)["g0"]
+    assert est.star != pytest.approx(est.point, abs=1e-4)
 
 
 # ---- intervals ------------------------------------------------------------------------

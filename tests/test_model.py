@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glmm_means import Dataset, Family, ModelSpec, SubjectBlock, validate
-from glmm_means.model import ParamVector
+from glmm_means.model import GroupIndex, ParamVector
 from glmm_means.families import family_ops
 
 
@@ -163,6 +163,17 @@ def test_group_index_partitions_observations():
     assert sum(gi.sizes.values()) == ds.n_obs
 
 
+def test_group_codes_sizes_and_average_rows():
+    ds = Dataset.from_rows(["s1", "s0", "s1", "s0"], [0, 1, 0, 1],
+                           [[1.0, 0.5], [1.0, 0.25], [1.0, 1.5], [1.0, -1.0]], ["b", "a", "a", "b"])
+    gi = ds.group_index
+    for q, gid in enumerate(gi.group_ids):
+        np.testing.assert_array_equal(np.flatnonzero(ds.group_codes == q), gi.indices[gid])
+        assert ds.group_sizes[q] == gi.sizes[gid]
+        np.testing.assert_allclose(ds.group_X[q], ds.X[gi.indices[gid]].mean(axis=0), rtol=1e-15)
+    assert ds.with_responses(np.zeros(4)).group_codes is ds.group_codes
+
+
 def test_ybar_is_group_mean():
     ds = Dataset([block("s0", y=(1.0, 0.0)), block("s1", y=(1.0, 1.0))])
     assert ds.ybar("a") == pytest.approx(1.0)
@@ -239,3 +250,18 @@ def test_validate_flags_nonfinite_weights(bad):
     )
     codes = [v.code for v in validate(Dataset([sb, block("s1")]), _spec())]
     assert codes == ["weights"]
+
+
+@pytest.mark.parametrize("indices", [
+    {"a": [0, 1], "b": [1, 3]},  # row 1 twice, row 2 missing
+    {"a": [0, 1], "b": [3]},     # row 2 missing
+    {"a": [0, 1], "b": [2, 4]},  # row 4 does not exist
+    {"a": [-1, 1], "b": [2, 3]},  # nor does row -1
+    {"a": [0, 1, 2, 3], "b": [3]},  # one row too many
+])
+def test_validate_flags_group_indices_that_do_not_partition_the_rows(indices):
+    ds = Dataset([block("s0"), block("s1")])
+    assert validate(ds, _spec()) == []
+    ds.group_index = GroupIndex(group_ids=tuple(indices),
+                                indices={g: np.array(v, dtype=np.int64) for g, v in indices.items()})
+    assert [v.code for v in validate(ds, _spec())] == ["groups"]

@@ -7,6 +7,7 @@ import glmm_means.simulate as sim
 from glmm_means import Dataset, Family, generate_dataset, logistic_design, negbin_design, run_study
 from glmm_means.simulate import generate_replication, true_marginal_means
 from glmm_means.families import stable_expit
+from glmm_means.quadrature import logistic_normal_integral
 
 
 SMALL = dict(arm_sizes=(20, 18, 20, 16), replications=6, seed=3)
@@ -165,6 +166,23 @@ def test_true_marginal_means_negbin_closed_form():
     # 0.5 * (exp(.3+.3+.005) + exp(.3-.2+.3+.005)) etc.
     assert mus["u1_t0"] == pytest.approx(1.66527735447127, rel=1e-10)
     assert mus["u0_t0"] == pytest.approx(1.2336678066809648, rel=1e-10)
+
+
+@pytest.mark.parametrize("maker", [logistic_design, negbin_design])
+@pytest.mark.parametrize("control, baseline", [("gender", "bernoulli"), ("time", "uniform")])
+def test_true_means_over_distinct_rows_match_the_per_row_average(maker, control, baseline):
+    design = maker(control=control, baseline=baseline)
+    frame = sim._covariate_frame(design)
+    eta = frame.X @ np.asarray(design.beta)
+    s2 = design.sigma**2
+    if design.family is Family.LOGISTIC:
+        per_row = np.array([logistic_normal_integral(e, s2) for e in eta])
+    else:
+        per_row = np.exp(eta + s2 / 2.0)
+    mus = true_marginal_means(design)
+    assert list(mus) == list(frame.group_index.group_ids)
+    for gid, idx in frame.group_index.indices.items():
+        assert mus[gid] == pytest.approx(float(np.mean(per_row[idx])), rel=1e-12, abs=0.0)
 
 
 def test_true_means_with_degenerate_variance_average_the_inverse_link():
