@@ -68,46 +68,53 @@ class _Factorization:
     """
 
     def __init__(self, struct: PredictionStructure):
-        self.struct = struct
+        self.X, self.subject_index = struct.X, struct.subject_index  # not the weights
         self.b, self.dinv = struct.border()
         xwx = struct.X.T @ (struct.weights[:, None] * struct.X)
         self.chol = cholesky(xwx - self.b.T @ (self.dinv[:, None] * self.b))
 
     def design_columns(self, rows: np.ndarray) -> np.ndarray:
         """(X_q; Z_q) for the given observation rows, one column per row."""
-        struct = self.struct
-        bottom = np.zeros((struct.n_subjects, rows.shape[0]))
-        bottom[struct.subject_index[rows], np.arange(rows.shape[0])] = 1.0
-        return np.vstack([struct.X[rows].T, bottom])
+        bottom = np.zeros((self.b.shape[0], rows.shape[0]))
+        bottom[self.subject_index[rows], np.arange(rows.shape[0])] = 1.0
+        return np.vstack([self.X[rows].T, bottom])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-1} rhs for stacked (p+K)-row right-hand sides, 1-D or 2-D."""
-        p = self.struct.p
+        p = self.b.shape[1]
         r, s = rhs[:p], rhs[p:]
         dinv = self.dinv if rhs.ndim == 1 else self.dinv[:, None]
         x = np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, r - self.b.T @ (dinv * s)))
         return np.concatenate([x, dinv * (s - self.b @ x)])
 
     def variances(self, d: np.ndarray, codes: np.ndarray, n_groups: int,
-                  rows=slice(None)) -> np.ndarray:
+                  rows=slice(None), order=None) -> np.ndarray:
         """a_q'M^{-1}a_q, a_q = (X_q'd; Z_q'd), of every group q < n_groups:
         the r-th of `rows` (all by default) lies in group codes[r], weight d[r].
         s_q = Z_q'd, r_q = X_q'd - B'D^{-1}s_q and s_q'D^{-1}s_q are sums over
-        the (group, subject) pairs that occur, so no G x K array is formed;
-        one solve serves every r_q."""
-        struct = self.struct
-        subj = struct.subject_index[rows]
-        key = subj * n_groups + codes
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))  # each (subject, group) pair's first row
+        the (group, subject) pairs that occur, read along `order` (the r group
+        by group, each group's by subject, as `Dataset.group_index` lists
+        them; a sort if None), and one solve serves every r_q."""
+        r = code_sums(codes, self.X[rows], n_groups, d)
+        subj = self.subject_index[rows]
+        if order is None:
+            order = np.lexsort((subj, codes))
+        subj, group = subj[order], codes[order]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (subj[1:] != subj[:-1]) | (group[1:] != group[:-1])
+        first = np.flatnonzero(new)  # each (group, subject) pair's first row
         s = np.add.reduceat(d[order], first)  # Z_q'd at the pairs
-        pair_subj, pair_group = np.divmod(key[first], n_groups)
-        dinv_s = self.dinv[pair_subj] * s
-        r = (code_sums(codes, struct.X[rows], n_groups, d)
-             - code_sums(pair_group, self.b[pair_subj], n_groups, dinv_s))
-        return (np.sum(np.linalg.solve(self.chol, r.T) ** 2, axis=0)
-                + code_sums(pair_group, s, n_groups, dinv_s))
+        pair_subj = subj[first]
+        del subj  # hold few row-length arrays at once
+        pair_group = group[first]
+        del group, first
+        dinv_s = self.dinv[pair_subj]
+        dinv_s *= s
+        sds = code_sums(pair_group, s, n_groups, dinv_s)  # s_q'D^{-1}s_q
+        del s
+        for c in range(r.shape[1]):  # no (pairs, p) gather of B
+            r[:, c] -= np.bincount(pair_group, self.b[:, c][pair_subj] * dinv_s, n_groups)
+        return np.sum(np.linalg.solve(self.chol, r.T) ** 2, axis=0) + sds
 
     def variance(self, rows: np.ndarray, d: np.ndarray) -> float:
         """`variances` of one group: a'M^{-1}a, a = (X_q'd; Z_q'd) on the given rows."""
@@ -156,9 +163,11 @@ def conditional_estimates(fitted: FittedModel, alpha: float = 0.05) -> dict[str,
     d = ops.dinverse_link(eta)
     # the logistic's Fisher weight is its inverse-link derivative
     w = d if family is Family.LOGISTIC else ops.fisher_weight(eta, fitted.params.kappa)
-    fac = factorize_structure(build_prediction_structure(fitted, w))
     point = code_sums(codes, ops.inverse_link(eta), n.size) / n
-    variance = fac.variances(d, codes, n.size) / (n * n)
+    fac = factorize_structure(build_prediction_structure(fitted, w))
+    del eta, w  # the solve holds few row-length arrays
+    order = np.concatenate([ds.group_index.indices[g] for g in gids])
+    variance = fac.variances(d, codes, n.size, order=order) / (n * n)
     star_eta = (ds.group_X @ fitted.params.beta)[codes] + fitted.cond_modes[ds.subject_index]
     star = code_sums(codes, ops.inverse_link(star_eta), n.size) / n
     rows = zip(gids, point.tolist(), variance.tolist(), n.tolist(),

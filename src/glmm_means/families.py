@@ -106,15 +106,17 @@ def gamma_table(y: np.ndarray, kappa: float) -> np.ndarray:
 
 class Nodes:
     """The kernels of l = y eta - n softplus(z) at every (y, z), y and n
-    broadcasting against z; `kappa` is the negative binomial's size.  The
-    arrays are reused in place: a fitter block holds few at once.  softplus
-    is formed on first use, so the mode solver, which needs only s and r,
-    takes no logarithm."""
+    broadcasting against z, an n of None being the logistic's unit n, not
+    multiplied by; `kappa` is the negative binomial's size.  The arrays are
+    reused in place: a fitter block holds few at once.  softplus is formed
+    on first use, so the mode solver, which needs only s and r, takes no
+    logarithm."""
 
     def __init__(self, y, z, n, kappa=None):
         self.y, self.n, self.kappa = y, n, kappa
-        e = np.exp(-np.abs(z), out=np.empty(np.shape(z)))
-        q = np.add(e, 1.0, out=np.empty_like(e))
+        e = np.abs(z, out=np.empty(np.shape(z)))
+        np.exp(np.negative(e, out=e), out=e)
+        q = e + 1.0
         up = z >= 0.0
         self.s = np.where(up, 1.0, e)
         self.s /= q  # expit(z)
@@ -132,20 +134,20 @@ class Nodes:
         return out
 
     def loglik(self, eta):
-        return self.y * eta - self.n * self.softplus
+        return self.y * eta - (self.softplus if self.n is None else self.n * self.softplus)
 
     def score_eta(self):
-        return self.y - self.n * self.s
+        return self.y - (self.s if self.n is None else self.n * self.s)
 
     def curvature(self):
         """-d2 l / d eta2 = n s r."""
-        return self.n * self.s * self.r
+        return (self.s if self.n is None else self.n * self.s) * self.r
 
 
 class _Logistic:
     @staticmethod
     def kernel(y, eta, aux=None):
-        return Nodes(y, eta, 1.0)
+        return Nodes(y, eta, None)
 
     @staticmethod
     def loglik(y, eta, aux=None):

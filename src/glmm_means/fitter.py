@@ -36,14 +36,14 @@ and MODE_TOL.
 Every node kernel comes from one `families.Nodes` per block, one
 exponential per (cell, node), with the cell weights folded into its y and
 n.  numpy's `logaddexp` has no vectorized loop (it takes some 25 times an
-`exp`), so only the unsplit loglik of `score_matrix` keeps it.  Patterns
-are numbered by descending cell count,
-and a block stores its cells position-major: the first cell of every
-pattern, then the second of every pattern that has one, and so on.  A
-per-pattern sum is one reduction over the positions that every pattern
-has and one slice add per further position, where `reduceat`'s overhead
-per segment costs many slice adds on two-cell patterns.  The mode
-solver's sums are `np.bincount`s.
+`exp`), so only the NB's unsplit `score_matrix` pass keeps it.  w y per
+cell and each block's contiguous X', which no parameter changes, are built
+once.  Patterns are numbered by descending cell count, and a block stores
+its cells position-major: the first cell of every pattern, then the second
+of every pattern that has one, and so on.  A per-pattern sum is one
+reduction over the positions that every pattern has and one slice add per
+further position, where `reduceat`'s overhead per segment costs many slice
+adds on two-cell patterns.  The mode solver's sums are `np.bincount`s.
 
 A subject's conditional mode b* is the root of g(b) = S(b) - b / sigma2,
 where S, the sum of w score_eta over its cells, falls in b because the
@@ -66,7 +66,8 @@ an independent route to the same optimum.
 
 Cov(psi_hat) is still the BHHH inverse (sum_i d_i d_i')^{-1}, the paper's
 estimator, computed on (beta, log sigma2, log kappa) and mapped back to the
-natural scale by the delta method.
+natural scale by the delta method.  The logistic's d_i are the Newton loop's
+last accepted pass; the NB's come from one more, unsplit pass (`score_matrix`).
 """
 
 from __future__ import annotations
@@ -224,6 +225,7 @@ class _Block(NamedTuple):
     subj: np.ndarray  # each cell's pattern, counted from the block's first
     head: int
     tail: tuple
+    XT: np.ndarray  # the cells' covariate rows as contiguous columns, read-only
 
 
 def _block_sums(values: np.ndarray, block: _Block, out=None) -> np.ndarray:
@@ -292,13 +294,18 @@ class _Workspace:
         self.subj, self.X, cell = subj[order], X[first[order]], np.argsort(order)[cell]
         self.w = np.bincount(cell, w_rows)
         self.y = np.bincount(cell, w_rows * y_rows) / self.w
+        self.wy = self.w * self.y
         self.blocks = []
         for k0, k1 in zip(ends[:-1], ends[1:]):
             count = (k1 - k0) - np.cumsum(np.bincount(size[k0:k1])[:-1])  # patterns with > j cells
             head = int(np.sum(count == k1 - k0))
             cells = slice(int(offsets[k0]), int(offsets[k1]))
             self.blocks.append(_Block(slice(k0, k1), cells, self.subj[cells] - k0, head,
-                                      tuple(count[head:].tolist())))
+                                      tuple(count[head:].tolist()),
+                                      np.ascontiguousarray(self.X[cells].T)))
+        for arr in (self.wy, *(blk.XT for blk in self.blocks)):  # built once, never written
+            arr.setflags(write=False)
+        self.passes = self.kernel_evaluations = 0  # derivatives passes, mode-solver kernels
         # a block's complete-data scores and their posterior-weighted copy
         self.scratch = np.empty((2, self.dim, int(np.diff(ends).max()) * self.t.size))
         if family is Family.NEGBIN:
@@ -340,6 +347,7 @@ class _Workspace:
     def loglik_score(self, eta0, b, aux):
         """S(b), the conditional-loglik score of each pattern in its b, and
         -S'(b), the sum of w n s r, from the same kernel, which comes third."""
+        self.kernel_evaluations += 1
         nodes = self.ops.kernel(self.y, eta0 + b[self.subj], aux)
         w = self.w
         return (self._subject_sums(w * nodes.score_eta()), self._subject_sums(w * nodes.curvature()),
@@ -377,7 +385,9 @@ class _Workspace:
                 break
             if step < 50:
                 prop = b + score / (curv + 1.0 / sigma2)
-                prop = np.where(prop == b, np.nextafter(b, nxt), prop)  # nxt: the midpoint
+                onto = prop == b
+                if onto.any():
+                    prop[onto] = np.nextafter(b[onto], nxt[onto])  # nxt: the midpoint
                 nxt = np.where((lo <= prop) & (prop <= hi), prop, nxt)
             b = np.where(active, nxt, b)
             del nodes  # hold one kernel at a time
@@ -415,7 +425,7 @@ class _Workspace:
         gamma_terms(aux, split)."""
         w = self.w
         wn = w if aux is None else w * (self.y + aux)
-        return beta, w * self.y, wn, self.gamma_terms(aux, split)
+        return beta, self.wy, wn, self.gamma_terms(aux, split)
 
     def integral_pieces(self, sigma2, aux, modes, curv, operands, block, split=True):
         """Loglik contributions, posterior node weights, node positions and
@@ -455,7 +465,7 @@ class _Workspace:
         return ll_i, omega, u, nodes
 
     def _total_loglik(self, ll_i, sigma2) -> float:
-        ll = (np.concatenate(ll_i) * self.m).sum()
+        ll = ((ll_i[0] if len(ll_i) == 1 else np.concatenate(ll_i)) * self.m).sum()
         return float(ll - 0.5 * self.K * math.log(2.0 * math.pi * sigma2))
 
     def loglik_at(self, theta):
@@ -469,11 +479,11 @@ class _Workspace:
     def score_matrix(self, theta, modes, curv):
         """Per-subject scores d_i on the optimizer scale; loglik as byproduct.
 
-        These are the scores of the reported covariance, built with the
-        unsplit negative-binomial loglik (see integral_pieces): at the
-        (sigma2, kappa) = (1e-10, 1e6) corner sum_i d_i d_i' is
-        ill-conditioned and its inverse follows that form's rounding, which
-        the stored benchmark references record.
+        These are the scores of the NB's reported covariance, built with
+        the unsplit loglik (see integral_pieces): at the (sigma2, kappa) =
+        (1e-10, 1e6) corner sum_i d_i d_i' is ill-conditioned and its
+        inverse follows that form's rounding, which the stored benchmark
+        references record; the logistic's are the Newton loop's last d.
         """
         return self.derivatives(theta, modes, curv, hessian=False, split=False)[:2]
 
@@ -498,6 +508,7 @@ class _Workspace:
         offsets enter per pattern, as a pattern's posterior weights sum to
         one.
         """
+        self.passes += 1
         beta, sigma2, aux = self.unpack(theta)
         nb = self.family is Family.NEGBIN
         p, dim = self.p, self.dim
@@ -507,10 +518,9 @@ class _Workspace:
         rows_d, ll_i = [], []
         h = np.zeros((dim, dim))
         for blk in self.blocks:
-            ks, rows = blk.patterns, blk.cells
+            ks, rows, XT = blk.patterns, blk.cells, blk.XT
             ll_b, omega, u, nodes = self.integral_pieces(sigma2, aux, modes, curv, operands, blk,
                                                          split)
-            XT = np.ascontiguousarray(self.X[rows].T)  # a covariate per row
 
             # complete-data scores at every node: (dim, patterns, nodes)
             sc = self.scratch[0, :, : omega.size].reshape((dim,) + omega.shape)
@@ -549,7 +559,8 @@ class _Workspace:
         if hessian and nb:
             h[p + 1, p + 1] += aux * aux * (self.m @ terms[2])
             h[p + 1:, :p] = h[:p, p + 1:].T
-        return np.vstack(rows_d)[self.pattern], self._total_loglik(ll_i, sigma2), h
+        d = rows_d[0] if len(rows_d) == 1 else np.vstack(rows_d)
+        return d[self.pattern], self._total_loglik(ll_i, sigma2), h
 
 
 def marginal_loglik(dataset: Dataset, spec: ModelSpec, params: ParamVector,
@@ -677,7 +688,8 @@ def _newton(ws: _Workspace, theta, lb, ub):
     keeps it within rounding and lowers the KKT violation.  Once a step no
     longer moves theta, the loop follows the score alone: the quadrature
     score is the gradient of the exact integral, so its root can sit a
-    quadrature error away from the quadrature loglik's maximum.
+    quadrature error away from the quadrature loglik's maximum.  It returns
+    the last accepted iterate with its scores d, the iterations and the trials.
     """
     p, v = ws.p, slice(ws.p, None)
     theta = _snap(theta, lb, ub)
@@ -685,14 +697,15 @@ def _newton(ws: _Workspace, theta, lb, ub):
     d, ll, h = ws.derivatives(theta, modes, curv)
     g = d.sum(axis=0)
     viol = _kkt_violation(g, theta, lb, ub, p)
-    iterations, on_score = 0, False
+    up, down = (np.exp(sgn * np.column_stack([lb[v], ub[v]])) for sgn in (1.0, -1.0))  # phi's box
+    iterations, trials, on_score = 0, 0, False
     while iterations < MAX_ITER and viol > SCORE_TOL:
         iterations += 1
-        sgn = np.where(theta[v] <= 0.0, 1.0, -1.0)
+        pos = theta[v] <= 0.0
+        sgn = np.where(pos, 1.0, -1.0)
         phi, lo, hi = theta.copy(), lb.copy(), ub.copy()
         phi[v] = np.exp(sgn * theta[v])
-        ends = np.exp(sgn[:, None] * np.column_stack([lb[v], ub[v]]))
-        lo[v], hi[v] = ends.min(axis=1), ends.max(axis=1)
+        lo[v], hi[v] = np.where(pos, up[:, 0], down[:, 1]), np.where(pos, up[:, 1], down[:, 0])
         jac = np.ones(ws.dim)
         jac[v] = sgn / phi[v]  # dtheta / dphi
         h_phi = h * np.outer(jac, jac)
@@ -700,20 +713,23 @@ def _newton(ws: _Workspace, theta, lb, ub):
 
         free = ~(((theta <= lb) & (g <= 0)) | ((theta >= ub) & (g >= 0)))
         delta = np.zeros(ws.dim)
-        delta[free] = _newton_direction(h_phi[np.ix_(free, free)], (jac * g)[free])
+        h_free = h_phi if free.all() else h_phi[np.ix_(free, free)]
+        delta[free] = _newton_direction(h_free, (jac * g)[free])
         big = float(np.max(np.abs(delta[:p])))
         if big > _MAX_STEP:
             delta *= _MAX_STEP / big
         lam = 1.0
-        edge = np.where(delta[v] < 0, lo[v], hi[v])
-        reach = ((lb[v] < theta[v]) & (theta[v] < ub[v]) & (delta[v] != 0)
-                 & (np.abs(edge - phi[v]) <= np.abs(delta[v])))
-        hits = np.sort((edge - phi[v])[reach] / delta[v][reach])
-        if hits.size > 1:
-            lam = 0.5 * float(hits[0] + hits[1])
+        if ws.dim - p > 1:  # only two variance coordinates can both reach a bound
+            edge = np.where(delta[v] < 0, lo[v], hi[v])
+            reach = ((lb[v] < theta[v]) & (theta[v] < ub[v]) & (delta[v] != 0)
+                     & (np.abs(edge - phi[v]) <= np.abs(delta[v])))
+            if np.count_nonzero(reach) > 1:
+                hits = np.sort((edge - phi[v])[reach] / delta[v][reach])
+                lam = 0.5 * float(hits[0] + hits[1])
 
         step = 0.0
         for _ in range(40):
+            trials += 1
             trial = np.clip(phi + lam * delta, lo, hi)
             trial[v] = sgn * np.log(trial[v])
             trial = _snap(trial, lb, ub)
@@ -728,14 +744,15 @@ def _newton(ws: _Workspace, theta, lb, ub):
                 better = ll_t > ll + slack or (ll_t >= ll - slack and viol_t < viol)
             if better:
                 step = float(np.max(np.abs(trial - theta)) / (1.0 + np.max(np.abs(theta))))
-                theta, ll, modes, curv, g, h, viol = trial, ll_t, modes_t, curv_t, g_t, h_t, viol_t
+                theta, ll, modes, curv, d, g, h = trial, ll_t, modes_t, curv_t, d_t, g_t, h_t
+                viol = viol_t
                 break
             lam *= 0.5
         if step <= PARAM_TOL:
             if on_score:
                 break
             on_score = True
-    return theta, ll, modes, curv, viol, iterations
+    return theta, ll, modes, curv, d, viol, iterations, trials
 
 
 def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> FittedModel:
@@ -746,6 +763,7 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     natural scale.  Non-convergence returns the best iterate with
     converged=False; a singular H falls back to the pseudo-inverse and is
     flagged in cov_flags.  score_norm is the final KKT violation.
+    `diagnostics` holds deterministic counts (see README).
     """
     config = config or FitConfig()
     ws = _Workspace(dataset, spec.family, config.gh_nodes)
@@ -757,11 +775,12 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     if config.optimizer == "quasi_newton":
         theta, iterations = _lbfgs(ws, theta, lb, ub)
         optimizer_used = "quasi_newton+newton"
-    theta, ll, modes, curv, score_norm, extra = _newton(ws, theta, lb, ub)
+    theta, ll, modes, curv, d, score_norm, extra, trials = _newton(ws, theta, lb, ub)
     iterations += extra
     converged = score_norm <= SCORE_TOL
 
-    d, _ = ws.score_matrix(theta, modes, curv)
+    if spec.family is Family.NEGBIN:
+        d, _ = ws.score_matrix(theta, modes, curv)
     h = d.T @ d
     cov_flags: list[str] = []
     try:
@@ -807,6 +826,8 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
             "rows": ws.N,
             "quadrature_cells": ws.C,
             "subject_patterns": ws.P,
+            "line_search_trials": trials, "quadrature_passes": ws.passes,
+            "mode_kernel_evaluations": ws.kernel_evaluations,
         },
     )
 

@@ -311,29 +311,27 @@ def _resolve_workers(max_workers: int | None) -> int:
     return max(1, min(int(max_workers), 16))
 
 
-def _summary(gid: str, kind: str, cell: tuple, recs: list, prefix: str, target) -> SimGroupSummary:
-    """Bias and coverage of one group's `prefix` ("mu" or "lam") estimates.
+def _summaries(frame: Dataset, kind: str, recs: list, prefix: str, ybar, target) -> list:
+    """Bias and coverage of every group's `prefix` ("mu" or "lam") estimates.
 
-    `target` is what each replication is scored against: the fixed truth,
-    or one realized value per replication; the reported truth is its mean.
+    recs[q] holds group q's records, one per replication.  `ybar` and
+    `target` are (groups, replications) arrays, `target` of what each
+    replication is scored against: the fixed truth (one column) or the
+    realized values; the reported truth is its mean.  Each statistic is
+    reduced along the contiguous replication axis, so it is the same
+    pairwise sum as np.mean or np.std over one group's values.
     """
-    u, t, n_obs = cell
-    truth = float(np.mean(target))
-    target = np.broadcast_to(target, len(recs))
-    ybar = np.array([r["ybar"] for r in recs]) - target
-    star = np.array([r[f"{prefix}_star"] for r in recs]) - target
-    est = np.array([r[f"{prefix}_point"] for r in recs]) - target
-    intervals = [r[f"{prefix}_intervals"] for r in recs]
-    return SimGroupSummary(
-        group_id=gid, kind=kind, u=u, t=t, n_obs=n_obs, truth=truth,
-        ybar_bias_mean=float(np.mean(ybar)), ybar_bias_sd=float(np.std(ybar)),
-        star_bias_mean=float(np.mean(star)), star_bias_sd=float(np.std(star)),
-        est_bias_mean=float(np.mean(est)), est_bias_sd=float(np.std(est)),
-        coverage={
-            lab: float(np.mean([iv[lab][0] <= tg <= iv[lab][1] for iv, tg in zip(intervals, target)]))
-            for lab in intervals[0]
-        },
-    )
+    star, est = (np.array([[r[f"{prefix}_{key}"] for r in row] for row in recs]) - target
+                 for key in ("star", "point"))
+    stats = [f(x, axis=1).tolist() for x in (ybar - target, star, est) for f in (np.mean, np.std)]
+    labels = list(recs[0][0][f"{prefix}_intervals"])
+    ends = np.array([[[r[f"{prefix}_intervals"][lab] for lab in labels] for r in row] for row in recs])
+    tg = target[..., None]  # against (groups, replications, labels) interval ends
+    cover = np.mean((ends[..., 0] <= tg) & (tg <= ends[..., 1]), axis=1)  # exact counts / R
+    truth = np.mean(target, axis=1).tolist()
+    return [SimGroupSummary(gid, kind, *map(int, frame.X[idx[0], 2:]), idx.size, truth[q],
+                            *(stat[q] for stat in stats), dict(zip(labels, cover[q].tolist())))
+            for q, (gid, idx) in enumerate(frame.group_index.indices.items())]
 
 
 def run_study(design: SimDesign, max_workers: int | None = None,
@@ -366,15 +364,10 @@ def run_study(design: SimDesign, max_workers: int | None = None,
         raise RuntimeError("every replication failed; study cannot be summarized")
 
     frame = _covariate_frame(design)
-    marginal_rows = []
-    conditional_rows = []
-    for gid, idx in frame.group_index.indices.items():
-        _, _, u, t = frame.X[idx[0]]
-        cell = (int(u), int(t), idx.size)
-        recs = [r["groups"][gid] for r in good]
-        lam = np.array([r["lam_true"] for r in recs])
-        marginal_rows.append(_summary(gid, "marginal", cell, recs, "mu", mu_true[gid]))
-        conditional_rows.append(_summary(gid, "conditional", cell, recs, "lam", lam))
+    gids = frame.group_index.group_ids
+    recs = [[r["groups"][gid] for r in good] for gid in gids]
+    ybar, lam = (np.array([[r[key] for r in row] for row in recs]) for key in ("ybar", "lam_true"))
+    mu = np.array([[mu_true[gid]] for gid in gids])
 
     return SimReport(
         family=design.family.value,
@@ -386,7 +379,7 @@ def run_study(design: SimDesign, max_workers: int | None = None,
         alpha=design.alpha,
         failures=failures,
         flagged=failures > 0.02 * design.replications,
-        marginal=tuple(marginal_rows),
-        conditional=tuple(conditional_rows),
+        marginal=tuple(_summaries(frame, "marginal", recs, "mu", ybar, mu)),
+        conditional=tuple(_summaries(frame, "conditional", recs, "lam", ybar, lam)),
         records=tuple(good) if return_records else (),
     )

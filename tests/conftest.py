@@ -17,6 +17,7 @@ from glmm_means.fitter import FittedModel, _Workspace
 from glmm_means.io import ColumnMapping, InputError, _group_labels, _parse_cell
 from glmm_means.model import ParamVector
 from glmm_means.quadrature import ZEGER_COEF, zeger_attenuation, zeger_mean
+from glmm_means.simulate import SimGroupSummary
 
 # Property tests replay the same examples on every run and never time out,
 # so the suite stays deterministic and its runtime bounded.
@@ -403,6 +404,32 @@ def conditional_group_variance(fitted: FittedModel, group_id: str) -> float:
     dinv_s = fac.dinv * s
     r = ds.X[rows].T @ d - fac.b.T @ dinv_s
     return float(np.sum(np.linalg.solve(fac.chol, r) ** 2) + s @ dinv_s) / rows.size**2
+
+
+def study_group_summary(gid: str, kind: str, cell: tuple, recs: list, prefix: str, target):
+    """The oracle for `simulate._summaries`: bias and coverage of one group's
+    `prefix` ("mu" or "lam") estimates, from 1-d arrays over its records.
+
+    `target` is what each replication is scored against: the fixed truth,
+    or one realized value per replication; the reported truth is its mean.
+    """
+    u, t, n_obs = cell
+    truth = float(np.mean(target))
+    target = np.broadcast_to(target, len(recs))
+    ybar = np.array([r["ybar"] for r in recs]) - target
+    star = np.array([r[f"{prefix}_star"] for r in recs]) - target
+    est = np.array([r[f"{prefix}_point"] for r in recs]) - target
+    intervals = [r[f"{prefix}_intervals"] for r in recs]
+    return SimGroupSummary(
+        group_id=gid, kind=kind, u=u, t=t, n_obs=n_obs, truth=truth,
+        ybar_bias_mean=float(np.mean(ybar)), ybar_bias_sd=float(np.std(ybar)),
+        star_bias_mean=float(np.mean(star)), star_bias_sd=float(np.std(star)),
+        est_bias_mean=float(np.mean(est)), est_bias_sd=float(np.std(est)),
+        coverage={
+            lab: float(np.mean([iv[lab][0] <= tg <= iv[lab][1] for iv, tg in zip(intervals, target)]))
+            for lab in intervals[0]
+        },
+    )
 
 
 @pytest.fixture(scope="session")

@@ -804,6 +804,47 @@ def test_subject_scores_sum_to_near_zero_at_mle(logistic_toy_fit):
     assert np.max(np.abs(d.sum(axis=0))) <= SCORE_TOL
 
 
+@pytest.mark.parametrize("fixture", ["logistic_toy_fit", "negbin_toy_fit"])
+def test_covariance_equals_the_one_rebuilt_from_subject_scores(fixture, request):
+    # the logistic's covariance scores are the Newton loop's last accepted
+    # pass and the NB's one unsplit score_matrix pass; subject_scores makes
+    # that pass afresh, and the BHHH inverse built from it is bitwise equal
+    fitted = request.getfixturevalue(fixture)
+    d = subject_scores(fitted)
+    jac = np.ones(d.shape[1])
+    jac[fitted.params.p] = fitted.params.sigma2
+    if fitted.params.kappa is not None:
+        jac[-1] = fitted.params.kappa
+    cov = spd_inverse(d.T @ d) * np.outer(jac, jac)
+    assert fitted.cov_flags == ()
+    assert np.array_equal(0.5 * (cov + cov.T), fitted.cov_psi)
+
+
+@pytest.mark.parametrize("fixture, score_passes", [("logistic_toy_fit", 0), ("negbin_toy_fit", 1)])
+def test_diagnostics_count_passes_trials_and_mode_kernels(fixture, score_passes, request):
+    # one derivatives pass at the start and one per line-search trial, plus
+    # the NB's unsplit score pass; a mode solve evaluates at least one kernel
+    fitted = request.getfixturevalue(fixture)
+    diag = fitted.diagnostics
+    trials = diag["line_search_trials"]
+    assert trials >= fitted.iterations
+    assert diag["quadrature_passes"] == 1 + trials + score_passes
+    assert diag["mode_kernel_evaluations"] >= 1 + trials
+    assert fit(fitted.dataset, fitted.spec, fitted.config).diagnostics == diag
+
+
+def test_workspace_builds_its_parameter_free_arrays_once_read_only():
+    ws = _Workspace(toy_dataset(Family.NEGBIN, K=400, n=3), Family.NEGBIN, 25)
+    assert len(ws.blocks) > 1
+    assert np.array_equal(ws.wy, ws.w * ws.y)
+    for blk in ws.blocks:
+        assert blk.XT.flags.c_contiguous and np.array_equal(blk.XT, ws.X[blk.cells].T)
+    for arr in [ws.wy] + [blk.XT for blk in ws.blocks]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
 # ---- fit -------------------------------------------------------------------------
 
 

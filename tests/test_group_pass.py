@@ -115,3 +115,26 @@ def test_conditional_variance_memory_is_linear_in_rows_and_subjects():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 8 * (N + K * p) < 8 * G * K / 2
+
+
+def test_conditional_peak_at_200_000_rows_stays_within_ten_row_arrays():
+    # the CI scale run's shape: K = 1e5 subjects x 2 rows, grouped by t.  The
+    # pass reads the (group, subject) pairs in group_index order, releases
+    # eta and the weights before the solve and gathers B a column at a time:
+    # 16 MB is ten row-length float arrays (it read 25.6 MB with a sort of
+    # N keys and a (pairs, p) gather of B)
+    rng = np.random.default_rng(1)
+    K = 100_000
+    t = np.tile([0, 1], K)
+    X = np.column_stack([np.ones(2 * K), rng.uniform(-1, 1, 2 * K), t])
+    ds = Dataset.from_codes([f"s{k}" for k in range(K)], np.repeat(np.arange(K), 2),
+                            rng.binomial(1, 0.4, 2 * K), X, None, ["0", "1"], t)
+    f = manual_fitted(ds, Family.LOGISTIC, (-0.5, 0.8, 0.4), 0.49, gh_nodes=1)
+    conditional_estimates(f)
+    tracemalloc.start()
+    try:
+        conditional_estimates(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6

@@ -9,6 +9,8 @@ from glmm_means.simulate import generate_replication, true_marginal_means
 from glmm_means.families import stable_expit
 from glmm_means.quadrature import logistic_normal_integral
 
+from conftest import study_group_summary
+
 
 SMALL = dict(arm_sizes=(20, 18, 20, 16), replications=6, seed=3)
 
@@ -221,6 +223,24 @@ def test_report_rows_layout(small_study_report):
     assert first["T1"] == 1 and first["T2"] == 1
     # logistic reports carry no lognormal interval
     assert first["cp_lognormal"] is None
+
+
+@pytest.mark.parametrize("maker", [logistic_design, negbin_design])
+@pytest.mark.parametrize("reps", [3, 37])  # 37 crosses numpy's 8-term pairwise block
+def test_study_summaries_equal_the_per_group_oracle_bitwise(maker, reps):
+    design = maker(arm_sizes=(20, 18, 20, 16), replications=reps, seed=5)
+    report = run_study(design, max_workers=1, return_records=True)
+    assert report.failures == 0
+    frame = sim._covariate_frame(design)
+    mu_true = true_marginal_means(design)
+    for gid, idx in frame.group_index.indices.items():
+        _, _, u, t = frame.X[idx[0]]
+        cell = (int(u), int(t), idx.size)
+        recs = [r["groups"][gid] for r in report.records]
+        lam = np.array([r["lam_true"] for r in recs])
+        for kind, prefix, target in (("marginal", "mu", mu_true[gid]), ("conditional", "lam", lam)):
+            want = study_group_summary(gid, kind, cell, recs, prefix, target)
+            assert repr(report.row(kind, gid)) == repr(want)  # repr round-trips every float
 
 
 def test_coverages_are_probabilities(small_study_report):
