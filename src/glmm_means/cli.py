@@ -1,10 +1,12 @@
 """Command-line entry points: fit, means, simulate, validate.
 
 Exit codes are a stable contract: 0 success, 1 validation error (dataset
-invariants or bad invocation), 2 fit non-convergence, 3 I/O error.  All
-failures write one machine-readable error JSON to stderr and nothing else;
-warnings raised on the way go into it.  A non-finite number in the output
-of `fit` or `means` counts as non-convergence: nothing is written.
+invariants or bad invocation), 2 fit non-convergence (for `simulate`,
+every replication failed), 3 I/O error (an input that cannot be read or
+an output that cannot be written).  All failures write one
+machine-readable error JSON to stderr and nothing else; warnings raised on
+the way go into it.  A non-finite number in the output of `fit` or
+`means` counts as non-convergence: nothing is written.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .fitter import FitConfig, FittedModel, fit
 from .io import ColumnMapping, InputError, read_dataset, write_json, write_rows_csv
 from .marginal import marginal_estimates
 from .model import Dataset, ModelSpec, validate
-from .simulate import logistic_design, negbin_design, run_study
+from .simulate import StudyFailure, logistic_design, negbin_design, run_study
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -293,6 +295,8 @@ def _run(argv: list[str]) -> tuple[int, dict | None]:
         missing = [f"--{name}" for name in ("input", "family") if getattr(args, name, "") is None]
         if missing:
             raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+        if not 0 < getattr(args, "alpha", 0.05) <= 1:  # before any fit or study is run
+            raise UsageError(f"argument --alpha: must be in (0, 1], not {args.alpha}")
         handler = {
             "fit": _cmd_fit,
             "means": _cmd_means,
@@ -308,7 +312,7 @@ def _run(argv: list[str]) -> tuple[int, dict | None]:
             "dataset validation failed",
             [{"code": v.code, "message": v.message} for v in exc.violations],
         )
-    except NonConvergence as exc:
+    except (NonConvergence, StudyFailure) as exc:
         return EXIT_NONCONVERGENCE, _error("non_convergence", str(exc))
     except InputError as exc:
         return EXIT_IO, _error("io", str(exc))

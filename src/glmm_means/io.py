@@ -5,25 +5,24 @@ response column, numeric covariate columns, and group-by columns whose
 cartesian levels define the groups.  An intercept column is prepended to
 the covariates automatically.  A leading UTF-8 byte-order mark is skipped.
 
-The csv path defines what a file means and names every fault: it pulls
-records from `csv.reader` in chunks of `_CHUNK` and parses each chunk a
-column at a time: each numeric column with Python's `float`, the subject
-ids and group keys into integer codes through first-appearance dicts that
-persist across chunks.  Problems raise InputError with row/column
-diagnostics, and the first fault in file order is the one reported: when a
-column check fails, or the file turns out malformed or undecodable part
-way, the records of the current chunk read so far are walked one by one to
-name the first bad one (earlier chunks parsed cleanly).  A group value
-spelled two ways is reported once every chunk has parsed, at the first
-data row of its second spelling.
-
-The reader first tries the numpy path, which parses each chunk of
-`_CHUNK` lines that is plain (see `_read_plain`) with `np.loadtxt`, numpy's
-C tokenizer, into the same columns.  It gives up at the first chunk that
-is not plain or does not parse, and the csv path reads the file again from
-the top; so it returns the csv path's Dataset or none.  A pipe, which
-cannot be read twice, goes to the csv path alone.  Either way a chunk is
-dropped once parsed, so the reader holds one chunk, never the file.
+The reader reads a file once, `_CHUNK` lines at a time.  Python's `csv`
+module defines what a file means and names every fault; numpy's C
+tokenizer, `np.loadtxt`, reads each chunk that is plain (see
+`_Columns.add_lines`) as csv would.  At the first chunk that is not plain
+or that `loadtxt` refuses, `csv.reader` takes over from that chunk's first
+line to the end of the file, so a pipe reads as a file does.  Both
+tokenizers feed one builder, `_Columns`, a column at a time: each numeric
+column by Python's `float` (a group column once per distinct cell), the
+subject ids and each group column into integer codes through
+first-appearance dicts that persist across chunks, the group columns'
+codes then combined into one key code per row.  Problems raise InputError
+with row/column diagnostics, and the first fault in file order is the one
+reported: when a column check fails, or the file turns out malformed or
+undecodable part way, the records of the current chunk read so far are
+walked one by one to name the first bad one (earlier chunks parsed
+cleanly).  A group value spelled two ways is reported once every chunk has
+parsed, at the first data row of its second spelling.  A chunk is dropped
+once parsed, so the reader holds one chunk, never the file.
 `Dataset.from_codes` then groups the rows by subject, so a subject's rows
 may appear anywhere in the file.
 
@@ -36,7 +35,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -96,90 +94,31 @@ def read_dataset(path: str, mapping: ColumnMapping) -> Dataset:
         raise InputError(f"cannot open {path}: {exc.strerror or exc}") from None
 
     with fh:
-        if not fh.seekable():  # a pipe: the numpy path could not start over
-            columns = _read_records(path, fh, mapping)
-        elif (columns := _read_plain(path, fh, mapping)) is None:
-            fh.seek(0)
-            columns = _read_records(path, fh, mapping)
+        header = csv.reader(fh)
+        try:
+            columns = _Columns(_layout(path, next(header, None), mapping))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise InputError(f"{path}: line {header.line_num}: {exc}") from None
+        done, lines = header.line_num, []  # the lines before the chunk at hand, and its lines
+        try:
+            while True:
+                lines.extend(itertools.islice(fh, _CHUNK))
+                if not lines or not columns.add_lines(lines):
+                    break
+                done, lines = done + len(lines), []
+            rest = fh
+        except UnicodeDecodeError as exc:  # csv meets it after the lines read before it
+            rest = _raising(exc)
+        columns.add_records(path, csv.reader(itertools.chain(lines, rest)), done)
     if not columns.rows:
         raise InputError(f"{path}: file has a header but no data rows")
     return columns.dataset()
 
 
-def _read_records(path, fh, mapping: ColumnMapping) -> _Columns:
-    """The file's columns, from `csv.reader` records: what a file means, and
-    the InputError of its first fault."""
-    reader = csv.reader(fh)
-    chunk = []
-    try:
-        columns = _Columns(_layout(path, next(reader, None), mapping))
-        records = filter(None, reader)
-        while True:
-            chunk.extend(itertools.islice(records, _CHUNK))
-            if not chunk:
-                break
-            columns.add(chunk)
-            chunk = []
-    except (csv.Error, UnicodeDecodeError) as exc:
-        if chunk:
-            columns.raise_first_fault(chunk)  # a bad cell before the bad line comes first
-        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
-    return columns
-
-
-def _read_plain(path, fh, mapping: ColumnMapping) -> _Columns | None:
-    """The columns `_read_records` returns, parsed by `np.loadtxt` `_CHUNK`
-    lines at a time, or None: it gives up at the first chunk that is not
-    plain, that `loadtxt` cannot parse or that has an empty subject id, and
-    on a csv or decoding error.  The header is read and checked as the csv
-    path reads and checks it.
-
-    A chunk is plain when no line is longer than `csv.field_size_limit()`
-    and none holds a quote, a NUL (which csv rejects before Python 3.11) or
-    one of the separators \\x1c-\\x1f (`loadtxt` strips them from a number
-    as white space, `float` does not).  In a plain chunk csv splits each
-    line at every comma, as `loadtxt` does; both skip blank lines and keep
-    the other cells as spelled; a row short of the last mapped column is a
-    fault to csv and makes `loadtxt` raise; and `loadtxt` reads a number as
-    `float` does or raises.
-    """
-    try:
-        columns = _Columns(_layout(path, next(csv.reader(fh), None), mapping))
-        layout = columns.layout
-        numeric, grouped = ([j for _, j in cells] for cells in (layout.numeric, layout.grouping))
-        parsed = [j for j in numeric if j not in grouped]  # a group column is read once, as text
-        dtype = np.dtype([("s", object), *((f"n{j}", float) for j in parsed),
-                          *((f"g{j}", object) for j in grouped)])
-        usecols = [layout.subject[1], *parsed, *grouped]
-        limit = csv.field_size_limit()
-        while lines := list(itertools.islice(fh, _CHUNK)):
-            text = "".join(lines)
-            if (any(c in text for c in '"\x00\x1c\x1d\x1e\x1f')
-                    or len(text) > limit and max(map(len, lines)) > limit):
-                return None
-            if not text.strip("\r\n"):
-                continue  # blank lines only, of which `loadtxt` warns
-            table = np.loadtxt(lines, dtype, delimiter=",", quotechar=None, comments=None,
-                               usecols=usecols, ndmin=1)
-            del lines, text
-            subject_ids = table["s"].tolist()
-            if "" in subject_ids:
-                return None
-            levels, codes = [], []  # per group column: its distinct cells, each row's among them
-            for j in grouped:
-                level = {}
-                codes.append(_codes(level, table[f"g{j}"].tolist()))
-                levels.append(list(level))
-            # a group column's numbers by `float`, as the csv path reads them, once per cell
-            number = {j: np.array(list(map(float, level)))[code]
-                      for j, level, code in zip(grouped, levels, codes) if j in numeric}
-            y, *x = (number[j] if j in number else table[f"n{j}"] for _, j in layout.numeric)
-            groups = (_key_codes(columns.keys, levels, codes) if grouped
-                      else _codes(columns.keys, [None] * len(y)))
-            columns.append(subject_ids, np.array(y), np.column_stack([np.ones(len(y)), *x]), groups)
-    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
-        return None
-    return columns
+def _raising(exc: Exception):
+    """An iterator whose first item raises `exc`."""
+    raise exc
+    yield
 
 
 def _layout(path, header, mapping: ColumnMapping) -> _Layout:
@@ -211,29 +150,111 @@ class _Columns:
 
     def __init__(self, layout: _Layout):
         self.layout = layout
+        self.numeric = {j for _, j in layout.numeric}
+        grouped = dict.fromkeys(j for _, j in layout.grouping)  # each column once
+        # the numeric columns read by number; a group column is read once, as text
+        self.parsed = list(dict.fromkeys(j for _, j in layout.numeric if j not in grouped))
+        self.dtype = np.dtype([("s", object), *((f"n{j}", float) for j in self.parsed),
+                               *((f"g{j}", object) for j in grouped)])
+        self.usecols = [layout.subject[1], *self.parsed, *grouped]
         self.rows = 0  # records parsed
         self.subjects: dict[str, int] = {}
         self.keys: dict = {}
         self.key_rows: list[int] = []
         self.parts: list[tuple[np.ndarray, ...]] = []
 
-    def add(self, records) -> None:
-        """Parse one chunk of records, or raise the InputError of its first faulty one."""
-        try:
-            subject_ids, y, X, keys = _parse_columns(records, self.layout)
-        except ValueError:
-            self.raise_first_fault(records)
-            raise
-        self.append(subject_ids, y, X, _codes(self.keys, keys))
+    def add_lines(self, lines) -> bool:
+        """Parse one chunk of lines with `np.loadtxt`, or return False, with
+        nothing kept, when the chunk is not plain, `loadtxt` cannot parse it
+        or `add` refuses it.
 
-    def append(self, subject_ids, y, X, groups) -> None:
-        """Keep one chunk's columns (see `_parse_columns`), with its rows' group codes."""
-        known = len(self.key_rows)  # keys of earlier chunks
-        fresh = np.flatnonzero(groups >= known)
-        _, first = np.unique(groups[fresh], return_index=True)  # in code order
-        self.key_rows.extend((self.rows + 2 + fresh[first]).tolist())
-        self.parts.append((_codes(self.subjects, subject_ids), y, X, groups))
-        self.rows += len(subject_ids)
+        A chunk is plain when no line is longer than `csv.field_size_limit()`
+        and none holds a quote, a NUL (which csv rejects before Python 3.11) or
+        one of the separators \\x1c-\\x1f (`loadtxt` strips them from a number
+        as white space, `float` does not).  In a plain chunk csv splits each
+        line at every comma, as `loadtxt` does; both skip blank lines and keep
+        the other cells as spelled; a row short of the last mapped column is a
+        fault to csv and makes `loadtxt` raise; and `loadtxt` reads a number as
+        `float` does or raises.
+        """
+        text, limit = "".join(lines), csv.field_size_limit()
+        if (any(c in text for c in '"\x00\x1c\x1d\x1e\x1f')
+                or len(text) > limit and max(map(len, lines)) > limit):
+            return False
+        if not text.strip("\r\n"):
+            return True  # blank lines only, of which `loadtxt` warns
+        try:
+            table = np.loadtxt(lines, self.dtype, delimiter=",", quotechar=None, comments=None,
+                               usecols=self.usecols, ndmin=1)
+            self.add(table["s"].tolist(), {j: table[f"n{j}"] for j in self.parsed},
+                     [table[f"g{j}"].tolist() for _, j in self.layout.grouping])
+        except ValueError:
+            return False
+        return True
+
+    def add_records(self, path, reader, done: int) -> None:
+        """Parse the records of a `csv.reader` `_CHUNK` at a time, or raise
+        the InputError of the first fault: a faulty record of the chunk at
+        hand, else the line (`done` lines precede the reader's first) where
+        csv or the decoder failed."""
+        records, chunk = filter(None, reader), []
+        try:
+            while True:
+                chunk.extend(itertools.islice(records, _CHUNK))
+                if not chunk:
+                    return
+                if min(map(len, chunk)) < self.layout.width:
+                    raise ValueError("short record")
+                cells = {j: [record[j] for record in chunk] for j in self.usecols}
+                self.add(cells[self.layout.subject[1]],
+                         {j: np.fromiter(map(float, cells[j]), float, len(chunk))
+                          for j in self.parsed},
+                         [cells[j] for _, j in self.layout.grouping])
+                chunk = []
+        except (csv.Error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            self.raise_first_fault(chunk)
+            raise InputError(f"{path}: line {done + reader.line_num}: {exc}") from None
+
+    def add(self, subject_ids: list[str], numbers: dict, cells: list[list[str]]) -> None:
+        """Keep one chunk's rows, from their subject ids, the numbers of each
+        `parsed` column (by cell index) and the cells of each group column;
+        ValueError, with nothing kept, when a subject id is empty or a cell of
+        a numeric group column is no number."""
+        if "" in subject_ids:
+            raise ValueError("empty subject id")
+        seen = [{} for _ in cells]  # per group column: its distinct cells, each row's among them
+        codes = [_codes(level, column) for level, column in zip(seen, cells)]
+        levels = [list(level) for level in seen]
+        for (_, j), level, code in zip(self.layout.grouping, levels, codes):
+            if j in self.numeric:
+                numbers[j] = np.array(list(map(float, level)))[code]
+        y, *x = (numbers[j] for _, j in self.layout.numeric)
+        n = len(subject_ids)
+        groups = self._key_codes(levels, codes, n)
+        self.parts.append((_codes(self.subjects, subject_ids), np.array(y),
+                           np.column_stack([np.ones(n), *x]), groups))
+        self.rows += n
+
+    def _key_codes(self, levels, index, n: int) -> np.ndarray:
+        """The group code of each of n rows whose cell in group column k is
+        `levels[k][index[k][row]]`, numbering new keys (a tuple of cells, the
+        cell itself for one column) by first appearance and keeping each one's
+        first data row.  Each distinct key is hashed once, and re-coding it
+        densely from the third column on keeps every key below n * n."""
+        key = np.zeros(n, np.int64)  # no column: one key
+        for k, (level, code) in enumerate(zip(levels, index)):
+            if k > 1:
+                key = np.unique(key, return_inverse=True)[1]
+            key = key * len(level) + code
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the distinct keys in order of first appearance
+        rows = first[order]
+        cells = [[level[i] for i in code[rows].tolist()] for level, code in zip(levels, index)]
+        keys = cells[0] if len(cells) == 1 else list(zip(*cells)) or [()]
+        known = len(self.keys)
+        codes = _codes(self.keys, keys)  # of the distinct keys in order of first appearance
+        self.key_rows.extend((self.rows + 2 + rows[codes >= known]).tolist())
+        return codes[np.argsort(order)][inverse]
 
     def raise_first_fault(self, records) -> None:
         """Raise the InputError of the first faulty record of a chunk, if any."""
@@ -263,41 +284,6 @@ def _codes(codes: dict, keys) -> np.ndarray:
     for key in dict.fromkeys(keys):
         codes.setdefault(key, len(codes))
     return np.fromiter(map(codes.__getitem__, keys), np.int64, len(keys))
-
-
-def _key_codes(codes: dict, levels, index) -> np.ndarray:
-    """`_codes(codes, keys)` of the group keys of rows whose cell in group
-    column k is `levels[k][index[k][row]]`, hashing each distinct key once."""
-    dims = [len(level) for level in levels]
-    found, first, inverse = np.unique(np.ravel_multi_index(index, dims), return_index=True,
-                                      return_inverse=True)
-    order = np.argsort(first)  # the distinct keys in order of first appearance
-    keys = [tuple(level[i] for level, i in zip(levels, key))
-            for key in zip(*np.unravel_index(found[order], dims))]
-    if len(levels) == 1:
-        keys = [cell for cell, in keys]  # a one-column key is its cell (see `_parse_columns`)
-    lut = np.empty(len(found), np.int64)
-    lut[order] = _codes(codes, keys)
-    return lut[inverse]
-
-
-def _parse_columns(records, layout: _Layout):
-    """Subject ids, responses, the (1, covariates...) matrix and group keys,
-    parsed a column at a time.  ValueError when any record is faulty."""
-    n = len(records)
-    if min(map(len, records)) < layout.width:
-        raise ValueError("short record")
-    subject_ids = list(map(operator.itemgetter(layout.subject[1]), records))
-    if "" in subject_ids:
-        raise ValueError("empty subject id")
-    y, *x = (np.fromiter(map(float, map(operator.itemgetter(j), records)), float, n)
-             for _, j in layout.numeric)
-    X = np.column_stack([np.ones(n), *x])
-    if layout.grouping:
-        keys = list(map(operator.itemgetter(*(j for _, j in layout.grouping)), records))
-    else:
-        keys = [None] * n
-    return subject_ids, y, X, keys
 
 
 def _group_labels(columns, keys, rows=None) -> list[str]:
@@ -362,6 +348,9 @@ def write_json(payload, out=None) -> str:
 def _emit(text: str, out) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None

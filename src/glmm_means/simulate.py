@@ -35,6 +35,10 @@ LOGISTIC_BETA = (-0.3, -3.0, 2.0, 0.2)
 NEGBIN_BETA = (0.3, -0.2, 0.3, 0.4)
 
 
+class StudyFailure(RuntimeError):
+    """Every replication of a study failed (exit code 2 at the CLI)."""
+
+
 @dataclass(frozen=True)
 class SimDesign:
     family: Family
@@ -57,6 +61,8 @@ class SimDesign:
             raise ValueError("arm sizes must be positive")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if not 0 < self.alpha <= 1:
+            raise ValueError("alpha must be in (0, 1]")
         if self.family is Family.NEGBIN and (self.kappa is None or self.kappa <= 0):
             raise ValueError("negative-binomial designs need kappa > 0")
 
@@ -361,7 +367,7 @@ def run_study(design: SimDesign, max_workers: int | None = None,
     good = [r for r in results if r["ok"]]
     failures = len(results) - len(good)
     if not good:
-        raise RuntimeError("every replication failed; study cannot be summarized")
+        raise StudyFailure("every replication failed; study cannot be summarized")
 
     frame = _covariate_frame(design)
     gids = frame.group_index.group_ids

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import glmm_means.cli as cli
+import glmm_means.simulate as simulate
 from glmm_means import Family, FitConfig, ModelSpec, fit, generate_dataset, logistic_design
 from glmm_means.io import ColumnMapping, InputError, read_dataset
 
@@ -324,10 +325,32 @@ def test_cli_missing_file_exits_3(capsys):
     assert json.loads(err)["error"]["code"] == "io"
 
 
+@pytest.mark.parametrize("command", ["fit", "means", "simulate", "validate"])
+def test_cli_out_in_a_missing_directory_exits_3(small_csv, capsys, tmp_path, command):
+    path, _ = small_csv
+    out_path = tmp_path / "missing" / "out.csv"
+    argv = ([*SIMULATE_ARGS, "--out", str(out_path)] if command == "simulate"
+            else [command, "--input", str(path), *BASE, "--out", str(out_path)])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "io"
+    assert error["message"].startswith(f"cannot write {out_path}: ")
+
+
 def test_cli_usage_error_exits_1(capsys):
     code, _, err = run_cli(["fit", "--family", "logistic"], capsys)  # no --input
     assert code == 1
     assert json.loads(err)["error"]["code"] == "usage"
+    # an alpha outside (0, 1] is refused before any file is read or replication run
+    for argv in (["simulate", "--family", "logistic", "--reps", "2", "--alpha", "2"],
+                 ["means", "--input", "/nonexistent.csv", *BASE, "--alpha", "0"],
+                 ["means", "--input", "/nonexistent.csv", *BASE, "--alpha", "nan"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "usage"
+        assert "argument --alpha: must be in (0, 1]" in error["message"]
 
 
 def test_cli_nonconvergence_exits_2(small_csv, capsys, monkeypatch):
@@ -342,6 +365,20 @@ def test_cli_nonconvergence_exits_2(small_csv, capsys, monkeypatch):
     code, _, err = run_cli(["fit", "--input", str(path), *BASE], capsys)
     assert code == 2
     assert json.loads(err)["error"]["code"] == "non_convergence"
+
+
+def test_cli_study_with_every_replication_failed_exits_2(capsys, monkeypatch):
+    def fake_fit(dataset, spec, config):
+        real = fit(dataset, spec, config)
+        object.__setattr__(real, "converged", False)
+        return real
+
+    monkeypatch.setattr(simulate, "fit", fake_fit)
+    code, out, err = run_cli([*SIMULATE_ARGS, "--reps", "2"], capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "non_convergence"
+    assert "every replication failed" in error["message"]
 
 
 def test_cli_simulate_single_replication(capsys):

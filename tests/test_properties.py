@@ -255,6 +255,31 @@ def test_the_reader_tests_hold_at_a_chunk_of_three_records(monkeypatch, tmp_path
 # ---- numpy reads plain chunks, and only as the csv path reads them ----------------------------
 
 
+@contextlib.contextmanager
+def tokenized_by_csv():
+    """Lists the records `csv.reader` hands the reader's builder while it is active."""
+    records, add_records = [], glmm_io._Columns.add_records
+
+    class Recorded:
+        def __init__(self, reader):
+            self.reader = reader
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            records.append(next(self.reader))
+            return records[-1]
+
+        line_num = property(lambda self: self.reader.line_num)
+
+    def spy(columns, path, reader, done):
+        return add_records(columns, path, Recorded(reader), done)
+
+    with mock.patch.object(glmm_io._Columns, "add_records", spy):
+        yield records
+
+
 # spellings of a number that `np.loadtxt` and `float` could read differently
 SPELLINGS = (" 1", "1 ", "\t1", "1_0", "\u0661", "\xa01", "+nan", "-0", "1e400", "", " ", "\x00",
              "\x0c1", "\x1c1", "\ufeff1")
@@ -285,10 +310,10 @@ def plain_files(draw):
 def _plain_files_read_as_by_the_csv_path(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("plain") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(glmm_io, "_read_records", wraps=glmm_io._read_records) as csv_path:
+    with tokenized_by_csv() as records:
         got = _outcome(read_dataset, path)
     want = _outcome(read_dataset_by_rows, path)
-    event(("csv path, " if csv_path.called else "numpy path, ")
+    event(("csv takes over, " if records else "numpy only, ")
           + ("InputError" if isinstance(want, str) else "Dataset"))
     if isinstance(want, str):
         assert got == want
@@ -310,48 +335,67 @@ def test_numpy_path_matches_the_csv_path_on_plain_files(monkeypatch, tmp_path_fa
 
 def test_only_a_file_that_is_not_plain_reaches_the_csv_path(monkeypatch, tmp_path, grouped_csv):
     lines, grouped, _ = grouped_csv
-
-    def refuse(*args):
-        raise AssertionError("the csv path was taken")
-
-    monkeypatch.setattr(glmm_io, "_read_records", refuse)
     monkeypatch.setattr(glmm_io, "_CHUNK", 3)
     path = tmp_path / "data.csv"
     for end in ("\n", "\r\n", "\r"):
         path.write_bytes(end.join(["subject_id,y,x,u,t", *lines, ""]).encode("utf-8"))
-        assert_same_dataset(read_dataset(str(path), MAPPING), grouped)
-    # one quoted cell, in the last chunk
+        with tokenized_by_csv() as records:
+            assert_same_dataset(read_dataset(str(path), MAPPING), grouped)
+        assert records == []
+    # one quoted cell, in the last chunk: csv tokenizes that chunk alone, and nothing is read twice
     quoted = '"{}",{}'.format(*lines[-1].split(",", 1))
     path.write_text("\n".join(["subject_id,y,x,u,t", *lines[:-1], quoted, ""]), encoding="utf-8")
-    with pytest.raises(AssertionError, match="the csv path was taken"):
-        read_dataset(str(path), MAPPING)
+    with tokenized_by_csv() as records:
+        assert_same_dataset(read_dataset(str(path), MAPPING), grouped)
+    assert records == [line.split(",") for line in lines[-3:]]
     # a group column that holds no number
     arms = ColumnMapping(covariates=("x", "u", "t"), group_by=("arm", "t"))
     armed = tmp_path / "arms.csv"
     armed.write_text("\n".join(["subject_id,y,x,u,t,arm",
                                 *(f"{line},arm {line.split(',')[3]}" for line in lines), ""]),
                      encoding="utf-8")
-    ds = read_dataset(str(armed), arms)
-    monkeypatch.undo()
-    assert_same_dataset(read_dataset(str(path), MAPPING), grouped)
+    with tokenized_by_csv() as records:
+        ds = read_dataset(str(armed), arms)
+    assert records == []
     assert_same_dataset(ds, read_dataset_by_rows(str(armed), arms))
     levels = ("0.0", "1.0")
     assert set(ds.group_labels) == {f"arm=arm {u},t={t}" for u in levels for t in levels}
 
 
-def test_a_pipe_is_read_by_the_csv_path(tmp_path):
-    # the numpy path may give up part way, and a pipe cannot be read again
-    text = 'subject_id,y,x,u,t\na,1,0.5,1,0\n"b",0,0.1,0,1\n'
-    plain, fifo = tmp_path / "data.csv", tmp_path / "pipe.csv"
-    plain.write_text(text, encoding="utf-8")
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"},
-                              daemon=True)
-    writer.start()
-    ds = read_dataset(str(fifo), MAPPING)
-    writer.join(timeout=10)
-    assert not writer.is_alive()
-    assert_same_dataset(ds, read_dataset(str(plain), MAPPING))
+def test_a_plain_pipe_is_read_by_loadtxt(monkeypatch, tmp_path):
+    # a pipe is read once, as a file is; csv takes over part way when a chunk is not plain
+    monkeypatch.setattr(glmm_io, "_CHUNK", 1)
+    plain = tmp_path / "data.csv"
+    for i, (text, tokenized) in enumerate([
+            ("subject_id,y,x,u,t\na,1,0.5,1,0\nb,0,0.1,0,1\n", []),
+            ('subject_id,y,x,u,t\na,1,0.5,1,0\n"b",0,0.1,0,1\n', [["b", "0", "0.1", "0", "1"]])]):
+        plain.write_text(text, encoding="utf-8")
+        fifo = tmp_path / f"pipe{i}.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,),
+                                  kwargs={"encoding": "utf-8"}, daemon=True)
+        writer.start()
+        with tokenized_by_csv() as records:
+            ds = read_dataset(str(fifo), MAPPING)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert records == tokenized
+        assert_same_dataset(ds, read_dataset(str(plain), MAPPING))
+
+
+def test_many_distinct_keys_in_one_chunk_are_read_by_loadtxt(tmp_path):
+    # six group columns of 4096 distinct cells: the product of their level counts is 2**72
+    groups = ("g0", "g1", "g2", "g3", "g4", "g5")
+    rows = [f"s{r // 2},{r % 2},{','.join(str(r * (2 * k + 1) % 4096) for k in range(6))}"
+            for r in range(4096)]
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(["subject_id,y," + ",".join(groups), *rows, ""]), encoding="utf-8")
+    mapping = ColumnMapping(group_by=groups)
+    with tokenized_by_csv() as records:
+        ds = read_dataset(str(path), mapping)
+    assert records == []
+    assert len(ds.group_index.group_ids) == 4096
+    assert_same_dataset(ds, read_dataset_by_rows(str(path), mapping))
 
 
 @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])

@@ -121,6 +121,9 @@ def test_design_validation():
         logistic_design(arm_sizes=(0, 1, 1, 1))
     with pytest.raises(ValueError):
         logistic_design(replications=0)
+    for alpha in (0.0, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="alpha"):
+            logistic_design(alpha=alpha)
     with pytest.raises(ValueError):
         sim.SimDesign(family=Family.NEGBIN, beta=(0.1, 0, 0, 0), sigma=0.1)  # kappa missing
 
