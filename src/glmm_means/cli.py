@@ -12,8 +12,10 @@ the way go into it.  A non-finite number in the output of `fit` or
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -297,6 +299,11 @@ def _run(argv: list[str]) -> tuple[int, dict | None]:
             raise UsageError(f"the following arguments are required: {', '.join(missing)}")
         if not 0 < getattr(args, "alpha", 0.05) <= 1:  # before any fit or study is run
             raise UsageError(f"argument --alpha: must be in (0, 1], not {args.alpha}")
+        if args.out is not None:  # a missing directory is found before the work, not after
+            folder = os.path.dirname(args.out) or "."
+            if not os.path.isdir(folder):
+                missing = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+                raise InputError(f"cannot write {args.out}: {os.strerror(missing)}")
         handler = {
             "fit": _cmd_fit,
             "means": _cmd_means,

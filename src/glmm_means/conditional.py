@@ -88,15 +88,15 @@ class _Factorization:
         return np.concatenate([x, dinv * (s - self.b @ x)])
 
     def variances(self, d: np.ndarray, codes: np.ndarray, n_groups: int,
-                  rows=slice(None), order=None) -> np.ndarray:
+                  order=None) -> np.ndarray:
         """a_q'M^{-1}a_q, a_q = (X_q'd; Z_q'd), of every group q < n_groups:
-        the r-th of `rows` (all by default) lies in group codes[r], weight d[r].
+        row r lies in group codes[r], weight d[r].
         s_q = Z_q'd, r_q = X_q'd - B'D^{-1}s_q and s_q'D^{-1}s_q are sums over
         the (group, subject) pairs that occur, read along `order` (the r group
         by group, each group's by subject, as `Dataset.group_index` lists
         them; a sort if None), and one solve serves every r_q."""
-        r = code_sums(codes, self.X[rows], n_groups, d)
-        subj = self.subject_index[rows]
+        r = code_sums(codes, self.X, n_groups, d)
+        subj = self.subject_index
         if order is None:
             order = np.lexsort((subj, codes))
         subj, group = subj[order], codes[order]
@@ -116,10 +116,6 @@ class _Factorization:
             r[:, c] -= np.bincount(pair_group, self.b[:, c][pair_subj] * dinv_s, n_groups)
         return np.sum(np.linalg.solve(self.chol, r.T) ** 2, axis=0) + sds
 
-    def variance(self, rows: np.ndarray, d: np.ndarray) -> float:
-        """`variances` of one group: a'M^{-1}a, a = (X_q'd; Z_q'd) on the given rows."""
-        return float(self.variances(d, np.zeros(len(rows), np.int64), 1, rows)[0])
-
 
 def build_prediction_structure(fitted: FittedModel, fisher_weight=None) -> PredictionStructure:
     """Iterative weights and design pieces evaluated at the conditional modes;
@@ -131,7 +127,7 @@ def build_prediction_structure(fitted: FittedModel, fisher_weight=None) -> Predi
     return PredictionStructure(
         X=ds.X,
         subject_index=np.asarray(ds.subject_index),
-        weights=np.asarray(ds.weights * fisher_weight, float),
+        weights=np.asarray(fisher_weight, float),
         sigma2=fitted.params.sigma2,
         n_subjects=ds.n_subjects,
     )

@@ -10,20 +10,20 @@ finite differences of the quadrature loglik to quadrature accuracy.
 The quadrature runs over cells, not rows.  A cell is one (subject,
 covariate row) pair: the rows a subject repeats with the same covariates,
 as repeated visits with constant treatment and few time values do, enter
-once with their summed weight and weighted mean response.  That is exact
+once with their row count and mean response.  That is exact
 because every kernel evaluated at the nodes is affine in y at fixed eta;
 the negative binomial's terms nonlinear in y (log Gamma(y + kappa) and its
 derivatives in kappa, log Gamma(y + 1)) are node-free, so they enter the
 loglik, the kappa score and the kappa curvature only as per-pattern sums of
-w times the term over the pattern's rows.  A call evaluates them once per
+the term over the pattern's rows.  A call evaluates them once per
 distinct count, from one prefix sum up to the largest count
 (`families.gamma_table`), and adds them into the pattern sums with one
-`np.bincount` per term over (pattern, count, summed weight) triples.  Data
+`np.bincount` per term over (pattern, count, row count) triples.  Data
 without repeated covariate rows have one cell per row, holding that row's
-weight and response.
+response and a row count of one.
 
 The quadrature also runs over patterns, not subjects: subjects whose
-multisets of raw rows (covariate row, weight, response) are equal share
+multisets of raw rows (covariate row, response) are equal share
 one.  A subject's quadrature terms depend on its rows alone, so the mode,
 the node evaluations and the score are computed once per pattern, on its
 first subject's cells, and every sum over subjects weights a pattern by
@@ -34,9 +34,9 @@ the tolerances are the module constants MAX_ITER, PARAM_TOL, SCORE_TOL
 and MODE_TOL.
 
 Every node kernel comes from one `families.Nodes` per block, one
-exponential per (cell, node), with the cell weights folded into its y and
-n.  numpy's `logaddexp` has no vectorized loop (it takes some 25 times an
-`exp`), so only the NB's unsplit `score_matrix` pass keeps it.  w y per
+exponential per (cell, node), with the cells' row counts folded into its y
+and n.  numpy's `logaddexp` has no vectorized loop (it takes some 25 times
+an `exp`), so only the NB's unsplit `score_matrix` pass keeps it.  w y per
 cell and each block's contiguous X', which no parameter changes, are built
 once.  Patterns are numbered by descending cell count, and a block stores
 its cells position-major: the first cell of every pattern, then the second
@@ -201,7 +201,7 @@ def _patterns(dataset: Dataset):
     Subjects with n rows are compared as rows of their n row kinds,
     ascending, one sort per distinct n.  The covariate rows are numbered
     from the same sort of the raw rows, which puts X first."""
-    order, new = equal_runs(np.column_stack([dataset.X, dataset.weights, dataset.y]))
+    order, new = equal_runs(np.column_stack([dataset.X, dataset.y]))
     kind = np.empty(order.size, dtype=np.intp)
     kind[order] = np.cumsum(new) - 1
     xrow = (np.cumsum(_run_starts(dataset.X[order[new]])) - 1)[kind]
@@ -252,13 +252,13 @@ class _Workspace:
     `pattern` numbers each subject's pattern (see the module docstring),
     `rep` holds each pattern's first subject and `m` its count of subjects.
     `y`, `X`, `w` and `subj` hold one entry per cell of the `rep` subjects,
-    laid out as `blocks` describe, `subj` numbering patterns: w_c = sum w
-    and y_c = sum w y / w_c over the cell's rows.  The terms nonlinear in y
-    (log Gamma(y + k) and its kappa derivatives, log Gamma(y + 1)) enter per
-    pattern: for the NB, `levels` holds the distinct counts of those
-    subjects' rows, checked here to be counts, and `triples` the (pattern,
-    count level, summed weight) of their rows, from which `gamma_terms`
-    forms each call's per-pattern sums for that call's kappa.
+    laid out as `blocks` describe, `subj` numbering patterns: w_c is the
+    cell's row count and y_c the mean response of its rows.  The terms
+    nonlinear in y (log Gamma(y + k) and its kappa derivatives, log Gamma(y
+    + 1)) enter per pattern: for the NB, `levels` holds the distinct counts
+    of those subjects' rows, checked here to be counts, and `triples` the
+    (pattern, count level, row count) of their rows, from which
+    `gamma_terms` forms each call's per-pattern sums for that call's kappa.
     Modes, curvatures and scores enter and leave the methods per subject.
     """
 
@@ -269,7 +269,7 @@ class _Workspace:
         subj = dataset.subject_index
         kept = rep[pattern[subj]] == subj  # the representatives' rows
         X, subj = dataset.X[kept], pattern[subj[kept]]
-        y_rows, w_rows = dataset.y[kept], dataset.weights[kept]
+        y_rows = dataset.y[kept]
         cell, first = _cells(subj, xrow[kept])  # stacked pattern by pattern
         size = np.bincount(subj[first])
         position = np.arange(first.size) - (np.cumsum(size) - size)[subj[first]]
@@ -292,8 +292,8 @@ class _Workspace:
             ends.append(max(k0 + 1, int(np.searchsorted(offsets, offsets[k0] + cap, "right")) - 1))
         order = np.lexsort((subj, position, np.searchsorted(ends, subj, "right")))
         self.subj, self.X, cell = subj[order], X[first[order]], np.argsort(order)[cell]
-        self.w = np.bincount(cell, w_rows)
-        self.y = np.bincount(cell, w_rows * y_rows) / self.w
+        self.w = np.bincount(cell)
+        self.y = np.bincount(cell, y_rows) / self.w
         self.wy = self.w * self.y
         self.blocks = []
         for k0, k1 in zip(ends[:-1], ends[1:]):
@@ -309,13 +309,13 @@ class _Workspace:
         # a block's complete-data scores and their posterior-weighted copy
         self.scratch = np.empty((2, self.dim, int(np.diff(ends).max()) * self.t.size))
         if family is Family.NEGBIN:
-            # (pattern, count, summed weight) of the representatives' rows,
+            # (pattern, count, row count) of the representatives' rows,
             # the count as an index into the distinct counts `levels`
             self.levels, level = np.unique(y_rows, return_inverse=True)
             self.lgamma_y1 = gamma_sums(self.levels, 1.0, 0)  # raises unless counts
             key, triple = np.unique(self.subj[cell] * self.levels.size + level, return_inverse=True)
             self.triples = (key // self.levels.size, key % self.levels.size,
-                            np.bincount(triple, w_rows))
+                            np.bincount(triple))
 
     # ---- parameter packing ---------------------------------------------
 
@@ -405,7 +405,7 @@ class _Workspace:
     # ---- marginal likelihood and scores ---------------------------------
 
     def gamma_terms(self, aux, split=True):
-        """Per-pattern sums of w times the node-free NB terms at size aux, from
+        """Per-pattern sums over rows of the node-free NB terms at size aux, from
         one gamma_table on the distinct counts: the log-density's log Gamma(y +
         k) - log Gamma(k) - log Gamma(y + 1) - y log k (+ (y + k) log k without
         `split`, see integral_pieces) and the two kappa-score offsets; None for
@@ -432,7 +432,7 @@ class _Workspace:
         the node kernel (cells, nodes) for the patterns of one block, from
         per-subject `modes` and `curv`; `operands` are operands(beta, aux,
         split).  The kernel's y and n are w y and w n, so its loglik and
-        eta-score carry the cell weights.
+        eta-score carry the cells' row counts.
 
         With `split`, the negative binomial's (y + k) log(k + mu) is written
         as (y + k) (log k + log1p(mu / k)): the eta-dependent part is then
@@ -577,7 +577,7 @@ def marginal_loglik(dataset: Dataset, spec: ModelSpec, params: ParamVector,
     aux = params.kappa if spec.family is Family.NEGBIN else None
     if params.sigma2 == 0.0:  # on the raw rows: the log-density is not affine in y
         eta = dataset.X @ np.asarray(params.beta, float)
-        return float(np.sum(dataset.weights * family_ops(spec.family).loglik(dataset.y, eta, aux)))
+        return float(np.sum(family_ops(spec.family).loglik(dataset.y, eta, aux)))
     ws = _Workspace(dataset, spec.family, gh_nodes)
     theta = ws.pack(params.beta, params.sigma2, params.kappa)
     ll, _, _ = ws.loglik_at(theta)

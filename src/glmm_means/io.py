@@ -275,7 +275,7 @@ class _Columns:
         labels = _group_labels(columns, list(self.keys), self.key_rows)
         subjects, y, X, groups = map(np.concatenate, zip(*self.parts))
         self.parts.clear()  # the chunks' arrays go before the rows are stacked by subject
-        return Dataset.from_codes(list(self.subjects), subjects, y, X, None, labels, groups)
+        return Dataset.from_codes(list(self.subjects), subjects, y, X, labels, groups)
 
 
 def _codes(codes: dict, keys) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Core data model: the stacked-row dataset, subject blocks, and validation.
 
 A Dataset stores every row once, stacked subject by subject: responses,
-covariate rows, row weights and one group label per row, plus each row's
-subject number and the subjects' row offsets.  It is the only place that
-groups rows by subject: every constructor hands per-row arrays with integer
-subject and group codes to one builder, `Dataset.from_codes`, which accepts
-rows in any order.  `SubjectBlock` is the per-subject view for callers
-that build or read data one subject at a time.  All containers are immutable after construction;
-numpy arrays are frozen so instances can be shared across threads.
+covariate rows and one group label per row, plus each row's subject number
+and the subjects' row offsets.  Every row is one observation and counts
+once; there are no observation weights.  The Dataset is the only place
+that groups rows by subject: every constructor hands per-row arrays with
+integer subject and group codes to one builder, `Dataset.from_codes`, which
+accepts rows in any order.  `SubjectBlock` is the per-subject view for
+callers that build or read data one subject at a time.  All containers are
+immutable after construction; numpy arrays are frozen so instances can be
+shared across threads.
 Statistical invariants (response domain, full column rank, group
 partition) are checked by `validate`, not by the constructors.
 """
@@ -35,13 +37,12 @@ def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SubjectBlock:
-    """Observations of one subject: y (n_i,), X (n_i, p), groups (n_i,)."""
+    """Observations of one subject, one row each: y (n_i,), X (n_i, p), groups (n_i,)."""
 
     subject_id: str
     y: np.ndarray
     X: np.ndarray
     groups: tuple[str, ...]
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "y", _frozen_array(self.y))
@@ -54,10 +55,6 @@ class SubjectBlock:
         if len(self.groups) != n:
             raise ValueError(f"subject {self.subject_id!r}: {len(self.groups)} group labels for {n} rows")
         object.__setattr__(self, "groups", tuple(str(g) for g in self.groups))
-        w = np.ones(n) if self.weights is None else np.asarray(self.weights, dtype=float)
-        if w.shape != (n,):
-            raise ValueError(f"subject {self.subject_id!r}: weight vector has shape {w.shape}")
-        object.__setattr__(self, "weights", _frozen_array(w))
 
     @property
     def n_obs(self) -> int:
@@ -87,13 +84,13 @@ class Dataset:
 
     Rows are stored subject by subject, so each subject's observations
     occupy a contiguous slice `[row_offsets[i], row_offsets[i+1])`: `y`,
-    `X`, `weights`, `subject_index`, `group_labels` and `group_codes` (the
-    position of the row's group in `group_index.group_ids`) hold one entry
-    per row, `subject_ids` one per subject, and `group_sizes` and `group_X`
-    (the average covariate row) one per group.  `Dataset(subjects)` stacks
-    per-subject blocks in the given order; `Dataset.from_rows` takes rows
-    in any order, and `Dataset.from_codes` rows whose subjects and groups
-    are already numbered.
+    `X`, `subject_index`, `group_labels` and `group_codes` (the position of
+    the row's group in `group_index.group_ids`) hold one entry per row,
+    `subject_ids` one per subject, and `group_sizes` (rows, each counted
+    once) and `group_X` (the average covariate row) one per group.
+    `Dataset(subjects)` stacks per-subject blocks in the given order;
+    `Dataset.from_rows` takes rows in any order, and `Dataset.from_codes`
+    rows whose subjects and groups are already numbered.
     """
 
     def __init__(self, subjects: Sequence[SubjectBlock]):
@@ -117,24 +114,23 @@ class Dataset:
             np.repeat(np.arange(len(subjects)), [s.n_obs for s in subjects]),
             np.concatenate([s.y for s in subjects]),
             np.vstack([s.X for s in subjects]),
-            np.concatenate([s.weights for s in subjects]),
             labels,
             groups,
         )
 
     @classmethod
-    def from_rows(cls, subject_ids, y, X, groups, weights=None) -> "Dataset":
+    def from_rows(cls, subject_ids, y, X, groups) -> "Dataset":
         """Dataset from per-row arrays in any row order.
 
         Subjects are numbered by first appearance and each subject's rows
-        keep their input order.  `weights` defaults to ones.
+        keep their input order.
         """
         ids, subjects = _first_appearance_codes(subject_ids)
         labels, codes = _first_appearance_codes(list(map(str, groups)))
-        return cls.from_codes(ids, subjects, y, X, weights, labels, codes)
+        return cls.from_codes(ids, subjects, y, X, labels, codes)
 
     @classmethod
-    def from_codes(cls, subject_ids, subjects, y, X, weights, group_labels, groups) -> "Dataset":
+    def from_codes(cls, subject_ids, subjects, y, X, group_labels, groups) -> "Dataset":
         """Dataset from per-row arrays in any row order, with each row's
         subject and group given as an integer code.
 
@@ -142,14 +138,13 @@ class Dataset:
         `group_labels[groups[r]]`; every one of the distinct `subject_ids`
         needs a row.  Subjects are stacked in code order, each keeping its
         rows' input order.  Rows whose labels are equal form one group.
-        `weights` of None means ones.
         """
         ds = cls.__new__(cls)
-        ds._store(subject_ids, subjects, y, X, weights, group_labels, groups)
+        ds._store(subject_ids, subjects, y, X, group_labels, groups)
         return ds
 
     def with_responses(self, y) -> "Dataset":
-        """The same subjects, rows, weights and group index with responses
+        """The same subjects, covariate rows and group index with responses
         `y`, given in this dataset's stacked row order."""
         y = _frozen_array(y)
         if y.shape != self.y.shape:
@@ -158,7 +153,7 @@ class Dataset:
         ds.y = y
         return ds
 
-    def _store(self, subject_ids, subjects, y, X, weights, group_labels, groups) -> None:
+    def _store(self, subject_ids, subjects, y, X, group_labels, groups) -> None:
         """Stack the rows subject by subject (see `from_codes`).
 
         The row arrays are fresh copies owned by this dataset and are frozen in place.
@@ -172,9 +167,6 @@ class Dataset:
             raise ValueError("dataset needs at least one subject")
         if X.ndim != 2 or X.shape[0] != n:
             raise ValueError(f"X has shape {X.shape}, expected ({n}, p)")
-        weights = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-        if weights.shape != (n,):
-            raise ValueError(f"weight vector has shape {weights.shape}, expected ({n},)")
         subjects, groups = np.asarray(subjects, np.int64), np.asarray(groups, np.int64)
         if subjects.shape != (n,) or groups.shape != (n,):
             raise ValueError(
@@ -187,8 +179,8 @@ class Dataset:
         self.subject_ids = tuple(subject_ids)
         self.row_offsets = np.concatenate([[0], np.cumsum(counts)])
         self.subject_index = np.repeat(np.arange(len(self.subject_ids)), counts)
-        self.y, self.X, self.weights = y[order], X[order], weights[order]
-        for arr in (self.row_offsets, self.subject_index, self.y, self.X, self.weights):
+        self.y, self.X = y[order], X[order]
+        for arr in (self.row_offsets, self.subject_index, self.y, self.X):
             arr.setflags(write=False)
         labels, merged = _first_appearance_codes(group_labels)
         codes = merged[groups[order]]
@@ -217,7 +209,6 @@ class Dataset:
                 y=self.y[a:b],
                 X=self.X[a:b],
                 groups=self.group_labels[a:b],
-                weights=self.weights[a:b],
             )
             for sid, a, b in zip(self.subject_ids, bounds, bounds[1:])
         )
@@ -311,9 +302,6 @@ def validate(dataset: Dataset, spec: ModelSpec) -> list[Violation]:
         violations.append(
             Violation("response", f"{spec.family.value} family requires responses in {expected}")
         )
-
-    if not np.all(np.isfinite(dataset.weights) & (dataset.weights > 0)):
-        violations.append(Violation("weights", "observation weights must be finite and positive"))
 
     if not np.all(np.isfinite(dataset.X)):
         violations.append(Violation("covariates", "covariate matrix contains non-finite entries"))

@@ -19,6 +19,7 @@ reproducible bit for bit regardless of worker count.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,7 +37,8 @@ NEGBIN_BETA = (0.3, -0.2, 0.3, 0.4)
 
 
 class StudyFailure(RuntimeError):
-    """Every replication of a study failed (exit code 2 at the CLI)."""
+    """Every replication of a study failed (exit code 2 at the CLI); the
+    message counts the replications that failed for each reason."""
 
 
 @dataclass(frozen=True)
@@ -367,7 +369,9 @@ def run_study(design: SimDesign, max_workers: int | None = None,
     good = [r for r in results if r["ok"]]
     failures = len(results) - len(good)
     if not good:
-        raise StudyFailure("every replication failed; study cannot be summarized")
+        counts = Counter(r["reason"] for r in results).most_common()
+        causes = ", ".join(f"{n} × {reason}" for reason, n in counts)
+        raise StudyFailure(f"every replication failed ({causes}); study cannot be summarized")
 
     frame = _covariate_frame(design)
     gids = frame.group_index.group_ids

@@ -164,39 +164,38 @@ def conditional_mode(subject: SubjectBlock, params: ParamVector) -> tuple[float,
 
 def representative_rows(ws: _Workspace, dataset: Dataset):
     """Every row of the patterns' first subjects, taken from the dataset, not
-    from the workspace: its response, its weight, its pattern and its cell,
-    the stored cell of that pattern with that covariate row."""
+    from the workspace: its response, its pattern and its cell, the stored
+    cell of that pattern with that covariate row."""
     subj = dataset.subject_index
     kept = ws.rep[ws.pattern[subj]] == subj
     pattern = ws.pattern[subj[kept]]
     stored = {(int(k), x.tobytes()): c for c, (k, x) in enumerate(zip(ws.subj, ws.X))}
     cell = np.array([stored[int(k), x.tobytes()] for k, x in zip(pattern, dataset.X[kept])])
-    return dataset.y[kept], dataset.weights[kept], pattern, cell
+    return dataset.y[kept], pattern, cell
 
 
 def per_row_cell_mean(ws: _Workspace, dataset: Dataset, f) -> np.ndarray:
-    """The per-cell w-weighted mean of f evaluated on every row of the
-    patterns' first subjects: how the workspace once averaged the NB terms
-    nonlinear in y."""
-    y, w, _, cell = representative_rows(ws, dataset)
-    return np.bincount(cell, w * f(y)) / ws.w
+    """The per-cell mean of f evaluated on every row of the patterns' first
+    subjects: how the workspace once averaged the NB terms nonlinear in y."""
+    y, _, cell = representative_rows(ws, dataset)
+    return np.bincount(cell, f(y)) / ws.w
 
 
 def per_row_pattern_sums(ws: _Workspace, dataset: Dataset, f) -> np.ndarray:
     """The oracle for `_Workspace.gamma_terms`: per pattern, the correctly
-    rounded sum of w f(y) over its first subject's rows, f evaluated row by
+    rounded sum of f(y) over its first subject's rows, f evaluated row by
     row."""
-    y, w, pattern, _ = representative_rows(ws, dataset)
-    terms = w * f(y)
+    y, pattern, _ = representative_rows(ws, dataset)
+    terms = f(y)
     return np.array([math.fsum(terms[pattern == k]) for k in range(ws.P)])
 
 
 def per_cell_derivatives(ws: _Workspace, dataset: Dataset, theta, modes, curv, hessian=True,
                          split=True):
     """The oracle for `_Workspace.derivatives`: the per-cell pass it
-    replaced.  Each cell's kernel takes the cell's mean response, its weight
-    multiplies every term, the NB terms nonlinear in y enter each cell as
-    w-weighted means over its rows (per_row_cell_mean), the kappa terms come
+    replaced.  Each cell's kernel takes the cell's mean response, its row
+    count multiplies every term, the NB terms nonlinear in y enter each cell
+    as means over its rows (per_row_cell_mean), the kappa terms come
     from `families.Nodes`, and every per-pattern sum is an `np.add.at` in
     cell order.  Returns d_i per subject, the loglik and the Hessian."""
     from scipy.special import logsumexp

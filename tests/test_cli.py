@@ -338,6 +338,24 @@ def test_cli_out_in_a_missing_directory_exits_3(small_csv, capsys, tmp_path, com
     assert error["message"].startswith(f"cannot write {out_path}: ")
 
 
+def test_cli_unwritable_out_exits_3_before_any_fit_or_replication(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_study", refuse)
+    monkeypatch.setattr(cli, "fit", refuse)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    for out_path, reason in ((tmp_path / "missing" / "x.csv", "No such file or directory"),
+                             (tmp_path / "file" / "x.csv", "Not a directory")):
+        code, out, err = run_cli(
+            ["simulate", "--family", "logistic", "--reps", "500", "--out", str(out_path)], capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "io"
+        assert error["message"] == f"cannot write {out_path}: {reason}"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_usage_error_exits_1(capsys):
     code, _, err = run_cli(["fit", "--family", "logistic"], capsys)  # no --input
     assert code == 1
@@ -379,6 +397,19 @@ def test_cli_study_with_every_replication_failed_exits_2(capsys, monkeypatch):
     error = json.loads(err)["error"]
     assert error["code"] == "non_convergence"
     assert "every replication failed" in error["message"]
+    assert "(2 × non-convergence)" in error["message"]
+
+
+def test_cli_study_whose_every_replication_raises_names_the_exception(capsys, monkeypatch):
+    def failing_fit(dataset, spec, config):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(simulate, "fit", failing_fit)
+    code, out, err = run_cli([*SIMULATE_ARGS, "--reps", "2"], capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["message"] == ("every replication failed (2 × ValueError: boom); "
+                                "study cannot be summarized")
 
 
 def test_cli_simulate_single_replication(capsys):

@@ -230,17 +230,18 @@ def test_group_covariance_and_variance_match_dense_oracle(family, kappa, sigma2)
     struct = build_prediction_structure(f)
     minv = _dense_inverse(struct)
     ops = family_ops(family)
-    for gid in ds.group_index.group_ids:
+    d_rows = ops.dinverse_link(predicted_eta_rows(f))
+    # the batched solve over all rows, group q holding the rows of code q
+    batched = factorize_structure(struct).variances(d_rows, ds.group_codes, ds.group_sizes.size)
+    for q, gid in enumerate(ds.group_index.group_ids):
         idx = ds.group_index.indices[gid]
         cols = _dense_columns(struct, idx)
         oracle = cols.T @ minv @ cols
         np.testing.assert_allclose(group_covariance(f, gid), oracle, rtol=1e-10, atol=1e-14)
-        d = ops.dinverse_link(predicted_eta_rows(f)[idx])
+        d = d_rows[idx]
         var = float(d @ oracle @ d) / len(idx) ** 2
         assert conditional_estimates(f)[gid].variance == pytest.approx(var, rel=1e-10)
-        # the one-group case of the batched solve, on the group's rows
-        assert factorize_structure(struct).variance(idx, d) / len(idx) ** 2 == pytest.approx(
-            var, rel=1e-10)
+        assert batched[q] / len(idx) ** 2 == pytest.approx(var, rel=1e-10)
 
 
 @pytest.mark.parametrize("sigma2", [1e-12, 1e-10, 1e-9, 2e-9, 0.5, 25.0])

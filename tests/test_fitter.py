@@ -464,14 +464,13 @@ def test_pattern_sums_equal_a_loop_over_each_patterns_cells(sizes, block_cells, 
 def _merge_oracle_pair(family, seed=3, K=12):
     """The same rows twice: covariates (1, x) with x from three values, so a
     subject repeats covariate rows with other responses, and (1, x, z) with
-    z distinct on every row, which no rows share; weights unequal."""
+    z distinct on every row, which no rows share."""
     rng = np.random.default_rng(seed)
-    sid, y, X, w = [], [], [], []
+    sid, y, X = [], [], []
     for i in range(K):
         for x in rng.choice([-0.5, 0.0, 0.7], size=int(rng.integers(2, 9))):
             sid.append(f"s{i}")
             X.append([1.0, x])
-            w.append(rng.uniform(0.3, 2.5))
             if family is Family.LOGISTIC:
                 y.append(float(rng.integers(0, 2)))
             else:
@@ -479,8 +478,8 @@ def _merge_oracle_pair(family, seed=3, K=12):
     X = np.array(X)
     z = np.arange(len(y)) / len(y) + 0.1
     groups = ["g"] * len(y)
-    merged = Dataset.from_rows(sid, y, X, groups, w)
-    return merged, Dataset.from_rows(sid, y, np.column_stack([X, z]), groups, w)
+    merged = Dataset.from_rows(sid, y, X, groups)
+    return merged, Dataset.from_rows(sid, y, np.column_stack([X, z]), groups)
 
 
 def _assert_close(got, want, floor):
@@ -541,7 +540,7 @@ def test_cells_match_the_unmerged_rows(family, kappa):
     # sigma2 = 0 is the conditional loglik, summed over the raw rows
     spec = ModelSpec(family=family, p=2)
     at_zero = marginal_loglik(merged, spec, ParamVector(beta=beta, sigma2=0.0, kappa=kappa))
-    rows = merged.weights * family_ops(family).loglik(merged.y, merged.X @ beta, kappa)
+    rows = family_ops(family).loglik(merged.y, merged.X @ beta, kappa)
     assert at_zero == pytest.approx(float(rows.sum()), rel=1e-12)
 
 
@@ -573,15 +572,15 @@ def test_fit_reports_rows_and_quadrature_cells():
         assert fitted.diagnostics["quadrature_cells"] == cells
 
 
-_ROW = st.tuples(st.integers(0, 1), st.integers(0, 2), st.sampled_from([1.0, 2.0]))
+_ROW = st.tuples(st.integers(0, 1), st.integers(0, 2))
 
 
 @given(st.lists(st.lists(_ROW, min_size=1, max_size=3), min_size=1, max_size=12))
 def test_subjects_with_equal_row_multisets_share_a_pattern(subjects):
-    # each subject a list of (x, y, w) rows; patterns numbered by first appearance
+    # each subject a list of (x, y) rows; patterns numbered by first appearance
     ids = [f"s{i}" for i, rows in enumerate(subjects) for _ in rows]
-    x, y, w = (np.array([r[j] for rows in subjects for r in rows], float) for j in range(3))
-    ds = Dataset.from_rows(ids, y, np.column_stack([np.ones_like(x), x]), ["g"] * len(ids), w)
+    x, y = (np.array([r[j] for rows in subjects for r in rows], float) for j in range(2))
+    ds = Dataset.from_rows(ids, y, np.column_stack([np.ones_like(x), x]), ["g"] * len(ids))
     pattern, rep, xrow = _patterns(ds)
     same_row = np.all(ds.X[:, None] == ds.X[None], axis=2)
     np.testing.assert_array_equal(xrow[:, None] == xrow[None], same_row)
@@ -595,19 +594,18 @@ def test_subjects_with_equal_row_multisets_share_a_pattern(subjects):
 
 def _pattern_oracle_pair(family, seed=5, K=80):
     """The same subjects twice: one to three rows of covariates (1, x, t),
-    with x fixed per subject and t in {0, 1, 1}, unit or double weights and
-    responses from a few values, so subjects repeat each other's rows and
+    with x fixed per subject and t in {0, 1, 1}, and responses from a few
+    values, so subjects repeat each other's rows and
     rows within a subject merge into cells; and (1, x, t, z) with z constant
     within a subject and distinct between subjects, so that the cells are
     the same but no two subjects share a pattern."""
     rng = np.random.default_rng(seed)
-    sid, y, X, w = [], [], [], []
+    sid, y, X = [], [], []
     for i in range(K):
         x = float(rng.integers(0, 2))
         for t in (0.0, 1.0, 1.0)[: int(rng.integers(1, 4))]:
             sid.append(f"s{i}")
             X.append([1.0, x, t])
-            w.append(2.0 if i % 3 == 0 else 1.0)
             if family is Family.LOGISTIC:
                 y.append(float(rng.integers(0, 2)))
             else:
@@ -615,8 +613,8 @@ def _pattern_oracle_pair(family, seed=5, K=80):
     X = np.array(X)
     z = np.array([int(s[1:]) for s in sid]) / K + 0.1
     groups = ["g"] * len(y)
-    pooled = Dataset.from_rows(sid, y, X, groups, w)
-    return pooled, Dataset.from_rows(sid, y, np.column_stack([X, z]), groups, w)
+    pooled = Dataset.from_rows(sid, y, X, groups)
+    return pooled, Dataset.from_rows(sid, y, np.column_stack([X, z]), groups)
 
 
 @MERGE_CASES
@@ -633,15 +631,15 @@ def test_patterns_match_the_unpooled_subjects(family, kappa):
 
 @pytest.mark.parametrize("family", [Family.LOGISTIC, Family.NEGBIN])
 def test_the_fused_pass_matches_the_per_cell_pass(family, monkeypatch):
-    # derivatives folds the weights into w y and w n, sums the NB node-free
+    # derivatives folds the cells' row counts into w y and w n, sums the NB node-free
     # terms per pattern and reads the node sums of the Hessian as row dots;
     # the per-cell pass it replaced (conftest) is the oracle.  Both round
     # differently.  Measured worst cases over these data, points and block
-    # sizes: d 2.6e-14 of max |d|, the loglik 6.6e-16 relative, H 5.3e-15
+    # sizes: d 1.8e-14 of max |d|, the loglik 6.1e-16 relative, H 7.2e-15
     # of the larger of max |H| and max |sum d_i d_i'| (on the sigma2 bound
     # E_post[s s'] and d_i d_i' cancel to a far smaller H); the unsplit NB
     # form at kappa = 1e6, whose terms of size k log k round at ~1e-9 per
-    # cell (integral_pieces), 8.2e-10, 1.2e-10 and 1.3e-10.
+    # cell (integral_pieces), 6.8e-10, 1.2e-10 and 1.2e-10.
     import glmm_means.fitter as fitter
 
     nb = family is Family.NEGBIN
@@ -650,7 +648,7 @@ def test_the_fused_pass_matches_the_per_cell_pass(family, monkeypatch):
         monkeypatch.setattr(fitter, "_BLOCK_CELLS", block_cells)
         for ds in (pooled, merged):
             ws = _Workspace(ds, family, 25)
-            assert ws.C < ws.N and np.any(ds.weights != 1.0) and (ds is merged or ws.P < ws.K)
+            assert ws.C < ws.N and (ds is merged or ws.P < ws.K)
             if block_cells < 10**9:
                 assert len(ws.blocks) > 1 and any(b.tail for b in ws.blocks)
             beta = np.array([0.3, -0.8, 0.5])[: ds.p]
@@ -672,10 +670,11 @@ def test_the_fused_pass_matches_the_per_cell_pass(family, monkeypatch):
 _BIG = [SUM_CAP + 1, SUM_CAP + 250, 2 * SUM_CAP + 17]
 
 
-def _level_dataset(weighted):
+def _level_dataset(repeated):
     """Counts from a few values over repeated covariate rows, so that cells
     hold several rows and subjects repeat each other's rows; zero is
-    written 0, -0 and 0.0 across the rows, and some counts exceed SUM_CAP."""
+    written 0, -0 and 0.0 across the rows, and some counts exceed SUM_CAP.
+    With `repeated`, every row is written one to three times in a row."""
     rng = np.random.default_rng(8)
     zeros = ["0", "-0", "0.0"]
     sid, y, X = [], [], []
@@ -685,26 +684,27 @@ def _level_dataset(weighted):
             X.append([1.0, float(rng.integers(0, 2))])
             count = int(rng.choice([0, 0, 1, 2, 7, 40] + _BIG * (i % 5 == 0)))
             y.append(float(zeros[(i + j) % 3] if count == 0 else str(count)))
-    w = rng.uniform(0.3, 2.5, len(y))
+    times = rng.integers(1, 4, len(y)) if repeated else np.ones(len(y), np.int64)
     copied = [r for r, s in enumerate(sid) if s in ("s0", "s1", "s5")]  # shared patterns
     sid += [f"copy of {sid[r]}" for r in copied]
-    y, X, w = y + [y[r] for r in copied], X + [X[r] for r in copied], np.append(w, w[copied])
-    return Dataset.from_rows(sid, y, np.array(X), ["g"] * len(y), w if weighted else None)
+    y, X, times = y + [y[r] for r in copied], X + [X[r] for r in copied], np.append(times, times[copied])
+    sid = [s for s, n in zip(sid, times) for _ in range(n)]
+    return Dataset.from_rows(sid, np.repeat(y, times), np.repeat(X, times, axis=0), ["g"] * len(sid))
 
 
-@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("repeated", [False, True])
 @pytest.mark.parametrize("kappa", [1e-3, 0.7, 65.0, 999.9, 1e3, 1e6])
-def test_per_level_terms_equal_the_per_row_cell_means(kappa, weighted):
-    # the NB terms nonlinear in y enter as per-pattern sums of w f(y), from
-    # (pattern, count, summed weight) triples and one prefix sum over the
+def test_per_level_terms_equal_the_per_row_cell_means(kappa, repeated):
+    # the NB terms nonlinear in y enter as per-pattern sums of f(y), from
+    # (pattern, count, row count) triples and one prefix sum over the
     # distinct counts; against per-row evaluations summed exactly (fsum),
-    # they differ only by the rounding of summing weights first and terms
-    # per count, measured at 2.2e-16 of the sum of |w f(y)| (1e-15 allowed)
-    ds = _level_dataset(weighted)
+    # they differ only by the rounding of summing terms per count, measured
+    # at 2.2e-16 of the sum of |f(y)| (1e-15 allowed)
+    ds = _level_dataset(repeated)
     ws = _Workspace(ds, Family.NEGBIN, 25)
     assert np.any(np.signbit(ds.y) & (ds.y == 0.0))
     assert ws.C < ws.N and ws.P < ws.K
-    y, w, pattern, cell = representative_rows(ws, ds)
+    y, pattern, cell = representative_rows(ws, ds)
     # some cell holds two different counts above the cap
     big = y > SUM_CAP
     assert any(np.unique(y[big & (cell == c)]).size > 1 for c in np.unique(cell[big]))
@@ -717,7 +717,7 @@ def test_per_level_terms_equal_the_per_row_cell_means(kappa, weighted):
         (psi1, lambda y: gamma_sums(y, kappa, 2)),
     ]
     for got, f in cases:
-        size = np.bincount(pattern, np.abs(w * f(y)), minlength=ws.P)
+        size = np.bincount(pattern, np.abs(f(y)), minlength=ws.P)
         assert np.all(np.abs(got - per_row_pattern_sums(ws, ds, f)) <= 1e-15 * size)
 
 
@@ -732,8 +732,7 @@ def _doubled(ds):
     """The dataset followed by a copy of every subject under a new id."""
     ids = [ds.subject_ids[k] for k in ds.subject_index]
     return Dataset.from_rows(ids + [f"{i}'" for i in ids], np.tile(ds.y, 2),
-                             np.vstack([ds.X, ds.X]), list(ds.group_labels) * 2,
-                             np.tile(ds.weights, 2))
+                             np.vstack([ds.X, ds.X]), list(ds.group_labels) * 2)
 
 
 @pytest.mark.parametrize("maker", [logistic_design, negbin_design])
@@ -756,13 +755,13 @@ def test_doubling_every_subject_doubles_the_information(maker):
 
 
 def test_fit_reports_subject_patterns():
-    # a pattern is the multiset of a subject's (covariate row, weight,
-    # response) rows, here counted as a set of sorted tuples
+    # a pattern is the multiset of a subject's (covariate row, response)
+    # rows, here counted as a set of sorted tuples
     for control, patterns in (("gender", 22), ("time", 23)):
         design = logistic_design(control=control, replications=1, seed=3)
         ds = generate_dataset(design)
         fitted = fit(ds, ModelSpec(family=design.family, p=design.p))
-        rows = np.column_stack([ds.X, ds.weights, ds.y])
+        rows = np.column_stack([ds.X, ds.y])
         bounds = zip(ds.row_offsets[:-1], ds.row_offsets[1:])
         distinct = {tuple(sorted(map(tuple, rows[a:b]))) for a, b in bounds}
         assert fitted.diagnostics["subject_patterns"] == len(distinct) == patterns
@@ -991,25 +990,6 @@ def test_fit_recovers_coefficients_over_replications(time_study_r200):
     assert report.failures <= 4
     bound = np.maximum(0.05, 0.025 * np.abs(truth))
     np.testing.assert_array_less(np.abs(betas.mean(axis=0) - truth), bound)
-
-
-def test_observation_weights_double_count_evidence():
-    # one observation with weight 2 carries the evidence of two copies
-    x = np.array([[1.0, 0.4]])
-    twice = SubjectBlock(
-        subject_id="s",
-        y=np.array([1.0, 1.0]),
-        X=np.vstack([x, x]),
-        groups=("g", "g"),
-    )
-    weighted = SubjectBlock(
-        subject_id="s", y=np.array([1.0]), X=x, groups=("g",), weights=np.array([2.0])
-    )
-    spec = ModelSpec(family=Family.LOGISTIC, p=2)
-    params = ParamVector(beta=np.array([0.3, -0.2]), sigma2=0.4)
-    ll_two = marginal_loglik(Dataset([twice]), spec, params)
-    ll_wt = marginal_loglik(Dataset([weighted]), spec, params)
-    assert ll_wt == pytest.approx(ll_two, rel=1e-12)
 
 
 @pytest.mark.slow

@@ -111,11 +111,9 @@ def test_from_rows_groups_subjects_by_first_appearance():
         y=[1, 0, 0, 1, 1],
         X=[[1.0, 0.1], [1.0, 0.2], [1.0, 0.3], [1.0, 0.4], [1.0, 0.5]],
         groups=["g", "h", "h", "g", "g"],
-        weights=[1.0, 2.0, 3.0, 4.0, 5.0],
     )
     assert ds.subject_ids == ("b", "a", "c")
     np.testing.assert_array_equal(ds.X[:, 1], [0.1, 0.3, 0.2, 0.5, 0.4])
-    np.testing.assert_array_equal(ds.weights, [1.0, 3.0, 2.0, 5.0, 4.0])
     np.testing.assert_array_equal(ds.row_offsets, [0, 2, 4, 5])
     np.testing.assert_array_equal(ds.subject_index, [0, 0, 1, 1, 2])
     assert ds.group_labels == ("g", "h", "h", "g", "g")
@@ -133,8 +131,6 @@ def test_from_rows_shape_errors():
         Dataset.from_rows(["s", "s"], np.zeros(2), np.ones((3, 2)), ["a", "a"])
     with pytest.raises(ValueError, match="group labels for 2 rows"):
         Dataset.from_rows(["s", "s"], np.zeros(2), X, ["a"])
-    with pytest.raises(ValueError, match="weight vector"):
-        Dataset.from_rows(["s", "s"], np.zeros(2), X, ["a", "a"], weights=np.ones(3))
 
 
 def test_with_responses_replaces_only_the_responses():
@@ -216,18 +212,6 @@ def test_validate_flags_dimension_mismatch():
     assert "dimension" in codes
 
 
-def test_validate_flags_nonpositive_weights():
-    sb = SubjectBlock(
-        subject_id="s0",
-        y=np.array([1.0, 0.0]),
-        X=np.array([[1.0, 0.5], [1.0, -0.5]]),
-        groups=("a", "b"),
-        weights=np.array([1.0, 0.0]),
-    )
-    codes = [v.code for v in validate(Dataset([sb, block("s1")]), _spec())]
-    assert "weights" in codes
-
-
 @pytest.mark.parametrize("family, bad", [
     (Family.NEGBIN, np.inf),
     (Family.NEGBIN, np.nan),
@@ -237,19 +221,6 @@ def test_validate_flags_nonfinite_response(family, bad):
     ds = Dataset([block("s0", y=(bad, 1.0)), block("s1")])
     codes = [v.code for v in validate(ds, _spec(family))]
     assert codes == ["response"]
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_validate_flags_nonfinite_weights(bad):
-    sb = SubjectBlock(
-        subject_id="s0",
-        y=np.array([1.0, 0.0]),
-        X=np.array([[1.0, 0.5], [1.0, -0.5]]),
-        groups=("a", "b"),
-        weights=np.array([1.0, bad]),
-    )
-    codes = [v.code for v in validate(Dataset([sb, block("s1")]), _spec())]
-    assert codes == ["weights"]
 
 
 @pytest.mark.parametrize("indices", [

@@ -67,7 +67,7 @@ def interleave(subject_of_row, offsets):
 
 def assert_same_dataset(a, b):
     """Equal bit for bit, NaN payloads and signed zeros included."""
-    for name in ("y", "X", "weights", "subject_index", "row_offsets"):
+    for name in ("y", "X", "subject_index", "row_offsets"):
         got, want = getattr(a, name), getattr(b, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
@@ -466,7 +466,6 @@ def subject_blocks(draw):
                 y=draw(st.lists(finite, min_size=n, max_size=n)),
                 X=np.array(draw(st.lists(finite, min_size=n * p, max_size=n * p))).reshape(n, p),
                 groups=tuple(draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))),
-                weights=draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)),
             )
         )
     return blocks
@@ -480,7 +479,6 @@ def test_block_and_row_constructors_agree(blocks, data):
         "y": np.concatenate([b.y for b in blocks]),
         "X": np.vstack([b.X for b in blocks]),
         "groups": [g for b in blocks for g in b.groups],
-        "weights": np.concatenate([b.weights for b in blocks]),
     }
     assert_same_dataset(Dataset.from_rows(**rows), ds)
     assert_same_dataset(Dataset(ds.subjects), ds)

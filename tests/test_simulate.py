@@ -81,7 +81,7 @@ def test_replication_equals_the_dataset_built_from_its_rows(baseline, control):
     oracle = Dataset.from_rows(ids, ds.y, ds.X, ds.group_labels)
     assert ds.subject_ids == oracle.subject_ids
     assert ds.group_labels == oracle.group_labels
-    for name in ("y", "X", "weights", "subject_index", "row_offsets"):
+    for name in ("y", "X", "subject_index", "row_offsets"):
         np.testing.assert_array_equal(getattr(ds, name), getattr(oracle, name), strict=True)
     assert ds.group_index.group_ids == oracle.group_index.group_ids
     for gid in oracle.group_index.group_ids:
