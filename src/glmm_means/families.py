@@ -146,7 +146,7 @@ class Nodes:
 
 class _Logistic:
     @staticmethod
-    def kernel(y, eta, aux=None):
+    def kernel(y, eta, aux=None, log_aux=None):
         return Nodes(y, eta, None)
 
     @staticmethod
@@ -187,8 +187,9 @@ class _NegBinomial:
     """
 
     @staticmethod
-    def kernel(y, eta, aux):
-        return Nodes(y, eta - math.log(aux), y + aux, aux)
+    def kernel(y, eta, aux, log_aux=None):
+        """`log_aux` is math.log(aux), given where aux holds one size per element."""
+        return Nodes(y, eta - (math.log(aux) if log_aux is None else log_aux), y + aux, aux)
 
     @staticmethod
     def loglik(y, eta, aux):

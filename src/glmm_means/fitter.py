@@ -45,6 +45,23 @@ reduction over the positions that every pattern has and one slice add per
 further position, where `reduceat`'s overhead per segment costs many slice
 adds on two-cell patterns.  The mode solver's sums are `np.bincount`s.
 
+A study's replications are fitted in lockstep (`fit_batch`): one workspace
+stacks their datasets, patterns never span two of them, and a block holds
+whole replications, several whose cells fit one block together or one in
+the blocks it has alone.  The Newton loop is a generator (`_newton`) that
+yields each point it needs, and each round evaluates the points of every
+running replication of a batch with one mode solve and one quadrature pass:
+the kernels, the per-pattern sums and the posterior weights run once for
+the batch, each pattern at its own replication's parameters.  Within a
+block each replication's patterns are numbered together by descending cell
+count, so they and its cells keep the order they have alone, and every sum
+over one replication's patterns, subjects or cells (X beta, the loglik, the
+scores' totals, the Hessian's products, the NB's node-free terms, the IRLS
+start) runs on its own values in that order.  So a batched fit is bit for
+bit its lone fit, and a study's report does not depend on how its
+replications were batched or spread over worker processes; `fit` is the
+batch of one.
+
 A subject's conditional mode b* is the root of g(b) = S(b) - b / sigma2,
 where S, the sum of w score_eta over its cells, falls in b because the
 observed curvature of both families is >= 0.  So any b brackets b* with
@@ -195,37 +212,138 @@ def _cells(subj: np.ndarray, xrow: np.ndarray):
     return _first_appearance(order, new)
 
 
-def _patterns(dataset: Dataset):
+def _patterns(dataset, key=None):
     """Pattern number of each subject, numbered by first appearance, each
     pattern's first subject, and the number of each row's covariate row.
     Subjects with n rows are compared as rows of their n row kinds,
-    ascending, one sort per distinct n.  The covariate rows are numbered
-    from the same sort of the raw rows, which puts X first."""
-    order, new = equal_runs(np.column_stack([dataset.X, dataset.y]))
+    ascending, one sort per distinct n; subjects whose `key` (one integer
+    per subject, if given) differs never share a pattern.  The covariate
+    rows are numbered from the same sort of the raw rows, which puts X
+    first.  `dataset` is the `_Rows` of one or more datasets."""
+    order, new = equal_runs(dataset.Xy)
     kind = np.empty(order.size, dtype=np.intp)
     kind[order] = np.cumsum(new) - 1
-    xrow = (np.cumsum(_run_starts(dataset.X[order[new]])) - 1)[kind]
+    xrow = (np.cumsum(_run_starts(dataset.Xy[order[new], :-1])) - 1)[kind]
     n_kinds = int(new.sum())
     kind = np.sort(dataset.subject_index * n_kinds + kind) % n_kinds  # ascending per subject
     sizes = np.diff(dataset.row_offsets)
     orders, news = [], []
     for n in np.unique(sizes):
         subjects = np.flatnonzero(sizes == n)
-        order, new = equal_runs(kind[dataset.row_offsets[subjects, None] + np.arange(n)])
+        kinds = kind[dataset.row_offsets[subjects, None] + np.arange(n)]
+        if key is not None:  # sorts as a leading key column would
+            kinds[:, 0] += n_kinds * key[subjects]
+        order, new = equal_runs(kinds)
         orders.append(subjects[order])
         news.append(new)
     return (*_first_appearance(np.concatenate(orders), np.concatenate(news)), xrow)
 
 
+class _Rows(NamedTuple):
+    """The rows of one or more datasets stacked, subjects numbered on."""
+    Xy: np.ndarray  # each row's covariates, then its response
+    subject_index: np.ndarray
+    row_offsets: np.ndarray
+
+
+def _stack(datasets) -> _Rows:
+    subjects = np.cumsum([0] + [ds.n_subjects for ds in datasets])
+    rows = np.cumsum([0] + [ds.n_obs for ds in datasets])
+    Xy = np.empty((rows[-1], datasets[0].X.shape[1] + 1))
+    for ds, start, stop in zip(datasets, rows[:-1], rows[1:]):
+        Xy[start:stop, :-1], Xy[start:stop, -1] = ds.X, ds.y
+    return _Rows(Xy, np.concatenate([ds.subject_index + k for ds, k in zip(datasets, subjects)]),
+                 np.concatenate([ds.row_offsets[:-1] + n for ds, n in zip(datasets, rows)]
+                                + [rows[-1:]]))
+
+
+class _Share(NamedTuple):
+    """One dataset's patterns and cells in its batch or in one block of it,
+    as its lone fit stores them: its patterns, which are consecutive, and
+    its cells, each in that order."""
+    rep: int  # the dataset's position in the batch
+    patterns: slice
+    cells: np.ndarray
+    X: np.ndarray  # those cells' covariate rows, C-contiguous
+    XT: np.ndarray  # their contiguous transpose, read-only
+    m: np.ndarray  # those patterns' subject counts
+
+
 class _Block(NamedTuple):
     """Whole patterns and their cells, position-major: the first `head`
-    positions hold every pattern, `tail` the pattern count of each after."""
+    positions hold every pattern, and `tail` the (first pattern, pattern
+    count) runs of the positions after, in storage order, one run per
+    dataset of the block and position."""
     patterns: slice
     cells: slice
     subj: np.ndarray  # each cell's pattern, counted from the block's first
     head: int
     tail: tuple
     XT: np.ndarray  # the cells' covariate rows as contiguous columns, read-only
+    local: slice  # the patterns, numbered within the batch
+    rows: slice  # the cells, numbered within the batch
+    members: tuple  # the _Share of each dataset in the block, relative to it
+
+
+class _Batch(NamedTuple):
+    """Datasets fitted in lockstep, whole datasets in whole blocks: several
+    in one block, or one in the blocks of its lone fit.  Patterns and cells
+    are numbered from the batch's first."""
+    index: slice  # the datasets, numbered in the workspace
+    reps: tuple  # the _Share of each dataset
+    subjects: tuple  # each dataset's subjects' patterns
+    patterns: slice
+    P: int
+    y: np.ndarray
+    w: np.ndarray
+    subj: np.ndarray  # each cell's pattern
+    prep: np.ndarray  # each pattern's dataset, numbered in the batch
+    crep: np.ndarray  # each cell's
+    blocks: tuple
+    triples: tuple | None  # NB: (pattern, count level + dataset x levels, row count)
+    scratch: np.ndarray  # (2, dim, width): a block's scores and their weighted copy
+
+
+_ONE = (True,)  # the per-dataset flags of a batch of one
+
+
+def _share(rep, patterns, cells, X, m) -> _Share:
+    XT = np.ascontiguousarray(X.T)
+    XT.setflags(write=False)  # built once, never written
+    return _Share(rep, patterns, cells, X, XT, m)
+
+
+def _col(values):
+    """A spread over patterns or cells as a column; a float as is."""
+    return values if isinstance(values, float) else values[:, None]
+
+
+class _Point:
+    """One call's parameters: a (beta, sigma2, aux) per replication of a
+    batch, with sigma2 and the NB size spread over the batch's patterns and
+    cells, and each cell's w n (n = y + kappa for the NB, 1 for the
+    logistic).  Where the batch holds one replication, sigma2 and the size
+    stay floats: every block of the batch reads them whole, and a float
+    operand costs less than a spread array.  The log sizes are math.log's,
+    as a lone fit takes them."""
+
+    def __init__(self, batch: _Batch, params):
+        self.beta = [np.asarray(b, float) for b, _, _ in params]
+        self.sigma2 = [s for _, s, _ in params]
+        self.aux = [a for _, _, a in params]
+        one = len(params) == 1
+
+        def spread(values, codes):
+            return values[0] if one else np.array(values)[codes]
+
+        self.sigma2_p = spread(self.sigma2, batch.prep)
+        self.aux_p = self.aux_c = self.log_aux = self.log_aux_c = None
+        self.wn = batch.w
+        if self.aux[0] is not None:
+            self.log_aux = [math.log(a) for a in self.aux]
+            self.aux_p, self.aux_c = spread(self.aux, batch.prep), spread(self.aux, batch.crep)
+            self.log_aux_c = spread(self.log_aux, batch.crep)
+            self.wn = batch.w * (batch.y + self.aux_c)
 
 
 def _block_sums(values: np.ndarray, block: _Block, out=None) -> np.ndarray:
@@ -240,82 +358,159 @@ def _block_sums(values: np.ndarray, block: _Block, out=None) -> np.ndarray:
         out = values[..., :n, :].copy()
     else:
         out[...] = values[..., :n, :]
-    for count in block.tail:
-        out[..., :count, :] += values[..., at : at + count, :]
+    for start, count in block.tail:
+        out[..., start : start + count, :] += values[..., at : at + count, :]
         at += count
     return out
 
 
 class _Workspace:
-    """Quadrature arrays and scratch for one (dataset, family) pair.
+    """Quadrature arrays and scratch for one family and one dataset, or
+    several stacked: the replications of a study, fitted in lockstep.
 
     `pattern` numbers each subject's pattern (see the module docstring),
-    `rep` holds each pattern's first subject and `m` its count of subjects.
-    `y`, `X`, `w` and `subj` hold one entry per cell of the `rep` subjects,
-    laid out as `blocks` describe, `subj` numbering patterns: w_c is the
-    cell's row count and y_c the mean response of its rows.  The terms
-    nonlinear in y (log Gamma(y + k) and its kappa derivatives, log Gamma(y
-    + 1)) enter per pattern: for the NB, `levels` holds the distinct counts
-    of those subjects' rows, checked here to be counts, and `triples` the
-    (pattern, count level, row count) of their rows, from which
+    `rep` holds each pattern's first subject and `m` its count of subjects,
+    subjects numbered on from one dataset to the next.  `y`, `X`, `w` and
+    `subj` hold one entry per cell of the `rep` subjects, laid out as
+    `blocks` describe, `subj` numbering patterns: w_c is the cell's row
+    count and y_c the mean response of its rows.  The terms nonlinear in y
+    (log Gamma(y + k) and its kappa derivatives, log Gamma(y + 1)) enter per
+    pattern: for the NB, `levels` holds the distinct counts of those
+    subjects' rows, checked here to be counts, and each batch's `triples`
+    the (pattern, count level, row count) of their rows, from which
     `gamma_terms` forms each call's per-pattern sums for that call's kappa.
-    Modes, curvatures and scores enter and leave the methods per subject.
+
+    Patterns never span datasets, and `batches` split the datasets into
+    lockstep batches: runs of datasets whose cells fit one block together,
+    or one dataset alone in the blocks it has alone.  Within a block each
+    dataset's patterns are numbered together by descending cell count, so
+    they and its cells keep the order they have alone (see `_Share`).
+    `modes` and `batch_derivatives` take one parameter triple per dataset
+    of a batch (`_Point`) and per-pattern modes and curvatures, and reduce
+    every sum over one dataset's patterns, subjects or cells over that
+    dataset's values alone, in that order.  `solve_modes`, `loglik_at`,
+    `derivatives`, `score_matrix` and `gamma_terms` are those of a
+    workspace of one dataset, and take and return modes, curvatures and
+    scores per subject.
     """
 
-    def __init__(self, dataset: Dataset, family: Family, gh_nodes: int):
+    def __init__(self, datasets, family: Family, gh_nodes: int):
+        if isinstance(datasets, Dataset):
+            datasets = [datasets]
         self.family = family
         self.ops = family_ops(family)
-        pattern, rep, xrow = _patterns(dataset)
-        subj = dataset.subject_index
+        n_reps = len(datasets)
+        rows = _stack(datasets)
+        first_subject = np.cumsum([0] + [ds.n_subjects for ds in datasets])
+        key = np.repeat(np.arange(n_reps), np.diff(first_subject))  # each subject's dataset
+        pattern, rep, xrow = _patterns(rows, key)
+        subj = rows.subject_index
         kept = rep[pattern[subj]] == subj  # the representatives' rows
-        X, subj = dataset.X[kept], pattern[subj[kept]]
-        y_rows = dataset.y[kept]
+        X, subj = rows.Xy[kept, :-1], pattern[subj[kept]]
+        y_rows = rows.Xy[kept, -1]
         cell, first = _cells(subj, xrow[kept])  # stacked pattern by pattern
         size = np.bincount(subj[first])
         position = np.arange(first.size) - (np.cumsum(size) - size)[subj[first]]
-        by_size = np.argsort(-size, kind="stable")  # the new pattern numbers
-        rank = np.argsort(by_size)
-        self.pattern, self.rep, size = rank[pattern], rep[by_size], size[by_size]
-        subj = rank[subj[first]]
-        self.m = np.bincount(self.pattern)
-        self.K, self.P, self.N, self.p = dataset.n_subjects, self.rep.size, dataset.n_obs, dataset.p
-        self.C = int(self.m[subj].sum())  # (subject, covariate row) cells of all subjects
+        prep = key[rep]
         rule = gh_rule(gh_nodes)
         self.t, self.logw_t2 = rule.nodes, np.log(rule.weights) + rule.nodes**2
-        self.dim = self.p + 1 + (1 if family is Family.NEGBIN else 0)
-        # whole patterns per block, at most cap cells unless one pattern has more
         cap = max(1, _BLOCK_CELLS // self.t.size)
+        batch, used = np.zeros(n_reps, dtype=np.intp), 0  # datasets whose cells fit one block
+        for r, cells in enumerate(np.bincount(prep, size, minlength=n_reps).tolist()):
+            if used and used + cells > cap:
+                batch[r:] += 1
+                used = 0
+            used += cells
+        # the new pattern numbers: by batch, dataset and descending cell count
+        by_size = np.lexsort((-size, prep, batch[prep]))
+        rank = np.argsort(by_size)
+        self.pattern, self.rep = rank[pattern], rep[by_size]
+        size, prep = size[by_size], prep[by_size]
+        subj = rank[subj[first]]
+        self.m = np.bincount(self.pattern)
+        self.K, self.P = int(first_subject[-1]), self.rep.size
+        self.N, self.p = rows.Xy.shape[0], X.shape[1]
+        self.C = int(self.m[subj].sum())  # (subject, covariate row) cells of all subjects
+        self.dim = self.p + 1 + (1 if family is Family.NEGBIN else 0)
+        # whole patterns per block, at most cap cells unless one pattern has
+        # more, and no block across two batches
         offsets = np.concatenate([[0], np.cumsum(size)])
+        bounds = [0, *(np.flatnonzero(np.diff(batch[prep])) + 1).tolist(), self.P]
         ends = [0]
-        while ends[-1] < self.P:
-            k0 = ends[-1]
-            ends.append(max(k0 + 1, int(np.searchsorted(offsets, offsets[k0] + cap, "right")) - 1))
+        for stop in bounds[1:]:
+            while ends[-1] < stop:
+                k0 = ends[-1]
+                top = int(np.searchsorted(offsets, offsets[k0] + cap, "right")) - 1
+                ends.append(min(stop, max(k0 + 1, top)))
         order = np.lexsort((subj, position, np.searchsorted(ends, subj, "right")))
         self.subj, self.X, cell = subj[order], X[first[order]], np.argsort(order)[cell]
         self.w = np.bincount(cell)
         self.y = np.bincount(cell, y_rows) / self.w
+        self.w = self.w.astype(float)  # the row counts, as the float factors they enter as
         self.wy = self.w * self.y
-        self.blocks = []
-        for k0, k1 in zip(ends[:-1], ends[1:]):
-            count = (k1 - k0) - np.cumsum(np.bincount(size[k0:k1])[:-1])  # patterns with > j cells
-            head = int(np.sum(count == k1 - k0))
-            cells = slice(int(offsets[k0]), int(offsets[k1]))
-            self.blocks.append(_Block(slice(k0, k1), cells, self.subj[cells] - k0, head,
-                                      tuple(count[head:].tolist()),
-                                      np.ascontiguousarray(self.X[cells].T)))
-        for arr in (self.wy, *(blk.XT for blk in self.blocks)):  # built once, never written
-            arr.setflags(write=False)
-        self.passes = self.kernel_evaluations = 0  # derivatives passes, mode-solver kernels
-        # a block's complete-data scores and their posterior-weighted copy
-        self.scratch = np.empty((2, self.dim, int(np.diff(ends).max()) * self.t.size))
+        self.wy.setflags(write=False)  # built once, never written
+        self.passes = np.zeros(n_reps, dtype=np.int64)  # derivatives passes, per dataset
+        self.kernel_evaluations = np.zeros(n_reps, dtype=np.int64)  # mode-solver kernels
+        triples = None
         if family is Family.NEGBIN:
             # (pattern, count, row count) of the representatives' rows,
             # the count as an index into the distinct counts `levels`
             self.levels, level = np.unique(y_rows, return_inverse=True)
             self.lgamma_y1 = gamma_sums(self.levels, 1.0, 0)  # raises unless counts
-            key, triple = np.unique(self.subj[cell] * self.levels.size + level, return_inverse=True)
-            self.triples = (key // self.levels.size, key % self.levels.size,
-                            np.bincount(triple))
+            n_levels = self.levels.size
+            code, triple = np.unique(self.subj[cell] * n_levels + level, return_inverse=True)
+            triples = (code // n_levels, code % n_levels, np.bincount(triple).astype(float))
+        widths = [max(k1 - k0 for k0, k1 in zip(ends[:-1], ends[1:]) if g0 <= k0 < g1)
+                  for g0, g1 in zip(bounds[:-1], bounds[1:])]
+        scratch = np.empty(2 * self.dim * max(widths) * self.t.size)
+        self.blocks, self.batches = [], []
+        for g0, g1, width in zip(bounds[:-1], bounds[1:], widths):
+            r0, r1 = int(prep[g0]), int(prep[g1 - 1]) + 1
+            cells_g = slice(int(offsets[g0]), int(offsets[g1]))
+            lsubj = self.subj[cells_g] - g0
+            lprep = prep[g0:g1] - r0
+            crep = lprep[lsubj]
+            reps, subjects = [], []
+            for i, r in enumerate(range(r0, r1)):
+                pk = slice(*np.searchsorted(lprep, [i, i + 1]).tolist())
+                ck = np.flatnonzero(crep == i)
+                reps.append(_share(i, pk, ck, self.X[cells_g][ck], self.m[g0:g1][pk]))
+                subjects.append(self.pattern[first_subject[r] : first_subject[r + 1]] - g0)
+            ends_g = [(k0, k1) for k0, k1 in zip(ends[:-1], ends[1:]) if g0 <= k0 < g1]
+            blocks = []
+            for k0, k1 in ends_g:
+                cells = slice(int(offsets[k0]), int(offsets[k1]))
+                XT = np.ascontiguousarray(self.X[cells].T)
+                XT.setflags(write=False)  # built once, never written
+                # a batch of one block shares it as it shares the batch; a
+                # dataset alone in several has all of each
+                members = tuple(reps) if len(ends_g) == 1 else (
+                    _share(0, slice(0, k1 - k0), np.arange(cells.stop - cells.start),
+                           self.X[cells], self.m[k0:k1]),)
+                top = int(size[k0:k1].max())
+                # per dataset and position j: its patterns with more than j cells
+                count = np.array([(mem.patterns.stop - mem.patterns.start)
+                                  - np.cumsum(np.bincount(size[k0 + mem.patterns.start
+                                                               : k0 + mem.patterns.stop],
+                                                          minlength=top + 1)[:top])
+                                  for mem in members])
+                head = int(np.sum(count.sum(axis=0) == k1 - k0))
+                tail = tuple((mem.patterns.start, int(c)) for j in range(head, top)
+                             for mem, c in zip(members, count[:, j]) if c)
+                blocks.append(_Block(slice(k0, k1), cells, self.subj[cells] - k0, head, tail, XT,
+                                     slice(k0 - g0, k1 - g0),
+                                     slice(cells.start - cells_g.start, cells.stop - cells_g.start),
+                                     members))
+            own = None
+            if triples is not None:
+                lo, hi = np.searchsorted(triples[0], [g0, g1])
+                tp = triples[0][lo:hi] - g0
+                own = (tp, triples[1][lo:hi] + n_levels * lprep[tp], triples[2][lo:hi])
+            self.blocks += blocks
+            self.batches.append(_Batch(
+                slice(r0, r1), tuple(reps), tuple(subjects), slice(g0, g1), g1 - g0,
+                self.y[cells_g], self.w[cells_g], lsubj, lprep, crep, tuple(blocks), own,
+                scratch[: 2 * self.dim * width * self.t.size].reshape(2, self.dim, -1)))
 
     # ---- parameter packing ---------------------------------------------
 
@@ -339,23 +534,33 @@ class _Workspace:
             lb[self.p + 1], ub[self.p + 1] = LOG_KAPPA_BOUNDS
         return lb, ub
 
+    def point(self, beta, sigma2, aux=None) -> _Point:
+        """The parameters of a workspace of one dataset."""
+        return _Point(self.batches[0], [(beta, sigma2, aux)])
+
     # ---- conditional modes ------------------------------------------------
 
-    def _subject_sums(self, values) -> np.ndarray:
-        return np.bincount(self.subj, values, minlength=self.P)
+    def _subject_sums(self, values, batch=None) -> np.ndarray:
+        """Per-pattern sums of per-cell values of a batch, the workspace's
+        first by default."""
+        batch = self.batches[0] if batch is None else batch
+        return np.bincount(batch.subj, values, minlength=batch.P)
 
-    def loglik_score(self, eta0, b, aux):
+    def loglik_score(self, eta0, b, aux, log_aux=None, batch=None):
         """S(b), the conditional-loglik score of each pattern in its b, and
-        -S'(b), the sum of w n s r, from the same kernel, which comes third."""
-        self.kernel_evaluations += 1
-        nodes = self.ops.kernel(self.y, eta0 + b[self.subj], aux)
-        w = self.w
-        return (self._subject_sums(w * nodes.score_eta()), self._subject_sums(w * nodes.curvature()),
-                nodes)
+        -S'(b), the sum of w n s r, from the same kernel, which comes third;
+        over a batch, the workspace's first by default, whose NB sizes
+        `aux` and their logs `log_aux` may be given per cell."""
+        batch = self.batches[0] if batch is None else batch
+        nodes = self.ops.kernel(batch.y, eta0 + b[batch.subj], aux, log_aux)
+        w = batch.w
+        return (self._subject_sums(w * nodes.score_eta(), batch),
+                self._subject_sums(w * nodes.curvature(), batch), nodes)
 
-    def solve_modes(self, beta, sigma2, aux, b0=None):
-        """Safeguarded Newton for the conditional modes from b0 (zero by
-        default), once per pattern, returned per subject with the curvatures.
+    def modes(self, batch: _Batch, at: _Point, b0, live):
+        """Safeguarded Newton for the conditional modes of a batch's patterns
+        from b0 (zero where None), with the curvatures, once per pattern.
+        The patterns of the datasets not `live` stay where they start.
 
         The mode lies between the start b and sigma2 S(b) (module
         docstring), a bracket that b is always an end of.  A step takes the
@@ -366,23 +571,34 @@ class _Workspace:
         or once its bracket is down to adjacent floats, where the midpoint
         rounds onto an end: the slope of the score times an ulp of the mode
         can exceed MODE_TOL (NB kappa = 1e6 with counts of 1e4 and a mode
-        of 14: 4e-10), so no float meets the tolerance.
+        of 14: 4e-10), so no float meets the tolerance.  A dataset whose
+        patterns have all stopped is evaluated again at the same b, which
+        leaves it there, and its kernel evaluations are counted up to the
+        step where it would stop alone.
 
         The curvature returned is the Fisher information sum w mu' at the
         final b, where the last kernel was evaluated: the summed s r the
         solver already has for the logistic, sum w kappa s for the NB.
         """
-        eta0 = self.X @ beta
-        b = np.zeros(self.P) if b0 is None else np.asarray(b0, float)[self.rep]
-        s, curv, nodes = self.loglik_score(eta0, b, aux)
+        eta0 = np.empty(batch.y.size)
+        for rep, beta in zip(batch.reps, at.beta):  # each dataset's X beta as it forms it alone
+            eta0[rep.cells] = rep.X @ beta
+        b = np.zeros(batch.P) if b0 is None else b0
+        aux, log_aux, sigma2 = at.aux_c, at.log_aux_c, at.sigma2_p
+        s, curv, nodes = self.loglik_score(eta0, b, aux, log_aux, batch)
+        evals = np.array(live, dtype=np.int64)
         score, end = s - b / sigma2, sigma2 * s  # not b + sigma2 score: ulp(b) off if |b| >> |end|
         lo, hi = np.minimum(b, end), np.maximum(b, end)
+        held = None if all(live) else ~np.asarray(live)[batch.prep]
         active = np.abs(score) > MODE_TOL
         for step in range(250):
+            if held is not None:
+                active[held] = False
             nxt = 0.5 * (lo + hi)
             active &= (lo < nxt) & (nxt < hi)  # else the bracket is down to adjacent floats
             if not active.any():
                 break
+            evals += np.bincount(batch.prep[active], minlength=evals.size) > 0  # still moving
             if step < 50:
                 prop = b + score / (curv + 1.0 / sigma2)
                 onto = prop == b
@@ -391,48 +607,58 @@ class _Workspace:
                 nxt = np.where((lo <= prop) & (prop <= hi), prop, nxt)
             b = np.where(active, nxt, b)
             del nodes  # hold one kernel at a time
-            s, curv, nodes = self.loglik_score(eta0, b, aux)
+            s, curv, nodes = self.loglik_score(eta0, b, aux, log_aux, batch)
             score = s - b / sigma2
             lo = np.where(active & (score > 0), b, lo)
             hi = np.where(active & (score <= 0), b, hi)
             active = np.abs(score) > MODE_TOL
 
-        if self.family is Family.NEGBIN:
-            curv = self._subject_sums(self.w * (aux * nodes.s))
+        if aux is not None:
+            curv = self._subject_sums(batch.w * (aux * nodes.s), batch)
         curv += 1.0 / sigma2
+        self.kernel_evaluations[batch.index] += evals
+        return b, curv
+
+    def solve_modes(self, beta, sigma2, aux, b0=None):
+        """`modes` of a workspace of one dataset, from per-subject b0 (zero
+        by default), returned per subject."""
+        b0 = None if b0 is None else np.asarray(b0, float)[self.rep]
+        b, curv = self.modes(self.batches[0], self.point(beta, sigma2, aux), b0, _ONE)
         return b[self.pattern], curv[self.pattern]
 
     # ---- marginal likelihood and scores ---------------------------------
 
-    def gamma_terms(self, aux, split=True):
+    def gamma_terms(self, aux, split=True, batch=None, log_aux=None):
         """Per-pattern sums over rows of the node-free NB terms at size aux, from
         one gamma_table on the distinct counts: the log-density's log Gamma(y +
         k) - log Gamma(k) - log Gamma(y + 1) - y log k (+ (y + k) log k without
         `split`, see integral_pieces) and the two kappa-score offsets; None for
-        the logistic."""
+        the logistic.  Over a batch, `aux`, `log_aux` and `split` hold one
+        size, its log and one flag per dataset."""
         if self.family is not Family.NEGBIN:
             return None
-        pattern, level, w = self.triples
-        lg, dg, tg = gamma_table(self.levels, aux)
-        lg = lg - self.lgamma_y1
-        if not split:
-            lg = lg + (self.levels + aux) * math.log(aux)
-        return tuple(np.bincount(pattern, w * t[level], minlength=self.P) for t in (lg, dg, tg))
+        if batch is None:
+            batch, aux, log_aux, split = self.batches[0], [aux], [math.log(aux)], [split]
+        pattern, level, w = batch.triples
+        tables = []
+        for k, log_k, whole in zip(aux, log_aux, split):
+            lg, dg, tg = gamma_table(self.levels, k)
+            lg = lg - self.lgamma_y1
+            if not whole:
+                lg = lg + (self.levels + k) * log_k
+            tables.append((lg, dg, tg))
+        # one table per dataset, side by side; `level` is offset by the dataset
+        return tuple(np.bincount(pattern, w * t[level], minlength=batch.P)
+                     for t in map(np.concatenate, zip(*tables)))
 
-    def operands(self, beta, aux, split=True):
-        """What integral_pieces takes per call: beta, w y and w n of every
-        cell (n = y + kappa for the NB, 1 for the logistic) and
-        gamma_terms(aux, split)."""
-        w = self.w
-        wn = w if aux is None else w * (self.y + aux)
-        return beta, self.wy, wn, self.gamma_terms(aux, split)
-
-    def integral_pieces(self, sigma2, aux, modes, curv, operands, block, split=True):
+    def integral_pieces(self, at: _Point, modes, curv, terms, block: _Block, split=_ONE):
         """Loglik contributions, posterior node weights, node positions and
         the node kernel (cells, nodes) for the patterns of one block, from
-        per-subject `modes` and `curv`; `operands` are operands(beta, aux,
-        split).  The kernel's y and n are w y and w n, so its loglik and
-        eta-score carry the cells' row counts.
+        the per-pattern `modes` and `curv` of its batch; `terms` are the
+        batch's gamma_terms at `split`, one flag per dataset of the batch.
+        The kernel's y and n are w y and w n (n = y + kappa for the NB, 1 for
+        the logistic), so its loglik and eta-score carry the cells' row
+        counts.
 
         With `split`, the negative binomial's (y + k) log(k + mu) is written
         as (y + k) (log k + log1p(mu / k)): the eta-dependent part is then
@@ -440,41 +666,55 @@ class _Workspace:
         node weights keep their digits as k nears its upper bound 1e6,
         where the unsplit form rounds at ~1e-9 per cell.
         """
-        beta, wy, wn, terms = operands
-        ks, rows = block.patterns, block.cells
-        reps = self.rep[ks]
-        scale = 1.0 / np.sqrt(curv[reps])
-        u = modes[reps, None] + math.sqrt(2.0) * scale[:, None] * self.t[None, :]
+        ks, rows = block.local, block.cells
+        scale = 1.0 / np.sqrt(curv[ks])
+        u = modes[ks, None] + math.sqrt(2.0) * scale[:, None] * self.t[None, :]
         eta = u[block.subj]
-        eta += (self.X[rows] @ beta)[:, None]
-        z = eta if terms is None else eta - math.log(aux)
-        nodes = Nodes(wy[rows, None], z, wn[rows, None], aux)
-        ll = (nodes.loglik(eta) if split or terms is None
-              else nodes.y * eta - nodes.n * np.logaddexp(math.log(aux), eta))
+        xb = np.empty(eta.shape[0])
+        for mem in block.members:  # each dataset's X beta as its lone fit forms it
+            xb[mem.cells] = mem.X @ at.beta[mem.rep]
+        eta += xb[:, None]
+        z = eta if terms is None else eta - _col(at.log_aux_c)
+        nodes = Nodes(self.wy[rows, None], z, at.wn[block.rows, None])
+        unsplit = () if terms is None else [m.cells for m in block.members if not split[m.rep]]
+        if len(unsplit) == len(block.members):  # every dataset's cells unsplit
+            ll = nodes.y * eta - nodes.n * np.logaddexp(_col(at.log_aux_c), eta)
+        else:
+            ll = nodes.loglik(eta)
+            if unsplit:
+                c = np.concatenate(unsplit)
+                lae = np.logaddexp(at.log_aux_c[c, None], eta[c])
+                ll[c] = nodes.y[c] * eta[c] - nodes.n[c] * lae
         g = _block_sums(ll, block)
         if terms is not None:
             g += terms[0][ks, None]
-        g -= u**2 / (2.0 * sigma2)
+        g -= u**2 / (2.0 * _col(at.sigma2_p))
         g += self.logw_t2[None, :]
         top = g.max(axis=1)
         g -= top[:, None]
         omega = np.exp(g, out=g)
         total = omega.sum(axis=1)  # >= 1: the largest term is exp(0)
         omega /= total[:, None]
-        ll_i = 0.5 * np.log(2.0 / curv[reps]) + top + np.log(total)
+        ll_i = 0.5 * np.log(2.0 / curv[ks]) + top + np.log(total)
         return ll_i, omega, u, nodes
 
-    def _total_loglik(self, ll_i, sigma2) -> float:
-        ll = ((ll_i[0] if len(ll_i) == 1 else np.concatenate(ll_i)) * self.m).sum()
-        return float(ll - 0.5 * self.K * math.log(2.0 * math.pi * sigma2))
+    @staticmethod
+    def _loglik(batch: _Batch, i, ll_i, sigma2) -> float:
+        """Dataset i's marginal loglik from its batch's per-pattern terms."""
+        rep = batch.reps[i]
+        ll = (ll_i[rep.patterns] * rep.m).sum()
+        return float(ll - 0.5 * batch.subjects[i].size * math.log(2.0 * math.pi * sigma2))
 
     def loglik_at(self, theta):
-        beta, sigma2, aux = self.unpack(theta)
-        modes, curv = self.solve_modes(beta, sigma2, aux)
-        operands = self.operands(beta, aux)
-        ll_i = [self.integral_pieces(sigma2, aux, modes, curv, operands, blk)[0]
-                for blk in self.blocks]
-        return self._total_loglik(ll_i, sigma2), modes, curv
+        """The marginal loglik of a workspace of one dataset, with its modes
+        and curvatures per subject."""
+        at = self.point(*self.unpack(theta))
+        batch = self.batches[0]
+        modes, curv = self.modes(batch, at, None, _ONE)
+        terms = self.gamma_terms(at.aux[0])
+        ll_i = [self.integral_pieces(at, modes, curv, terms, blk)[0] for blk in batch.blocks]
+        ll = self._loglik(batch, 0, np.concatenate(ll_i), at.sigma2[0])
+        return ll, modes[self.pattern], curv[self.pattern]
 
     def score_matrix(self, theta, modes, curv):
         """Per-subject scores d_i on the optimizer scale; loglik as byproduct.
@@ -488,15 +728,27 @@ class _Workspace:
         return self.derivatives(theta, modes, curv, hessian=False, split=False)[:2]
 
     def derivatives(self, theta, modes, curv, hessian=True, split=True):
-        """Per-subject scores d_i, the loglik and, with `hessian`, the
-        observed-information Hessian of the loglik by Louis' identity,
+        """`batch_derivatives` of a workspace of one dataset, with modes,
+        curvatures and scores per subject."""
+        (out,) = self.batch_derivatives(self.batches[0], self.point(*self.unpack(theta)),
+                                        modes[self.rep], curv[self.rep], _ONE, (hessian,),
+                                        (split,))
+        return out
+
+    def batch_derivatives(self, batch: _Batch, at: _Point, modes, curv, live, hessian, split):
+        """For each `live` dataset of a batch (None for the others): its
+        per-subject scores d_i, its loglik at its `split` flag and, where its
+        `hessian` flag is set, the observed-information Hessian of the loglik
+        by Louis' identity,
         sum_i E_post[d2 l_c] + E_post[s s'] - d_i d_i', from the
         complete-data scores s and second derivatives d2 l_c at the same
         posterior node weights as the scores (a zero matrix otherwise).
         Each pattern's terms are computed once and weighted by its
         multiplicity.
 
-        One pass per block.  The complete-data scores are stored (dim,
+        One pass per block, over every dataset in it; every sum over a
+        dataset's patterns or cells then runs on that dataset's values in
+        its lone fit's order.  The complete-data scores are stored (dim,
         patterns, nodes), so d is one contraction and E_post[s s'] one
         matrix product; the beta score is the cell difference w y - w n s
         times each covariate row of X', summed per pattern.  The node sums
@@ -508,59 +760,72 @@ class _Workspace:
         offsets enter per pattern, as a pattern's posterior weights sum to
         one.
         """
-        self.passes += 1
-        beta, sigma2, aux = self.unpack(theta)
         nb = self.family is Family.NEGBIN
         p, dim = self.p, self.dim
-        operands = self.operands(beta, aux, split)
-        _, wy, wn, terms = operands
-        w = self.w
+        terms = self.gamma_terms(at.aux, split, batch, at.log_aux) if nb else None
+        h_of = {i: np.zeros((dim, dim)) for i, on in enumerate(live) if on}
+        hessian = [on and h for on, h in zip(live, hessian)]
+        any_hessian = any(hessian)
         rows_d, ll_i = [], []
-        h = np.zeros((dim, dim))
-        for blk in self.blocks:
-            ks, rows, XT = blk.patterns, blk.cells, blk.XT
-            ll_b, omega, u, nodes = self.integral_pieces(sigma2, aux, modes, curv, operands, blk,
-                                                         split)
+        for blk in batch.blocks:
+            ks, rows, XT = blk.local, blk.cells, blk.XT
+            ll_b, omega, u, nodes = self.integral_pieces(at, modes, curv, terms, blk, split)
 
             # complete-data scores at every node: (dim, patterns, nodes)
-            sc = self.scratch[0, :, : omega.size].reshape((dim,) + omega.shape)
+            sc = batch.scratch[0, :, : omega.size].reshape((dim,) + omega.shape)
             a = nodes.score_eta()
             for c in range(p):
                 _block_sums(a * XT[c, :, None], blk, out=sc[c])
+            sigma2 = _col(at.sigma2_p)
             sc[p] = (u**2 - sigma2) / (2.0 * sigma2)
+            w, wy = self.w[rows], self.wy[rows]
             if nb:  # w (s - softplus) - w y r / k, the kappa score less its offset
                 np.subtract(nodes.s, nodes.softplus, out=a)
-                a *= w[rows, None]
-                a -= (wy[rows] / aux)[:, None] * nodes.r
+                a *= w[:, None]
+                a -= (wy / at.aux_c)[:, None] * nodes.r
                 _block_sums(a, blk, out=sc[p + 1])
                 sc[p + 1] += terms[1][ks, None]
-                sc[p + 1] *= aux
+                sc[p + 1] *= _col(at.aux_p)
             del a  # no (cells, nodes) array outlives its block
             d = np.einsum("jkm,km->kj", sc, omega)
             rows_d.append(d)
             ll_i.append(ll_b)
-            if hessian:
-                m = self.m[ks]
-                m_omega = m[:, None] * omega
+            if any_hessian:
+                m_omega = self.m[blk.patterns][:, None] * omega
                 m_omega_rows = m_omega[blk.subj]
                 flat = sc.reshape(dim, -1)
-                weighted = np.multiply(flat, m_omega.reshape(-1), out=self.scratch[1, :, : omega.size])
-                h += weighted @ flat.T - (m[:, None] * d).T @ d
+                weighted = np.multiply(flat, m_omega.reshape(-1),
+                                       out=batch.scratch[1, :, : omega.size])
                 sr = np.einsum("cm,cm->c", m_omega_rows, nodes.s * nodes.r)
-                h[:p, :p] -= (XT * (wn[rows] * sr)) @ XT.T
-                h[p, p] -= np.sum(m_omega * u**2) / (2.0 * sigma2)
+                wn_sr = nodes.n[:, 0] * sr
+                mu2 = m_omega * u**2
                 if nb:
                     s2 = np.einsum("cm,cm->c", m_omega_rows, nodes.s * nodes.s)
                     r2 = np.einsum("cm,cm->c", m_omega_rows, nodes.r * nodes.r)
-                    h[:p, p + 1] += XT @ (wy[rows] * sr - aux * (w[rows] * s2))
-                    h[p + 1, p + 1] += ((m * d[:, p + 1]).sum() + aux * (w[rows] @ s2)
-                                        + wy[rows] @ r2)
+                    cross = wy * sr - at.aux_c * (w * s2)
+                for mem in blk.members:
+                    if not hessian[mem.rep]:
+                        continue
+                    h, pk, ck = h_of[mem.rep], mem.patterns, mem.cells
+                    d_r, cols = d[pk], slice(pk.start * omega.shape[1], pk.stop * omega.shape[1])
+                    h += weighted[:, cols] @ flat[:, cols].T - (mem.m[:, None] * d_r).T @ d_r
+                    h[:p, :p] -= (mem.XT * wn_sr[ck]) @ mem.XT.T
+                    h[p, p] -= np.sum(mu2[pk]) / (2.0 * at.sigma2[mem.rep])
+                    if nb:
+                        h[:p, p + 1] += mem.XT @ cross[ck]
+                        h[p + 1, p + 1] += ((mem.m * d_r[:, p + 1]).sum()
+                                            + at.aux[mem.rep] * (w[ck] @ s2[ck]) + wy[ck] @ r2[ck])
             del nodes
-        if hessian and nb:
-            h[p + 1, p + 1] += aux * aux * (self.m @ terms[2])
-            h[p + 1:, :p] = h[:p, p + 1:].T
-        d = rows_d[0] if len(rows_d) == 1 else np.vstack(rows_d)
-        return d[self.pattern], self._total_loglik(ll_i, sigma2), h
+        d, ll_i = np.concatenate(rows_d), np.concatenate(ll_i)
+        out = [None] * len(batch.reps)
+        for i, h in h_of.items():
+            rep, aux = batch.reps[i], at.aux[i]
+            if hessian[i] and nb:
+                h[p + 1, p + 1] += aux * aux * (rep.m @ terms[2][rep.patterns])
+                h[p + 1:, :p] = h[:p, p + 1:].T
+            out[i] = (d[batch.subjects[i]], self._loglik(batch, i, ll_i, at.sigma2[i]), h)
+        self.passes[batch.index] += live
+        return out
 
 
 def marginal_loglik(dataset: Dataset, spec: ModelSpec, params: ParamVector,
@@ -586,16 +851,16 @@ def marginal_loglik(dataset: Dataset, spec: ModelSpec, params: ParamVector,
     return ll
 
 
-def _irls_init(ws: _Workspace, y_rows: np.ndarray) -> np.ndarray:
+def _irls_init(family: Family, X, y, w, y_rows) -> np.ndarray:
     """Fixed-effects GLM start values (logistic IRLS; Poisson IRLS for NB)
-    over every subject's cells; `y_rows` holds every row's response."""
-    X, y, w = ws.X, ws.y, ws.w * ws.m[ws.subj]
-    beta = np.zeros(ws.p)
-    if ws.family is Family.NEGBIN:
+    over cells with covariate rows X, mean responses y and total row counts
+    w (row count times subject count); `y_rows` holds every row's response."""
+    beta = np.zeros(X.shape[1])
+    if family is Family.NEGBIN:
         beta[0] = math.log(max(float(np.mean(y_rows)), 0.05))
     for _ in range(8):
         eta = np.clip(X @ beta, -30, 30)
-        if ws.family is Family.NEGBIN:
+        if family is Family.NEGBIN:
             mu = np.exp(eta)
             wt = np.clip(mu, 1e-6, None)
         else:
@@ -610,7 +875,7 @@ def _irls_init(ws: _Workspace, y_rows: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(beta_new)):
             break
         beta = beta_new
-    return beta if np.all(np.isfinite(beta)) else np.zeros(ws.p)
+    return beta if np.all(np.isfinite(beta)) else np.zeros(X.shape[1])
 
 
 def _kappa_moment_init(y: np.ndarray) -> float:
@@ -688,13 +953,17 @@ def _newton(ws: _Workspace, theta, lb, ub):
     keeps it within rounding and lowers the KKT violation.  Once a step no
     longer moves theta, the loop follows the score alone: the quadrature
     score is the gradient of the exact integral, so its root can sit a
-    quadrature error away from the quadrature loglik's maximum.  It returns
-    the last accepted iterate with its scores d, the iterations and the trials.
+    quadrature error away from the quadrature loglik's maximum.
+
+    A generator: it yields (theta, warm modes, None) for each point it
+    needs, warm modes None for a solve from zero, and is sent the modes,
+    curvatures, scores d, loglik and Hessian there (see `_fit_batch`).  It
+    returns the last accepted iterate with its scores d, the iterations and
+    the trials.
     """
     p, v = ws.p, slice(ws.p, None)
     theta = _snap(theta, lb, ub)
-    modes, curv = ws.solve_modes(*ws.unpack(theta))
-    d, ll, h = ws.derivatives(theta, modes, curv)
+    modes, curv, d, ll, h = yield theta, None, None
     g = d.sum(axis=0)
     viol = _kkt_violation(g, theta, lb, ub, p)
     up, down = (np.exp(sgn * np.column_stack([lb[v], ub[v]])) for sgn in (1.0, -1.0))  # phi's box
@@ -733,8 +1002,7 @@ def _newton(ws: _Workspace, theta, lb, ub):
             trial = np.clip(phi + lam * delta, lo, hi)
             trial[v] = sgn * np.log(trial[v])
             trial = _snap(trial, lb, ub)
-            modes_t, curv_t = ws.solve_modes(*ws.unpack(trial), modes)
-            d_t, ll_t, h_t = ws.derivatives(trial, modes_t, curv_t)
+            modes_t, curv_t, d_t, ll_t, h_t = yield trial, modes, None
             g_t = d_t.sum(axis=0)
             viol_t = _kkt_violation(g_t, trial, lb, ub, p)
             slack = 1e-12 * (1.0 + abs(ll))
@@ -755,32 +1023,29 @@ def _newton(ws: _Workspace, theta, lb, ub):
     return theta, ll, modes, curv, d, viol, iterations, trials
 
 
-def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> FittedModel:
-    """Maximize the marginal likelihood and assemble the fitted model.
-
-    Cov(psi_hat) is H^{-1} with H the sum of squared per-subject scores at
-    the optimum, delta-mapped from (beta, log sigma2, log kappa) to the
-    natural scale.  Non-convergence returns the best iterate with
-    converged=False; a singular H falls back to the pseudo-inverse and is
-    flagged in cov_flags.  score_norm is the final KKT violation.
-    `diagnostics` holds deterministic counts (see README).
-    """
-    config = config or FitConfig()
-    ws = _Workspace(dataset, spec.family, config.gh_nodes)
-    lb, ub = ws.bounds()
-
+def _replication(ws: _Workspace, batch: _Batch, i: int, dataset: Dataset, spec: ModelSpec,
+                 config: FitConfig, lb, ub):
+    """The fit of dataset i of a batch, a generator as `_newton` is: start
+    values, the Newton loop, the NB's unsplit score pass, for which it
+    yields (theta, modes, curvatures) and is sent d and the loglik, and the
+    FittedModel it returns."""
+    rep = batch.reps[i]
     kappa0 = _kappa_moment_init(dataset.y) if spec.family is Family.NEGBIN else None
-    theta = np.clip(ws.pack(_irls_init(ws, dataset.y), 0.1, kappa0), lb, ub)
+    m = ws.m[batch.patterns][batch.subj][rep.cells]  # each cell's count of subjects
+    beta0 = _irls_init(spec.family, rep.X, batch.y[rep.cells], batch.w[rep.cells] * m, dataset.y)
+    n_cells = int(m.sum())  # (subject, covariate row) cells of all subjects
+    del m
+    theta = np.clip(ws.pack(beta0, 0.1, kappa0), lb, ub)
     iterations, optimizer_used = 0, "newton"
-    if config.optimizer == "quasi_newton":
+    if config.optimizer == "quasi_newton":  # a workspace of this dataset alone (fit_batch)
         theta, iterations = _lbfgs(ws, theta, lb, ub)
         optimizer_used = "quasi_newton+newton"
-    theta, ll, modes, curv, d, score_norm, extra, trials = _newton(ws, theta, lb, ub)
+    theta, ll, modes, curv, d, score_norm, extra, trials = yield from _newton(ws, theta, lb, ub)
     iterations += extra
     converged = score_norm <= SCORE_TOL
 
     if spec.family is Family.NEGBIN:
-        d, _ = ws.score_matrix(theta, modes, curv)
+        d, _ = yield theta, modes, curv
     h = d.T @ d
     cov_flags: list[str] = []
     try:
@@ -804,9 +1069,10 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
         cov_flags.append("clipped_negative_eigenvalues")
     cov_psi.setflags(write=False)
 
-    modes.setflags(write=False)  # solve_modes returns fresh arrays
+    modes, curv = modes[batch.subjects[i]], curv[batch.subjects[i]]
+    modes.setflags(write=False)
     curv.setflags(write=False)
-
+    r = batch.index.start + i
     return FittedModel(
         dataset=dataset,
         spec=spec,
@@ -823,13 +1089,127 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
         cov_flags=tuple(cov_flags),
         diagnostics={
             "random_effect_kernel": "normal(0, sigma2), exponent -b^2/(2*sigma2)",
-            "rows": ws.N,
-            "quadrature_cells": ws.C,
-            "subject_patterns": ws.P,
-            "line_search_trials": trials, "quadrature_passes": ws.passes,
-            "mode_kernel_evaluations": ws.kernel_evaluations,
+            "rows": dataset.n_obs,
+            "quadrature_cells": n_cells,
+            "subject_patterns": rep.m.size,
+            "line_search_trials": trials, "quadrature_passes": int(ws.passes[r]),
+            "mode_kernel_evaluations": int(ws.kernel_evaluations[r]),
         },
     )
+
+
+def _evaluate(ws: _Workspace, batch: _Batch, asked: dict) -> dict:
+    """One round of a batch: the requests of `asked`, {i: (theta, modes,
+    curvatures)} by dataset, served by one mode solve and one quadrature
+    pass.  Without curvatures a request asks for a solve from its modes
+    (zero where None) and a full pass there; with them, for the unsplit
+    pass without Hessian at those modes, the NB's covariance scores.  The
+    datasets not asking are evaluated at a fixed point, and nothing of
+    theirs is summed, counted or returned."""
+    n = len(batch.reps)
+    solve, scores = [False] * n, [False] * n
+    idle = None  # the fixed point of the datasets not asking
+    if len(asked) < n:
+        idle = (np.zeros(ws.p), 1.0, 1.0 if ws.family is Family.NEGBIN else None)
+    at = _Point(batch, [ws.unpack(asked[i][0]) if i in asked else idle for i in range(n)])
+    modes, given = np.zeros(batch.P), []
+    for i, (_, b, c) in asked.items():
+        pk = batch.reps[i].patterns
+        if b is not None:
+            modes[pk] = b[pk]
+        if c is None:
+            solve[i] = True
+        else:
+            scores[i] = True
+            given.append((pk, c[pk]))
+    if any(solve):
+        modes, curv = ws.modes(batch, at, modes, solve)
+    else:  # every asking dataset's curvatures are given
+        curv = np.ones(batch.P)
+    for pk, c in given:
+        curv[pk] = c
+    out = ws.batch_derivatives(batch, at, modes, curv, [a or b for a, b in zip(solve, scores)],
+                               solve, [not b for b in scores])
+    return {i: (modes, curv, *out[i]) if solve[i] else out[i][:2] for i in asked}
+
+
+def _fit_batch(ws: _Workspace, batch: _Batch, datasets, spec: ModelSpec, config: FitConfig):
+    """Fits the datasets of one batch in lockstep, one `_replication`
+    generator each: every round serves the requests of the running
+    generators with one `_evaluate`.  Returns a FittedModel per dataset, or
+    the exception its generator raised; an exception in the shared
+    evaluation propagates."""
+    lb, ub = ws.bounds()
+    gens = [_replication(ws, batch, i, ds, spec, config, lb, ub) for i, ds in enumerate(datasets)]
+    out = [None] * len(gens)
+
+    def resume(i, reply):
+        try:
+            return gens[i].send(reply)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except Exception as exc:  # this dataset's fit fails alone
+            out[i] = exc
+        return None
+
+    asked = {i: rq for i in range(len(gens)) if (rq := resume(i, None)) is not None}
+    while asked:
+        replies = _evaluate(ws, batch, asked)
+        asked = {i: rq for i, reply in replies.items() if (rq := resume(i, reply)) is not None}
+    return out
+
+
+def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> FittedModel:
+    """Maximize the marginal likelihood and assemble the fitted model.
+
+    Cov(psi_hat) is H^{-1} with H the sum of squared per-subject scores at
+    the optimum, delta-mapped from (beta, log sigma2, log kappa) to the
+    natural scale.  Non-convergence returns the best iterate with
+    converged=False; a singular H falls back to the pseudo-inverse and is
+    flagged in cov_flags.  score_norm is the final KKT violation.
+    `diagnostics` holds deterministic counts (see README).
+    """
+    config = config or FitConfig()
+    ws = _Workspace(dataset, spec.family, config.gh_nodes)
+    (result,) = _fit_batch(ws, ws.batches[0], [dataset], spec, config)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _fit_alone(dataset: Dataset, spec: ModelSpec, config: FitConfig):
+    try:
+        return fit(dataset, spec, config)
+    except Exception as exc:
+        return exc
+
+
+def fit_batch(datasets, spec: ModelSpec, config: FitConfig | None = None) -> list:
+    """`fit` of each dataset, in lockstep batches: per dataset its
+    FittedModel, bit for bit the one `fit` returns, or the exception `fit`
+    raises on it.
+
+    One workspace holds the datasets and splits them into batches (see
+    _Workspace); a caller bounds its memory by the datasets it passes.  A
+    batch whose shared evaluation raises is refitted one dataset at a time,
+    and so is every dataset under the quasi-Newton optimizer, whose L-BFGS
+    stage runs on one dataset.
+    """
+    config = config or FitConfig()
+    if config.optimizer != "newton":
+        return [_fit_alone(ds, spec, config) for ds in datasets]
+    try:
+        ws = _Workspace(datasets, spec.family, config.gh_nodes)
+    except Exception:
+        return [_fit_alone(ds, spec, config) for ds in datasets]
+    out = []
+    for batch in ws.batches:
+        members = datasets[batch.index]
+        try:
+            out += _fit_batch(ws, batch, members, spec, config)
+        except Exception:
+            out += [_fit_alone(ds, spec, config) for ds in members]
+    return out
 
 
 def subject_scores(fitted: FittedModel) -> np.ndarray:
@@ -838,4 +1218,3 @@ def subject_scores(fitted: FittedModel) -> np.ndarray:
     theta = ws.pack(fitted.params.beta, fitted.params.sigma2, fitted.params.kappa)
     d, _ = ws.score_matrix(theta, np.array(fitted.cond_modes), np.array(fitted.cond_curvatures))
     return d
-

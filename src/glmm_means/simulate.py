@@ -11,9 +11,14 @@ Two designs are supported, both with covariate row (1, X, U, t):
   are arm_sizes[0] female and arm_sizes[3] male observations per arm,
   keeping the total information at the time design's scale.
 
-Replications are independent streams spawned from one seed and may run in
-parallel processes; aggregation is an ordered reduction, so reports are
-reproducible bit for bit regardless of worker count.
+Replications are independent streams spawned from one seed.  A run of
+them (at most `_RUN`, in the study's process or in a worker's) is drawn,
+fitted together by `fitter.fit_batch` in lockstep batches, and estimated
+replication by replication (`_replicate`).  A batched fit is bit for bit
+the replication's lone fit, and aggregation is an ordered reduction, so
+reports are reproducible bit for bit whatever the worker count or batch;
+a replication whose draw or fit raises, or that does not converge, fails
+alone.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .families import Family, family_ops
 from .conditional import conditional_estimates
-from .fitter import FitConfig, fit
+from .fitter import FitConfig, fit_batch
 from .marginal import distinct_rows, marginal_estimates
 from .model import Dataset, ModelSpec
 from .quadrature import logistic_normal_integral
@@ -212,12 +217,14 @@ def true_marginal_means(design: SimDesign) -> dict[str, float]:
 
 
 def _replicate(args):
-    design, seed_seq = args
-    rng = np.random.default_rng(seed_seq)
+    """One replication's record from its drawn data and its fit, or from the
+    exception that either raised."""
+    design, drawn, fitted = args
     try:
-        dataset, lam_true = _generate(design, rng)
-        spec = ModelSpec(family=design.family, p=design.p)
-        fitted = fit(dataset, spec, FitConfig())
+        for outcome in (drawn, fitted):
+            if isinstance(outcome, Exception):
+                raise outcome
+        dataset, lam_true = drawn
         if not fitted.converged:
             return {"ok": False, "reason": "non-convergence"}
         marg = marginal_estimates(fitted, design.alpha)
@@ -245,6 +252,29 @@ def _replicate(args):
         return {"ok": True, "groups": groups, "params": params}
     except Exception as exc:  # a failed replication must not kill the study
         return {"ok": False, "reason": f"{type(exc).__name__}: {exc}"}
+
+
+# Replications of one run: drawn, fitted and estimated together, then
+# released, so a study holds this many datasets and fits at a time whatever
+# its size.  The fitter splits a run into its lockstep batches: 2-4
+# replications of the paper's NB designs, and up to 22 of its logistic
+# ones, whose batches a run of 16 cuts at no cost in time.
+_RUN = 16
+
+
+def _run_batch(args):
+    """The records of a run of replications: each drawn from its own stream,
+    all fitted together by `fit_batch`, each estimated by `_replicate`."""
+    design, seeds = args
+    drawn = []
+    for seed in seeds:
+        try:
+            drawn.append(_generate(design, np.random.default_rng(seed)))
+        except Exception as exc:  # this replication fails alone
+            drawn.append(exc)
+    fits = iter(fit_batch([d[0] for d in drawn if not isinstance(d, Exception)],
+                          ModelSpec(family=design.family, p=design.p), FitConfig()))
+    return [_replicate((design, d, d if isinstance(d, Exception) else next(fits))) for d in drawn]
 
 
 @dataclass(frozen=True)
@@ -353,18 +383,19 @@ def run_study(design: SimDesign, max_workers: int | None = None,
     """
     mu_true = true_marginal_means(design)
     seeds = np.random.SeedSequence(design.seed).spawn(design.replications)
-    args = [(design, s) for s in seeds]
 
     workers = _resolve_workers(max_workers)
-    if workers > 1 and design.replications >= 4:
+    pooled = workers > 1 and design.replications >= 4
+    chunk = max(1, min(_RUN, design.replications // (workers * 8))) if pooled else _RUN
+    runs = [(design, seeds[i : i + chunk]) for i in range(0, len(seeds), chunk)]
+    if pooled:
         # imported here: it loads multiprocessing, which no serial run needs
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, design.replications // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate, args, chunksize=chunk))
+            results = [rec for run in pool.map(_run_batch, runs) for rec in run]
     else:
-        results = [_replicate(a) for a in args]
+        results = [rec for run in runs for rec in _run_batch(run)]
 
     good = [r for r in results if r["ok"]]
     failures = len(results) - len(good)

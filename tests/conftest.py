@@ -50,7 +50,7 @@ class _Gaussian:
             return np.ones_like(self.eta)
 
     @staticmethod
-    def kernel(y, eta, aux=None):
+    def kernel(y, eta, aux=None, log_aux=None):
         return _Gaussian._Nodes(y, np.asarray(eta, dtype=float))
 
 
@@ -270,10 +270,10 @@ def posterior_mean_effects(fitted: FittedModel) -> np.ndarray:
         return np.zeros(ws.K)
     beta, sigma2, aux = fitted.params.beta, fitted.params.sigma2, fitted.params.kappa
     modes, curv = np.array(fitted.cond_modes), np.array(fitted.cond_curvatures)
-    operands = ws.operands(np.asarray(beta, float), aux)
+    at, terms = ws.point(np.asarray(beta, float), sigma2, aux), ws.gamma_terms(aux)
     means = []
     for blk in ws.blocks:
-        _, omega, u, _ = ws.integral_pieces(sigma2, aux, modes, curv, operands, blk)
+        _, omega, u, _ = ws.integral_pieces(at, modes[ws.rep], curv[ws.rep], terms, blk)
         means.append(np.sum(omega * u, axis=1))
     return np.concatenate(means)[ws.pattern]  # one entry per pattern, expanded per subject
 

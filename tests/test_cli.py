@@ -386,12 +386,13 @@ def test_cli_nonconvergence_exits_2(small_csv, capsys, monkeypatch):
 
 
 def test_cli_study_with_every_replication_failed_exits_2(capsys, monkeypatch):
-    def fake_fit(dataset, spec, config):
-        real = fit(dataset, spec, config)
-        object.__setattr__(real, "converged", False)
-        return real
+    def fake_fit_batch(datasets, spec, config):
+        fits = [fit(ds, spec, config) for ds in datasets]
+        for real in fits:
+            object.__setattr__(real, "converged", False)
+        return fits
 
-    monkeypatch.setattr(simulate, "fit", fake_fit)
+    monkeypatch.setattr(simulate, "fit_batch", fake_fit_batch)
     code, out, err = run_cli([*SIMULATE_ARGS, "--reps", "2"], capsys)
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
@@ -401,10 +402,10 @@ def test_cli_study_with_every_replication_failed_exits_2(capsys, monkeypatch):
 
 
 def test_cli_study_whose_every_replication_raises_names_the_exception(capsys, monkeypatch):
-    def failing_fit(dataset, spec, config):
-        raise ValueError("boom")
+    def failing_fit_batch(datasets, spec, config):
+        return [ValueError("boom") for _ in datasets]  # fit_batch returns each fit's exception
 
-    monkeypatch.setattr(simulate, "fit", failing_fit)
+    monkeypatch.setattr(simulate, "fit_batch", failing_fit_batch)
     code, out, err = run_cli([*SIMULATE_ARGS, "--reps", "2"], capsys)
     assert code == 2 and out == ""
     error = json.loads(err)["error"]

@@ -17,10 +17,11 @@ from scipy.stats import nbinom
 from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, fit
 from glmm_means.families import SUM_CAP, family_ops, gamma_sums, stable_expit
 from glmm_means.fitter import (LOG_KAPPA_BOUNDS, LOG_SIGMA2_BOUNDS, MODE_TOL, SCORE_TOL, _cells,
-                                _first_appearance, _patterns, _Workspace, equal_runs, marginal_loglik,
-                                spd_inverse, subject_scores)
+                                _first_appearance, _patterns, _Point, _stack, _Workspace, equal_runs,
+                                marginal_loglik, spd_inverse, subject_scores)
 from glmm_means.model import ParamVector
-from glmm_means.simulate import generate_dataset, logistic_design, negbin_design
+from glmm_means.simulate import (generate_dataset, generate_replication, logistic_design,
+                                  negbin_design)
 
 from conftest import (conditional_mode, per_cell_derivatives, per_row_pattern_sums,
                       posterior_mean_effects, representative_rows, toy_dataset)
@@ -581,7 +582,7 @@ def test_subjects_with_equal_row_multisets_share_a_pattern(subjects):
     ids = [f"s{i}" for i, rows in enumerate(subjects) for _ in rows]
     x, y = (np.array([r[j] for rows in subjects for r in rows], float) for j in range(2))
     ds = Dataset.from_rows(ids, y, np.column_stack([np.ones_like(x), x]), ["g"] * len(ids))
-    pattern, rep, xrow = _patterns(ds)
+    pattern, rep, xrow = _patterns(_stack([ds]))
     same_row = np.all(ds.X[:, None] == ds.X[None], axis=2)
     np.testing.assert_array_equal(xrow[:, None] == xrow[None], same_row)
     keys = [tuple(sorted(rows)) for rows in subjects]
@@ -881,6 +882,78 @@ def test_fit_is_deterministic(logistic_toy_fit):
     assert again.params.sigma2 == logistic_toy_fit.params.sigma2
     assert np.array_equal(again.cov_psi, logistic_toy_fit.cov_psi)
     assert again.loglik == logistic_toy_fit.loglik
+
+
+def _study_replications(design, picks):
+    """The datasets of the given replications of run_study(design)."""
+    seeds = np.random.SeedSequence(design.seed).spawn(design.replications)
+    return [generate_replication(design, seeds[i])[0] for i in picks]
+
+
+def _assert_same_fit(got, want):
+    assert np.array_equal(got.params.beta, want.params.beta)
+    assert (got.params.sigma2, got.params.kappa) == (want.params.sigma2, want.params.kappa)
+    for name in ("cov_psi", "cond_modes", "cond_curvatures"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("loglik", "converged", "iterations", "score_norm", "cov_flags", "diagnostics"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("family", [Family.LOGISTIC, Family.NEGBIN])
+def test_batched_fits_equal_lone_fits_bit_for_bit(family, monkeypatch):
+    # fit_batch evaluates a batch's replications together, but sums each
+    # replication's values alone, in its lone order; the first logistic
+    # replication takes the on-score path (30 passes), the first NB one ends
+    # on the (sigma2, kappa) = (1e-10, 1e6) corner
+    import glmm_means.fitter as fitter
+
+    if family is Family.LOGISTIC:
+        datasets = (_study_replications(logistic_design(arm_sizes=(8, 6, 8, 6), replications=50,
+                                                        seed=2), [34, 3, 17])
+                    + _study_replications(logistic_design(control="time", replications=3, seed=5),
+                                          range(3)))
+    else:
+        datasets = (_study_replications(negbin_design(control="time", replications=4, seed=3),
+                                        [0, 1])
+                    + _study_replications(negbin_design(replications=3, seed=5), range(3)))
+    spec = ModelSpec(family=family, p=4)
+
+    def refit_alone(dataset, spec, config):
+        raise AssertionError("a batch fell back to lone fits")
+
+    monkeypatch.setattr(fitter, "_fit_alone", refit_alone)  # every batch runs in lockstep
+    for block_cells in (fitter._BLOCK_CELLS, 25 * 20):  # the default; blocks of 20 cells
+        monkeypatch.setattr(fitter, "_BLOCK_CELLS", block_cells)
+        batches = _Workspace(datasets, family, 25).batches
+        if block_cells == 25 * 20:  # some replication spans blocks in its batch
+            assert any(len(b.blocks) > 1 for b in batches)
+        else:  # some block holds several replications
+            assert any(len(b.reps) > 1 for b in batches)
+        lone = [fit(ds, spec) for ds in datasets]
+        if family is Family.LOGISTIC:
+            assert lone[0].diagnostics["quadrature_passes"] == 30
+        else:
+            assert (lone[0].params.sigma2, lone[0].params.kappa) == pytest.approx((1e-10, 1e6))
+        for size in (1, 3, len(datasets)):
+            got = [f for k in range(0, len(datasets), size)
+                   for f in fitter.fit_batch(datasets[k : k + size], spec)]
+            assert len(got) == len(lone)
+            for g, want in zip(got, lone):
+                _assert_same_fit(g, want)
+
+
+def test_a_batch_solve_holds_the_datasets_not_live_where_they_start():
+    # a round solves the modes of the datasets that ask for a solve; the
+    # patterns of the others keep their given modes and count no kernels
+    datasets = _study_replications(negbin_design(replications=3, seed=5), range(3))
+    ws = _Workspace(datasets, Family.NEGBIN, 25)
+    (batch,) = ws.batches
+    at = _Point(batch, [(np.array([0.3, -0.2, 0.3, 0.4]), 0.01, 50.0)] * 3)
+    b0 = np.random.default_rng(0).normal(size=batch.P)
+    modes, _ = ws.modes(batch, at, b0.copy(), np.array([True, False, True]))
+    held, solved = batch.reps[1].patterns, batch.reps[0].patterns
+    assert np.array_equal(modes[held], b0[held]) and not np.array_equal(modes[solved], b0[solved])
+    assert ws.kernel_evaluations[1] == 0 and ws.kernel_evaluations[0] > 1
 
 
 @pytest.fixture(scope="module")

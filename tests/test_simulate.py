@@ -1,5 +1,7 @@
 """Design generation, true means, reproducibility, and coverage semantics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import glmm_means.simulate as sim
 from glmm_means import Dataset, Family, generate_dataset, logistic_design, negbin_design, run_study
 from glmm_means.simulate import generate_replication, true_marginal_means
 from glmm_means.families import stable_expit
+from glmm_means.fitter import _Workspace
 from glmm_means.quadrature import logistic_normal_integral
 
 from conftest import study_group_summary
@@ -287,6 +290,69 @@ def test_failures_flag_threshold(monkeypatch):
     report = run_study(design, max_workers=1)
     assert report.failures == 4
     assert report.flagged  # > 2% of 50
+
+
+def _small_batch():
+    """A study whose replications share one batch, its streams and their records."""
+    design = logistic_design(**SMALL)
+    seeds = np.random.SeedSequence(design.seed).spawn(design.replications)
+    datasets = [generate_replication(design, s)[0] for s in seeds]
+    assert len(_Workspace(datasets, design.family, 25).batches) == 1
+    return design, seeds, datasets, sim._run_batch((design, seeds))
+
+
+def test_a_failed_replication_fails_alone_in_its_batch(monkeypatch):
+    # one replication fails in its draw, one in its fit and one does not
+    # converge: each has the reason it has alone, and its batch-mates'
+    # records are those of the undisturbed study
+    import glmm_means.fitter as fitter
+
+    design, seeds, datasets, base = _small_batch()
+    assert all(r["ok"] for r in base)
+    raising, stalled = datasets[2].y, datasets[4].y
+    real_generate, real_irls = sim._generate, fitter._irls_init
+    real_replication = fitter._replication
+    draws = []
+
+    def generate(design, rng):
+        draws.append(rng)
+        if len(draws) == 1:
+            raise ValueError("no draw")
+        return real_generate(design, rng)
+
+    def irls_init(family, X, y, w, y_rows):
+        if np.array_equal(y_rows, raising):
+            raise ValueError("boom")
+        return real_irls(family, X, y, w, y_rows)
+
+    def replication(ws, batch, i, dataset, *args):
+        fitted = yield from real_replication(ws, batch, i, dataset, *args)
+        if np.array_equal(dataset.y, stalled):
+            fitted = dataclasses.replace(fitted, converged=False)
+        return fitted
+
+    monkeypatch.setattr(sim, "_generate", generate)
+    monkeypatch.setattr(fitter, "_irls_init", irls_init)
+    monkeypatch.setattr(fitter, "_replication", replication)
+    got = sim._run_batch((design, seeds))
+    reasons = {0: "ValueError: no draw", 2: "ValueError: boom", 4: "non-convergence"}
+    for i, (rec, want) in enumerate(zip(got, base)):
+        assert rec == ({"ok": False, "reason": reasons[i]} if i in reasons else want), i
+
+
+def test_a_batch_whose_shared_evaluation_fails_is_refitted_alone(monkeypatch):
+    import glmm_means.fitter as fitter
+
+    design, seeds, _, base = _small_batch()
+    real = fitter._evaluate
+
+    def evaluate(ws, batch, asked):
+        if len(batch.reps) > 1:
+            raise FloatingPointError("shared")
+        return real(ws, batch, asked)
+
+    monkeypatch.setattr(fitter, "_evaluate", evaluate)
+    assert sim._run_batch((design, seeds)) == base
 
 
 def test_thread_cap_env_variable_is_honored(monkeypatch):
