@@ -24,6 +24,12 @@ system and the naive-plus-correction decomposition are test oracles.
 eta, its inverse link and derivative once per row, summed by group over
 `Dataset.group_codes`, and every group's a'M^{-1}a from one batched
 triangular solve (`_Factorization.variances`) in O(N + K p) memory.
+`conditional_batch` makes that pass once for a run of fits, a study's
+replications: the per-row terms over their stacked rows, each group or
+subject sum one `np.bincount` over codes numbered on from fit to fit, each
+fit's p x p products as it forms them alone, one stacked Cholesky call for
+every fit's S and one stacked solve per group count.  Each fit's estimates
+are bit for bit its lone ones; `conditional_estimates` is the batch of one.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 
 from .families import Family, family_ops
 from .fitter import FittedModel, cholesky
-from .marginal import GroupMeanEstimate, MeanKind, group_intervals
+from .marginal import GroupMeanEstimate, MeanKind, _Run, _stack, group_intervals
 from .model import code_sums
 
 
@@ -61,17 +67,25 @@ class PredictionStructure:
 
 
 class _Factorization:
-    """The arrowhead system M through B, D^{-1} and the Cholesky factor of S.
+    """The arrowhead system M through B, D^{-1} and the Cholesky factor of S,
+    or several side by side for a run of fits: `systems` holds each one's
+    (rows, subjects) slices of `struct`, whose sigma2 is then given per
+    subject, and `chol` stacks their factors.  One system if None.
 
     A singular S (weights that vanish on a whole covariate direction) raises
     numpy.linalg.LinAlgError, and a non-finite one ValueError; no jitter.
     """
 
-    def __init__(self, struct: PredictionStructure):
+    def __init__(self, struct: PredictionStructure, systems=None):
         self.X, self.subject_index = struct.X, struct.subject_index  # not the weights
         self.b, self.dinv = struct.border()
-        xwx = struct.X.T @ (struct.weights[:, None] * struct.X)
-        self.chol = cholesky(xwx - self.b.T @ (self.dinv[:, None] * self.b))
+        X, w = struct.X, struct.weights
+        systems = systems or [(slice(None), slice(None))]
+        schur = np.empty((len(systems), X.shape[1], X.shape[1]))
+        for i, (rows, subjects) in enumerate(systems):
+            b, dinv = self.b[subjects], self.dinv[subjects]
+            schur[i] = X[rows].T @ (w[rows, None] * X[rows]) - b.T @ (dinv[:, None] * b)
+        self.chol = cholesky(schur if len(systems) > 1 else schur[0])
 
     def design_columns(self, rows: np.ndarray) -> np.ndarray:
         """(X_q; Z_q) for the given observation rows, one column per row."""
@@ -88,13 +102,15 @@ class _Factorization:
         return np.concatenate([x, dinv * (s - self.b @ x)])
 
     def variances(self, d: np.ndarray, codes: np.ndarray, n_groups: int,
-                  order=None) -> np.ndarray:
+                  order=None, groups=None) -> np.ndarray:
         """a_q'M^{-1}a_q, a_q = (X_q'd; Z_q'd), of every group q < n_groups:
         row r lies in group codes[r], weight d[r].
         s_q = Z_q'd, r_q = X_q'd - B'D^{-1}s_q and s_q'D^{-1}s_q are sums over
         the (group, subject) pairs that occur, read along `order` (the r group
         by group, each group's by subject, as `Dataset.group_index` lists
-        them; a sort if None), and one solve serves every r_q."""
+        them; a sort if None), and one solve serves every r_q.  Of several
+        systems, `groups` holds each one's slice of the groups, and one
+        stacked solve serves the systems with equal group counts."""
         r = code_sums(codes, self.X, n_groups, d)
         subj = self.subject_index
         if order is None:
@@ -114,20 +130,26 @@ class _Factorization:
         del s
         for c in range(r.shape[1]):  # no (pairs, p) gather of B
             r[:, c] -= np.bincount(pair_group, self.b[:, c][pair_subj] * dinv_s, n_groups)
-        return np.sum(np.linalg.solve(self.chol, r.T) ** 2, axis=0) + sds
+        if self.chol.ndim == 2:  # one system
+            return np.sum(np.linalg.solve(self.chol, r.T) ** 2, axis=0) + sds
+        squares = np.empty(n_groups)
+        sizes = np.array([g.stop - g.start for g in groups])
+        for size in np.unique(sizes).tolist():
+            which = np.flatnonzero(sizes == size)
+            rows = np.concatenate([np.arange(groups[i].start, groups[i].stop) for i in which])
+            rhs = r[rows].reshape(which.size, size, -1).transpose(0, 2, 1)
+            squares[rows] = np.sum(np.linalg.solve(self.chol[which], rhs) ** 2, axis=1).ravel()
+        return squares + sds
 
 
-def build_prediction_structure(fitted: FittedModel, fisher_weight=None) -> PredictionStructure:
-    """Iterative weights and design pieces evaluated at the conditional modes;
-    `fisher_weight` is the family's at the predicted etas, formed if None."""
+def build_prediction_structure(fitted: FittedModel) -> PredictionStructure:
+    """Iterative weights and design pieces evaluated at the conditional modes."""
     ds = fitted.dataset
-    if fisher_weight is None:
-        eta = predicted_eta_rows(fitted)
-        fisher_weight = family_ops(fitted.spec.family).fisher_weight(eta, fitted.params.kappa)
+    eta = predicted_eta_rows(fitted)
     return PredictionStructure(
         X=ds.X,
         subject_index=np.asarray(ds.subject_index),
-        weights=np.asarray(fisher_weight, float),
+        weights=family_ops(fitted.spec.family).fisher_weight(eta, fitted.params.kappa),
         sigma2=fitted.params.sigma2,
         n_subjects=ds.n_subjects,
     )
@@ -152,20 +174,40 @@ def conditional_estimates(fitted: FittedModel, alpha: float = 0.05) -> dict[str,
     intervals, and the benchmark lambda*_q: the group average of the inverse
     link at the rows' predicted etas, the covariate rows replaced by the
     group-average row in lambda*_q."""
-    ds, family = fitted.dataset, fitted.spec.family
+    return conditional_batch([fitted], alpha)[0]
+
+
+def conditional_batch(fits, alpha: float = 0.05) -> list[dict[str, GroupMeanEstimate]]:
+    """`conditional_estimates` of each of a run of fits of one family, bit
+    for bit: one pass over their stacked rows, each group or subject sum one
+    `np.bincount` over codes numbered on from fit to fit, each fit's
+    factorization (one stacked Cholesky call) and the intervals of every
+    group of every fit at once."""
+    run = _Run(fits)
+    family, codes, n = run.family, run.codes, run.n
     ops = family_ops(family)
-    gids, codes, n = ds.group_index.group_ids, ds.group_codes, ds.group_sizes
-    eta = predicted_eta_rows(fitted)
+    dss, subjects, subject_index = run.datasets, run.subjects, run.subject_index
+    modes = _stack([fit.cond_modes for fit in run.fits])
+    eta = run.products(run.X, run.rows, run.beta)
+    eta += modes[subject_index]
     d = ops.dinverse_link(eta)
-    # the logistic's Fisher weight is its inverse-link derivative
-    w = d if family is Family.LOGISTIC else ops.fisher_weight(eta, fitted.params.kappa)
+    if family is Family.LOGISTIC:  # its Fisher weight is its inverse-link derivative
+        w = d
+    else:
+        kappa = [fit.params.kappa for fit in run.fits]
+        w = ops.fisher_weight(eta, run.spread(kappa, run.rows),
+                              run.spread([np.log(k) for k in kappa], run.rows))
     point = code_sums(codes, ops.inverse_link(eta), n.size) / n
-    fac = factorize_structure(build_prediction_structure(fitted, w))
+    fac = _Factorization(PredictionStructure(
+        run.X, subject_index, w, run.spread([fit.params.sigma2 for fit in run.fits], subjects),
+        subjects[-1].stop), list(zip(run.rows, subjects)))
     del eta, w  # the solve holds few row-length arrays
-    order = np.concatenate([ds.group_index.indices[g] for g in gids])
-    variance = fac.variances(d, codes, n.size, order=order) / (n * n)
-    star_eta = (ds.group_X @ fitted.params.beta)[codes] + fitted.cond_modes[ds.subject_index]
+    order = _stack([np.concatenate([ds.group_index.indices[g] for g in ds.group_index.group_ids])
+                    for ds in dss], [r.start for r in run.rows])
+    variance = fac.variances(d, codes, n.size, order, run.groups) / (n * n)
+    star_eta = run.products(run.group_X, run.groups, run.beta)[codes]
+    star_eta += modes[subject_index]
     star = code_sums(codes, ops.inverse_link(star_eta), n.size) / n
-    rows = zip(gids, point.tolist(), variance.tolist(), n.tolist(),
+    rows = zip(run.gids, point.tolist(), variance.tolist(), n.tolist(),
                group_intervals(family, point, variance, alpha), star.tolist())
-    return {row[0]: GroupMeanEstimate(row[0], MeanKind.CONDITIONAL, *row[1:]) for row in rows}
+    return run.split([GroupMeanEstimate(row[0], MeanKind.CONDITIONAL, *row[1:]) for row in rows])

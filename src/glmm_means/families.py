@@ -155,7 +155,7 @@ class _Logistic:
         return _Logistic.kernel(y, eta).loglik(eta)
 
     @staticmethod
-    def fisher_weight(eta, aux=None):
+    def fisher_weight(eta, aux=None, log_aux=None):
         # p (1 - p) = expit(eta) expit(-eta): 1 / q times e / q, e = exp(-|eta|)
         # and q = 1 + e, so neither tail rounds to 0
         e = np.exp(-np.abs(eta))
@@ -197,10 +197,10 @@ class _NegBinomial:
         return const + _NegBinomial.kernel(y, eta, aux).loglik(eta)
 
     @staticmethod
-    def fisher_weight(eta, aux):
-        kappa = aux
-        # mu * kappa / (mu + kappa)
-        return kappa * stable_expit(eta - np.log(kappa))
+    def fisher_weight(eta, aux, log_aux=None):
+        """mu kappa / (mu + kappa); `log_aux` is np.log(aux), given where aux
+        holds one size per element."""
+        return aux * stable_expit(eta - (np.log(aux) if log_aux is None else log_aux))
 
     @staticmethod
     def inverse_link(eta):

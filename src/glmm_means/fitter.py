@@ -57,10 +57,11 @@ block each replication's patterns are numbered together by descending cell
 count, so they and its cells keep the order they have alone, and every sum
 over one replication's patterns, subjects or cells (X beta, the loglik, the
 scores' totals, the Hessian's products, the NB's node-free terms, the IRLS
-start) runs on its own values in that order.  So a batched fit is bit for
-bit its lone fit, and a study's report does not depend on how its
-replications were batched or spread over worker processes; `fit` is the
-batch of one.
+start's X'WX and X'Wz) runs on its own values in that order.  The IRLS
+starts of a batch come from one loop (`_irls_starts`) with one stacked solve
+per iteration.  So a batched fit is bit for bit its lone fit, and a study's
+report does not depend on how its replications were batched or spread over
+worker processes; `fit` is the batch of one.
 
 A subject's conditional mode b* is the root of g(b) = S(b) - b / sigma2,
 where S, the sum of w score_eta over its cells, falls in b because the
@@ -851,31 +852,65 @@ def marginal_loglik(dataset: Dataset, spec: ModelSpec, params: ParamVector,
     return ll
 
 
-def _irls_init(family: Family, X, y, w, y_rows) -> np.ndarray:
+def _solve_or_none(a, b):
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _irls_starts(ws: _Workspace, batch: _Batch, datasets) -> list:
     """Fixed-effects GLM start values (logistic IRLS; Poisson IRLS for NB)
-    over cells with covariate rows X, mean responses y and total row counts
-    w (row count times subject count); `y_rows` holds every row's response."""
-    beta = np.zeros(X.shape[1])
-    if family is Family.NEGBIN:
-        beta[0] = math.log(max(float(np.mean(y_rows)), 0.05))
+    of each dataset of a batch, over its cells with their mean responses,
+    each weighted by its row count times its pattern's subject count.
+
+    One 8-iteration loop serves the batch: the elementwise work runs once
+    over the cells of every dataset, laid dataset by dataset; each dataset's
+    X beta, X'WX and X'Wz are formed as its lone loop forms them; one stacked
+    solve serves every dataset still iterating.  A dataset whose solve is
+    singular or non-finite stops alone, and a non-finite start is zero."""
+    reps, p = batch.reps, ws.p
+    cells = np.concatenate([rep.cells for rep in reps])
+    bounds = np.cumsum([0] + [rep.cells.size for rep in reps]).tolist()
+    own = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    y = batch.y[cells]
+    w = (batch.w * ws.m[batch.patterns][batch.subj])[cells]
+    nb = ws.family is Family.NEGBIN
+    betas = [np.zeros(p) for _ in reps]
+    if nb:
+        for beta, ds in zip(betas, datasets):
+            beta[0] = math.log(max(float(np.mean(ds.y)), 0.05))
+    eta = np.empty(cells.size)
+    live = list(range(len(reps)))
     for _ in range(8):
-        eta = np.clip(X @ beta, -30, 30)
-        if family is Family.NEGBIN:
+        for i in live:
+            eta[own[i]] = reps[i].X @ betas[i]
+        np.clip(eta, -30, 30, out=eta)
+        if nb:
             mu = np.exp(eta)
             wt = np.clip(mu, 1e-6, None)
         else:
             mu = 1.0 / (1.0 + np.exp(-eta))
             wt = np.clip(mu * (1.0 - mu), 1e-6, None)
         z = eta + (y - mu) / wt
-        xtw = X.T * (wt * w)
+        wt *= w
+        lhs, rhs = np.empty((len(live), p, p)), np.empty((len(live), p, 1))
+        for j, i in enumerate(live):
+            xtw = reps[i].X.T * wt[own[i]]
+            lhs[j], rhs[j, :, 0] = xtw @ reps[i].X, xtw @ z[own[i]]
         try:
-            beta_new = np.linalg.solve(xtw @ X, xtw @ z)
-        except np.linalg.LinAlgError:
+            steps = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:  # one is singular: each alone
+            steps = [_solve_or_none(a, b) for a, b in zip(lhs, rhs)]
+        moving = []
+        for i, step in zip(live, steps):
+            if step is not None and np.all(np.isfinite(step)):
+                betas[i] = step[:, 0]
+                moving.append(i)
+        live = moving
+        if not live:
             break
-        if not np.all(np.isfinite(beta_new)):
-            break
-        beta = beta_new
-    return beta if np.all(np.isfinite(beta)) else np.zeros(X.shape[1])
+    return [beta if np.all(np.isfinite(beta)) else np.zeros(p) for beta in betas]
 
 
 def _kappa_moment_init(y: np.ndarray) -> float:
@@ -1023,18 +1058,16 @@ def _newton(ws: _Workspace, theta, lb, ub):
     return theta, ll, modes, curv, d, viol, iterations, trials
 
 
-def _replication(ws: _Workspace, batch: _Batch, i: int, dataset: Dataset, spec: ModelSpec,
-                 config: FitConfig, lb, ub):
-    """The fit of dataset i of a batch, a generator as `_newton` is: start
-    values, the Newton loop, the NB's unsplit score pass, for which it
+def _replication(ws: _Workspace, batch: _Batch, i: int, dataset: Dataset, beta0,
+                 spec: ModelSpec, config: FitConfig, lb, ub):
+    """The fit of dataset i of a batch from its start beta0, a generator as
+    `_newton` is: the Newton loop, the NB's unsplit score pass, for which it
     yields (theta, modes, curvatures) and is sent d and the loglik, and the
     FittedModel it returns."""
     rep = batch.reps[i]
     kappa0 = _kappa_moment_init(dataset.y) if spec.family is Family.NEGBIN else None
-    m = ws.m[batch.patterns][batch.subj][rep.cells]  # each cell's count of subjects
-    beta0 = _irls_init(spec.family, rep.X, batch.y[rep.cells], batch.w[rep.cells] * m, dataset.y)
-    n_cells = int(m.sum())  # (subject, covariate row) cells of all subjects
-    del m
+    # (subject, covariate row) cells of all subjects
+    n_cells = int(ws.m[batch.patterns][batch.subj][rep.cells].sum())
     theta = np.clip(ws.pack(beta0, 0.1, kappa0), lb, ub)
     iterations, optimizer_used = 0, "newton"
     if config.optimizer == "quasi_newton":  # a workspace of this dataset alone (fit_batch)
@@ -1136,11 +1169,12 @@ def _evaluate(ws: _Workspace, batch: _Batch, asked: dict) -> dict:
 def _fit_batch(ws: _Workspace, batch: _Batch, datasets, spec: ModelSpec, config: FitConfig):
     """Fits the datasets of one batch in lockstep, one `_replication`
     generator each: every round serves the requests of the running
-    generators with one `_evaluate`.  Returns a FittedModel per dataset, or
-    the exception its generator raised; an exception in the shared
-    evaluation propagates."""
+    generators with one `_evaluate`, after one `_irls_starts` for all.
+    Returns a FittedModel per dataset, or the exception its generator
+    raised; an exception in the start or a shared evaluation propagates."""
     lb, ub = ws.bounds()
-    gens = [_replication(ws, batch, i, ds, spec, config, lb, ub) for i, ds in enumerate(datasets)]
+    gens = [_replication(ws, batch, i, ds, beta0, spec, config, lb, ub)
+            for i, (ds, beta0) in enumerate(zip(datasets, _irls_starts(ws, batch, datasets)))]
     out = [None] * len(gens)
 
     def resume(i, reply):
@@ -1191,9 +1225,9 @@ def fit_batch(datasets, spec: ModelSpec, config: FitConfig | None = None) -> lis
 
     One workspace holds the datasets and splits them into batches (see
     _Workspace); a caller bounds its memory by the datasets it passes.  A
-    batch whose shared evaluation raises is refitted one dataset at a time,
-    and so is every dataset under the quasi-Newton optimizer, whose L-BFGS
-    stage runs on one dataset.
+    batch whose shared start or evaluation raises is refitted one dataset at
+    a time, and so is every dataset under the quasi-Newton optimizer, whose
+    L-BFGS stage runs on one dataset.
     """
     config = config or FitConfig()
     if config.optimizer != "newton":

@@ -10,6 +10,12 @@ delta method through Cov(psi_hat); the NB variance is the lognormal-sum
 mean and gradient once, summed by group over `Dataset.group_codes`, and
 mu*_q with its variance from the group-average rows `Dataset.group_X`.
 Only the NB pair sum runs group by group, over each group's distinct rows.
+`marginal_batch` makes that pass once for a run of fits, a study's
+replications: their rows stacked, each group sum one `np.bincount` over
+group codes numbered on from fit to fit, each fit's products with its own
+parameters and Cov, and the intervals of every group of every fit at once.
+Every reduction stays within one fit, so each fit's estimates are bit for
+bit its lone ones; `marginal_estimates` is the batch of one.
 
 Internally all gradients are taken over (beta, sigma2), which stays finite
 as sigma_hat -> 0; `grad_mu_i` exposes the equivalent (beta, sigma)
@@ -19,6 +25,7 @@ parameterization.  Both give identical delta-method variances.
 from __future__ import annotations
 
 import enum
+import itertools
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -67,19 +74,31 @@ def _z(alpha: float) -> float:
 # ---- per-row plug-in means and gradients ------------------------------------
 
 
-def _plugin_rows(fitted: FittedModel, rows):
-    """Plug-in means mu_hat of covariate rows x, and the a and g that make
-    (a x, g) each row's gradient over (beta, sigma2): of mu_hat itself
-    (logistic), or of nu_hat = log mu_hat (NB, a = 1 and g = 1/2)."""
-    rows = np.atleast_2d(np.asarray(rows, float))
+def _link_constants(fitted: FittedModel):
+    """The plug-in's constants of a fit: the Zeger factor c and -0.346 c^3 / 2
+    (logistic), or sigma2 / 2 and None (NB)."""
     s2 = fitted.params.sigma2
-    eta0 = rows @ fitted.params.beta
     if fitted.spec.family is Family.LOGISTIC:
         c = zeger_attenuation(s2)
-        mu = stable_expit(c * eta0)
+        return c, -0.5 * ZEGER_COEF * c**3
+    return s2 / 2.0, None
+
+
+def _plugin(family: Family, eta0, k1, k2):
+    """Plug-in means mu_hat at linear predictors eta0 = x'beta, and the a and
+    g that make (a x, g) each row's gradient over (beta, sigma2): of mu_hat
+    itself (logistic), or of nu_hat = log mu_hat (NB, a = 1 and g = 1/2).
+    k1 and k2 are the `_link_constants` of the one fit, or of each row's."""
+    if family is Family.LOGISTIC:
+        mu = stable_expit(k1 * eta0)
         q = mu * (1.0 - mu)
-        return mu, q * c, -0.5 * ZEGER_COEF * c**3 * eta0 * q
-    return np.exp(eta0 + s2 / 2.0), np.ones_like(eta0), np.full_like(eta0, 0.5)
+        return mu, q * k1, k2 * eta0 * q
+    return np.exp(eta0 + k1), np.ones_like(eta0), np.full_like(eta0, 0.5)
+
+
+def _plugin_rows(fitted: FittedModel, rows):
+    rows = np.atleast_2d(np.asarray(rows, float))
+    return _plugin(fitted.spec.family, rows @ fitted.params.beta, *_link_constants(fitted))
 
 
 def mu_hat_i(fitted: FittedModel, x) -> float:
@@ -99,7 +118,74 @@ def grad_mu_i(fitted: FittedModel, x) -> np.ndarray:
     return grad * mu[0] if fitted.spec.family is Family.NEGBIN else grad
 
 
-# ---- every group at once -------------------------------------------------------
+# ---- every group of a run of fits at once -----------------------------------
+
+
+def _slices(sizes) -> list[slice]:
+    bounds = [0, *itertools.accumulate(sizes)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _stack(parts, starts=None):
+    """The arrays `parts` end to end, each plus its start, if given."""
+    if starts is not None:
+        parts = [part + start if start else part for part, start in zip(parts, starts)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class _Run:
+    """Fits of one family estimated together: their datasets' rows, groups
+    and subjects stacked, each numbered on from the fit before, and each
+    fit's slice of them.  A run of one fit holds its dataset's own arrays
+    and its per-fit values as is."""
+
+    def __init__(self, fits):
+        self.fits = fits = list(fits)
+        self.family = fits[0].spec.family
+        self.beta = [f.params.beta for f in fits]
+        self.datasets = dss = [f.dataset for f in fits]
+        if len(dss) == 1:  # a lone call: no stacking
+            ds = dss[0]
+            self.rows, self.groups = [slice(0, ds.n_obs)], [slice(0, ds.group_sizes.size)]
+            self.subjects = [slice(0, ds.n_subjects)]
+            self.X, self.codes, self.n = ds.X, ds.group_codes, ds.group_sizes
+            self.group_X, self.gids = ds.group_X, ds.group_index.group_ids
+            self.subject_index = ds.subject_index
+            return
+        self.rows = _slices([ds.n_obs for ds in dss])
+        self.groups = _slices([ds.group_sizes.size for ds in dss])
+        self.subjects = _slices([ds.n_subjects for ds in dss])
+        self.X = np.concatenate([ds.X for ds in dss])
+        self.codes = _stack([ds.group_codes for ds in dss], [g.start for g in self.groups])
+        self.n = np.concatenate([ds.group_sizes for ds in dss])
+        self.group_X = np.concatenate([ds.group_X for ds in dss])
+        self.gids = [gid for ds in dss for gid in ds.group_index.group_ids]
+        self.subject_index = _stack([ds.subject_index for ds in dss],
+                                    [k.start for k in self.subjects])
+
+    def spread(self, values, parts):
+        """One value per fit as one per item of its part, for each fit's part
+        of `parts`; the value itself in a run of one fit."""
+        if len(self.fits) == 1:
+            return values[0]
+        return np.repeat(values, [part.stop - part.start for part in parts])
+
+    def products(self, rows, parts, mats):
+        """Each fit's part of `parts` of `rows` times its matrix or vector
+        of `mats`, stacked."""
+        if len(mats) == 1:
+            return rows @ mats[0]
+        return np.concatenate([rows[part] @ m for part, m in zip(parts, mats)])
+
+    def forms(self, grads, parts):
+        """g' Cov g of each row g of `grads`, with the Cov over (beta, sigma2)
+        of the fit whose part of `parts` holds it, and grads @ Cov."""
+        gcov = self.products(grads, parts, [f.cov_beta_sigma2 for f in self.fits])
+        return np.einsum("ij,ij->i", gcov, grads), gcov
+
+    def split(self, estimates) -> list[dict]:
+        """Per fit, its groups' estimates by group id."""
+        return [{e.group_id: e for e in estimates[part]} for part in self.groups]
 
 
 def distinct_rows(codes: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,20 +196,22 @@ def distinct_rows(codes: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     return order[first], np.diff(np.append(first, codes.size))
 
 
-def _negbin_variances(fitted: FittedModel, n: np.ndarray) -> np.ndarray:
+def _negbin_variances(run: _Run, half_sigma2) -> np.ndarray:
     """The lognormal-sum variance of every group's mean, with plug-in log-scale
     covariances s_ij = grad(nu_i)' Cov grad(nu_j): the sum over pairs of the
     group's rows of mu_i mu_j exp((s_ii + s_jj) / 2) expm1(s_ij), over N_q^2.
     It runs over each group's distinct rows weighted by their counts, in
     blocks of at most _PAIR_BLOCK pairs."""
-    ds = fitted.dataset
-    first, counts = distinct_rows(ds.group_codes, ds.X)
-    rows = ds.X[first]
-    mu, a, g = _plugin_rows(fitted, rows)
+    n = run.n
+    first, counts = distinct_rows(run.codes, run.X)
+    rows, codes = run.X[first], run.codes[first]
+    bounds = np.searchsorted(codes, np.arange(n.size + 1)).tolist()
+    parts = [slice(bounds[g.start], bounds[g.stop]) for g in run.groups]  # each fit's rows
+    eta0 = run.products(rows, parts, run.beta)
+    mu, a, g = _plugin(Family.NEGBIN, eta0, run.spread(half_sigma2, parts), None)
     grads = np.column_stack([a[:, None] * rows, g])
-    gcov = grads @ fitted.cov_beta_sigma2
-    amp = counts * mu * np.exp(0.5 * np.einsum("ij,ij->i", gcov, grads))
-    bounds = np.searchsorted(ds.group_codes[first], np.arange(n.size + 1)).tolist()
+    forms, gcov = run.forms(grads, parts)
+    amp = counts * mu * np.exp(0.5 * forms)
     totals = np.zeros(n.size)
     for q, (lo, hi) in enumerate(zip(bounds, bounds[1:])):  # one group's distinct rows
         gq, gc, am = grads[lo:hi], gcov[lo:hi], amp[lo:hi]
@@ -219,26 +307,40 @@ def marginal_estimates(fitted: FittedModel, alpha: float = 0.05) -> dict[str, Gr
     plug-in means; its logistic variance is gbar' Cov gbar, gbar the group's
     average gradient.  mu*_q, the plug-in mean at the group-average covariate
     row, is inconsistent whenever the inverse link is nonlinear."""
-    ds, family = fitted.dataset, fitted.spec.family
-    gids, codes, n = ds.group_index.group_ids, ds.group_codes, ds.group_sizes
-    cov = fitted.cov_beta_sigma2
-    mu, a, g = _plugin_rows(fitted, ds.X)
+    return marginal_batch([fitted], alpha)[0]
+
+
+def marginal_batch(fits, alpha: float = 0.05) -> list[dict[str, GroupMeanEstimate]]:
+    """`marginal_estimates` of each of a run of fits of one family, bit for
+    bit: one pass over their stacked rows, each group sum one `np.bincount`
+    over the group codes numbered on from fit to fit, each fit's products
+    with its own Cov, and the intervals of every group of every fit at once."""
+    run = _Run(fits)
+    family, codes, n = run.family, run.codes, run.n
+    k1, k2 = zip(*map(_link_constants, run.fits))
+
+    def constants(parts):
+        return run.spread(k1, parts), None if k2[0] is None else run.spread(k2, parts)
+
+    xbeta = run.products(run.X, run.rows, run.beta)
+    mu, a, g = _plugin(family, xbeta, *constants(run.rows))
     point = code_sums(codes, mu, n.size) / n
     if family is Family.LOGISTIC:
-        gbar = np.column_stack([code_sums(codes, ds.X, n.size, a), code_sums(codes, g, n.size)])
+        gbar = np.column_stack([code_sums(codes, run.X, n.size, a), code_sums(codes, g, n.size)])
         gbar /= n[:, None]
-        variance = np.einsum("ij,ij->i", gbar @ cov, gbar)
+        variance = run.forms(gbar, run.groups)[0]
     else:
-        variance = _negbin_variances(fitted, n)
-    star, a, g = _plugin_rows(fitted, ds.group_X)
-    star_grads = np.column_stack([a[:, None] * ds.group_X, g])
-    star_variance = np.einsum("ij,ij->i", star_grads @ cov, star_grads)
+        variance = _negbin_variances(run, k1)
+    eta0 = run.products(run.group_X, run.groups, run.beta)
+    star, a, g = _plugin(family, eta0, *constants(run.groups))
+    star_grads = np.column_stack([a[:, None] * run.group_X, g])
+    star_variance = run.forms(star_grads, run.groups)[0]
     if family is Family.NEGBIN:
         star_variance *= star**2  # the gradients are of nu = log mu
-    for gid in np.array(gids, object)[variance < 0]:
+    for gid in np.array(run.gids, object)[variance < 0]:
         warnings.warn(f"negative delta-method variance for group {gid} clamped to 0", RuntimeWarning)
     variance = np.maximum(variance, 0.0)
-    rows = zip(gids, point.tolist(), variance.tolist(), n.tolist(),
+    rows = zip(run.gids, point.tolist(), variance.tolist(), n.tolist(),
                group_intervals(family, point, variance, alpha, n), star.tolist(),
                np.maximum(star_variance, 0.0).tolist())
-    return {row[0]: GroupMeanEstimate(row[0], MeanKind.MARGINAL, *row[1:]) for row in rows}
+    return run.split([GroupMeanEstimate(row[0], MeanKind.MARGINAL, *row[1:]) for row in rows])

@@ -13,12 +13,16 @@ Two designs are supported, both with covariate row (1, X, U, t):
 
 Replications are independent streams spawned from one seed.  A run of
 them (at most `_RUN`, in the study's process or in a worker's) is drawn,
-fitted together by `fitter.fit_batch` in lockstep batches, and estimated
-replication by replication (`_replicate`).  A batched fit is bit for bit
-the replication's lone fit, and aggregation is an ordered reduction, so
-reports are reproducible bit for bit whatever the worker count or batch;
-a replication whose draw or fit raises, or that does not converge, fails
-alone.
+fitted together by `fitter.fit_batch` in lockstep batches, and its
+converged fits are estimated together, by one `marginal_batch` and one
+`conditional_batch` pass; `_replicate` then builds each replication's
+record.  A batched fit is bit for bit the replication's lone fit, a batched
+estimate its lone estimate, and aggregation is an ordered reduction, so
+reports are reproducible bit for bit whatever the worker count, run or
+batch.  A replication whose draw, fit or estimate raises, or that does not
+converge, fails alone, with the reason it has alone: a run whose batched
+estimate raises is estimated one replication at a time.  A report counts
+its failures by reason (`SimReport.failure_reasons`).
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from functools import lru_cache
 import numpy as np
 
 from .families import Family, family_ops
-from .conditional import conditional_estimates
+from .conditional import conditional_batch, conditional_estimates
 from .fitter import FitConfig, fit_batch
-from .marginal import distinct_rows, marginal_estimates
+from .marginal import distinct_rows, marginal_batch, marginal_estimates
 from .model import Dataset, ModelSpec
 from .quadrature import logistic_normal_integral
 
@@ -216,10 +220,29 @@ def true_marginal_means(design: SimDesign) -> dict[str, float]:
 # ---- the study loop ---------------------------------------------------------
 
 
+def _estimate_alone(fitted, alpha: float):
+    try:
+        return marginal_estimates(fitted, alpha), conditional_estimates(fitted, alpha)
+    except Exception as exc:
+        return exc
+
+
+def _estimates(fits, alpha: float) -> list:
+    """The (marginal, conditional) estimates of each fit, bit for bit the
+    lone calls', or the exception that they raise on it: one pass per layer
+    for the whole run, or one fit at a time if either pass raises."""
+    if not fits:
+        return []
+    try:
+        return list(zip(marginal_batch(fits, alpha), conditional_batch(fits, alpha)))
+    except Exception:
+        return [_estimate_alone(fitted, alpha) for fitted in fits]
+
+
 def _replicate(args):
-    """One replication's record from its drawn data and its fit, or from the
-    exception that either raised."""
-    design, drawn, fitted = args
+    """One replication's record from its drawn data, its fit and, if it
+    converged, its estimates, or from the exception that any of them is."""
+    design, drawn, fitted, estimates = args
     try:
         for outcome in (drawn, fitted):
             if isinstance(outcome, Exception):
@@ -227,8 +250,9 @@ def _replicate(args):
         dataset, lam_true = drawn
         if not fitted.converged:
             return {"ok": False, "reason": "non-convergence"}
-        marg = marginal_estimates(fitted, design.alpha)
-        cond = conditional_estimates(fitted, design.alpha)
+        if isinstance(estimates, Exception):
+            raise estimates
+        marg, cond = estimates
         params = {
             "beta": tuple(float(b) for b in fitted.params.beta),
             "sigma2": fitted.params.sigma2,
@@ -264,7 +288,8 @@ _RUN = 16
 
 def _run_batch(args):
     """The records of a run of replications: each drawn from its own stream,
-    all fitted together by `fit_batch`, each estimated by `_replicate`."""
+    all fitted together by `fit_batch`, the converged fits estimated together
+    by `_estimates`, and each record built by `_replicate`."""
     design, seeds = args
     drawn = []
     for seed in seeds:
@@ -274,7 +299,11 @@ def _run_batch(args):
             drawn.append(exc)
     fits = iter(fit_batch([d[0] for d in drawn if not isinstance(d, Exception)],
                           ModelSpec(family=design.family, p=design.p), FitConfig()))
-    return [_replicate((design, d, d if isinstance(d, Exception) else next(fits))) for d in drawn]
+    fitted = [d if isinstance(d, Exception) else next(fits) for d in drawn]
+    done = [not isinstance(f, Exception) and f.converged for f in fitted]
+    estimates = iter(_estimates([f for f, ok in zip(fitted, done) if ok], design.alpha))
+    return [_replicate((design, d, f, next(estimates) if ok else None))
+            for d, f, ok in zip(drawn, fitted, done)]
 
 
 @dataclass(frozen=True)
@@ -308,6 +337,9 @@ class SimReport:
     marginal: tuple[SimGroupSummary, ...]
     conditional: tuple[SimGroupSummary, ...]
     records: tuple = field(default=(), repr=False, compare=False)
+    # the failed replications' count per reason ("non-convergence" or the
+    # exception's type and message), most frequent first
+    failure_reasons: dict = field(default_factory=dict, repr=False, compare=False)
 
     def row(self, kind: str, group_id: str) -> SimGroupSummary:
         rows = self.marginal if kind == "marginal" else self.conditional
@@ -345,7 +377,10 @@ class SimReport:
 def _resolve_workers(max_workers: int | None) -> int:
     if max_workers is None:
         env = os.environ.get("GLMM_GM_THREADS")
-        max_workers = int(env) if env else (os.cpu_count() or 1)
+        try:
+            max_workers = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ValueError(f"GLMM_GM_THREADS must be a whole number, not {env!r}") from None
     return max(1, min(int(max_workers), 16))
 
 
@@ -399,9 +434,9 @@ def run_study(design: SimDesign, max_workers: int | None = None,
 
     good = [r for r in results if r["ok"]]
     failures = len(results) - len(good)
+    reasons = Counter(r["reason"] for r in results if not r["ok"]).most_common()
     if not good:
-        counts = Counter(r["reason"] for r in results).most_common()
-        causes = ", ".join(f"{n} × {reason}" for reason, n in counts)
+        causes = ", ".join(f"{n} × {reason}" for reason, n in reasons)
         raise StudyFailure(f"every replication failed ({causes}); study cannot be summarized")
 
     frame = _covariate_frame(design)
@@ -423,4 +458,5 @@ def run_study(design: SimDesign, max_workers: int | None = None,
         marginal=tuple(_summaries(frame, "marginal", recs, "mu", ybar, mu)),
         conditional=tuple(_summaries(frame, "conditional", recs, "lam", ybar, lam)),
         records=tuple(good) if return_records else (),
+        failure_reasons=dict(reasons),
     )

@@ -162,6 +162,34 @@ def conditional_mode(subject: SubjectBlock, params: ParamVector) -> tuple[float,
     return float(modes[0]), float(curv[0])
 
 
+def irls_start(family, X, y, w, y_rows) -> np.ndarray:
+    """The oracle for `fitter._irls_starts`: one dataset's IRLS start values
+    from a loop of its own, over cells with covariate rows X, mean responses
+    y and total row counts w (row count times subject count); `y_rows` holds
+    every row's response."""
+    beta = np.zeros(X.shape[1])
+    if family is Family.NEGBIN:
+        beta[0] = math.log(max(float(np.mean(y_rows)), 0.05))
+    for _ in range(8):
+        eta = np.clip(X @ beta, -30, 30)
+        if family is Family.NEGBIN:
+            mu = np.exp(eta)
+            wt = np.clip(mu, 1e-6, None)
+        else:
+            mu = 1.0 / (1.0 + np.exp(-eta))
+            wt = np.clip(mu * (1.0 - mu), 1e-6, None)
+        z = eta + (y - mu) / wt
+        xtw = X.T * (wt * w)
+        try:
+            beta_new = np.linalg.solve(xtw @ X, xtw @ z)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(beta_new)):
+            break
+        beta = beta_new
+    return beta if np.all(np.isfinite(beta)) else np.zeros(X.shape[1])
+
+
 def representative_rows(ws: _Workspace, dataset: Dataset):
     """Every row of the patterns' first subjects, taken from the dataset, not
     from the workspace: its response, its pattern and its cell, the stored

@@ -371,6 +371,14 @@ def test_cli_usage_error_exits_1(capsys):
         assert "argument --alpha: must be in (0, 1]" in error["message"]
 
 
+def test_cli_thread_count_that_is_no_number_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("GLMM_GM_THREADS", "abc")
+    code, out, err = run_cli([*SIMULATE_ARGS, "--reps", "4"], capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["message"] == "GLMM_GM_THREADS must be a whole number, not 'abc'"
+
+
 def test_cli_nonconvergence_exits_2(small_csv, capsys, monkeypatch):
     path, _ = small_csv
 

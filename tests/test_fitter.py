@@ -17,13 +17,14 @@ from scipy.stats import nbinom
 from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, fit
 from glmm_means.families import SUM_CAP, family_ops, gamma_sums, stable_expit
 from glmm_means.fitter import (LOG_KAPPA_BOUNDS, LOG_SIGMA2_BOUNDS, MODE_TOL, SCORE_TOL, _cells,
-                                _first_appearance, _patterns, _Point, _stack, _Workspace, equal_runs,
+                                _first_appearance, _irls_starts, _patterns, _Point, _stack, _Workspace,
+                                equal_runs,
                                 marginal_loglik, spd_inverse, subject_scores)
 from glmm_means.model import ParamVector
 from glmm_means.simulate import (generate_dataset, generate_replication, logistic_design,
                                   negbin_design)
 
-from conftest import (conditional_mode, per_cell_derivatives, per_row_pattern_sums,
+from conftest import (conditional_mode, irls_start, per_cell_derivatives, per_row_pattern_sums,
                       posterior_mean_effects, representative_rows, toy_dataset)
 
 
@@ -1073,3 +1074,35 @@ def test_fit_negbin_sigma2_mean_over_replications():
     report = gm.run_study(design, return_records=True)
     s2 = np.array([r["params"]["sigma2"] for r in report.records])
     assert abs(s2.mean() - 0.01) <= 0.01
+
+
+@pytest.mark.parametrize("family", [Family.LOGISTIC, Family.NEGBIN])
+def test_batched_irls_starts_equal_lone_starts(family):
+    # one loop serves a batch's starts; each equals the start of a loop over
+    # that dataset alone, bit for bit, also where a dataset of the batch has
+    # a singular X'WX: its solve fails, and it alone stops at its first start
+    design = (logistic_design if family is Family.LOGISTIC else negbin_design)(
+        arm_sizes=(20, 18, 20, 16), replications=4, seed=7)
+    datasets = [generate_dataset(design, s) for s in np.random.SeedSequence(7).spawn(4)]
+    ds = datasets[1]
+    X = ds.X.copy()
+    X[:, 2] = 0.0  # a zero column: X'WX has a zero row and column
+    singular = Dataset.from_rows([ds.subject_ids[k] for k in ds.subject_index], ds.y, X,
+                                 ds.group_labels)
+    datasets.insert(2, singular)
+    ws = _Workspace(datasets, family, 25)
+    assert len(ws.batches) == 1
+    starts = _irls_starts(ws, ws.batches[0], datasets)
+    for ds, start in zip(datasets, starts):
+        lone = _Workspace(ds, family, 25)
+        batch = lone.batches[0]
+        rep = batch.reps[0]
+        w = batch.w[rep.cells] * lone.m[batch.patterns][batch.subj][rep.cells]
+        want = irls_start(family, rep.X, batch.y[rep.cells], w, ds.y)
+        assert np.array_equal(start, want)
+        assert np.array_equal(_irls_starts(lone, batch, [ds])[0], want)
+    first = np.zeros(4)
+    if family is Family.NEGBIN:
+        first[0] = math.log(float(np.mean(singular.y)))
+    assert np.array_equal(starts[2], first)
+    assert not any(np.array_equal(start, first) for i, start in enumerate(starts) if i != 2)

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from glmm_means import (Dataset, Family, FitConfig, ModelSpec, SubjectBlock, conditional_estimates,
-                        fit, marginal_estimates)
-from glmm_means.fitter import LOG_SIGMA2_BOUNDS
-from glmm_means.marginal import Interval, ci_lognormal, wald_intervals
+                        fit, generate_dataset, logistic_design, marginal_estimates, negbin_design)
+from glmm_means.conditional import conditional_batch
+from glmm_means.fitter import LOG_SIGMA2_BOUNDS, fit_batch
+from glmm_means.marginal import Interval, ci_lognormal, marginal_batch, wald_intervals
 
 from conftest import (conditional_group_mean, conditional_group_variance, manual_fitted,
                       marginal_group_mean, marginal_group_variance, mean_at_mean_covariate,
@@ -93,6 +94,43 @@ def test_one_pass_matches_the_per_group_oracles(family, case):
                   *np.ravel(list(_ends(want).values()))]
         assert list(_ends(c.intervals)) == list(_ends(want)) and c.star_variance is None
         np.testing.assert_allclose(got, oracle, rtol=RTOL, atol=0.0, err_msg=f"conditional {gid}")
+
+
+def _regrouped(ds, labels):
+    """The dataset with each row's group label replaced by labels(row)."""
+    return Dataset.from_rows([ds.subject_ids[k] for k in ds.subject_index], ds.y, ds.X,
+                             [labels(r) for r in range(ds.n_obs)])
+
+
+def _assert_equal_estimates(got, want):
+    assert list(got) == list(want)
+    for gid, w in want.items():
+        g = got[gid]
+        assert (g.kind, g.n_obs, g.point, g.variance, g.star, g.star_variance) == (
+            w.kind, w.n_obs, w.point, w.variance, w.star, w.star_variance), gid
+        assert _ends(g.intervals) == _ends(w.intervals), gid
+
+
+@pytest.mark.parametrize("family", [Family.LOGISTIC, Family.NEGBIN])
+def test_batched_estimates_equal_lone_estimates_bit_for_bit(family):
+    # a run's estimates come from one pass per layer over its stacked rows;
+    # each fit's equal its lone estimates exactly, whatever the run
+    design = (logistic_design if family is Family.LOGISTIC else negbin_design)(seed=21)
+    seeds = np.random.SeedSequence(21).spawn(16)
+    study = fit_batch([generate_dataset(design, s) for s in seeds], ModelSpec(family, 4))
+    assert all(f.converged for f in study)
+    assert any(f.params.sigma2 == SIGMA2_FLOOR for f in study)
+    one, two = spanning_dataset(family, 5, sigma=0.5), spanning_dataset(family, 6, sigma=0.5)
+    mixed = [_fitted(family, "interior"), _fitted(family, "fit-floor"),
+             _fitted(family, "manual-floor"),
+             fit(_regrouped(one, lambda r: "all"), ModelSpec(family, 3)),
+             fit(_regrouped(two, lambda r: f"t{two.X[r, 2]:g}"), ModelSpec(family, 3))]
+    assert len({f.dataset.n_obs for f in mixed}) >= 4
+    assert sorted(f.dataset.group_sizes.size for f in mixed) == [1, 2, 4, 4, 4]
+    for run in (study[:1], study[5:8], study, mixed, mixed[::-1]):
+        for fitted, marg, cond in zip(run, marginal_batch(run), conditional_batch(run)):
+            _assert_equal_estimates(marg, marginal_estimates(fitted))
+            _assert_equal_estimates(cond, conditional_estimates(fitted))
 
 
 def test_conditional_variance_memory_is_linear_in_rows_and_subjects():

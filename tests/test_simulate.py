@@ -10,6 +10,7 @@ from glmm_means import Dataset, Family, generate_dataset, logistic_design, negbi
 from glmm_means.simulate import generate_replication, true_marginal_means
 from glmm_means.families import stable_expit
 from glmm_means.fitter import _Workspace
+from glmm_means.model import ModelSpec, ParamVector
 from glmm_means.quadrature import logistic_normal_integral
 
 from conftest import study_group_summary
@@ -310,7 +311,7 @@ def test_a_failed_replication_fails_alone_in_its_batch(monkeypatch):
     design, seeds, datasets, base = _small_batch()
     assert all(r["ok"] for r in base)
     raising, stalled = datasets[2].y, datasets[4].y
-    real_generate, real_irls = sim._generate, fitter._irls_init
+    real_generate, real_starts = sim._generate, fitter._irls_starts
     real_replication = fitter._replication
     draws = []
 
@@ -320,10 +321,11 @@ def test_a_failed_replication_fails_alone_in_its_batch(monkeypatch):
             raise ValueError("no draw")
         return real_generate(design, rng)
 
-    def irls_init(family, X, y, w, y_rows):
-        if np.array_equal(y_rows, raising):
+    def irls_starts(ws, batch, members):
+        # the batch's shared start raises, so it is refitted one at a time
+        if any(np.array_equal(ds.y, raising) for ds in members):
             raise ValueError("boom")
-        return real_irls(family, X, y, w, y_rows)
+        return real_starts(ws, batch, members)
 
     def replication(ws, batch, i, dataset, *args):
         fitted = yield from real_replication(ws, batch, i, dataset, *args)
@@ -332,12 +334,68 @@ def test_a_failed_replication_fails_alone_in_its_batch(monkeypatch):
         return fitted
 
     monkeypatch.setattr(sim, "_generate", generate)
-    monkeypatch.setattr(fitter, "_irls_init", irls_init)
+    monkeypatch.setattr(fitter, "_irls_starts", irls_starts)
     monkeypatch.setattr(fitter, "_replication", replication)
     got = sim._run_batch((design, seeds))
     reasons = {0: "ValueError: no draw", 2: "ValueError: boom", 4: "non-convergence"}
     for i, (rec, want) in enumerate(zip(got, base)):
         assert rec == ({"ok": False, "reason": reasons[i]} if i in reasons else want), i
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("point", "ValueError: point must be strictly inside (0, 1)"),
+    ("cholesky", "ValueError: array must not contain infs or NaNs"),
+])
+def test_an_estimate_that_raises_fails_alone_in_its_run(monkeypatch, fault, reason):
+    # the run's batched estimate raises, so its fits are estimated one at a
+    # time: the faulty one fails with the reason it has alone, and its
+    # run-mates' records are those of the undisturbed run
+    import glmm_means.fitter as fitter
+
+    design, seeds, datasets, base = _small_batch()
+    assert all(r["ok"] for r in base)
+    target = datasets[3].y
+    real_replication = fitter._replication
+
+    def spoil(fitted):
+        if fault == "point":  # every row's plug-in mean rounds onto 1.0
+            return dataclasses.replace(fitted, params=ParamVector([100.0, 0.0, 0.0, 0.0], 0.25))
+        # a NaN predictor makes S NaN, which its Cholesky factor refuses
+        return dataclasses.replace(fitted, cond_modes=np.full_like(fitted.cond_modes, np.nan))
+
+    def replication(ws, batch, i, dataset, *args):
+        fitted = yield from real_replication(ws, batch, i, dataset, *args)
+        return spoil(fitted) if np.array_equal(dataset.y, target) else fitted
+
+    monkeypatch.setattr(fitter, "_replication", replication)
+    got = sim._run_batch((design, seeds))
+    spoiled = spoil(fitter.fit(datasets[3], ModelSpec(design.family, design.p)))
+    lone = sim._replicate((design, generate_replication(design, seeds[3]), spoiled,
+                           sim._estimate_alone(spoiled, design.alpha)))
+    assert lone == {"ok": False, "reason": reason}
+    for i, (rec, want) in enumerate(zip(got, base)):
+        assert rec == (lone if i == 3 else want), i
+
+
+def test_failure_reasons_count_the_failures_of_a_study_by_reason(monkeypatch):
+    # test_failures_flag_threshold's study; the reasons stay out of the
+    # report's value, its rows and so its CLI output
+    design = logistic_design(arm_sizes=(8, 6, 8, 6), replications=50, seed=2)
+    real = sim._replicate
+    calls = {"n": 0}
+
+    def flaky(args):
+        calls["n"] += 1
+        if calls["n"] % 12 == 0:
+            return {"ok": False, "reason": "synthetic"}
+        return real(args)
+
+    monkeypatch.setattr(sim, "_replicate", flaky)
+    report = run_study(design, max_workers=1)
+    assert report.failure_reasons == {"synthetic": 4}
+    assert dataclasses.replace(report, failure_reasons={}) == report
+    monkeypatch.setattr(sim, "_replicate", real)
+    assert run_study(design, max_workers=1).failure_reasons == {}
 
 
 def test_a_batch_whose_shared_evaluation_fails_is_refitted_alone(monkeypatch):
