@@ -34,6 +34,7 @@ are bit for bit its lone ones; `conditional_estimates` is the batch of one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,7 @@ class _Factorization:
     """The arrowhead system M through B, D^{-1} and the Cholesky factor of S,
     or several side by side for a run of fits: `systems` holds each one's
     (rows, subjects) slices of `struct`, whose sigma2 is then given per
-    subject, and `chol` stacks their factors.  One system if None.
+    subject; one system if None.  `chol` stacks the systems' factors.
 
     A singular S (weights that vanish on a whole covariate direction) raises
     numpy.linalg.LinAlgError, and a non-finite one ValueError; no jitter.
@@ -85,7 +86,7 @@ class _Factorization:
         for i, (rows, subjects) in enumerate(systems):
             b, dinv = self.b[subjects], self.dinv[subjects]
             schur[i] = X[rows].T @ (w[rows, None] * X[rows]) - b.T @ (dinv[:, None] * b)
-        self.chol = cholesky(schur if len(systems) > 1 else schur[0])
+        self.chol = cholesky(schur)
 
     def design_columns(self, rows: np.ndarray) -> np.ndarray:
         """(X_q; Z_q) for the given observation rows, one column per row."""
@@ -94,11 +95,13 @@ class _Factorization:
         return np.vstack([self.X[rows].T, bottom])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M^{-1} rhs for stacked (p+K)-row right-hand sides, 1-D or 2-D."""
+        """M^{-1} rhs for stacked (p+K)-row right-hand sides, 1-D or 2-D,
+        of a factorization of one system."""
         p = self.b.shape[1]
         r, s = rhs[:p], rhs[p:]
         dinv = self.dinv if rhs.ndim == 1 else self.dinv[:, None]
-        x = np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, r - self.b.T @ (dinv * s)))
+        (chol,) = self.chol
+        x = np.linalg.solve(chol.T, np.linalg.solve(chol, r - self.b.T @ (dinv * s)))
         return np.concatenate([x, dinv * (s - self.b @ x)])
 
     def variances(self, d: np.ndarray, codes: np.ndarray, n_groups: int,
@@ -108,9 +111,9 @@ class _Factorization:
         s_q = Z_q'd, r_q = X_q'd - B'D^{-1}s_q and s_q'D^{-1}s_q are sums over
         the (group, subject) pairs that occur, read along `order` (the r group
         by group, each group's by subject, as `Dataset.group_index` lists
-        them; a sort if None), and one solve serves every r_q.  Of several
-        systems, `groups` holds each one's slice of the groups, and one
-        stacked solve serves the systems with equal group counts."""
+        them; a sort if None).  `groups` holds each system's slice of the
+        groups (all of them if None), and one stacked solve serves the r_q of
+        each stretch of consecutive systems with equal group counts."""
         r = code_sums(codes, self.X, n_groups, d)
         subj = self.subject_index
         if order is None:
@@ -130,15 +133,14 @@ class _Factorization:
         del s
         for c in range(r.shape[1]):  # no (pairs, p) gather of B
             r[:, c] -= np.bincount(pair_group, self.b[:, c][pair_subj] * dinv_s, n_groups)
-        if self.chol.ndim == 2:  # one system
-            return np.sum(np.linalg.solve(self.chol, r.T) ** 2, axis=0) + sds
-        squares = np.empty(n_groups)
-        sizes = np.array([g.stop - g.start for g in groups])
-        for size in np.unique(sizes).tolist():
-            which = np.flatnonzero(sizes == size)
-            rows = np.concatenate([np.arange(groups[i].start, groups[i].stop) for i in which])
-            rhs = r[rows].reshape(which.size, size, -1).transpose(0, 2, 1)
-            squares[rows] = np.sum(np.linalg.solve(self.chol[which], rhs) ** 2, axis=1).ravel()
+        groups = groups or [slice(0, n_groups)]
+        squares, i = np.empty(n_groups), 0
+        for size, same in itertools.groupby(groups, lambda g: g.stop - g.start):
+            k = len(list(same))  # systems i to i + k - 1 hold `size` groups each
+            lo, hi = groups[i].start, groups[i + k - 1].stop
+            rhs = r[lo:hi].reshape(k, size, -1).transpose(0, 2, 1)
+            squares[lo:hi] = np.sum(np.linalg.solve(self.chol[i:i + k], rhs) ** 2, axis=1).ravel()
+            i += k
         return squares + sds
 
 

@@ -155,7 +155,7 @@ class _Logistic:
         return _Logistic.kernel(y, eta).loglik(eta)
 
     @staticmethod
-    def fisher_weight(eta, aux=None, log_aux=None):
+    def fisher_weight(eta, aux=None):
         # p (1 - p) = expit(eta) expit(-eta): 1 / q times e / q, e = exp(-|eta|)
         # and q = 1 + e, so neither tail rounds to 0
         e = np.exp(-np.abs(eta))

@@ -122,8 +122,11 @@ def grad_mu_i(fitted: FittedModel, x) -> np.ndarray:
 
 
 def _slices(sizes) -> list[slice]:
-    bounds = [0, *itertools.accumulate(sizes)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    out, start = [], 0
+    for size in sizes:
+        out.append(slice(start, start + size))
+        start += size
+    return out
 
 
 def _stack(parts, starts=None):
@@ -136,30 +139,21 @@ def _stack(parts, starts=None):
 class _Run:
     """Fits of one family estimated together: their datasets' rows, groups
     and subjects stacked, each numbered on from the fit before, and each
-    fit's slice of them.  A run of one fit holds its dataset's own arrays
-    and its per-fit values as is."""
+    fit's slice of them.  A run of one fit holds its dataset's own arrays."""
 
     def __init__(self, fits):
         self.fits = fits = list(fits)
         self.family = fits[0].spec.family
         self.beta = [f.params.beta for f in fits]
         self.datasets = dss = [f.dataset for f in fits]
-        if len(dss) == 1:  # a lone call: no stacking
-            ds = dss[0]
-            self.rows, self.groups = [slice(0, ds.n_obs)], [slice(0, ds.group_sizes.size)]
-            self.subjects = [slice(0, ds.n_subjects)]
-            self.X, self.codes, self.n = ds.X, ds.group_codes, ds.group_sizes
-            self.group_X, self.gids = ds.group_X, ds.group_index.group_ids
-            self.subject_index = ds.subject_index
-            return
         self.rows = _slices([ds.n_obs for ds in dss])
         self.groups = _slices([ds.group_sizes.size for ds in dss])
         self.subjects = _slices([ds.n_subjects for ds in dss])
-        self.X = np.concatenate([ds.X for ds in dss])
+        self.X = _stack([ds.X for ds in dss])
         self.codes = _stack([ds.group_codes for ds in dss], [g.start for g in self.groups])
-        self.n = np.concatenate([ds.group_sizes for ds in dss])
-        self.group_X = np.concatenate([ds.group_X for ds in dss])
-        self.gids = [gid for ds in dss for gid in ds.group_index.group_ids]
+        self.n = _stack([ds.group_sizes for ds in dss])
+        self.group_X = _stack([ds.group_X for ds in dss])
+        self.gids = list(itertools.chain.from_iterable(ds.group_index.group_ids for ds in dss))
         self.subject_index = _stack([ds.subject_index for ds in dss],
                                     [k.start for k in self.subjects])
 
@@ -173,9 +167,7 @@ class _Run:
     def products(self, rows, parts, mats):
         """Each fit's part of `parts` of `rows` times its matrix or vector
         of `mats`, stacked."""
-        if len(mats) == 1:
-            return rows @ mats[0]
-        return np.concatenate([rows[part] @ m for part, m in zip(parts, mats)])
+        return _stack([rows[part] @ m for part, m in zip(parts, mats)])
 
     def forms(self, grads, parts):
         """g' Cov g of each row g of `grads`, with the Cov over (beta, sigma2)

@@ -342,6 +342,35 @@ def test_a_failed_replication_fails_alone_in_its_batch(monkeypatch):
         assert rec == ({"ok": False, "reason": reasons[i]} if i in reasons else want), i
 
 
+def test_a_fit_that_raises_fails_alone_in_its_lockstep_batch(monkeypatch):
+    # one replication's fit raises before its first request, inside the
+    # batch's lockstep rounds: it fails with that reason, no dataset is
+    # refitted alone, and its batch-mates' records are those of the
+    # undisturbed study
+    import glmm_means.fitter as fitter
+
+    design, seeds, datasets, base = _small_batch()
+    target = datasets[3].y
+    real_replication, real_alone = fitter._replication, fitter._fit_alone
+    alone = []
+
+    def replication(ws, batch, i, dataset, *args):
+        if np.array_equal(dataset.y, target):
+            raise ValueError("boom")
+        return (yield from real_replication(ws, batch, i, dataset, *args))
+
+    def fit_alone(dataset, *args):
+        alone.append(dataset)
+        return real_alone(dataset, *args)
+
+    monkeypatch.setattr(fitter, "_replication", replication)
+    monkeypatch.setattr(fitter, "_fit_alone", fit_alone)
+    got = sim._run_batch((design, seeds))
+    assert alone == []
+    for i, (rec, want) in enumerate(zip(got, base)):
+        assert rec == ({"ok": False, "reason": "ValueError: boom"} if i == 3 else want), i
+
+
 @pytest.mark.parametrize("fault, reason", [
     ("point", "ValueError: point must be strictly inside (0, 1)"),
     ("cholesky", "ValueError: array must not contain infs or NaNs"),
