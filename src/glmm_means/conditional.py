@@ -28,7 +28,8 @@ triangular solve (`_Factorization.variances`) in O(N + K p) memory.
 replications: the per-row terms over their stacked rows, each group or
 subject sum one `np.bincount` over codes numbered on from fit to fit, each
 fit's p x p products as it forms them alone, one stacked Cholesky call for
-every fit's S and one stacked solve per group count.  Each fit's estimates
+every fit's S, and one stacked solve for each stretch of consecutive fits
+with equal group counts.  Each fit's estimates
 are bit for bit its lone ones; `conditional_estimates` is the batch of one.
 """
 
