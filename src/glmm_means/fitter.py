@@ -33,35 +33,38 @@ rows, the cells of all subjects and the patterns.  The iteration cap and
 the tolerances are the module constants MAX_ITER, PARAM_TOL, SCORE_TOL
 and MODE_TOL.
 
-Every node kernel comes from one `families.Nodes` per block, one
-exponential per (cell, node), with the cells' row counts folded into its y
-and n.  numpy's `logaddexp` has no vectorized loop (it takes some 25 times
-an `exp`), so only the NB's unsplit `score_matrix` pass keeps it.  w y per
-cell and each block's contiguous X', which no parameter changes, are built
-once.  Patterns are numbered by descending cell count, and a block stores
-its cells position-major: the first cell of every pattern, then the second
-of every pattern that has one, and so on.  A per-pattern sum is one
-reduction over the positions that every pattern has and one slice add per
-further position, where `reduceat`'s overhead per segment costs many slice
-adds on two-cell patterns.  The mode solver's sums are `np.bincount`s.
+Every node kernel comes from one `families.Nodes` per block, one exponential
+per (cell, node), with the cells' row counts folded into its y and n.  numpy's
+`logaddexp` has no vectorized loop (it takes some 25 times an `exp`), so only
+the NB's unsplit closing pass keeps it.  w y per cell and each block's
+contiguous X', which no parameter changes, are built once, and no covariate
+array is held twice (see `_Workspace`).  Patterns are numbered by descending
+cell count, and a block stores its cells position-major: the first cell of
+every pattern, then the second of every pattern that has one, and so on.  A
+per-pattern sum is one reduction over the positions that every pattern has and
+one slice add per further position, where `reduceat`'s overhead per segment
+costs many slice adds on two-cell patterns; the mode solver's sums are
+`np.bincount`s.
 
 A study's replications are fitted in lockstep (`fit_batch`): one workspace
 stacks their datasets, patterns never span two of them, and a block holds
-whole replications, several whose cells fit one block together or one in
-the blocks it has alone.  The Newton loop is a generator (`_newton`) that
-yields each point it needs, and each round evaluates the points of every
-running replication of a batch with one mode solve and one quadrature pass:
-the kernels, the per-pattern sums and the posterior weights run once for
-the batch, each pattern at its own replication's parameters.  Within a
-block each replication's patterns are numbered together by descending cell
-count, so they and its cells keep the order they have alone, and every sum
-over one replication's patterns, subjects or cells (X beta, the loglik, the
-scores' totals, the Hessian's products, the NB's node-free terms, the IRLS
-start's X'WX and X'Wz) runs on its own values in that order.  The IRLS
-starts of a batch come from one loop (`_irls_starts`) with one stacked solve
-per iteration.  So a batched fit is bit for bit its lone fit, and a study's
-report does not depend on how its replications were batched or spread over
-worker processes; `fit` is the batch of one.
+whole replications, several whose cells fit one block together or one in the
+blocks it has alone.  The Newton loop is a generator (`_newton`) that yields
+each point it needs, and each round of a batch serves one kind of request with
+one quadrature pass: the kernels, the per-pattern sums and the posterior
+weights run once for the batch, each pattern at its own replication's
+parameters.  A Newton round solves the modes of every asking replication
+first; the NB's covariance-score requests wait until no Newton request is
+left, and one closing round serves them all.  Within a block each
+replication's patterns are numbered together by descending cell count, so they
+and its cells keep the order they have alone, and every sum over one
+replication's patterns, subjects or cells (X beta, the loglik, the scores'
+totals, the Hessian's products, the NB's node-free terms, the IRLS start's
+X'WX and X'Wz) runs on its own values in that order.  The IRLS starts of a
+batch come from one loop (`_irls_starts`) with one stacked solve per
+iteration.  So a batched fit is bit for bit its lone fit, and a study's report
+does not depend on how its replications were batched or spread over worker
+processes; `fit` is the batch of one.
 
 A subject's conditional mode b* is the root of g(b) = S(b) - b / sigma2,
 where S, the sum of w score_eta over its cells, falls in b because the
@@ -85,7 +88,8 @@ an independent route to the same optimum.
 Cov(psi_hat) is still the BHHH inverse (sum_i d_i d_i')^{-1}, the paper's
 estimator, computed on (beta, log sigma2, log kappa) and mapped back to the
 natural scale by the delta method.  The logistic's d_i are the Newton loop's
-last accepted pass; the NB's come from one more, unsplit pass (`score_matrix`).
+last accepted pass; the NB's come from one more, unsplit pass at the optimum,
+one closing pass per batch (`score_matrix` in a workspace of one dataset).
 """
 
 from __future__ import annotations
@@ -261,12 +265,13 @@ def _stack(datasets) -> _Rows:
 class _Share(NamedTuple):
     """One dataset's patterns and cells in its batch or in one block of it,
     as its lone fit stores them: its patterns, which are consecutive, and
-    its cells, each in that order."""
+    its cells, each in that order.  Cells that form one contiguous run are
+    a slice, and `X` then views the workspace's X."""
     rep: int  # the dataset's position in the batch
     patterns: slice
-    cells: np.ndarray
+    cells: slice | np.ndarray
     X: np.ndarray  # those cells' covariate rows, C-contiguous
-    XT: np.ndarray  # their contiguous transpose, read-only
+    XT: np.ndarray | None  # their contiguous transpose, read-only, where a pass reads it
     m: np.ndarray  # those patterns' subject counts
 
 
@@ -274,7 +279,8 @@ class _Block(NamedTuple):
     """Whole patterns and their cells, position-major: the first `head`
     positions hold every pattern, and `tail` the (first pattern, pattern
     count) runs of the positions after, in storage order, one run per
-    dataset of the block and position."""
+    dataset of the block and position.  A member that holds all of the
+    block's cells reads the block's XT."""
     patterns: slice
     cells: slice
     subj: np.ndarray  # each cell's pattern, counted from the block's first
@@ -305,13 +311,13 @@ class _Batch(NamedTuple):
     scratch: np.ndarray  # (2, dim, width): a block's scores and their weighted copy
 
 
-_ONE = (True,)  # the per-dataset flags of a batch of one
+_ONE = (True,)  # the live flags of a batch of one
 
 
-def _share(rep, patterns, cells, X, m) -> _Share:
+def _transpose(X) -> np.ndarray:
     XT = np.ascontiguousarray(X.T)
     XT.setflags(write=False)  # built once, never written
-    return _Share(rep, patterns, cells, X, XT, m)
+    return XT
 
 
 def _col(values):
@@ -385,7 +391,10 @@ class _Workspace:
     lockstep batches: runs of datasets whose cells fit one block together,
     or one dataset alone in the blocks it has alone.  Within a block each
     dataset's patterns are numbered together by descending cell count, so
-    they and its cells keep the order they have alone (see `_Share`).
+    they and its cells keep the order they have alone (see `_Share`).  No
+    covariate array is held twice: a share whose cells are one run views `X`,
+    and a block's one member reads the block's X'; a share no pass reads as a
+    member holds none.
     `modes` and `batch_derivatives` take one parameter triple per dataset
     of a batch (`_Point`) and per-pattern modes and curvatures, and reduce
     every sum over one dataset's patterns, subjects or cells over that
@@ -471,23 +480,26 @@ class _Workspace:
             lsubj = self.subj[cells_g] - g0
             lprep = prep[g0:g1] - r0
             crep = lprep[lsubj]
-            reps, subjects = [], []
+            shares, subjects = [], []
             for i, r in enumerate(range(r0, r1)):
                 pk = slice(*np.searchsorted(lprep, [i, i + 1]).tolist())
                 ck = np.flatnonzero(crep == i)
-                reps.append(_share(i, pk, ck, self.X[cells_g][ck], self.m[g0:g1][pk]))
+                if ck[-1] - ck[0] == ck.size - 1:  # one run: a slice, and X a view
+                    ck = slice(int(ck[0]), int(ck[-1]) + 1)
+                shares.append(_Share(i, pk, ck, self.X[cells_g][ck], None, self.m[g0:g1][pk]))
                 subjects.append(self.pattern[first_subject[r] : first_subject[r + 1]] - g0)
             ends_g = [(k0, k1) for k0, k1 in zip(ends[:-1], ends[1:]) if g0 <= k0 < g1]
             blocks = []
             for k0, k1 in ends_g:
                 cells = slice(int(offsets[k0]), int(offsets[k1]))
-                XT = np.ascontiguousarray(self.X[cells].T)
-                XT.setflags(write=False)  # built once, never written
+                XT = _transpose(self.X[cells])
                 # a batch of one block shares it as it shares the batch; a
                 # dataset alone in several has all of each
-                members = tuple(reps) if len(ends_g) == 1 else (
-                    _share(0, slice(0, k1 - k0), np.arange(cells.stop - cells.start),
-                           self.X[cells], self.m[k0:k1]),)
+                members = shares if len(ends_g) == 1 else [
+                    _Share(0, slice(0, k1 - k0), slice(0, cells.stop - cells.start),
+                           self.X[cells], None, self.m[k0:k1])]
+                members = tuple(mem._replace(XT=XT if len(members) == 1 else _transpose(mem.X))
+                                for mem in members)
                 top = int(size[k0:k1].max())
                 # per dataset and position j: its patterns with more than j cells
                 count = np.array([(mem.patterns.stop - mem.patterns.start)
@@ -502,6 +514,7 @@ class _Workspace:
                                      slice(k0 - g0, k1 - g0),
                                      slice(cells.start - cells_g.start, cells.stop - cells_g.start),
                                      members))
+            reps = blocks[0].members if len(blocks) == 1 else shares
             own = None
             if triples is not None:
                 lo, hi = np.searchsorted(triples[0], [g0, g1])
@@ -634,29 +647,29 @@ class _Workspace:
         one gamma_table on the distinct counts: the log-density's log Gamma(y +
         k) - log Gamma(k) - log Gamma(y + 1) - y log k (+ (y + k) log k without
         `split`, see integral_pieces) and the two kappa-score offsets; None for
-        the logistic.  Over a batch, `aux`, `log_aux` and `split` hold one
-        size, its log and one flag per dataset."""
+        the logistic.  Over a batch, `aux` and `log_aux` hold one size and its
+        log per dataset."""
         if self.family is not Family.NEGBIN:
             return None
         if batch is None:
-            batch, aux, log_aux, split = self.batches[0], [aux], [math.log(aux)], [split]
+            batch, aux, log_aux = self.batches[0], [aux], [math.log(aux)]
         pattern, level, w = batch.triples
         tables = []
-        for k, log_k, whole in zip(aux, log_aux, split):
+        for k, log_k in zip(aux, log_aux):
             lg, dg, tg = gamma_table(self.levels, k)
             lg = lg - self.lgamma_y1
-            if not whole:
+            if not split:
                 lg = lg + (self.levels + k) * log_k
             tables.append((lg, dg, tg))
         # one table per dataset, side by side; `level` is offset by the dataset
         return tuple(np.bincount(pattern, w * t[level], minlength=batch.P)
                      for t in map(np.concatenate, zip(*tables)))
 
-    def integral_pieces(self, at: _Point, modes, curv, terms, block: _Block, split=_ONE):
+    def integral_pieces(self, at: _Point, modes, curv, terms, block: _Block, split=True):
         """Loglik contributions, posterior node weights, node positions and
         the node kernel (cells, nodes) for the patterns of one block, from
         the per-pattern `modes` and `curv` of its batch; `terms` are the
-        batch's gamma_terms at `split`, one flag per dataset of the batch.
+        batch's gamma_terms at `split`.
         The kernel's y and n are w y and w n (n = y + kappa for the NB, 1 for
         the logistic), so its loglik and eta-score carry the cells' row
         counts.
@@ -677,15 +690,10 @@ class _Workspace:
         eta += xb[:, None]
         z = eta if terms is None else eta - _col(at.log_aux_c)
         nodes = Nodes(self.wy[rows, None], z, at.wn[block.rows, None])
-        unsplit = () if terms is None else [m.cells for m in block.members if not split[m.rep]]
-        if len(unsplit) == len(block.members):  # every dataset's cells unsplit
-            ll = nodes.y * eta - nodes.n * np.logaddexp(_col(at.log_aux_c), eta)
-        else:
+        if split or terms is None:
             ll = nodes.loglik(eta)
-            if unsplit:
-                c = np.concatenate(unsplit)
-                lae = np.logaddexp(at.log_aux_c[c, None], eta[c])
-                ll[c] = nodes.y[c] * eta[c] - nodes.n[c] * lae
+        else:
+            ll = nodes.y * eta - nodes.n * np.logaddexp(_col(at.log_aux_c), eta)
         g = _block_sums(ll, block)
         if terms is not None:
             g += terms[0][ks, None]
@@ -732,15 +740,13 @@ class _Workspace:
         """`batch_derivatives` of a workspace of one dataset, with modes,
         curvatures and scores per subject."""
         (out,) = self.batch_derivatives(self.batches[0], self.point(*self.unpack(theta)),
-                                        modes[self.rep], curv[self.rep], _ONE, (hessian,),
-                                        (split,))
+                                        modes[self.rep], curv[self.rep], _ONE, hessian, split)
         return out
 
     def batch_derivatives(self, batch: _Batch, at: _Point, modes, curv, live, hessian, split):
         """For each `live` dataset of a batch (None for the others): its
-        per-subject scores d_i, its loglik at its `split` flag and, where its
-        `hessian` flag is set, the observed-information Hessian of the loglik
-        by Louis' identity,
+        per-subject scores d_i, its loglik at `split` and, with `hessian`,
+        the observed-information Hessian of the loglik by Louis' identity,
         sum_i E_post[d2 l_c] + E_post[s s'] - d_i d_i', from the
         complete-data scores s and second derivatives d2 l_c at the same
         posterior node weights as the scores (a zero matrix otherwise).
@@ -765,8 +771,6 @@ class _Workspace:
         p, dim = self.p, self.dim
         terms = self.gamma_terms(at.aux, split, batch, at.log_aux) if nb else None
         h_of = {i: np.zeros((dim, dim)) for i, on in enumerate(live) if on}
-        hessian = [on and h for on, h in zip(live, hessian)]
-        any_hessian = any(hessian)
         rows_d, ll_i = [], []
         for blk in batch.blocks:
             ks, rows, XT = blk.local, blk.cells, blk.XT
@@ -791,7 +795,7 @@ class _Workspace:
             d = np.einsum("jkm,km->kj", sc, omega)
             rows_d.append(d)
             ll_i.append(ll_b)
-            if any_hessian:
+            if hessian:
                 m_omega = self.m[blk.patterns][:, None] * omega
                 m_omega_rows = m_omega[blk.subj]
                 flat = sc.reshape(dim, -1)
@@ -805,7 +809,7 @@ class _Workspace:
                     r2 = np.einsum("cm,cm->c", m_omega_rows, nodes.r * nodes.r)
                     cross = wy * sr - at.aux_c * (w * s2)
                 for mem in blk.members:
-                    if not hessian[mem.rep]:
+                    if not live[mem.rep]:
                         continue
                     h, pk, ck = h_of[mem.rep], mem.patterns, mem.cells
                     d_r, cols = d[pk], slice(pk.start * omega.shape[1], pk.stop * omega.shape[1])
@@ -821,7 +825,7 @@ class _Workspace:
         out = [None] * len(batch.reps)
         for i, h in h_of.items():
             rep, aux = batch.reps[i], at.aux[i]
-            if hessian[i] and nb:
+            if hessian and nb:
                 h[p + 1, p + 1] += aux * aux * (rep.m @ terms[2][rep.patterns])
                 h[p + 1:, :p] = h[:p, p + 1:].T
             out[i] = (d[batch.subjects[i]], self._loglik(batch, i, ll_i, at.sigma2[i]), h)
@@ -870,17 +874,17 @@ def _irls_starts(ws: _Workspace, batch: _Batch, datasets) -> list:
     solve serves every dataset still iterating.  A dataset whose solve is
     singular or non-finite stops alone, and a non-finite start is zero."""
     reps, p = batch.reps, ws.p
-    cells = np.concatenate([rep.cells for rep in reps])
-    bounds = np.cumsum([0] + [rep.cells.size for rep in reps]).tolist()
+    bounds = np.cumsum([0] + [rep.X.shape[0] for rep in reps]).tolist()
     own = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    y = batch.y[cells]
-    w = (batch.w * ws.m[batch.patterns][batch.subj])[cells]
+    y = np.concatenate([batch.y[rep.cells] for rep in reps])
+    w = batch.w * ws.m[batch.patterns][batch.subj]
+    w = np.concatenate([w[rep.cells] for rep in reps])
+    eta = np.empty(y.size)
     nb = ws.family is Family.NEGBIN
     betas = [np.zeros(p) for _ in reps]
     if nb:
         for beta, ds in zip(betas, datasets):
             beta[0] = math.log(max(float(np.mean(ds.y)), 0.05))
-    eta = np.empty(cells.size)
     live = list(range(len(reps)))
     for _ in range(8):
         for i in live:
@@ -1061,9 +1065,9 @@ def _newton(ws: _Workspace, theta, lb, ub):
 def _replication(ws: _Workspace, batch: _Batch, i: int, dataset: Dataset, beta0,
                  spec: ModelSpec, config: FitConfig, lb, ub):
     """The fit of dataset i of a batch from its start beta0, a generator as
-    `_newton` is: the Newton loop, the NB's unsplit score pass, for which it
-    yields (theta, modes, curvatures) and is sent d and the loglik, and the
-    FittedModel it returns."""
+    `_newton` is: the Newton loop, the NB's closing request for its
+    covariance scores, for which it yields (theta, modes, curvatures) and is
+    sent d and the loglik, and the FittedModel it returns."""
     rep = batch.reps[i]
     kappa0 = _kappa_moment_init(dataset.y) if spec.family is Family.NEGBIN else None
     # (subject, covariate row) cells of all subjects
@@ -1131,47 +1135,39 @@ def _replication(ws: _Workspace, batch: _Batch, i: int, dataset: Dataset, beta0,
     )
 
 
-def _evaluate(ws: _Workspace, batch: _Batch, asked: dict) -> dict:
+def _evaluate(ws: _Workspace, batch: _Batch, asked: dict, closing: bool) -> dict:
     """One round of a batch: the requests of `asked`, {i: (theta, modes,
-    curvatures)} by dataset, served by one mode solve and one quadrature
-    pass.  Without curvatures a request asks for a solve from its modes
-    (zero where None) and a full pass there; with them, for the unsplit
-    pass without Hessian at those modes, the NB's covariance scores.  The
+    curvatures)} by dataset, all of one kind.  A Newton round solves each
+    asking dataset's modes from its modes (zero where None) and makes a full
+    pass there; a closing round makes the unsplit pass without Hessian at
+    the given modes and curvatures, the NB's covariance scores.  The
     datasets not asking are evaluated at a fixed point, and nothing of
     theirs is summed, counted or returned."""
     n = len(batch.reps)
-    solve, scores = [False] * n, [False] * n
-    idle = None  # the fixed point of the datasets not asking
-    if len(asked) < n:
-        idle = (np.zeros(ws.p), 1.0, 1.0 if ws.family is Family.NEGBIN else None)
+    idle = (np.zeros(ws.p), 1.0, 1.0 if ws.family is Family.NEGBIN else None)  # not asking
     at = _Point(batch, [ws.unpack(asked[i][0]) if i in asked else idle for i in range(n)])
-    modes, given = np.zeros(batch.P), []
+    live = [i in asked for i in range(n)]
+    modes, curv = np.zeros(batch.P), np.ones(batch.P)
     for i, (_, b, c) in asked.items():
         pk = batch.reps[i].patterns
         if b is not None:
             modes[pk] = b[pk]
-        if c is None:
-            solve[i] = True
-        else:
-            scores[i] = True
-            given.append((pk, c[pk]))
-    if any(solve):
-        modes, curv = ws.modes(batch, at, modes, solve)
-    else:  # every asking dataset's curvatures are given
-        curv = np.ones(batch.P)
-    for pk, c in given:
-        curv[pk] = c
-    out = ws.batch_derivatives(batch, at, modes, curv, [a or b for a, b in zip(solve, scores)],
-                               solve, [not b for b in scores])
-    return {i: (modes, curv, *out[i]) if solve[i] else out[i][:2] for i in asked}
+        if closing:
+            curv[pk] = c[pk]
+    if not closing:
+        modes, curv = ws.modes(batch, at, modes, live)
+    out = ws.batch_derivatives(batch, at, modes, curv, live, not closing, not closing)
+    return {i: out[i][:2] if closing else (modes, curv, *out[i]) for i in asked}
 
 
 def _fit_batch(ws: _Workspace, batch: _Batch, datasets, spec: ModelSpec, config: FitConfig):
     """Fits the datasets of one batch in lockstep, one `_replication`
-    generator each: every round serves the requests of the running
-    generators with one `_evaluate`, after one `_irls_starts` for all.
-    Returns a FittedModel per dataset, or the exception its generator
-    raised; an exception in the start or a shared evaluation propagates."""
+    generator each, after one `_irls_starts` for all: every round serves
+    the Newton requests of the running generators with one `_evaluate`.
+    The NB's closing requests wait until no Newton request is left, and one
+    closing round serves them all.  Returns a FittedModel per dataset, or
+    the exception its generator raised; an exception in the start or a
+    shared evaluation propagates."""
     lb, ub = ws.bounds()
     gens = [_replication(ws, batch, i, ds, beta0, spec, config, lb, ub)
             for i, (ds, beta0) in enumerate(zip(datasets, _irls_starts(ws, batch, datasets)))]
@@ -1186,10 +1182,11 @@ def _fit_batch(ws: _Workspace, batch: _Batch, datasets, spec: ModelSpec, config:
             out[i] = exc
         return None
 
-    asked = {i: rq for i in range(len(gens)) if (rq := resume(i, None)) is not None}
-    while asked:
-        replies = _evaluate(ws, batch, asked)
-        asked = {i: rq for i, reply in replies.items() if (rq := resume(i, reply)) is not None}
+    asked = {i: resume(i, None) for i in range(len(gens))}
+    while asked := {i: rq for i, rq in asked.items() if rq is not None}:
+        newton = {i: rq for i, rq in asked.items() if rq[2] is None}
+        replies = _evaluate(ws, batch, newton or asked, not newton)
+        asked.update((i, resume(i, reply)) for i, reply in replies.items())
     return out
 
 

@@ -957,6 +957,63 @@ def test_a_batch_solve_holds_the_datasets_not_live_where_they_start():
     assert ws.kernel_evaluations[1] == 0 and ws.kernel_evaluations[0] > 1
 
 
+@pytest.mark.parametrize("control", ["gender", "time"])
+def test_an_nb_batch_serves_its_covariance_scores_in_one_closing_round(control, monkeypatch):
+    # each NB fit's covariance-score request waits until no Newton request
+    # is left in its batch: a batch makes as many rounds as its slowest
+    # replication's lone passes, and its last round is its only closing one
+    import glmm_means.fitter as fitter
+
+    spec = ModelSpec(family=Family.NEGBIN, p=4)
+    real, rounds = fitter._evaluate, []
+
+    def evaluate(ws, batch, asked, *closing):
+        rounds.append((batch.index.start, any(c is not None for _, _, c in asked.values())))
+        return real(ws, batch, asked, *closing)
+
+    def refit_alone(dataset, spec, config):
+        raise AssertionError("a batch fell back to lone fits")
+
+    monkeypatch.setattr(fitter, "_fit_alone", refit_alone)
+    for seed in range(3):
+        datasets = _study_replications(negbin_design(control=control, replications=4, seed=seed),
+                                       range(4))
+        passes = [fit(ds, spec).diagnostics["quadrature_passes"] for ds in datasets]
+        with monkeypatch.context() as mp:
+            mp.setattr(fitter, "_evaluate", evaluate)
+            rounds.clear()
+            fitter.fit_batch(datasets, spec)
+        for batch in _Workspace(datasets, Family.NEGBIN, 25).batches:
+            closing = [c for start, c in rounds if start == batch.index.start]
+            assert len(closing) == max(passes[batch.index]), (seed, passes)
+            assert closing == [False] * (len(closing) - 1) + [True], seed
+
+
+def test_workspace_shares_hold_no_covariate_array_twice(monkeypatch):
+    # a lone dataset over several blocks: its share views the workspace's X,
+    # and each block's member reads the block's X'
+    import glmm_means.fitter as fitter
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fitter, "_BLOCK_CELLS", 25 * 20)
+        ws = _Workspace(toy_dataset(Family.LOGISTIC, K=60, n=3), Family.LOGISTIC, 25)
+    (batch,) = ws.batches
+    assert len(batch.blocks) > 1 and np.shares_memory(batch.reps[0].X, ws.X)
+    for blk in batch.blocks:
+        (mem,) = blk.members
+        assert mem.XT is blk.XT and np.shares_memory(mem.X, ws.X)
+    # the gender design has one cell per pattern, so each replication's cells
+    # in a shared block are one run, and its X views the workspace's X
+    # (test_batched_irls_starts_equal_lone_starts takes such shares)
+    for design in (logistic_design(), negbin_design()):
+        datasets = [generate_dataset(design, s) for s in range(3)]
+        ws = _Workspace(datasets, design.family, 25)
+        (batch,) = ws.batches
+        assert len(batch.reps) == 3 and batch.reps == batch.blocks[0].members
+        for rep in batch.reps:
+            assert isinstance(rep.cells, slice) and np.shares_memory(rep.X, ws.X)
+
+
 @pytest.fixture(scope="module")
 def negbin_shared_pattern_fit():
     """A categorical design with count responses: its subjects share patterns."""
@@ -1092,6 +1149,7 @@ def test_batched_irls_starts_equal_lone_starts(family):
     datasets.insert(2, singular)
     ws = _Workspace(datasets, family, 25)
     assert len(ws.batches) == 1
+    assert all(isinstance(rep.cells, slice) for rep in ws.batches[0].reps)  # one run each
     starts = _irls_starts(ws, ws.batches[0], datasets)
     for ds, start in zip(datasets, starts):
         lone = _Workspace(ds, family, 25)

@@ -293,9 +293,9 @@ def test_failures_flag_threshold(monkeypatch):
     assert report.flagged  # > 2% of 50
 
 
-def _small_batch():
+def _small_batch(family=Family.LOGISTIC):
     """A study whose replications share one batch, its streams and their records."""
-    design = logistic_design(**SMALL)
+    design = (logistic_design if family is Family.LOGISTIC else negbin_design)(**SMALL)
     seeds = np.random.SeedSequence(design.seed).spawn(design.replications)
     datasets = [generate_replication(design, s)[0] for s in seeds]
     assert len(_Workspace(datasets, design.family, 25).batches) == 1
@@ -428,18 +428,25 @@ def test_failure_reasons_count_the_failures_of_a_study_by_reason(monkeypatch):
 
 
 def test_a_batch_whose_shared_evaluation_fails_is_refitted_alone(monkeypatch):
+    # every round of the logistic batch raises; of the NB batch, its closing
+    # round alone, after every Newton round has run
     import glmm_means.fitter as fitter
 
-    design, seeds, _, base = _small_batch()
     real = fitter._evaluate
+    for family in (Family.LOGISTIC, Family.NEGBIN):
+        design, seeds, _, base = _small_batch(family)
+        raised = []
 
-    def evaluate(ws, batch, asked):
-        if len(batch.reps) > 1:
-            raise FloatingPointError("shared")
-        return real(ws, batch, asked)
+        def evaluate(ws, batch, asked, closing):
+            if len(batch.reps) > 1 and (closing or family is Family.LOGISTIC):
+                raised.append(closing)
+                raise FloatingPointError("shared")
+            return real(ws, batch, asked, closing)
 
-    monkeypatch.setattr(fitter, "_evaluate", evaluate)
-    assert sim._run_batch((design, seeds)) == base
+        with monkeypatch.context() as mp:
+            mp.setattr(fitter, "_evaluate", evaluate)
+            assert sim._run_batch((design, seeds)) == base
+        assert raised == [family is Family.NEGBIN]
 
 
 def test_thread_cap_env_variable_is_honored(monkeypatch):
