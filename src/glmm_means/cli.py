@@ -299,11 +299,15 @@ def _run(argv: list[str]) -> tuple[int, dict | None]:
             raise UsageError(f"the following arguments are required: {', '.join(missing)}")
         if not 0 < getattr(args, "alpha", 0.05) <= 1:  # before any fit or study is run
             raise UsageError(f"argument --alpha: must be in (0, 1], not {args.alpha}")
-        if args.out is not None:  # a missing directory is found before the work, not after
+        if args.out is not None:  # an unwritable path is found before the work, not after
             folder = os.path.dirname(args.out) or "."
-            if not os.path.isdir(folder):
-                missing = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
-                raise InputError(f"cannot write {args.out}: {os.strerror(missing)}")
+            fault = None
+            if os.path.isdir(args.out):
+                fault = errno.EISDIR
+            elif not os.path.isdir(folder):
+                fault = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+            if fault is not None:
+                raise InputError(f"cannot write {args.out}: {os.strerror(fault)}")
         handler = {
             "fit": _cmd_fit,
             "means": _cmd_means,

@@ -53,7 +53,7 @@ class PredictionStructure:
     X: np.ndarray            # (N, p) fixed design
     subject_index: np.ndarray  # (N,) row -> subject column of Z
     weights: np.ndarray      # (N,) diagonal of W at the conditional modes
-    sigma2: float
+    sigma2: float | np.ndarray  # or one value per subject, for a run of fits
     n_subjects: int
 
     @property

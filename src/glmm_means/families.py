@@ -107,13 +107,12 @@ def gamma_table(y: np.ndarray, kappa: float) -> np.ndarray:
 class Nodes:
     """The kernels of l = y eta - n softplus(z) at every (y, z), y and n
     broadcasting against z, an n of None being the logistic's unit n, not
-    multiplied by; `kappa` is the negative binomial's size.  The arrays are
-    reused in place: a fitter block holds few at once.  softplus is formed
-    on first use, so the mode solver, which needs only s and r, takes no
-    logarithm."""
+    multiplied by.  The arrays are reused in place: a fitter block holds
+    few at once.  softplus is formed on first use, so the mode solver, which
+    needs only s and r, takes no logarithm."""
 
-    def __init__(self, y, z, n, kappa=None):
-        self.y, self.n, self.kappa = y, n, kappa
+    def __init__(self, y, z, n):
+        self.y, self.n = y, n
         e = np.abs(z, out=np.empty(np.shape(z)))
         np.exp(np.negative(e, out=e), out=e)
         q = e + 1.0
@@ -189,7 +188,7 @@ class _NegBinomial:
     @staticmethod
     def kernel(y, eta, aux, log_aux=None):
         """`log_aux` is math.log(aux), given where aux holds one size per element."""
-        return Nodes(y, eta - (math.log(aux) if log_aux is None else log_aux), y + aux, aux)
+        return Nodes(y, eta - (math.log(aux) if log_aux is None else log_aux), y + aux)
 
     @staticmethod
     def loglik(y, eta, aux):

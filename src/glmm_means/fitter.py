@@ -37,8 +37,9 @@ Every node kernel comes from one `families.Nodes` per block, one exponential
 per (cell, node), with the cells' row counts folded into its y and n.  numpy's
 `logaddexp` has no vectorized loop (it takes some 25 times an `exp`), so only
 the NB's unsplit closing pass keeps it.  w y per cell and each block's
-contiguous X', which no parameter changes, are built once, and no covariate
-array is held twice (see `_Workspace`).  Patterns are numbered by descending
+contiguous X', which no parameter changes, are built once.  A lone dataset
+holds no X' twice, and a block shared by several datasets holds each one's
+copies beside its own (see `_Workspace`).  Patterns are numbered by descending
 cell count, and a block stores its cells position-major: the first cell of
 every pattern, then the second of every pattern that has one, and so on.  A
 per-pattern sum is one reduction over the positions that every pattern has and
@@ -83,13 +84,14 @@ stepped and judged on their natural scale: convergence is a KKT test that
 asks, at a lower bound, for dl/dsigma2 <= 0 (dl/dkappa <= 0), because the
 log-scale score sigma2 dl/dsigma2 vanishes at sigma2 -> 0 whatever the
 slope.  FitConfig(optimizer="quasi_newton") runs L-BFGS-B before the loop,
-an independent route to the same optimum.
+an independent route to the same optimum, each of its objective values a
+Newton round of the one dataset.
 
 Cov(psi_hat) is still the BHHH inverse (sum_i d_i d_i')^{-1}, the paper's
 estimator, computed on (beta, log sigma2, log kappa) and mapped back to the
 natural scale by the delta method.  The logistic's d_i are the Newton loop's
 last accepted pass; the NB's come from one more, unsplit pass at the optimum,
-one closing pass per batch (`score_matrix` in a workspace of one dataset).
+one closing round per batch (`_evaluate`).
 """
 
 from __future__ import annotations
@@ -311,9 +313,6 @@ class _Batch(NamedTuple):
     scratch: np.ndarray  # (2, dim, width): a block's scores and their weighted copy
 
 
-_ONE = (True,)  # the live flags of a batch of one
-
-
 def _transpose(X) -> np.ndarray:
     XT = np.ascontiguousarray(X.T)
     XT.setflags(write=False)  # built once, never written
@@ -391,17 +390,18 @@ class _Workspace:
     lockstep batches: runs of datasets whose cells fit one block together,
     or one dataset alone in the blocks it has alone.  Within a block each
     dataset's patterns are numbered together by descending cell count, so
-    they and its cells keep the order they have alone (see `_Share`).  No
-    covariate array is held twice: a share whose cells are one run views `X`,
-    and a block's one member reads the block's X'; a share no pass reads as a
-    member holds none.
+    they and its cells keep the order they have alone (see `_Share`).  A
+    share whose cells are one run views `X`.  A lone dataset holds no X'
+    twice: a block's one member reads the block's X', and a share no pass
+    reads as a member holds none.  A block with several members holds each
+    member's X' and, where the member's cells are not one run, its X, beside
+    its own X'; those copies are bounded by the block's cell cap
+    (`_BLOCK_CELLS // gh_nodes`), and the Hessian's products read them
+    contiguously.
     `modes` and `batch_derivatives` take one parameter triple per dataset
     of a batch (`_Point`) and per-pattern modes and curvatures, and reduce
     every sum over one dataset's patterns, subjects or cells over that
-    dataset's values alone, in that order.  `solve_modes`, `loglik_at`,
-    `derivatives`, `score_matrix` and `gamma_terms` are those of a
-    workspace of one dataset, and take and return modes, curvatures and
-    scores per subject.
+    dataset's values alone, in that order; `_evaluate` makes every call.
     """
 
     def __init__(self, datasets, family: Family, gh_nodes: int):
@@ -548,28 +548,22 @@ class _Workspace:
             lb[self.p + 1], ub[self.p + 1] = LOG_KAPPA_BOUNDS
         return lb, ub
 
-    def point(self, beta, sigma2, aux=None) -> _Point:
-        """The parameters of a workspace of one dataset."""
-        return _Point(self.batches[0], [(beta, sigma2, aux)])
-
     # ---- conditional modes ------------------------------------------------
 
-    def _subject_sums(self, values, batch=None) -> np.ndarray:
-        """Per-pattern sums of per-cell values of a batch, the workspace's
-        first by default."""
-        batch = self.batches[0] if batch is None else batch
+    @staticmethod
+    def _subject_sums(batch: _Batch, values) -> np.ndarray:
+        """Per-pattern sums of per-cell values of a batch."""
         return np.bincount(batch.subj, values, minlength=batch.P)
 
-    def loglik_score(self, eta0, b, aux, log_aux=None, batch=None):
-        """S(b), the conditional-loglik score of each pattern in its b, and
-        -S'(b), the sum of w n s r, from the same kernel, which comes third;
-        over a batch, the workspace's first by default, whose NB sizes
-        `aux` and their logs `log_aux` may be given per cell."""
-        batch = self.batches[0] if batch is None else batch
+    def loglik_score(self, batch: _Batch, eta0, b, aux, log_aux=None):
+        """S(b), the conditional-loglik score of each pattern of a batch in
+        its b, and -S'(b), the sum of w n s r, from the same kernel, which
+        comes third; the NB sizes `aux` and their logs `log_aux` may be
+        given per cell."""
         nodes = self.ops.kernel(batch.y, eta0 + b[batch.subj], aux, log_aux)
         w = batch.w
-        return (self._subject_sums(w * nodes.score_eta(), batch),
-                self._subject_sums(w * nodes.curvature(), batch), nodes)
+        return (self._subject_sums(batch, w * nodes.score_eta()),
+                self._subject_sums(batch, w * nodes.curvature()), nodes)
 
     def modes(self, batch: _Batch, at: _Point, b0, live):
         """Safeguarded Newton for the conditional modes of a batch's patterns
@@ -599,7 +593,7 @@ class _Workspace:
             eta0[rep.cells] = rep.X @ beta
         b = np.zeros(batch.P) if b0 is None else b0
         aux, log_aux, sigma2 = at.aux_c, at.log_aux_c, at.sigma2_p
-        s, curv, nodes = self.loglik_score(eta0, b, aux, log_aux, batch)
+        s, curv, nodes = self.loglik_score(batch, eta0, b, aux, log_aux)
         evals = np.array(live, dtype=np.int64)
         score, end = s - b / sigma2, sigma2 * s  # not b + sigma2 score: ulp(b) off if |b| >> |end|
         lo, hi = np.minimum(b, end), np.maximum(b, end)
@@ -621,41 +615,31 @@ class _Workspace:
                 nxt = np.where((lo <= prop) & (prop <= hi), prop, nxt)
             b = np.where(active, nxt, b)
             del nodes  # hold one kernel at a time
-            s, curv, nodes = self.loglik_score(eta0, b, aux, log_aux, batch)
+            s, curv, nodes = self.loglik_score(batch, eta0, b, aux, log_aux)
             score = s - b / sigma2
             lo = np.where(active & (score > 0), b, lo)
             hi = np.where(active & (score <= 0), b, hi)
             active = np.abs(score) > MODE_TOL
 
         if aux is not None:
-            curv = self._subject_sums(batch.w * (aux * nodes.s), batch)
+            curv = self._subject_sums(batch, batch.w * (aux * nodes.s))
         curv += 1.0 / sigma2
         self.kernel_evaluations[batch.index] += evals
         return b, curv
 
-    def solve_modes(self, beta, sigma2, aux, b0=None):
-        """`modes` of a workspace of one dataset, from per-subject b0 (zero
-        by default), returned per subject."""
-        b0 = None if b0 is None else np.asarray(b0, float)[self.rep]
-        b, curv = self.modes(self.batches[0], self.point(beta, sigma2, aux), b0, _ONE)
-        return b[self.pattern], curv[self.pattern]
-
     # ---- marginal likelihood and scores ---------------------------------
 
-    def gamma_terms(self, aux, split=True, batch=None, log_aux=None):
-        """Per-pattern sums over rows of the node-free NB terms at size aux, from
-        one gamma_table on the distinct counts: the log-density's log Gamma(y +
-        k) - log Gamma(k) - log Gamma(y + 1) - y log k (+ (y + k) log k without
-        `split`, see integral_pieces) and the two kappa-score offsets; None for
-        the logistic.  Over a batch, `aux` and `log_aux` hold one size and its
-        log per dataset."""
+    def gamma_terms(self, batch: _Batch, at: _Point, split=True):
+        """Per-pattern sums over rows of the node-free NB terms of a batch at
+        each dataset's size k, from one gamma_table per dataset on the distinct
+        counts: the log-density's log Gamma(y + k) - log Gamma(k) - log Gamma(y
+        + 1) - y log k (+ (y + k) log k without `split`, see integral_pieces) and
+        the two kappa-score offsets; None for the logistic."""
         if self.family is not Family.NEGBIN:
             return None
-        if batch is None:
-            batch, aux, log_aux = self.batches[0], [aux], [math.log(aux)]
         pattern, level, w = batch.triples
         tables = []
-        for k, log_k in zip(aux, log_aux):
+        for k, log_k in zip(at.aux, at.log_aux):
             lg, dg, tg = gamma_table(self.levels, k)
             lg = lg - self.lgamma_y1
             if not split:
@@ -714,35 +698,6 @@ class _Workspace:
         ll = (ll_i[rep.patterns] * rep.m).sum()
         return float(ll - 0.5 * batch.subjects[i].size * math.log(2.0 * math.pi * sigma2))
 
-    def loglik_at(self, theta):
-        """The marginal loglik of a workspace of one dataset, with its modes
-        and curvatures per subject."""
-        at = self.point(*self.unpack(theta))
-        batch = self.batches[0]
-        modes, curv = self.modes(batch, at, None, _ONE)
-        terms = self.gamma_terms(at.aux[0])
-        ll_i = [self.integral_pieces(at, modes, curv, terms, blk)[0] for blk in batch.blocks]
-        ll = self._loglik(batch, 0, np.concatenate(ll_i), at.sigma2[0])
-        return ll, modes[self.pattern], curv[self.pattern]
-
-    def score_matrix(self, theta, modes, curv):
-        """Per-subject scores d_i on the optimizer scale; loglik as byproduct.
-
-        These are the scores of the NB's reported covariance, built with
-        the unsplit loglik (see integral_pieces): at the (sigma2, kappa) =
-        (1e-10, 1e6) corner sum_i d_i d_i' is ill-conditioned and its
-        inverse follows that form's rounding, which the stored benchmark
-        references record; the logistic's are the Newton loop's last d.
-        """
-        return self.derivatives(theta, modes, curv, hessian=False, split=False)[:2]
-
-    def derivatives(self, theta, modes, curv, hessian=True, split=True):
-        """`batch_derivatives` of a workspace of one dataset, with modes,
-        curvatures and scores per subject."""
-        (out,) = self.batch_derivatives(self.batches[0], self.point(*self.unpack(theta)),
-                                        modes[self.rep], curv[self.rep], _ONE, hessian, split)
-        return out
-
     def batch_derivatives(self, batch: _Batch, at: _Point, modes, curv, live, hessian, split):
         """For each `live` dataset of a batch (None for the others): its
         per-subject scores d_i, its loglik at `split` and, with `hessian`,
@@ -769,7 +724,7 @@ class _Workspace:
         """
         nb = self.family is Family.NEGBIN
         p, dim = self.p, self.dim
-        terms = self.gamma_terms(at.aux, split, batch, at.log_aux) if nb else None
+        terms = self.gamma_terms(batch, at, split)
         h_of = {i: np.zeros((dim, dim)) for i, on in enumerate(live) if on}
         rows_d, ll_i = [], []
         for blk in batch.blocks:
@@ -850,7 +805,7 @@ def marginal_loglik(dataset: Dataset, spec: ModelSpec, params: ParamVector,
         return float(np.sum(family_ops(spec.family).loglik(dataset.y, eta, aux)))
     ws = _Workspace(dataset, spec.family, gh_nodes)
     theta = ws.pack(params.beta, params.sigma2, params.kappa)
-    ll, _, _ = ws.loglik_at(theta)
+    ll = _evaluate(ws, ws.batches[0], {0: (theta, None, None)}, False)[0][3]
     if not np.isfinite(ll):
         raise FloatingPointError("marginal log-likelihood is non-finite at these parameters")
     return ll
@@ -953,16 +908,16 @@ def _newton_direction(h, g) -> np.ndarray:
     return s * (vec @ ((vec.T @ (s * g)) / lam))
 
 
-def _lbfgs(ws: _Workspace, theta0, lb, ub):
+def _lbfgs(ws: _Workspace, batch: _Batch, i: int, theta0, lb, ub):
+    """L-BFGS-B on dataset i of a batch, each objective value a Newton round
+    for it alone, warm-started from the last round's modes."""
     from scipy.optimize import minimize  # only this opt-in path pays for the import
 
-    warm = {"modes": None}
+    modes = None
 
     def objective(th):
-        beta, sigma2, aux = ws.unpack(th)
-        modes, curv = ws.solve_modes(beta, sigma2, aux, warm["modes"])
-        warm["modes"] = modes
-        d, ll, _ = ws.derivatives(th, modes, curv, hessian=False)
+        nonlocal modes
+        modes, _, d, ll, _ = _evaluate(ws, batch, {i: (th, modes, None)}, False)[i]
         return -ll, -d.sum(axis=0)
 
     res = minimize(
@@ -1065,17 +1020,19 @@ def _newton(ws: _Workspace, theta, lb, ub):
 def _replication(ws: _Workspace, batch: _Batch, i: int, dataset: Dataset, beta0,
                  spec: ModelSpec, config: FitConfig, lb, ub):
     """The fit of dataset i of a batch from its start beta0, a generator as
-    `_newton` is: the Newton loop, the NB's closing request for its
-    covariance scores, for which it yields (theta, modes, curvatures) and is
-    sent d and the loglik, and the FittedModel it returns."""
+    `_newton` is: the quasi-Newton optimizer's L-BFGS stage, which makes
+    rounds of its own before the first yield, the Newton loop, the NB's
+    closing request for its covariance scores, for which it yields (theta,
+    modes, curvatures) and is sent d and the loglik, and the FittedModel it
+    returns."""
     rep = batch.reps[i]
     kappa0 = _kappa_moment_init(dataset.y) if spec.family is Family.NEGBIN else None
     # (subject, covariate row) cells of all subjects
     n_cells = int(ws.m[batch.patterns][batch.subj][rep.cells].sum())
     theta = np.clip(ws.pack(beta0, 0.1, kappa0), lb, ub)
     iterations, optimizer_used = 0, "newton"
-    if config.optimizer == "quasi_newton":  # a workspace of this dataset alone (fit_batch)
-        theta, iterations = _lbfgs(ws, theta, lb, ub)
+    if config.optimizer == "quasi_newton":
+        theta, iterations = _lbfgs(ws, batch, i, theta, lb, ub)
         optimizer_used = "quasi_newton+newton"
     theta, ll, modes, curv, d, score_norm, extra, trials = yield from _newton(ws, theta, lb, ub)
     iterations += extra
@@ -1140,7 +1097,10 @@ def _evaluate(ws: _Workspace, batch: _Batch, asked: dict, closing: bool) -> dict
     curvatures)} by dataset, all of one kind.  A Newton round solves each
     asking dataset's modes from its modes (zero where None) and makes a full
     pass there; a closing round makes the unsplit pass without Hessian at
-    the given modes and curvatures, the NB's covariance scores.  The
+    the given modes and curvatures, the NB's covariance scores: at the
+    (sigma2, kappa) = (1e-10, 1e6) corner sum_i d_i d_i' is ill-conditioned
+    and its inverse follows the unsplit form's rounding (see
+    integral_pieces), which the stored benchmark references record.  The
     datasets not asking are evaluated at a fixed point, and nothing of
     theirs is summed, counted or returned."""
     n = len(batch.reps)
@@ -1165,9 +1125,11 @@ def _fit_batch(ws: _Workspace, batch: _Batch, datasets, spec: ModelSpec, config:
     generator each, after one `_irls_starts` for all: every round serves
     the Newton requests of the running generators with one `_evaluate`.
     The NB's closing requests wait until no Newton request is left, and one
-    closing round serves them all.  Returns a FittedModel per dataset, or
-    the exception its generator raised; an exception in the start or a
-    shared evaluation propagates."""
+    closing round serves them all.  Under the quasi-Newton optimizer each
+    generator's first resume runs its L-BFGS stage, whose rounds ask for its
+    dataset alone.  Returns a FittedModel per dataset, or the exception its
+    generator raised; an exception in the start or a shared evaluation
+    propagates."""
     lb, ub = ws.bounds()
     gens = [_replication(ws, batch, i, ds, beta0, spec, config, lb, ub)
             for i, (ds, beta0) in enumerate(zip(datasets, _irls_starts(ws, batch, datasets)))]
@@ -1223,12 +1185,9 @@ def fit_batch(datasets, spec: ModelSpec, config: FitConfig | None = None) -> lis
     One workspace holds the datasets and splits them into batches (see
     _Workspace); a caller bounds its memory by the datasets it passes.  A
     batch whose shared start or evaluation raises is refitted one dataset at
-    a time, and so is every dataset under the quasi-Newton optimizer, whose
-    L-BFGS stage runs on one dataset.
+    a time.
     """
     config = config or FitConfig()
-    if config.optimizer != "newton":
-        return [_fit_alone(ds, spec, config) for ds in datasets]
     try:
         ws = _Workspace(datasets, spec.family, config.gh_nodes)
     except Exception:
@@ -1247,5 +1206,5 @@ def subject_scores(fitted: FittedModel) -> np.ndarray:
     """Per-subject scores d_i at psi_hat on the (beta, log sigma2[, log kappa]) scale."""
     ws = _Workspace(fitted.dataset, fitted.spec.family, fitted.config.gh_nodes)
     theta = ws.pack(fitted.params.beta, fitted.params.sigma2, fitted.params.kappa)
-    d, _ = ws.score_matrix(theta, np.array(fitted.cond_modes), np.array(fitted.cond_curvatures))
-    return d
+    at_fit = (theta, fitted.cond_modes[ws.rep], fitted.cond_curvatures[ws.rep])
+    return _evaluate(ws, ws.batches[0], {0: at_fit}, True)[0][0]

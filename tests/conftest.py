@@ -13,7 +13,7 @@ from hypothesis import settings
 from glmm_means import Dataset, Family, FitConfig, ModelSpec, SubjectBlock, factorize_structure, fit
 from glmm_means.conditional import build_prediction_structure
 from glmm_means.families import family_ops, gamma_sums
-from glmm_means.fitter import FittedModel, _Workspace
+from glmm_means.fitter import FittedModel, _evaluate, _Point, _Workspace
 from glmm_means.io import ColumnMapping, InputError, _group_labels, _parse_cell
 from glmm_means.model import ParamVector
 from glmm_means.quadrature import ZEGER_COEF, zeger_attenuation, zeger_mean
@@ -57,23 +57,57 @@ class _Gaussian:
 GAUSSIAN_OPS = _Gaussian()
 
 
-def score_kappa(nodes, offset):
+def score_kappa(nodes, k, offset):
     """d l / d kappa = offset - log1p(mu / k) + (mu - y) / (k + mu), with
     `offset` = gamma_sums(y, k, 1): terms of O(y / k) whose O(1 / k^2)
-    sum keeps its digits at large k; from a negative-binomial `Nodes`."""
-    return offset - nodes.softplus + nodes.s - nodes.y * nodes.r / nodes.kappa
+    sum keeps its digits at large k; from a negative-binomial `Nodes` of
+    size k."""
+    return offset - nodes.softplus + nodes.s - nodes.y * nodes.r / k
 
 
-def dscore_eta_kappa(nodes):
+def dscore_eta_kappa(nodes, k):
     """d score_eta / d kappa = mu (y - mu) / (mu + k)^2 = (s r y - k s^2) / k."""
-    return (nodes.s * nodes.r * nodes.y - nodes.kappa * nodes.s * nodes.s) / nodes.kappa
+    return (nodes.s * nodes.r * nodes.y - k * nodes.s * nodes.s) / k
 
 
-def dscore_kappa(nodes, offset):
+def dscore_kappa(nodes, k, offset):
     """d score_kappa / d kappa = offset + 1/k - 2/(k + mu) + (y + k)/(k + mu)^2,
     `offset` = gamma_sums(y, k, 2), as offset + s^2/k + y r^2/k^2."""
-    k = nodes.kappa
     return offset + nodes.s * nodes.s / k + nodes.y * nodes.r * nodes.r / (k * k)
+
+
+# ---- one dataset's workspace ------------------------------------------------------
+#
+# The fitter asks a workspace for every pass through `_evaluate`, over the
+# datasets of a batch; these read a workspace of one dataset.
+
+
+def lone_point(ws: _Workspace, beta, sigma2, aux=None) -> _Point:
+    """The `_Point` of a workspace of one dataset at natural-scale parameters."""
+    return _Point(ws.batches[0], [(np.asarray(beta, float), sigma2, aux)])
+
+
+def solve_modes(ws: _Workspace, beta, sigma2, aux=None, b0=None):
+    """The conditional modes and curvatures of a workspace of one dataset at
+    natural-scale parameters, from per-subject b0 (zero by default), per
+    subject."""
+    b0 = None if b0 is None else np.asarray(b0, float)[ws.rep]
+    b, curv = ws.modes(ws.batches[0], lone_point(ws, beta, sigma2, aux), b0, (True,))
+    return b[ws.pattern], curv[ws.pattern]
+
+
+def newton_round(ws: _Workspace, theta):
+    """The Newton round of a workspace of one dataset at theta, modes solved
+    from zero: its modes and curvatures per pattern, the scores d per
+    subject, the loglik and the Hessian."""
+    return _evaluate(ws, ws.batches[0], {0: (theta, None, None)}, False)[0]
+
+
+def closing_round(ws: _Workspace, theta, modes, curv):
+    """The closing round of a workspace of one dataset at theta and the
+    per-pattern modes and curvatures: the unsplit pass's d per subject and
+    its loglik."""
+    return _evaluate(ws, ws.batches[0], {0: (theta, modes, curv)}, True)[0]
 
 
 def read_dataset_by_rows(path: str, mapping: ColumnMapping) -> Dataset:
@@ -158,7 +192,7 @@ def conditional_mode(subject: SubjectBlock, params: ParamVector) -> tuple[float,
         return 0.0, math.inf
     family = Family.NEGBIN if params.kappa is not None else Family.LOGISTIC
     ws = _Workspace(Dataset([subject]), family, 1)
-    modes, curv = ws.solve_modes(np.asarray(params.beta, float), params.sigma2, params.kappa)
+    modes, curv = solve_modes(ws, params.beta, params.sigma2, params.kappa)
     return float(modes[0]), float(curv[0])
 
 
@@ -220,12 +254,13 @@ def per_row_pattern_sums(ws: _Workspace, dataset: Dataset, f) -> np.ndarray:
 
 def per_cell_derivatives(ws: _Workspace, dataset: Dataset, theta, modes, curv, hessian=True,
                          split=True):
-    """The oracle for `_Workspace.derivatives`: the per-cell pass it
-    replaced.  Each cell's kernel takes the cell's mean response, its row
-    count multiplies every term, the NB terms nonlinear in y enter each cell
-    as means over its rows (per_row_cell_mean), the kappa terms come
-    from `families.Nodes`, and every per-pattern sum is an `np.add.at` in
-    cell order.  Returns d_i per subject, the loglik and the Hessian."""
+    """The oracle for `_Workspace.batch_derivatives` on one dataset: the
+    per-cell pass it replaced.  Each cell's kernel takes the cell's mean
+    response, its row count multiplies every term, the NB terms nonlinear in
+    y enter each cell as means over its rows (per_row_cell_mean), the kappa
+    terms come from `families.Nodes`, and every per-pattern sum is an
+    `np.add.at` in cell order.  Returns d_i per subject, the loglik and the
+    Hessian."""
     from scipy.special import logsumexp
 
     beta, sigma2, aux = ws.unpack(theta)
@@ -268,7 +303,7 @@ def per_cell_derivatives(ws: _Workspace, dataset: Dataset, theta, modes, curv, h
             s[:, :, c] = sums(a * X[:, c, None])
         s[:, :, p] = (u**2 - sigma2) / (2.0 * sigma2)
         if nb:
-            s[:, :, p + 1] = aux * sums(w[:, None] * score_kappa(nodes, terms[1][rows, None]))
+            s[:, :, p + 1] = aux * sums(w[:, None] * score_kappa(nodes, aux, terms[1][rows, None]))
         d = np.einsum("km,kmj->kj", omega, s)
         rows_d.append(d)
         if hessian:
@@ -281,9 +316,10 @@ def per_cell_derivatives(ws: _Workspace, dataset: Dataset, theta, modes, curv, h
             h[:p, :p] -= (X * r[:, None]).T @ X
             h[p, p] -= np.sum(m_omega * u**2) / (2.0 * sigma2)
             if nb:  # log kappa: d/dlog k = k d/dk, d2/dlog k2 = k d/dk + k^2 d2/dk2
-                cross = np.sum(m_omega_rows * dscore_eta_kappa(nodes), axis=1)
+                cross = np.sum(m_omega_rows * dscore_eta_kappa(nodes, aux), axis=1)
                 h[:p, p + 1] += aux * (X.T @ (w * cross))
-                curv_k = np.sum(m_omega_rows * dscore_kappa(nodes, terms[2][rows, None]), axis=1)
+                curv_k = np.sum(m_omega_rows * dscore_kappa(nodes, aux, terms[2][rows, None]),
+                                axis=1)
                 h[p + 1, p + 1] += (m * d[:, p + 1]).sum() + aux * aux * np.sum(w * curv_k)
     h[p + 1:, :p] = h[:p, p + 1:].T
     ll = (np.concatenate(ll_i) * ws.m).sum() - 0.5 * ws.K * math.log(2.0 * math.pi * sigma2)
@@ -298,7 +334,8 @@ def posterior_mean_effects(fitted: FittedModel) -> np.ndarray:
         return np.zeros(ws.K)
     beta, sigma2, aux = fitted.params.beta, fitted.params.sigma2, fitted.params.kappa
     modes, curv = np.array(fitted.cond_modes), np.array(fitted.cond_curvatures)
-    at, terms = ws.point(np.asarray(beta, float), sigma2, aux), ws.gamma_terms(aux)
+    at = lone_point(ws, beta, sigma2, aux)
+    terms = ws.gamma_terms(ws.batches[0], at)
     means = []
     for blk in ws.blocks:
         _, omega, u, _ = ws.integral_pieces(at, modes[ws.rep], curv[ws.rep], terms, blk)
@@ -315,7 +352,7 @@ def manual_fitted(dataset, family, beta, sigma2, kappa=None, cov=None, gh_nodes=
         modes = np.zeros(dataset.n_subjects)
         curv = np.full(dataset.n_subjects, np.inf)
     else:
-        modes, curv = ws.solve_modes(beta, sigma2, kappa)
+        modes, curv = solve_modes(ws, beta, sigma2, kappa)
     dim = len(beta) + 1 + (1 if family is Family.NEGBIN else 0)
     cov = np.zeros((dim, dim)) if cov is None else np.asarray(cov, float)
     return FittedModel(

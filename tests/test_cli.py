@@ -346,7 +346,8 @@ def test_cli_unwritable_out_exits_3_before_any_fit_or_replication(capsys, monkey
     monkeypatch.setattr(cli, "fit", refuse)
     (tmp_path / "file").write_text("", encoding="utf-8")
     for out_path, reason in ((tmp_path / "missing" / "x.csv", "No such file or directory"),
-                             (tmp_path / "file" / "x.csv", "Not a directory")):
+                             (tmp_path / "file" / "x.csv", "Not a directory"),
+                             (tmp_path, "Is a directory")):
         code, out, err = run_cli(
             ["simulate", "--family", "logistic", "--reps", "500", "--out", str(out_path)], capsys)
         assert code == 3 and out == ""

@@ -26,7 +26,7 @@ from glmm_means.fitter import _Workspace
 from glmm_means.marginal import ci_inverse_log, wald_intervals
 
 from conftest import (GAUSSIAN_OPS, conditional_group_mean, manual_fitted, marginal_group_mean,
-                      toy_dataset)
+                      solve_modes, toy_dataset)
 
 
 def group_covariance(fitted, group_id):
@@ -103,7 +103,7 @@ def test_gaussian_modes_equal_blup():
     sigma2 = 0.36
     ws = _Workspace(ds, Family.LOGISTIC, 1)
     ws.ops = GAUSSIAN_OPS
-    modes, _ = ws.solve_modes(beta, sigma2, None)
+    modes, _ = solve_modes(ws, beta, sigma2)
     b_blup, _, _ = _henderson_solution(ds, beta, sigma2)
     np.testing.assert_allclose(modes, b_blup, atol=1e-8)
     # and the per-observation predictor matches the BLUP linear predictor

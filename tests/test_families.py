@@ -100,7 +100,7 @@ def test_kappa_score_matches_mpmath(kappa):
     ops = family_ops(Family.NEGBIN)
     y = np.array([0.0, 1.0, 3.0, 17.0, 250.0])
     for eta in (-3.0, 0.0, 1.1, 2.9, 5.5, 12.0):
-        got = score_kappa(ops.kernel(y, eta, kappa), gamma_sums(y, kappa, 1))
+        got = score_kappa(ops.kernel(y, eta, kappa), kappa, gamma_sums(y, kappa, 1))
         for yi, gi in zip(y, got):
             want = _kappa_score_oracle(yi, eta, kappa)
             assert abs(mpmath.mpf(gi) - want) <= 1e-8 * abs(want), (yi, eta)
@@ -123,7 +123,7 @@ def test_kappa_score_derivative_matches_mpmath(kappa):
     ops = family_ops(Family.NEGBIN)
     y = np.array([0.0, 1.0, 3.0, 17.0, 250.0])
     for eta in np.linspace(-3.0, 5.5, 18):
-        got = dscore_kappa(ops.kernel(y, eta, kappa), gamma_sums(y, kappa, 2))
+        got = dscore_kappa(ops.kernel(y, eta, kappa), kappa, gamma_sums(y, kappa, 2))
         for yi, gi in zip(y, got):
             want = _dkappa_score_oracle(yi, eta, kappa)
             assert abs(mpmath.mpf(gi) - want) <= 1e-8 * abs(want), (yi, eta)
@@ -195,14 +195,14 @@ def test_node_kernel_matches_mpmath_on_both_tails(kappa):
                 if kappa is None:
                     nodes = family_ops(Family.LOGISTIC).kernel(ys, np.full(ys.size, z))
                 else:
-                    nodes = Nodes(ys, np.full(ys.size, z), ys + kappa, kappa)
+                    nodes = Nodes(ys, np.full(ys.size, z), ys + kappa)
                 got = {"s": nodes.s, "r": nodes.r, "softplus": nodes.softplus,
                        "loglik": nodes.loglik(np.full(ys.size, eta)),
                        "score_eta": nodes.score_eta(), "curvature": nodes.curvature()}
                 if kappa is not None:
-                    got["score_kappa"] = score_kappa(nodes, gamma_sums(ys, kappa, 1))
-                    got["dscore_eta_kappa"] = dscore_eta_kappa(nodes)
-                    got["dscore_kappa"] = dscore_kappa(nodes, gamma_sums(ys, kappa, 2))
+                    got["score_kappa"] = score_kappa(nodes, kappa, gamma_sums(ys, kappa, 1))
+                    got["dscore_eta_kappa"] = dscore_eta_kappa(nodes, kappa)
+                    got["dscore_kappa"] = dscore_kappa(nodes, kappa, gamma_sums(ys, kappa, 2))
             assert np.all(nodes.r > 0.0) and np.all(nodes.s > 0.0)
             rounded_s += int(np.sum(nodes.s == 1.0))
             for i, y in enumerate(ys):

@@ -24,8 +24,9 @@ from glmm_means.model import ParamVector
 from glmm_means.simulate import (generate_dataset, generate_replication, logistic_design,
                                   negbin_design)
 
-from conftest import (conditional_mode, irls_start, per_cell_derivatives, per_row_pattern_sums,
-                      posterior_mean_effects, representative_rows, toy_dataset)
+from conftest import (closing_round, conditional_mode, irls_start, lone_point, newton_round,
+                      per_cell_derivatives, per_row_pattern_sums, posterior_mean_effects,
+                      representative_rows, solve_modes, toy_dataset)
 
 
 def bernoulli_block(sid, y, x, sigma_groups=None):
@@ -235,8 +236,9 @@ def test_a_far_warm_start_brackets_a_tiny_mode(b0):
     ws = _Workspace(Dataset([SubjectBlock(subject_id="s", y=np.zeros(2), X=np.ones((2, 1)),
                                           groups=("g", "g"))]), Family.NEGBIN, 1)
     beta = np.zeros(1)
-    modes, _ = ws.solve_modes(beta, sigma2, kappa, np.array([b0]))
-    assert abs(ws.loglik_score(ws.X @ beta, modes, kappa)[0][0] - modes[0] / sigma2) <= MODE_TOL
+    modes, _ = solve_modes(ws, beta, sigma2, kappa, np.array([b0]))
+    s = ws.loglik_score(ws.batches[0], ws.X @ beta, modes, kappa)[0][0]
+    assert abs(s - modes[0] / sigma2) <= MODE_TOL
 
 
 @pytest.mark.parametrize("rows,sigma2,intercept", [(20, 25.0, -5.0), (40, 1.0, 0.0)])
@@ -257,11 +259,11 @@ def test_a_mode_whose_ulp_exceeds_the_width_stop_ends_at_the_ulp(rows, sigma2, i
         return score(*args)
 
     ws.loglik_score = counted
-    modes, _ = ws.solve_modes(beta, sigma2, kappa)
+    modes, _ = solve_modes(ws, beta, sigma2, kappa)
     assert len(calls) <= 30  # 27 and 17 (251 each before the stop)
 
     def g(b):
-        return score(ws.X @ beta, np.array([b]), kappa)[0][0] - b / sigma2
+        return score(ws.batches[0], ws.X @ beta, np.array([b]), kappa)[0][0] - b / sigma2
 
     b = modes[0]
     assert abs(b) >= 8.0 and abs(g(b)) > MODE_TOL
@@ -298,18 +300,18 @@ def test_modes_converge_inside_the_start_bracket_at_the_box_edges(family, sigma2
     beta = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2), label="beta"))
     b0 = np.array(data.draw(st.lists(st.floats(-50, 50), min_size=ws.K, max_size=ws.K),
                             label="warm start"))
-    eta0 = ws.X @ beta
+    eta0, batch = ws.X @ beta, ws.batches[0]
 
     def g(b):
-        return ws.loglik_score(eta0, b, aux)[0] - b / sigma2
+        return ws.loglik_score(batch, eta0, b, aux)[0] - b / sigma2
 
     solves = []
     for start in (np.zeros(ws.K), b0):
-        modes, curv = ws.solve_modes(beta, sigma2, aux, start)
+        modes, curv = solve_modes(ws, beta, sigma2, aux, start)
         b, s = modes[ws.rep], start[ws.rep]
         assert np.array_equal(modes, b[ws.pattern])
         assert np.all(curv >= 1.0 / sigma2)
-        end = sigma2 * ws.loglik_score(eta0, s, aux)[0]
+        end = sigma2 * ws.loglik_score(batch, eta0, s, aux)[0]
         assert np.all((np.minimum(s, end) <= b) & (b <= np.maximum(s, end)))
         # converged, or the bisection bracket has closed on the sign change
         converged = np.abs(g(b)) <= MODE_TOL
@@ -329,7 +331,7 @@ def _fd_gradient(ws, theta, h=1e-5):
         up, dn = theta.copy(), theta.copy()
         up[j] += h
         dn[j] -= h
-        grad[j] = (ws.loglik_at(up)[0] - ws.loglik_at(dn)[0]) / (2 * h)
+        grad[j] = (newton_round(ws, up)[3] - newton_round(ws, dn)[3]) / (2 * h)
     return grad
 
 
@@ -343,16 +345,15 @@ def test_total_score_matches_central_differences(family):
         sigma2 = rng.uniform(0.05, 0.8)
         kappa = rng.uniform(2.0, 30.0) if family is Family.NEGBIN else None
         theta = ws.pack(beta, sigma2, kappa)
-        ll, modes, curv = ws.loglik_at(theta)
-        d, _ = ws.score_matrix(theta, modes, curv)
+        modes, curv = newton_round(ws, theta)[:2]
+        d, _ = closing_round(ws, theta, modes, curv)
         g = d.sum(axis=0)
         fd = _fd_gradient(ws, theta)
         np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-6)
 
 
 def _total_score(ws, theta):
-    _, modes, curv = ws.loglik_at(theta)
-    return ws.derivatives(theta, modes, curv, hessian=False)[0].sum(axis=0)
+    return newton_round(ws, theta)[2].sum(axis=0)
 
 
 def _fd_score_jacobian(ws, theta, h):
@@ -383,8 +384,7 @@ def test_observed_information_matches_central_differences(family):
     # keeps its digits there, so its differences take the same step
     points.append(ws.pack(np.array([0.2, -0.4]), 1e-3, 1e4 if nb else None))
     for theta in points:
-        _, modes, curv = ws.loglik_at(theta)
-        _, _, hess = ws.derivatives(theta, modes, curv)
+        hess = newton_round(ws, theta)[4]
         fd = _fd_score_jacobian(ws, theta, 1e-5)
         rel = np.abs(hess - fd) / np.maximum(np.abs(fd), 1e-3)
         assert rel.max() <= 1e-4, (np.exp(theta[2:]), rel.max())
@@ -412,8 +412,8 @@ def test_quadrature_blocks_do_not_change_results(family, monkeypatch):
         monkeypatch.setattr(fitter, "_BLOCK_CELLS", cells)
         ws = _Workspace(ds, family, 25)
         theta = ws.pack(np.array([0.2, -0.4]), 0.7, kappa)
-        ll, modes, curv = ws.loglik_at(theta)
-        d, ll_d = ws.score_matrix(theta, modes, curv)
+        modes, curv, _, ll, _ = newton_round(ws, theta)
+        d, ll_d = closing_round(ws, theta, modes, curv)
         results.append((len(ws.blocks), ll, ll_d, d))
     assert [r[0] for r in results] == [1, ds.n_subjects]
     np.testing.assert_allclose(results[0][1:3], results[1][1:3], rtol=1e-14)
@@ -460,7 +460,8 @@ def test_pattern_sums_equal_a_loop_over_each_patterns_cells(sizes, block_cells, 
         want.append(total)
     got = np.vstack([fitter._block_sums(values[b.cells], b) for b in ws.blocks])
     np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(ws._subject_sums(values[:, 0]), np.array(want)[:, 0])
+    np.testing.assert_array_equal(ws._subject_sums(ws.batches[0], values[:, 0]),
+                                  np.array(want)[:, 0])
 
 
 def _merge_oracle_pair(family, seed=3, K=12):
@@ -503,19 +504,17 @@ def _assert_merging_is_exact(ws_m, ws_r, beta, kappa):
     # O(1/k), so it rounds at ~1e-14 k
     floor = np.array([0.0] * (p + 1) + ([1e-12 * kappa] if kappa else []))
 
-    ll_m, modes_m, curv_m = ws_m.loglik_at(theta_m)
-    ll_r, modes_r, curv_r = ws_r.loglik_at(theta_r)
+    modes_m, curv_m, d_m, ll_m, h_m = newton_round(ws_m, theta_m)
+    modes_r, curv_r, d_r, ll_r, h_r = newton_round(ws_r, theta_r)
     assert ll_m == pytest.approx(ll_r, rel=1e-12)
-    np.testing.assert_allclose(modes_m, modes_r, rtol=1e-12, atol=1e-14)
-    d_m, dll_m, h_m = ws_m.derivatives(theta_m, modes_m, curv_m)
-    d_r, dll_r, h_r = ws_r.derivatives(theta_r, modes_r, curv_r)
-    assert dll_m == pytest.approx(dll_r, rel=1e-12)
+    np.testing.assert_allclose(modes_m[ws_m.pattern], modes_r[ws_r.pattern], rtol=1e-12,
+                               atol=1e-14)
     _assert_close(d_m, d_r[:, shared], floor)
     _assert_close(h_m, h_r[np.ix_(shared, shared)], np.maximum.outer(floor, floor))
     if kappa is None or kappa < 1e3:
         # the unsplit NB form of the reported covariance rounds at large kappa
-        s_m, sll_m = ws_m.score_matrix(theta_m, modes_m, curv_m)
-        s_r, sll_r = ws_r.score_matrix(theta_r, modes_r, curv_r)
+        s_m, sll_m = closing_round(ws_m, theta_m, modes_m, curv_m)
+        s_r, sll_r = closing_round(ws_r, theta_r, modes_r, curv_r)
         assert sll_m == pytest.approx(sll_r, rel=1e-12)
         _assert_close(s_m, s_r[:, shared], floor)
 
@@ -633,8 +632,8 @@ def test_patterns_match_the_unpooled_subjects(family, kappa):
 
 @pytest.mark.parametrize("family", [Family.LOGISTIC, Family.NEGBIN])
 def test_the_fused_pass_matches_the_per_cell_pass(family, monkeypatch):
-    # derivatives folds the cells' row counts into w y and w n, sums the NB node-free
-    # terms per pattern and reads the node sums of the Hessian as row dots;
+    # batch_derivatives folds the cells' row counts into w y and w n, sums the NB
+    # node-free terms per pattern and reads the node sums of the Hessian as row dots;
     # the per-cell pass it replaced (conftest) is the oracle.  Both round
     # differently.  Measured worst cases over these data, points and block
     # sizes: d 1.8e-14 of max |d|, the loglik 6.1e-16 relative, H 7.2e-15
@@ -656,10 +655,13 @@ def test_the_fused_pass_matches_the_per_cell_pass(family, monkeypatch):
             beta = np.array([0.3, -0.8, 0.5])[: ds.p]
             for sigma2, kappa in ((0.6, 4.0), (1e-10, 4.0), (0.6, 1e6), (1e-10, 1e6), (2.0, 0.05)):
                 theta = ws.pack(beta, sigma2, kappa if nb else None)
-                modes, curv = ws.solve_modes(*ws.unpack(theta))
+                batch, live = ws.batches[0], (True,)
+                at = _Point(batch, [ws.unpack(theta)])
+                modes, curv = ws.modes(batch, at, None, live)
                 for split in (True, False):
-                    d, ll, h = ws.derivatives(theta, modes, curv, split=split)
-                    d0, ll0, h0 = per_cell_derivatives(ws, ds, theta, modes, curv, split=split)
+                    ((d, ll, h),) = ws.batch_derivatives(batch, at, modes, curv, live, True, split)
+                    d0, ll0, h0 = per_cell_derivatives(ws, ds, theta, modes[ws.pattern],
+                                                       curv[ws.pattern], split=split)
                     tol = (5e-9,) * 3 if nb and kappa == 1e6 and not split else (1e-13, 3e-15, 2e-14)
                     assert np.abs(d - d0).max() <= tol[0] * np.abs(d0).max()
                     assert abs(ll - ll0) <= tol[1] * abs(ll0)
@@ -710,10 +712,11 @@ def test_per_level_terms_equal_the_per_row_cell_means(kappa, repeated):
     # some cell holds two different counts above the cap
     big = y > SUM_CAP
     assert any(np.unique(y[big & (cell == c)]).size > 1 for c in np.unique(cell[big]))
-    const, psi, psi1 = ws.gamma_terms(kappa)
+    at = lone_point(ws, np.zeros(ws.p), 1.0, kappa)  # the terms read the size alone
+    const, psi, psi1 = ws.gamma_terms(ws.batches[0], at)
     cases = [
         (const, lambda y: gamma_sums(y, kappa, 0) - gamma_sums(y, 1.0, 0)),
-        (ws.gamma_terms(kappa, split=False)[0],
+        (ws.gamma_terms(ws.batches[0], at, split=False)[0],
          lambda y: gamma_sums(y, kappa, 0) - gamma_sums(y, 1.0, 0) + (y + kappa) * math.log(kappa)),
         (psi, lambda y: gamma_sums(y, kappa, 1)),
         (psi1, lambda y: gamma_sums(y, kappa, 2)),
@@ -808,7 +811,7 @@ def test_subject_scores_sum_to_near_zero_at_mle(logistic_toy_fit):
 @pytest.mark.parametrize("fixture", ["logistic_toy_fit", "negbin_toy_fit"])
 def test_covariance_equals_the_one_rebuilt_from_subject_scores(fixture, request):
     # the logistic's covariance scores are the Newton loop's last accepted
-    # pass and the NB's one unsplit score_matrix pass; subject_scores makes
+    # pass and the NB's one unsplit closing pass; subject_scores makes
     # that pass afresh, and the BHHH inverse built from it is bitwise equal
     fitted = request.getfixturevalue(fixture)
     d = subject_scores(fitted)
@@ -943,6 +946,28 @@ def test_batched_fits_equal_lone_fits_bit_for_bit(family, monkeypatch):
                 _assert_same_fit(g, want)
 
 
+@pytest.mark.parametrize("family", [Family.LOGISTIC, Family.NEGBIN])
+def test_quasi_newton_fits_in_one_batch_equal_lone_fits_bit_for_bit(family, monkeypatch):
+    # the L-BFGS stage asks the lockstep workspace for Newton rounds of its
+    # dataset alone, so a batch of gender replications needs no lone refit
+    import glmm_means.fitter as fitter
+
+    make = logistic_design if family is Family.LOGISTIC else negbin_design
+    datasets = _study_replications(make(control="gender", replications=3, seed=5), range(3))
+    assert [len(b.reps) for b in _Workspace(datasets, family, 25).batches] == [3]
+    spec, config = ModelSpec(family=family, p=4), FitConfig(optimizer="quasi_newton")
+    lone = [fit(ds, spec, config) for ds in datasets]
+
+    def refit_alone(dataset, spec, config):
+        raise AssertionError("a batch fell back to lone fits")
+
+    monkeypatch.setattr(fitter, "_fit_alone", refit_alone)
+    got = fitter.fit_batch(datasets, spec, config)
+    assert [f.optimizer_used for f in got] == ["quasi_newton+newton"] * 3
+    for g, want in zip(got, lone):
+        _assert_same_fit(g, want)
+
+
 def test_a_batch_solve_holds_the_datasets_not_live_where_they_start():
     # a round solves the modes of the datasets that ask for a solve; the
     # patterns of the others keep their given modes and count no kernels
@@ -1037,7 +1062,8 @@ def test_fit_satisfies_contracts(fixture, request):
     modes = np.array(fitted.cond_modes)
     assert np.array_equal(modes, modes[ws.rep][ws.pattern])
     b, params = modes[ws.rep], fitted.params
-    score = ws.loglik_score(ws.X @ params.beta, b, params.kappa)[0] - b / params.sigma2
+    score = ws.loglik_score(ws.batches[0], ws.X @ params.beta, b, params.kappa)[0]
+    score -= b / params.sigma2
     assert np.max(np.abs(score)) <= MODE_TOL * 10
 
 
