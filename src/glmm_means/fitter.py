@@ -50,13 +50,16 @@ costs many slice adds on two-cell patterns; the mode solver's sums are
 A study's replications are fitted in lockstep (`fit_batch`): one workspace
 stacks their datasets, patterns never span two of them, and a block holds
 whole replications, several whose cells fit one block together or one in the
-blocks it has alone.  The Newton loop is a generator (`_newton`) that yields
-each point it needs, and each round of a batch serves one kind of request with
-one quadrature pass: the kernels, the per-pattern sums and the posterior
-weights run once for the batch, each pattern at its own replication's
-parameters.  A Newton round solves the modes of every asking replication
-first; the NB's covariance-score requests wait until no Newton request is
-left, and one closing round serves them all.  Within a block each
+blocks it has alone.  One Newton loop (`_newton`) holds every replication's
+state as a row of arrays.  Each of its rounds makes one quadrature pass per
+batch for the replications still running, each pattern at its own
+replication's parameters, and then one stacked step for all of them: the
+KKT tests, the trial points and the accept, halve and stop decisions are
+array operations over the rows, and the directions one `eigh` per distinct
+free set.  The NB's covariance scores come after the last Newton round,
+from one closing round per batch.  Every stacked linear-algebra call and
+matrix-vector product (a (B, d, d) @ (B, d, 1) `matmul`) computes each
+matrix as a lone call does.  Within a block each
 replication's patterns are numbered together by descending cell count, so they
 and its cells keep the order they have alone, and every sum over one
 replication's patterns, subjects or cells (X beta, the loglik, the scores'
@@ -91,7 +94,8 @@ Cov(psi_hat) is still the BHHH inverse (sum_i d_i d_i')^{-1}, the paper's
 estimator, computed on (beta, log sigma2, log kappa) and mapped back to the
 natural scale by the delta method.  The logistic's d_i are the Newton loop's
 last accepted pass; the NB's come from one more, unsplit pass at the optimum,
-one closing round per batch (`_evaluate`).
+one closing round per batch (`_evaluate`).  The inverses and spectra of a
+workspace's fits are stacked calls too (`_covariances`).
 """
 
 from __future__ import annotations
@@ -884,28 +888,54 @@ def _snap(theta, lb, ub) -> np.ndarray:
     return np.where(theta <= lb + 1e-12, lb, np.where(theta >= ub - 1e-12, ub, theta))
 
 
-def _kkt_violation(g, theta, lb, ub, p) -> float:
-    """Largest violation of the first-order conditions of a maximum in the box.
+def _kkt_violation(g, theta, lb, ub, p) -> np.ndarray:
+    """Largest violation of the first-order conditions of a maximum in the
+    box, per row of (g, theta).
 
     Variance coordinates are judged by dl/dv on the natural scale
     v = exp(theta) where v < 1: there the log-scale score g = v dl/dv
     vanishes as v -> 0 whatever the slope, and a bound that the likelihood
     rises away from would pass for a stationary point.
     """
-    gj = np.array(g, float)
-    gj[p:] *= np.exp(np.maximum(-theta[p:], 0.0))
+    gj = g.copy()
+    gj[:, p:] *= np.exp(np.maximum(-theta[:, p:], 0.0))
     gj[(theta <= lb) & (gj < 0)] = 0.0
     gj[(theta >= ub) & (gj > 0)] = 0.0
-    return float(np.max(np.abs(gj)))
+    return np.abs(gj).max(axis=1)
+
+
+def _call(fn, *args):
+    """fn(*args), or the exception it raises: the result of one dataset's
+    fit, which fails alone."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _per_matrix(fn, *stacks):
+    """fn of stacks of matrices, one result per matrix: one call on the
+    stacks, or, if that call raises, one call per matrix as a stack of one,
+    a matrix whose call raises getting the exception instead."""
+    try:
+        return fn(*stacks)
+    except (np.linalg.LinAlgError, ValueError):
+        one = [_call(fn, *(s[k : k + 1] for s in stacks)) for k in range(len(stacks[0]))]
+        return [x if isinstance(x, Exception) else x[0] for x in one]
 
 
 def _newton_direction(h, g) -> np.ndarray:
-    """Solves (-h) x = g, with the spectrum of the Jacobi-scaled -h replaced
-    by its absolute values (floored) where -h is not positive definite."""
-    s = 1.0 / np.sqrt(np.maximum(np.abs(np.diag(h)), 1e-300))
-    lam, vec = np.linalg.eigh(-h * np.outer(s, s))
-    lam = np.maximum(np.abs(lam), 1e-10 * max(float(np.abs(lam).max()), 1e-300))
-    return s * (vec @ ((vec.T @ (s * g)) / lam))
+    """Solves (-h) x = g for each matrix of the stack h (B, k, k) and row of
+    g (B, k), with the spectrum of the Jacobi-scaled -h replaced by its
+    absolute values (floored) where -h is not positive definite.  Each
+    matrix-vector product is a (B, k, k) @ (B, k, 1) matmul, which computes
+    every product as the lone matrix's `@` does."""
+    s = 1.0 / np.sqrt(np.maximum(np.abs(h.diagonal(axis1=1, axis2=2)), 1e-300))
+    lam, vec = np.linalg.eigh(-h * (s[:, :, None] * s[:, None, :]))
+    lam = np.abs(lam)
+    lam = np.maximum(lam, 1e-10 * np.maximum(np.maximum.reduce(lam, axis=1, keepdims=True), 1e-300))
+    x = (vec.transpose(0, 2, 1) @ (s * g)[:, :, None])[:, :, 0] / lam
+    return s * (vec @ x[:, :, None])[:, :, 0]
 
 
 def _lbfgs(ws: _Workspace, batch: _Batch, i: int, theta0, lb, ub):
@@ -931,8 +961,78 @@ def _lbfgs(ws: _Workspace, batch: _Batch, i: int, theta0, lb, ub):
     return np.asarray(res.x), int(res.nit)
 
 
-def _newton(ws: _Workspace, theta, lb, ub):
-    """Projected Newton ascent on the Louis observed information.
+def _steps(theta, g, h, lb, ub, p, box):
+    """The Newton step from each row of theta, with its scores g and
+    Hessian h: its frame (phi, lo, hi, delta), the point phi in working
+    coordinates, its box and the direction; the sign of each variance
+    coordinate's map; the first step length lam; and {row: the exception
+    its direction raised}.  `box` holds phi's (lo, hi) where theta <= 0,
+    then where theta > 0.  One `_newton_direction` serves the rows of each
+    free set."""
+    n, dim = theta.shape
+    v = slice(p, None)
+    frame = np.zeros((n, 4, dim))
+    phi, lo, hi, delta = frame.transpose(1, 0, 2)
+    pos = theta <= 0.0
+    frame[:, 1:3] = np.where(pos[:, None], box[0], box[1])
+    sgn = np.where(pos[:, v], 1.0, -1.0)
+    phi[:] = theta
+    phi[:, v] = np.exp(sgn * theta[:, v])
+    jac = np.ones((n, dim))
+    jac[:, v] = sgn / phi[:, v]  # dtheta / dphi
+    h_phi = h * (jac[:, :, None] * jac[:, None, :])
+    # the variance coordinates' diagonal entries, through a strided view
+    h_phi.reshape(n, -1)[:, p * (dim + 1) :: dim + 1] -= sgn * g[:, v] / phi[:, v] ** 2
+
+    held = ((theta <= lb) & (g <= 0)) | ((theta >= ub) & (g >= 0))
+    jac_g = jac * g
+    errors, sets = {}, {}
+    for k, row in enumerate(held.tolist()):
+        sets.setdefault(tuple(row), []).append(k)
+    for key, rows in sets.items():  # the rows of each free set
+        r, c = np.array(rows)[:, None], np.flatnonzero(~np.array(key))
+        whole = len(rows) == n and c.size == dim  # no gathers
+        x = _per_matrix(_newton_direction, *((h_phi, jac_g) if whole else
+                                             (h_phi[r[:, :, None], c[:, None], c], jac_g[r, c])))
+        if isinstance(x, np.ndarray):
+            delta[r, c] = x
+            continue
+        for k, xk in zip(rows, x):
+            if isinstance(xk, Exception):
+                errors[k] = xk
+            else:
+                delta[k, c] = xk
+    big = np.abs(delta[:, :p]).max(axis=1)
+    over = big > _MAX_STEP
+    if over.any():
+        delta[over] *= (_MAX_STEP / big[over])[:, None]
+    lam = np.ones(n)
+    if dim - p > 1:  # only two variance coordinates can both reach a bound
+        dv, gap = delta[:, v], np.where(delta[:, v] < 0, lo[:, v], hi[:, v]) - phi[:, v]
+        both = ((lb[v] < theta[:, v]) & (theta[:, v] < ub[v]) & (dv != 0)
+                & (np.abs(gap) <= np.abs(dv))).all(axis=1)
+        hits = gap[both] / dv[both]
+        lam[both] = 0.5 * (hits[:, 0] + hits[:, 1])
+    return frame, sgn, lam, errors
+
+
+class _Iterates(NamedTuple):
+    """Where the Newton loop left each dataset of a workspace."""
+    theta: np.ndarray  # (datasets, dim): the last accepted iterate
+    ll: np.ndarray
+    modes: np.ndarray  # each dataset's patterns at its last accepted round
+    curv: np.ndarray
+    d: list  # per-subject scores there, by dataset
+    viol: np.ndarray  # the KKT violation there
+    iterations: np.ndarray
+    trials: np.ndarray
+    errors: dict  # {dataset: the exception its step raised}
+    shared: dict  # {batch: the exception its shared evaluation raised}
+
+
+def _newton(ws: _Workspace, theta, lb, ub, done) -> _Iterates:
+    """Projected Newton ascent on the Louis observed information, from the
+    rows of theta of the datasets of a workspace not `done`, in lockstep.
 
     Each step solves the Newton system over the coordinates not held at a
     bound, in working coordinates: beta as is, sigma2 and kappa on their
@@ -949,124 +1049,171 @@ def _newton(ws: _Workspace, theta, lb, ub):
     score is the gradient of the exact integral, so its root can sit a
     quadrature error away from the quadrature loglik's maximum.
 
-    A generator: it yields (theta, warm modes, None) for each point it
-    needs, warm modes None for a solve from zero, and is sent the modes,
-    curvatures, scores d, loglik and Hessian there (see `_fit_batch`).  It
-    returns the last accepted iterate with its scores d, the iterations and
-    the trials.
+    The loop holds the state of every dataset as arrays, one row each.  A
+    round makes one `_evaluate` per batch at the points of its datasets
+    still running (a dataset's first at its start, with modes solved from
+    zero, then its trials, warm-started from its last accepted modes) and
+    one stacked step for all: the KKT tests, the accept, halve,
+    score-phase and stop decisions are masks, and the datasets that begin
+    an iteration take their directions from one `_steps`.  Every sum over
+    one dataset's values runs on its row alone, so each dataset's iterates
+    are those of its lone loop, and a batch makes the rounds its slowest
+    dataset makes alone.  A dataset whose direction raises stops, and the
+    exception is its result; a batch whose evaluation raises stops.
     """
-    p, v = ws.p, slice(ws.p, None)
-    theta = _snap(theta, lb, ub)
-    modes, curv, d, ll, h = yield theta, None, None
-    g = d.sum(axis=0)
-    viol = _kkt_violation(g, theta, lb, ub, p)
-    up, down = (np.exp(sgn * np.column_stack([lb[v], ub[v]])) for sgn in (1.0, -1.0))  # phi's box
-    iterations, trials, on_score = 0, 0, False
-    while iterations < MAX_ITER and viol > SCORE_TOL:
-        iterations += 1
-        pos = theta[v] <= 0.0
-        sgn = np.where(pos, 1.0, -1.0)
-        phi, lo, hi = theta.copy(), lb.copy(), ub.copy()
-        phi[v] = np.exp(sgn * theta[v])
-        lo[v], hi[v] = np.where(pos, up[:, 0], down[:, 1]), np.where(pos, up[:, 1], down[:, 0])
-        jac = np.ones(ws.dim)
-        jac[v] = sgn / phi[v]  # dtheta / dphi
-        h_phi = h * np.outer(jac, jac)
-        h_phi[v, v] -= np.diag(sgn * g[v] / phi[v] ** 2)
+    n, p, dim = theta.shape[0], ws.p, ws.dim
+    v = slice(p, None)
+    ends = np.array([lb, ub])
+    box = np.array([ends, ends])  # phi's (lo, hi): exp(theta) at theta <= 0, exp(-theta) above
+    box[0][:, v], box[1][:, v] = np.exp(ends[:, v]), np.exp(-ends[::-1, v])
+    batch_of = [k for k, batch in enumerate(ws.batches) for _ in range(len(batch.reps))]
+    prep = np.concatenate([batch.prep + batch.index.start for batch in ws.batches])
+    theta, done = _snap(theta, lb, ub), done.copy()
+    point = theta.copy()  # where each running dataset asks next
+    ll, viol, ll_t = np.zeros(n), np.zeros(n), np.zeros(n)
+    g, g_t = np.zeros((n, dim)), np.zeros((n, dim))
+    d, h, d_t, h_t = [None] * n, [None] * n, [None] * n, [None] * n  # per-subject scores, Hessians
+    # the iteration's step (see _steps); ones give a dataset that never steps a harmless trial
+    frame, sgn, lam = np.ones((n, 4, dim)), np.ones((n, dim - p)), np.ones(n)
+    frame[:, 3] = 0.0
+    phi, lo, hi, delta = frame.transpose(1, 0, 2)
+    modes, curv, modes_t, curv_t = np.zeros(ws.P), np.ones(ws.P), np.zeros(ws.P), np.ones(ws.P)
+    iterations, tries, rounds = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), [0] * n
+    on_score, errors, shared, first = np.zeros(n, dtype=bool), {}, {}, True
+    asking = (~done).nonzero()[0].tolist()
+    while asking:
+        by_batch = {}
+        for r in asking:
+            by_batch.setdefault(batch_of[r], []).append(r)
+        for k, rows in by_batch.items():
+            batch = ws.batches[k]
+            r0, pk = batch.index.start, batch.patterns
+            try:
+                replies = _evaluate(ws, batch, {r - r0: (point[r], modes[pk], None) for r in rows},
+                                    False)
+            except Exception as exc:  # this batch stops, and is refitted alone
+                shared[k] = exc
+                done[batch.index] = True
+                continue
+            modes_t[pk], curv_t[pk] = replies[rows[0] - r0][:2]
+            for r in rows:
+                _, _, d_t[r], ll_t[r], h_t[r] = replies[r - r0]
+                np.add.reduce(d_t[r], axis=0, out=g_t[r])  # d.sum(axis=0)
+                rounds[r] += 1
+        viol_t = _kkt_violation(g_t, point, lb, ub, p)
+        if first:  # a dataset's first round accepts its start
+            better = ~done
+        else:
+            lower = viol_t < viol
+            with np.errstate(invalid="ignore"):  # inf - inf, as float arithmetic allows
+                slack = 1e-12 * (1.0 + np.abs(ll))
+                better = (ll_t > ll + slack) | ((ll_t >= ll - slack) & lower)
+            if on_score.any():
+                better = np.where(on_score, np.isfinite(ll_t) & lower, better)
+            better &= ~done
+            step = np.abs(point - theta).max(axis=1) / (1.0 + np.abs(theta).max(axis=1))
+        for r in better.nonzero()[0].tolist():
+            d[r], h[r] = d_t[r], h_t[r]
+        for state, new in ((theta, point), (ll, ll_t), (viol, viol_t), (g, g_t)):
+            np.copyto(state, new, where=better if state.ndim == 1 else better[:, None])
+        mine = better[prep]
+        np.copyto(modes, modes_t, where=mine)
+        np.copyto(curv, curv_t, where=mine)
 
-        free = ~(((theta <= lb) & (g <= 0)) | ((theta >= ub) & (g >= 0)))
-        delta = np.zeros(ws.dim)
-        h_free = h_phi if free.all() else h_phi[np.ix_(free, free)]
-        delta[free] = _newton_direction(h_free, (jac * g)[free])
-        big = float(np.max(np.abs(delta[:p])))
-        if big > _MAX_STEP:
-            delta *= _MAX_STEP / big
-        lam = 1.0
-        if ws.dim - p > 1:  # only two variance coordinates can both reach a bound
-            edge = np.where(delta[v] < 0, lo[v], hi[v])
-            reach = ((lb[v] < theta[v]) & (theta[v] < ub[v]) & (delta[v] != 0)
-                     & (np.abs(edge - phi[v]) <= np.abs(delta[v])))
-            if np.count_nonzero(reach) > 1:
-                hits = np.sort((edge - phi[v])[reach] / delta[v][reach])
-                lam = 0.5 * float(hits[0] + hits[1])
-
-        step = 0.0
-        for _ in range(40):
-            trials += 1
-            trial = np.clip(phi + lam * delta, lo, hi)
-            trial[v] = sgn * np.log(trial[v])
-            trial = _snap(trial, lb, ub)
-            modes_t, curv_t, d_t, ll_t, h_t = yield trial, modes, None
-            g_t = d_t.sum(axis=0)
-            viol_t = _kkt_violation(g_t, trial, lb, ub, p)
-            slack = 1e-12 * (1.0 + abs(ll))
-            if on_score:
-                better = np.isfinite(ll_t) and viol_t < viol
-            else:
-                better = ll_t > ll + slack or (ll_t >= ll - slack and viol_t < viol)
-            if better:
-                step = float(np.max(np.abs(trial - theta)) / (1.0 + np.max(np.abs(theta))))
-                theta, ll, modes, curv, d, g, h = trial, ll_t, modes_t, curv_t, d_t, g_t, h_t
-                viol = viol_t
-                break
-            lam *= 0.5
-        if step <= PARAM_TOL:
-            if on_score:
-                break
-            on_score = True
-    return theta, ll, modes, curv, d, viol, iterations, trials
+        if first:
+            ended, first = better, False
+        else:  # an iteration ends on an accepted trial or on its 40th
+            ended, stalled = better, better & (step <= PARAM_TOL)
+            failed = ~(done | better)
+            if failed.any():
+                tries += failed
+                np.multiply(lam, 0.5, out=lam, where=failed)
+                exhausted = failed & (tries >= 40)
+                ended, stalled = ended | exhausted, stalled | exhausted
+            if stalled.any():
+                done |= stalled & on_score
+                on_score |= stalled
+        more = ended & ~done & (iterations < MAX_ITER) & (viol > SCORE_TOL)
+        done |= ended & ~more
+        new = more.nonzero()[0]
+        if new.size:
+            iterations += more
+            tries[new] = 0
+            frame[new], sgn[new], lam[new], errs = _steps(
+                theta[new], g[new], np.stack([h[r] for r in new.tolist()]), lb, ub, p, box)
+            for k, exc in errs.items():
+                errors[int(new[k])] = exc
+                done[new[k]] = True
+        # np.clip(phi + lam delta, lo, hi), which differs only on signed zeros; no end is a zero
+        trial = np.minimum(np.maximum(phi + lam[:, None] * delta, lo), hi)
+        trial[:, v] = sgn * np.log(trial[:, v])
+        point = _snap(trial, lb, ub)
+        asking = (~done).nonzero()[0].tolist()
+    trials = np.array(rounds) - 1  # every round after a dataset's first is a trial
+    return _Iterates(theta, ll, modes, curv, d, viol, iterations, trials, errors, shared)
 
 
-def _replication(ws: _Workspace, batch: _Batch, i: int, dataset: Dataset, beta0,
-                 spec: ModelSpec, config: FitConfig, lb, ub):
-    """The fit of dataset i of a batch from its start beta0, a generator as
-    `_newton` is: the quasi-Newton optimizer's L-BFGS stage, which makes
-    rounds of its own before the first yield, the Newton loop, the NB's
-    closing request for its covariance scores, for which it yields (theta,
-    modes, curvatures) and is sent d and the loglik, and the FittedModel it
-    returns."""
-    rep = batch.reps[i]
-    kappa0 = _kappa_moment_init(dataset.y) if spec.family is Family.NEGBIN else None
-    # (subject, covariate row) cells of all subjects
-    n_cells = int(ws.m[batch.patterns][batch.subj][rep.cells].sum())
+def _start(ws: _Workspace, batch: _Batch, i: int, dataset: Dataset, beta0, config: FitConfig,
+           lb, ub):
+    """Dataset i's first Newton point from its start beta0, and the
+    iterations taken to reach it: under the quasi-Newton optimizer its
+    L-BFGS stage, whose rounds ask for it alone."""
+    kappa0 = _kappa_moment_init(dataset.y) if ws.family is Family.NEGBIN else None
     theta = np.clip(ws.pack(beta0, 0.1, kappa0), lb, ub)
-    iterations, optimizer_used = 0, "newton"
     if config.optimizer == "quasi_newton":
-        theta, iterations = _lbfgs(ws, batch, i, theta, lb, ub)
-        optimizer_used = "quasi_newton+newton"
-    theta, ll, modes, curv, d, score_norm, extra, trials = yield from _newton(ws, theta, lb, ub)
-    iterations += extra
-    converged = score_norm <= SCORE_TOL
+        return _lbfgs(ws, batch, i, theta, lb, ub)
+    return theta, 0
 
-    if spec.family is Family.NEGBIN:
-        d, _ = yield theta, modes, curv
-    h = d.T @ d
-    cov_flags: list[str] = []
-    try:
-        cov_theta = spd_inverse(h)
-    except np.linalg.LinAlgError:
-        cov_theta = np.linalg.pinv(h)
-        cov_flags.append("singular_information_pseudo_inverse")
 
-    beta, sigma2, aux = ws.unpack(theta)
-    jac = np.ones(ws.dim)
-    jac[ws.p] = sigma2
-    if spec.family is Family.NEGBIN:
-        jac[ws.p + 1] = aux
-    cov_psi = cov_theta * np.outer(jac, jac)
-    cov_psi = 0.5 * (cov_psi + cov_psi.T)
-    eig = np.linalg.eigvalsh(cov_psi)
-    if eig.size and eig[0] < -1e-8 * max(eig[-1], 1e-300):
-        # clip the spectrum so downstream delta-method variances stay >= 0
-        vals, vecs = np.linalg.eigh(cov_psi)
-        cov_psi = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        cov_flags.append("clipped_negative_eigenvalues")
+def _covariances(ws: _Workspace, theta, d) -> list:
+    """Cov(psi_hat) on the natural scale and its flags, for each row of
+    theta with its covariance scores d[k], or the exception its lone fit
+    raises: the BHHH inverse (sum_i d_i d_i')^{-1}, its pseudo-inverse where
+    the sum is singular, mapped by the delta method and its spectrum clipped
+    at zero where it has a negative eigenvalue.  One `d.T @ d` per row, then
+    one stacked inverse and one stacked `eigvalsh` (`_per_matrix`)."""
+    h = np.stack([dk.T @ dk for dk in d])
+    jac = np.ones((len(d), ws.dim))
+    for k, row in enumerate(theta):
+        _, jac[k, ws.p], aux = ws.unpack(row)
+        if aux is not None:
+            jac[k, ws.p + 1] = aux
+    out, flags = list(_per_matrix(spd_inverse, h)), [[] for _ in d]
+    for k, c in enumerate(out):
+        if isinstance(c, np.linalg.LinAlgError):
+            out[k] = _call(np.linalg.pinv, h[k])
+            flags[k].append("singular_information_pseudo_inverse")
+    ok = [k for k, c in enumerate(out) if not isinstance(c, Exception)]
+    if ok:
+        cov = np.stack([out[k] for k in ok]) * (jac[ok, :, None] * jac[ok, None, :])
+        cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+        for k, c, eig in zip(ok, cov, _per_matrix(np.linalg.eigvalsh, cov)):
+            out[k] = eig if isinstance(eig, Exception) else c
+            if not isinstance(eig, Exception) and eig[0] < -1e-8 * max(eig[-1], 1e-300):
+                # clip the spectrum so downstream delta-method variances stay >= 0
+                out[k] = _call(_clipped, c)
+                flags[k].append("clipped_negative_eigenvalues")
+    return [c if isinstance(c, Exception) else (c, tuple(f)) for c, f in zip(out, flags)]
+
+
+def _clipped(cov) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(cov)
+    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+
+
+def _fitted(ws: _Workspace, batch: _Batch, r: int, dataset: Dataset, spec: ModelSpec,
+            config: FitConfig, fit: _Iterates, iterations: int, cov_psi, cov_flags) -> FittedModel:
+    """Dataset r of the workspace, of `batch`: its FittedModel from where the
+    Newton loop left it, the iterations before the loop, and its covariance."""
+    i = r - batch.index.start
+    rep = batch.reps[i]
+    beta, sigma2, aux = ws.unpack(fit.theta[r].copy())
+    score_norm = float(fit.viol[r])
     cov_psi.setflags(write=False)
-
-    modes, curv = modes[batch.subjects[i]], curv[batch.subjects[i]]
+    subjects = batch.subjects[i] + batch.patterns.start
+    modes, curv = fit.modes[subjects], fit.curv[subjects]
     modes.setflags(write=False)
     curv.setflags(write=False)
-    r = batch.index.start + i
     return FittedModel(
         dataset=dataset,
         spec=spec,
@@ -1075,18 +1222,19 @@ def _replication(ws: _Workspace, batch: _Batch, i: int, dataset: Dataset, beta0,
         cov_psi=cov_psi,
         cond_modes=modes,
         cond_curvatures=curv,
-        loglik=ll,
-        converged=converged,
-        iterations=iterations,
-        optimizer_used=optimizer_used,
+        loglik=float(fit.ll[r]),
+        converged=score_norm <= SCORE_TOL,
+        iterations=iterations + int(fit.iterations[r]),
+        optimizer_used="quasi_newton+newton" if config.optimizer == "quasi_newton" else "newton",
         score_norm=score_norm,
-        cov_flags=tuple(cov_flags),
+        cov_flags=cov_flags,
         diagnostics={
             "random_effect_kernel": "normal(0, sigma2), exponent -b^2/(2*sigma2)",
             "rows": dataset.n_obs,
-            "quadrature_cells": n_cells,
+            # (subject, covariate row) cells of all subjects
+            "quadrature_cells": int(ws.m[batch.patterns][batch.subj][rep.cells].sum()),
             "subject_patterns": rep.m.size,
-            "line_search_trials": trials, "quadrature_passes": int(ws.passes[r]),
+            "line_search_trials": int(fit.trials[r]), "quadrature_passes": int(ws.passes[r]),
             "mode_kernel_evaluations": int(ws.kernel_evaluations[r]),
         },
     )
@@ -1120,36 +1268,60 @@ def _evaluate(ws: _Workspace, batch: _Batch, asked: dict, closing: bool) -> dict
     return {i: out[i][:2] if closing else (modes, curv, *out[i]) for i in asked}
 
 
-def _fit_batch(ws: _Workspace, batch: _Batch, datasets, spec: ModelSpec, config: FitConfig):
-    """Fits the datasets of one batch in lockstep, one `_replication`
-    generator each, after one `_irls_starts` for all: every round serves
-    the Newton requests of the running generators with one `_evaluate`.
-    The NB's closing requests wait until no Newton request is left, and one
-    closing round serves them all.  Under the quasi-Newton optimizer each
-    generator's first resume runs its L-BFGS stage, whose rounds ask for its
-    dataset alone.  Returns a FittedModel per dataset, or the exception its
-    generator raised; an exception in the start or a shared evaluation
-    propagates."""
+def _fit_lockstep(ws: _Workspace, datasets, spec: ModelSpec, config: FitConfig):
+    """Fits the datasets of a workspace in lockstep: per batch one
+    `_irls_starts`, each dataset's `_start`, one `_newton` loop for all, per
+    NB batch one closing round for its covariance scores, one
+    `_covariances` and a `_fitted` per dataset.  Returns a FittedModel per
+    dataset, or the exception that its start, its Newton steps, its
+    covariance or its assembly raised, as its lone fit raises it; and
+    {batch: the exception its IRLS starts or a shared evaluation raised},
+    whose datasets hold None."""
     lb, ub = ws.bounds()
-    gens = [_replication(ws, batch, i, ds, beta0, spec, config, lb, ub)
-            for i, (ds, beta0) in enumerate(zip(datasets, _irls_starts(ws, batch, datasets)))]
-    out = [None] * len(gens)
-
-    def resume(i, reply):
+    out, shared = [None] * len(datasets), {}
+    theta, iterations = np.zeros((len(datasets), ws.dim)), [0] * len(datasets)
+    for k, batch in enumerate(ws.batches):
+        members = datasets[batch.index]
         try:
-            return gens[i].send(reply)
-        except StopIteration as stop:
-            out[i] = stop.value
-        except Exception as exc:  # this dataset's fit fails alone
-            out[i] = exc
-        return None
-
-    asked = {i: resume(i, None) for i in range(len(gens))}
-    while asked := {i: rq for i, rq in asked.items() if rq is not None}:
-        newton = {i: rq for i, rq in asked.items() if rq[2] is None}
-        replies = _evaluate(ws, batch, newton or asked, not newton)
-        asked.update((i, resume(i, reply)) for i, reply in replies.items())
-    return out
+            starts = _irls_starts(ws, batch, members)
+        except Exception as exc:  # the batch is refitted alone
+            shared[k] = exc
+            continue
+        for i, (ds, beta0) in enumerate(zip(members, starts)):
+            r = batch.index.start + i
+            try:
+                theta[r], iterations[r] = _start(ws, batch, i, ds, beta0, config, lb, ub)
+            except Exception as exc:  # this dataset's fit fails alone
+                out[r] = exc
+    stopped = np.array([o is not None for o in out])
+    for k in shared:
+        stopped[ws.batches[k].index] = True
+    fit = _newton(ws, theta, lb, ub, stopped)
+    shared.update(fit.shared)
+    for r, exc in fit.errors.items():
+        out[r] = exc
+    d = fit.d
+    for k, batch in enumerate(ws.batches):
+        rows = [r for r in range(batch.index.start, batch.index.stop) if out[r] is None]
+        if k in shared or not rows or ws.family is not Family.NEGBIN:
+            continue
+        r0, pk = batch.index.start, batch.patterns
+        try:
+            closing = _evaluate(ws, batch, {r - r0: (fit.theta[r], fit.modes[pk], fit.curv[pk])
+                                            for r in rows}, True)
+        except Exception as exc:  # the batch is refitted alone
+            shared[k] = exc
+            continue
+        for r in rows:
+            d[r] = closing[r - r0][0]
+    rows = [(batch, r) for k, batch in enumerate(ws.batches) if k not in shared
+            for r in range(batch.index.start, batch.index.stop) if out[r] is None]
+    if rows:
+        at = [r for _, r in rows]
+        for (batch, r), cov in zip(rows, _covariances(ws, fit.theta[at], [d[r] for r in at])):
+            out[r] = cov if isinstance(cov, Exception) else _call(
+                _fitted, ws, batch, r, datasets[r], spec, config, fit, iterations[r], *cov)
+    return out, shared
 
 
 def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> FittedModel:
@@ -1164,41 +1336,37 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     """
     config = config or FitConfig()
     ws = _Workspace(dataset, spec.family, config.gh_nodes)
-    (result,) = _fit_batch(ws, ws.batches[0], [dataset], spec, config)
+    (result,), shared = _fit_lockstep(ws, [dataset], spec, config)
+    for exc in shared.values():
+        raise exc
     if isinstance(result, Exception):
         raise result
     return result
 
 
 def _fit_alone(dataset: Dataset, spec: ModelSpec, config: FitConfig):
-    try:
-        return fit(dataset, spec, config)
-    except Exception as exc:
-        return exc
+    return _call(fit, dataset, spec, config)
 
 
 def fit_batch(datasets, spec: ModelSpec, config: FitConfig | None = None) -> list:
-    """`fit` of each dataset, in lockstep batches: per dataset its
-    FittedModel, bit for bit the one `fit` returns, or the exception `fit`
-    raises on it.
+    """`fit` of each dataset, in lockstep: per dataset its FittedModel, bit
+    for bit the one `fit` returns, or the exception `fit` raises on it.
 
     One workspace holds the datasets and splits them into batches (see
-    _Workspace); a caller bounds its memory by the datasets it passes.  A
-    batch whose shared start or evaluation raises is refitted one dataset at
-    a time.
+    _Workspace), and one Newton loop fits them all (`_fit_lockstep`); a
+    caller bounds its memory by the datasets it passes.  A batch whose shared
+    start or evaluation raises is refitted one dataset at a time, and so is
+    every dataset if the workspace or the loop raises.
     """
     config = config or FitConfig()
     try:
         ws = _Workspace(datasets, spec.family, config.gh_nodes)
+        out, shared = _fit_lockstep(ws, datasets, spec, config)
     except Exception:
         return [_fit_alone(ds, spec, config) for ds in datasets]
-    out = []
-    for batch in ws.batches:
-        members = datasets[batch.index]
-        try:
-            out += _fit_batch(ws, batch, members, spec, config)
-        except Exception:
-            out += [_fit_alone(ds, spec, config) for ds in members]
+    for k in shared:
+        index = ws.batches[k].index
+        out[index] = [_fit_alone(ds, spec, config) for ds in datasets[index]]
     return out
 
 

@@ -968,6 +968,39 @@ def test_quasi_newton_fits_in_one_batch_equal_lone_fits_bit_for_bit(family, monk
         _assert_same_fit(g, want)
 
 
+@pytest.mark.parametrize("family", [Family.LOGISTIC, Family.NEGBIN])
+def test_a_batch_whose_stacked_inverse_raises_inverts_each_fit_alone(family, monkeypatch):
+    # one fit's information is refused as singular: the batch's stacked
+    # inverse raises, so each fit's is taken alone, and the refused one
+    # takes the pseudo-inverse, as it does alone
+    import glmm_means.fitter as fitter
+
+    make = logistic_design if family is Family.LOGISTIC else negbin_design
+    datasets = _study_replications(make(control="gender", replications=3, seed=5), range(3))
+    spec, real = ModelSpec(family=family, p=4), fitter.spd_inverse
+    target = fit(datasets[1], spec)
+    ws = _Workspace(target.dataset, family, 25)
+    theta = ws.pack(target.params.beta, target.params.sigma2, target.params.kappa)
+    d = subject_scores(target)
+    refused = d.T @ d
+    assert np.array_equal(target.cov_psi, fitter._covariances(ws, theta[None], [d])[0][0])
+
+    def spd_inverse(h):
+        if any(np.array_equal(m, refused) for m in h):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(h)
+
+    def refit_alone(dataset, spec, config):
+        raise AssertionError("a batch fell back to lone fits")
+
+    monkeypatch.setattr(fitter, "spd_inverse", spd_inverse)
+    monkeypatch.setattr(fitter, "_fit_alone", refit_alone)
+    lone = [fit(ds, spec) for ds in datasets]
+    assert [f.cov_flags for f in lone] == [(), ("singular_information_pseudo_inverse",), ()]
+    for g, want in zip(fitter.fit_batch(datasets, spec), lone):
+        _assert_same_fit(g, want)
+
+
 def test_a_batch_solve_holds_the_datasets_not_live_where_they_start():
     # a round solves the modes of the datasets that ask for a solve; the
     # patterns of the others keep their given modes and count no kernels

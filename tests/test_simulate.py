@@ -312,7 +312,7 @@ def test_a_failed_replication_fails_alone_in_its_batch(monkeypatch):
     assert all(r["ok"] for r in base)
     raising, stalled = datasets[2].y, datasets[4].y
     real_generate, real_starts = sim._generate, fitter._irls_starts
-    real_replication = fitter._replication
+    real_fitted = fitter._fitted
     draws = []
 
     def generate(design, rng):
@@ -327,15 +327,15 @@ def test_a_failed_replication_fails_alone_in_its_batch(monkeypatch):
             raise ValueError("boom")
         return real_starts(ws, batch, members)
 
-    def replication(ws, batch, i, dataset, *args):
-        fitted = yield from real_replication(ws, batch, i, dataset, *args)
+    def assemble(ws, batch, i, dataset, *args):
+        fitted = real_fitted(ws, batch, i, dataset, *args)
         if np.array_equal(dataset.y, stalled):
             fitted = dataclasses.replace(fitted, converged=False)
         return fitted
 
     monkeypatch.setattr(sim, "_generate", generate)
     monkeypatch.setattr(fitter, "_irls_starts", irls_starts)
-    monkeypatch.setattr(fitter, "_replication", replication)
+    monkeypatch.setattr(fitter, "_fitted", assemble)
     got = sim._run_batch((design, seeds))
     reasons = {0: "ValueError: no draw", 2: "ValueError: boom", 4: "non-convergence"}
     for i, (rec, want) in enumerate(zip(got, base)):
@@ -343,32 +343,70 @@ def test_a_failed_replication_fails_alone_in_its_batch(monkeypatch):
 
 
 def test_a_fit_that_raises_fails_alone_in_its_lockstep_batch(monkeypatch):
-    # one replication's fit raises before its first request, inside the
-    # batch's lockstep rounds: it fails with that reason, no dataset is
+    # one replication's start raises before its first request, inside the
+    # batch's lockstep fit: it fails with that reason, no dataset is
     # refitted alone, and its batch-mates' records are those of the
     # undisturbed study
     import glmm_means.fitter as fitter
 
     design, seeds, datasets, base = _small_batch()
     target = datasets[3].y
-    real_replication, real_alone = fitter._replication, fitter._fit_alone
+    real_start, real_alone = fitter._start, fitter._fit_alone
     alone = []
 
-    def replication(ws, batch, i, dataset, *args):
+    def start(ws, batch, i, dataset, *args):
         if np.array_equal(dataset.y, target):
             raise ValueError("boom")
-        return (yield from real_replication(ws, batch, i, dataset, *args))
+        return real_start(ws, batch, i, dataset, *args)
 
     def fit_alone(dataset, *args):
         alone.append(dataset)
         return real_alone(dataset, *args)
 
-    monkeypatch.setattr(fitter, "_replication", replication)
+    monkeypatch.setattr(fitter, "_start", start)
     monkeypatch.setattr(fitter, "_fit_alone", fit_alone)
     got = sim._run_batch((design, seeds))
     assert alone == []
     for i, (rec, want) in enumerate(zip(got, base)):
         assert rec == ({"ok": False, "reason": "ValueError: boom"} if i == 3 else want), i
+
+
+def test_a_replication_whose_newton_step_raises_fails_alone_in_its_batch(monkeypatch):
+    # a stacked direction that raises is taken again one replication at a
+    # time: the replication whose own direction raises fails with that
+    # reason, as it does alone, no dataset is refitted alone, and its
+    # batch-mates' records are those of the undisturbed study
+    import glmm_means.fitter as fitter
+
+    design, seeds, datasets, base = _small_batch()
+    real, alone, stacks = fitter._newton_direction, [], []
+
+    def record(h, g):
+        stacks.append(h.copy())
+        return real(h, g)
+
+    monkeypatch.setattr(fitter, "_newton_direction", record)
+    fitter.fit(datasets[3], ModelSpec(design.family, design.p))
+    target = stacks[0][0]  # its first iteration's matrix
+
+    def direction(h, g):
+        if any(np.array_equal(m, target) for m in h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(h, g)
+
+    def fit_alone(dataset, *args):
+        alone.append(dataset)
+        raise AssertionError("a batch fell back to lone fits")
+
+    monkeypatch.setattr(fitter, "_newton_direction", direction)
+    monkeypatch.setattr(fitter, "_fit_alone", fit_alone)
+    with pytest.raises(np.linalg.LinAlgError):
+        fitter.fit(datasets[3], ModelSpec(design.family, design.p))
+    got = sim._run_batch((design, seeds))
+    assert alone == []
+    for i, (rec, want) in enumerate(zip(got, base)):
+        assert rec == ({"ok": False, "reason": "LinAlgError: Eigenvalues did not converge"}
+                       if i == 3 else want), i
 
 
 @pytest.mark.parametrize("fault, reason", [
@@ -384,7 +422,7 @@ def test_an_estimate_that_raises_fails_alone_in_its_run(monkeypatch, fault, reas
     design, seeds, datasets, base = _small_batch()
     assert all(r["ok"] for r in base)
     target = datasets[3].y
-    real_replication = fitter._replication
+    real_fitted = fitter._fitted
 
     def spoil(fitted):
         if fault == "point":  # every row's plug-in mean rounds onto 1.0
@@ -392,11 +430,11 @@ def test_an_estimate_that_raises_fails_alone_in_its_run(monkeypatch, fault, reas
         # a NaN predictor makes S NaN, which its Cholesky factor refuses
         return dataclasses.replace(fitted, cond_modes=np.full_like(fitted.cond_modes, np.nan))
 
-    def replication(ws, batch, i, dataset, *args):
-        fitted = yield from real_replication(ws, batch, i, dataset, *args)
+    def assemble(ws, batch, i, dataset, *args):
+        fitted = real_fitted(ws, batch, i, dataset, *args)
         return spoil(fitted) if np.array_equal(dataset.y, target) else fitted
 
-    monkeypatch.setattr(fitter, "_replication", replication)
+    monkeypatch.setattr(fitter, "_fitted", assemble)
     got = sim._run_batch((design, seeds))
     spoiled = spoil(fitter.fit(datasets[3], ModelSpec(design.family, design.p)))
     lone = sim._replicate((design, generate_replication(design, seeds[3]), spoiled,
