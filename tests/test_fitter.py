@@ -1047,6 +1047,38 @@ def test_an_nb_batch_serves_its_covariance_scores_in_one_closing_round(control, 
             assert closing == [False] * (len(closing) - 1) + [True], seed
 
 
+def test_a_batch_whose_evaluation_raises_mid_run_is_refitted_alone(monkeypatch):
+    # one Newton loop steps every batch of a run: when the third round of
+    # the first batch raises, that batch is refitted one dataset at a time
+    # and the other batch goes on in lockstep; every fit is its lone fit
+    import glmm_means.fitter as fitter
+
+    datasets = _study_replications(negbin_design(control="time", replications=4, seed=3),
+                                   range(4))
+    spec = ModelSpec(family=Family.NEGBIN, p=4)
+    assert [len(b.reps) for b in _Workspace(datasets, Family.NEGBIN, 25).batches] == [2, 2]
+    lone = [fit(ds, spec) for ds in datasets]
+    real, real_alone, calls, alone = fitter._evaluate, fitter._fit_alone, [], []
+
+    def evaluate(ws, batch, asked, closing):
+        if batch.index.start == 0 and len(batch.reps) > 1:
+            calls.append(closing)
+            if len(calls) == 3:
+                raise FloatingPointError("third round")
+        return real(ws, batch, asked, closing)
+
+    def fit_alone(dataset, *args):
+        alone.append(dataset)
+        return real_alone(dataset, *args)
+
+    monkeypatch.setattr(fitter, "_evaluate", evaluate)
+    monkeypatch.setattr(fitter, "_fit_alone", fit_alone)
+    got = fitter.fit_batch(datasets, spec)
+    assert alone == datasets[:2] and calls == [False] * 3
+    for g, want in zip(got, lone):
+        _assert_same_fit(g, want)
+
+
 def test_workspace_shares_hold_no_covariate_array_twice(monkeypatch):
     # a lone dataset over several blocks: its share views the workspace's X,
     # and each block's member reads the block's X'
